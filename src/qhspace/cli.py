@@ -2,8 +2,8 @@
 
 Subcommands operate on project files and print reports to standard output
 (or ``--out``); diagnostics go to standard error.  Exit code 0 means every
-check passed.  ``--seed`` only affects the irreducible extraction; all other
-computations are seed-free and deterministic.
+check passed.  All computations are deterministic; ``--seed`` affects the
+irreducible extraction and the random vectors of the sampled checks.
 """
 
 from __future__ import annotations

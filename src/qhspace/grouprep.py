@@ -188,20 +188,6 @@ def tensor_rep(u: UnitaryRep, v: UnitaryRep) -> UnitaryRep:
     return UnitaryRep(u.group, tuple(kron(u.matrix(g), v.matrix(g)) for g in range(u.group.order)))
 
 
-def direct_sum_rep(u: UnitaryRep, v: UnitaryRep) -> UnitaryRep:
-    mats = []
-    for g in range(u.group.order):
-        m = np.zeros((u.dim + v.dim, u.dim + v.dim), dtype=np.complex128)
-        m[: u.dim, : u.dim] = u.matrix(g)
-        m[u.dim :, u.dim :] = v.matrix(g)
-        mats.append(m)
-    return UnitaryRep(u.group, tuple(mats))
-
-
-def conjugate_rep(u: UnitaryRep) -> UnitaryRep:
-    return UnitaryRep(u.group, tuple(np.conj(m) for m in u.matrices))
-
-
 def regular_rep(group: FiniteGroup) -> UnitaryRep:
     n = group.order
     mats = []

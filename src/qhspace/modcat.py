@@ -276,6 +276,7 @@ class BigradedFunctor:
     concrete: object
     name: str = "module"
     coherence_overrides: dict = field(default_factory=dict)
+    _coh_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_base(self) -> int:
@@ -319,34 +320,35 @@ class BigradedFunctor:
         key = (a, b, r, t)
         if key in self.coherence_overrides:
             return self.coherence_overrides[key]
-        if not hasattr(self, "_coh_cache"):
-            self._coh_cache: dict = {}
         if key in self._coh_cache:
             return self._coh_cache[key]
         da, db = self.cat.dim(a), self.cat.dim(b)
         dr, dt = self.base_dims[r], self.base_dims[t]
-        cols = self.columns(a, b, r, t)
         phi_conj = np.conj(
             self.concrete.assoc_diag(self.concrete.handle(a), self.concrete.handle(b), t)
         )
         eye_a = np.eye(da, dtype=np.complex128)
         eye_t = np.eye(dt, dtype=np.complex128)
-        composites = []
-        for s, m, n in cols:
-            ta = self.mor_basis(a, r, s)[m]
-            tb = self.mor_basis(b, s, t)[n]
-            comp = kron(eye_a, tb) @ ta
-            composites.append(phi_conj[:, None] * comp)
+        # columns in (s, m, n) order: per s, (I_a (x) t_b[n]) @ t_a[m] as one batched matmul
+        blocks = []
+        for s in np.flatnonzero(self.dims[a, r] * self.dims[b, :, t]).tolist():
+            lifted = np.stack([kron(eye_a, tb) for tb in self.mor_basis(b, s, t)])
+            comp = lifted[None] @ np.stack(self.mor_basis(a, r, s))[:, None]
+            blocks.append(comp.reshape(-1, *comp.shape[2:]))
+        composites = (
+            phi_conj[:, None] * np.concatenate(blocks)
+            if blocks
+            else np.zeros((0, da * db * dt, dr), dtype=np.complex128)
+        )
         out: dict[int, np.ndarray] = {}
         for c in self.cat.channels(a, b):
             tcs = self.mor_basis(c, r, t)
-            arr = np.zeros((self.cat.mult(a, b, c), len(tcs), len(cols)), dtype=np.complex128)
-            for k, iota in enumerate(self.cat.isometries(a, b, c)):
-                proj_map = kron(dagger(iota), eye_t)
-                for col, comp in enumerate(composites):
-                    proj = proj_map @ comp
-                    for p, tc in enumerate(tcs):
-                        arr[k, p, col] = np.trace(dagger(tc) @ proj) / dr
+            arr = np.zeros((self.cat.mult(a, b, c), len(tcs), len(composites)), dtype=np.complex128)
+            if tcs and len(composites):
+                tcs_dag = np.conj(np.stack(tcs)).transpose(0, 2, 1)[:, None]
+                for k, iota in enumerate(self.cat.isometries(a, b, c)):
+                    proj = kron(dagger(iota), eye_t) @ composites
+                    arr[k] = np.trace(tcs_dag @ proj[None], axis1=-2, axis2=-1) / dr
             out[c] = arr
         self._coh_cache[key] = out
         return out
@@ -537,53 +539,108 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
     return cert
 
 
+# composable chains built and evaluated at a time; bounds the temporaries
+_TRIPLE_CHUNK = 512
+
+
+def _successors(ends: np.ndarray, src: np.ndarray, n_base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each path ending at base label ends[i] with every edge leaving it.
+
+    Returns (path index, edge index) arrays, grouped by path in edge order.
+    """
+    order = np.argsort(src, kind="stable")
+    count = np.bincount(src, minlength=n_base)
+    start = np.cumsum(count) - count
+    per_path = count[ends]
+    path = np.repeat(np.arange(len(ends)), per_path)
+    offset = np.arange(len(path)) - np.repeat(np.cumsum(per_path) - per_path, per_path)
+    return path, order[start[ends][path] + offset]
+
+
 def _triple_coherence_residual(f: BigradedFunctor) -> float:
     """Compare the two bracketings of acting by a, then b, then c.
 
     Both sides are computed as concrete morphisms into the left-bracketed
     triple tensor product; the right-bracketed path is pulled back through
-    the category associator.
+    the category associator.  Every composable chain of basis morphisms
+    (a,r,s,m) -> (b,s,t,n) -> (c,t,w,o) is checked.  The chains are built in
+    runs of about ``_TRIPLE_CHUNK``; within a run they are grouped by the
+    shape (da, db, dc, dr, ds, dt, dw) of their matrices, and each group is
+    evaluated with four batched einsums.  The associator diagonals are
+    fetched once per (h1, h2, r) key.
     """
-    cat = f.cat
+    cat, conc = f.cat, f.concrete
+    ldim = np.asarray(cat.obj_dim)
+    bdim = np.asarray(f.base_dims)
+    handle = np.array([conc.handle(a) for a in cat.labels])
+    fused = np.array([[conc.combine(ha, hb) for hb in handle] for ha in handle])
+    alpha_conj = np.conj(np.array(
+        [[[cat.assoc_scalar(a, b, c) for c in cat.labels] for b in cat.labels] for a in cat.labels],
+        dtype=np.complex128,
+    ))
+
+    # one edge per basis morphism t in Mor(X_src, u_lab (x) X_dst), stacked by shape
+    blocks = np.argwhere(f.dims)
+    lab, src, dst = np.repeat(blocks, f.dims[tuple(blocks.T)], axis=0).T
+    stacks: dict[tuple[int, int, int], list[np.ndarray]] = {}
+    kind, pos = [], []  # shape index of each edge, and its place in that stack
+    for la, ls, ld in blocks.tolist():
+        shape = (int(ldim[la]), int(bdim[ld]), int(bdim[ls]))
+        if shape not in stacks:
+            stacks[shape] = []
+        k = list(stacks).index(shape)
+        for mat in f.mor_basis(la, ls, ld):
+            kind.append(k)
+            pos.append(len(stacks[shape]))
+            stacks[shape].append(mat.reshape(shape))
+    kind, pos = np.array(kind, dtype=np.int64), np.array(pos, dtype=np.int64)
+    shapes = list(stacks)
+    stacked = [np.stack(mats) for mats in stacks.values()]
+
+    first, second = _successors(dst, src, f.n_base)
+    # split the composable pairs into runs that extend to about _TRIPLE_CHUNK chains
+    per_pair = np.bincount(src, minlength=f.n_base)[dst[second]]
+    run = (np.cumsum(per_pair) - per_pair) // _TRIPLE_CHUNK
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
+    ns = len(shapes)
+
+    phase_cache: dict[tuple[int, int, int], np.ndarray] = {}
+
+    def phases(h1, h2, rr):
+        keys = np.stack([h1, h2, rr], axis=1)
+        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
+        table = []
+        for k in map(tuple, uniq.tolist()):
+            if k not in phase_cache:
+                phase_cache[k] = np.conj(conc.assoc_diag(*k))
+            table.append(phase_cache[k])
+        return np.stack(table)[inv.reshape(-1)]
+
     worst = 0.0
-    for a in cat.labels:
-        for b in cat.labels:
-            for c in cat.labels:
-                da, db, dc = cat.dim(a), cat.dim(b), cat.dim(c)
-                ha, hb, hc = f.concrete.handle(a), f.concrete.handle(b), f.concrete.handle(c)
-                hab = f.concrete.combine(ha, hb)
-                hbc = f.concrete.combine(hb, hc)
-                alpha_conj = np.conj(cat.assoc_scalar(a, b, c))
-                for r in range(f.n_base):
-                    for s in range(f.n_base):
-                        for m in range(int(f.dims[a, r, s])):
-                            ta = f.mor_basis(a, r, s)[m]
-                            for t in range(f.n_base):
-                                for n in range(int(f.dims[b, s, t])):
-                                    tb = f.mor_basis(b, s, t)[n]
-                                    for w in range(f.n_base):
-                                        for o in range(int(f.dims[c, t, w])):
-                                            tc = f.mor_basis(c, t, w)[o]
-                                            dw = f.base_dims[w]
-                                            eye_a = np.eye(da, dtype=np.complex128)
-                                            eye_ab = np.eye(da * db, dtype=np.complex128)
-                                            eye_b = np.eye(db, dtype=np.complex128)
-                                            # fuse a,b first
-                                            two = np.conj(f.concrete.assoc_diag(ha, hb, t))[:, None] * (
-                                                kron(eye_a, tb) @ ta
-                                            )
-                                            left = np.conj(f.concrete.assoc_diag(hab, hc, w))[:, None] * (
-                                                kron(eye_ab, tc) @ two
-                                            )
-                                            # fuse b,c first, then pull through the associator
-                                            inner = np.conj(f.concrete.assoc_diag(hb, hc, w))[:, None] * (
-                                                kron(eye_b, tc) @ tb
-                                            )
-                                            right = np.conj(f.concrete.assoc_diag(ha, hbc, w))[:, None] * (
-                                                kron(eye_a, inner) @ ta
-                                            )
-                                            right = alpha_conj * right
-                                            worst = max(worst, max_residual(left, right))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pair, e3 = _successors(dst[second[lo:hi]], src, f.n_base)
+        e1, e2 = first[lo:hi][pair], second[lo:hi][pair]
+        chain_kind = (kind[e1] * ns + kind[e2]) * ns + kind[e3]
+        for code in np.flatnonzero(np.bincount(chain_kind)).tolist():
+            k1, k2, k3 = code // ns**2, code // ns % ns, code % ns
+            (da, _, _), (db, dt, _), (dc, dw, _) = shapes[k1], shapes[k2], shapes[k3]
+            i1, i2, i3 = (e[chain_kind == code] for e in (e1, e2, e3))
+            n = len(i1)
+            ta, tb, tc = stacked[k1][pos[i1]], stacked[k2][pos[i2]], stacked[k3][pos[i3]]
+            a, b, c = lab[i1], lab[i2], lab[i3]
+            t, w = dst[i2], dst[i3]
+            # fuse a,b first
+            two = np.einsum("nBts,nasr->naBtr", tb, ta)
+            two *= phases(handle[a], handle[b], t).reshape(n, da, db, dt, 1)
+            left = np.einsum("nCwt,naBtr->naBCwr", tc, two)
+            left *= phases(fused[a, b], handle[c], w).reshape(n, da, db, dc, dw, 1)
+            # fuse b,c first, then pull through the associator
+            inner = np.einsum("nCwt,nBts->nBCws", tc, tb)
+            inner *= phases(handle[b], handle[c], w).reshape(n, db, dc, dw, 1)
+            right = np.einsum("nBCws,nasr->naBCwr", inner, ta)
+            right *= phases(handle[a], fused[b, c], w).reshape(n, da, db, dc, dw, 1)
+            right *= alpha_conj[a, b, c].reshape(n, 1, 1, 1, 1, 1)
+            worst = max(worst, max_residual(left, right))
     return worst
 
 

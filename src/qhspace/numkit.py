@@ -97,6 +97,8 @@ def solution_basis(constraints, dim: int, tol: float = DEFAULT_TOL) -> Orthonorm
         rows.append(np.column_stack(cols))
     stacked = np.vstack(rows)
 
+    # the full SVD also for tall matrices: the reduced one gives the kernel
+    # vectors, and so the structure constants, different last bits
     _, svals, vh = np.linalg.svd(stacked)
     # floor the cutoff at tol itself so an all-zero constraint matrix is
     # recognized as rank 0 instead of rank decided by roundoff noise

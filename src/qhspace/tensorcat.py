@@ -11,7 +11,6 @@ data over a finite group with a 3-cocycle (scalar associator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -55,17 +54,14 @@ class PointedFusionData:
                 for sl in ((e, g, h), (g, e, h), (g, h, e)):
                     if abs(om[sl] - 1.0) > 1e-12:
                         raise CocycleError(f"cocycle not normalized at {sl}")
-        mul = self.group.mul
-        for g in range(n):
-            for h in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        lhs = om[h, k, l] * om[g, mul(h, k), l] * om[g, h, k]
-                        rhs = om[mul(g, h), k, l] * om[g, h, mul(k, l)]
-                        if abs(lhs - rhs) > 1e-10:
-                            raise CocycleError(
-                                f"cocycle identity fails at quadruple ({g},{h},{k},{l})"
-                            )
+        mul = self.group.mult_table
+        g, h, k, l = np.ix_(*(np.arange(n),) * 4)
+        lhs = om[h, k, l] * om[g, mul[h, k], l] * om[g, h, k]
+        rhs = om[mul[g, h], k, l] * om[g, h, mul[k, l]]
+        bad = np.argwhere(np.abs(lhs - rhs) > 1e-10)
+        if bad.size:
+            g, h, k, l = bad[0].tolist()
+            raise CocycleError(f"cocycle identity fails at quadruple ({g},{h},{k},{l})")
 
 
 def standard_cyclic_cocycle(n: int) -> PointedFusionData:
@@ -129,10 +125,6 @@ class CategoryPresentation:
             return complex(self.pointed.cocycle[a, b, c])
         return 1.0
 
-    def associator(self, a: int, b: int, c: int) -> np.ndarray:
-        d = self.obj_dim[a] * self.obj_dim[b] * self.obj_dim[c]
-        return self.assoc_scalar(a, b, c) * np.eye(d, dtype=np.complex128)
-
     def canonical_conjugates(self, a: int) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic normalized conjugate pair computed from fusion data.
 
@@ -188,10 +180,6 @@ class CategoryPresentation:
             self.kind, self.obj_dim, self.dual_map, self.qdim, self.fusion,
             new_conj, self.reps, self.pointed,
         )
-
-    @cached_property
-    def total_dim(self) -> float:
-        return float(sum(q * q for q in self.qdim))
 
 
 def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentation:

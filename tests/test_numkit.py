@@ -70,6 +70,25 @@ def test_solution_basis_threshold_cluster_raises():
         solution_basis([lambda v: a @ v], 3, tol=1e-9)
 
 
+def test_solution_basis_tall_known_kernel():
+    # 12 constraints on C^3 whose joint kernel is spanned by (1, -2j, 0)
+    rng = np.random.default_rng(7)
+    k = np.array([1.0, -2j, 0.0]) / np.sqrt(5.0)
+    a = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    a -= np.outer(a @ k, np.conj(k))
+    basis = solution_basis([lambda v: a[:6] @ v, lambda v: a[6:] @ v], 3)
+    assert len(basis) == 1
+    v = basis.vectors[0]
+    assert abs(v[1].imag) < 1e-12 and v[1].real > 0  # the largest coordinate is real positive
+    assert max_residual(v, phase_fix(k)) < 1e-12
+
+
+def test_solution_basis_tall_threshold_cluster_raises():
+    a = np.vstack([np.diag([1.0, 5e-9, 1e-15]), np.zeros((5, 3))])
+    with pytest.raises(NumericalRankError):
+        solution_basis([lambda v: a @ v], 3, tol=1e-9)
+
+
 def test_psd_check():
     ok, lo = psd_check(np.array([[2.0, 0], [0, 1.0]]))
     assert ok and lo == pytest.approx(1.0)

@@ -71,7 +71,11 @@ def test_cocycle_identity_enforced():
     z4 = cyclic_group(4)
     bad = np.ones((4, 4, 4), dtype=np.complex128)
     bad[1, 1, 1] = -1.0  # breaks normalization-compatible closure
-    with pytest.raises(CocycleError):
+    with pytest.raises(CocycleError, match=r"quadruple \(1,1,1,2\)"):
+        PointedFusionData(z4, bad)
+    bad = np.ones((4, 4, 4), dtype=np.complex128)
+    bad[2, 3, 1] = -1.0
+    with pytest.raises(CocycleError, match=r"quadruple \(1,1,3,1\)"):
         PointedFusionData(z4, bad)
 
 
