@@ -1,17 +1,19 @@
 """Module C*-categories over a category presentation, in bi-graded form.
 
-A module category over the presented category is normalized into a bi-graded
-functor: a finite base label set J of simple module objects, multiplicity
-spaces Mor(X_r, u_a (x) X_s) with fixed isometry bases, and coherence data
-expressed against the fusion isometries of the category.  Two concrete
-backends produce this data: restriction to a subgroup (module = Rep(H) over
-Rep(G)) and twisted coset modules over a pointed category.
+A module category over the presented category is held as one frozen record,
+``BigradedFunctor``: the dimensions of a finite set J of simple module
+objects, the multiplicity tensor dims[a, r, s] = dim Mor(X_r, u_a (x) X_s),
+a stacked isometry basis of every nonzero multiplicity space, the coherence
+blocks of every iterated action against the fusion isometries of the
+category, and the module associator as three phase tables.  Builders fill it
+once: restriction to a subgroup (module = Rep(H) over Rep(G)), twisted coset
+modules over a pointed category (Ostrik's (K, mu) data over Vec_G^omega),
+and the disjoint union of two records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,281 +27,56 @@ class ModuleDataError(Exception):
     pass
 
 
-class SubgroupModule:
-    """Representations of a subgroup H as a module over Rep(G).
-
-    Simple module objects are the irreducibles of H; the category acts by
-    restricting a representation of G to H and tensoring.  All associators
-    are identities because everything lives on concrete tensor products.
-    """
-
-    def __init__(self, cat: CategoryPresentation, subgroup: Subgroup, seed: int = 0,
-                 tol: float = DEFAULT_TOL):
-        if cat.kind != "group" or cat.reps is None:
-            raise ModuleDataError("subgroup module needs a group-backed category")
-        parent = cat.reps[0].group
-        if not np.array_equal(subgroup.parent.mult_table, parent.mult_table):
-            raise ModuleDataError("subgroup does not belong to the category's group")
-        self.cat = cat
-        self.subgroup = subgroup
-        self.tol = tol
-        self.h_table: IrrepTable = extract_irreps(subgroup.as_group, seed=seed, tol=tol)
-        self.restricted: tuple[UnitaryRep, ...] = tuple(
-            restrict(u, subgroup) for u in cat.reps
-        )
-        self.base_dims = tuple(r.dim for r in self.h_table.irreps)
-        self._mor_cache: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
-
-    @property
-    def n_base(self) -> int:
-        return len(self.base_dims)
-
-    def mor_basis(self, a: int, r: int, s: int) -> tuple[np.ndarray, ...]:
-        """Isometry basis of Mor(x_r, u_a|_H (x) x_s); exact identity at the unit."""
-        key = (a, r, s)
-        if key not in self._mor_cache:
-            if a == UNIT_LABEL:
-                out = (np.eye(self.base_dims[r], dtype=np.complex128),) if r == s else ()
-            else:
-                basis = intertwiner_basis(
-                    self.h_table.irreps[r],
-                    tensor_rep(self.restricted[a], self.h_table.irreps[s]),
-                    self.tol,
-                )
-                scale = np.sqrt(self.base_dims[r])
-                out = tuple(scale * t for t in basis.vectors)
-            self._mor_cache[key] = out
-        return self._mor_cache[key]
-
-    # associators are identity; handles only carry dimensions
-    def handle(self, a: int) -> int:
-        return self.cat.dim(a)
-
-    def combine(self, h1: int, h2: int) -> int:
-        return h1 * h2
-
-    def assoc_diag(self, h1: int, h2: int, r: int) -> np.ndarray:
-        return np.ones(h1 * h2 * self.base_dims[r], dtype=np.complex128)
-
-
-class PointedCosetModule:
-    """Twisted coset module over a pointed category.
-
-    Given a subgroup K of the pointed category's group and a 2-cochain mu on
-    K whose coboundary matches the restricted 3-cocycle, the simple module
-    objects are indexed by the left cosets of K; each is the free rank-one
-    module over the mu-twisted group algebra of K, with basis labeled by K.
-    """
-
-    def __init__(self, cat: CategoryPresentation, subgroup: Subgroup,
-                 mu: np.ndarray | None = None, tol: float = DEFAULT_TOL):
-        if cat.kind != "pointed" or cat.pointed is None:
-            raise ModuleDataError("coset module needs a pointed category")
-        group = cat.pointed.group
-        if not np.array_equal(subgroup.parent.mult_table, group.mult_table):
-            raise ModuleDataError("subgroup does not belong to the category's group")
-        self.cat = cat
-        self.group = group
-        self.subgroup = subgroup
-        self.tol = tol
-        self.k_elements = subgroup.elements
-        nk = len(self.k_elements)
-        self.mu = (
-            np.ones((nk, nk), dtype=np.complex128)
-            if mu is None
-            else np.asarray(mu, dtype=np.complex128)
-        )
-        if self.mu.shape != (nk, nk):
-            raise ModuleDataError("2-cochain shape does not match the subgroup order")
-        if np.max(np.abs(np.abs(self.mu) - 1.0)) > 1e-12:
-            raise ModuleDataError("2-cochain values must be unit modulus")
-        self._kpos = {g: i for i, g in enumerate(self.k_elements)}
-        self._check_coboundary()
-        self.cosets = subgroup.left_cosets()
-        self.reps_t = tuple(c[0] for c in self.cosets)
-        self.base_dims = (nk,) * len(self.cosets)
-        self._coset_of = {}
-        for r, coset in enumerate(self.cosets):
-            for g in coset:
-                self._coset_of[g] = r
-        self._mor_cache: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
-
-    def _check_coboundary(self):
-        """d(mu)(k,l,m) = mu(l,m) mu(k,lm) / (mu(kl,m) mu(k,l)) must equal omega on K."""
-        om = self.cat.pointed.cocycle
-        mul = self.group.mul
-        for k in self.k_elements:
-            for l in self.k_elements:
-                for m in self.k_elements:
-                    i, j, h = self._kpos[k], self._kpos[l], self._kpos[m]
-                    jh = self._kpos[mul(l, m)]
-                    ij = self._kpos[mul(k, l)]
-                    dmu = (
-                        self.mu[j, h]
-                        * self.mu[i, jh]
-                        / (self.mu[ij, h] * self.mu[i, j])
-                    )
-                    if abs(dmu - om[k, l, m]) > 1e-10:
-                        raise CocycleError(
-                            f"coboundary of the 2-cochain differs from the cocycle at ({k},{l},{m})"
-                        )
-
-    @property
-    def n_base(self) -> int:
-        return len(self.cosets)
-
-    def _grade(self, r: int, kpos: int) -> int:
-        return self.group.mul(self.reps_t[r], self.k_elements[kpos])
-
-    def _action_on_free(self, r: int, lpos: int) -> np.ndarray:
-        """Right multiplication by the l-th algebra generator on X_r."""
-        om = self.cat.pointed.cocycle
-        nk = len(self.k_elements)
-        out = np.zeros((nk, nk), dtype=np.complex128)
-        l = self.k_elements[lpos]
-        for kpos, k in enumerate(self.k_elements):
-            klpos = self._kpos[self.group.mul(k, l)]
-            out[klpos, kpos] = om[self.reps_t[r], k, l] * self.mu[kpos, lpos]
-        return out
-
-    def _action_on_shifted(self, g: int, s: int, lpos: int) -> np.ndarray:
-        """Right multiplication by generator l on delta_g (x) X_s."""
-        om = self.cat.pointed.cocycle
-        base = self._action_on_free(s, lpos)
-        l = self.k_elements[lpos]
-        phase = np.array(
-            [om[g, self._grade(s, kpos), l] for kpos in range(len(self.k_elements))]
-        )
-        return base * phase[None, :]
-
-    def mor_basis(self, a: int, r: int, s: int) -> tuple[np.ndarray, ...]:
-        """Grading-preserving module maps X_r -> delta_a (x) X_s."""
-        key = (a, r, s)
-        if key not in self._mor_cache:
-            nk = len(self.k_elements)
-            if a == UNIT_LABEL and r == s:
-                self._mor_cache[key] = (np.eye(nk, dtype=np.complex128),)
-                return self._mor_cache[key]
-            if self._coset_of[self.group.mul(a, self.reps_t[s])] != r:
-                self._mor_cache[key] = ()
-                return self._mor_cache[key]
-            allowed = np.zeros((nk, nk), dtype=bool)
-            for j in range(nk):
-                for k in range(nk):
-                    allowed[j, k] = self.group.mul(a, self._grade(s, j)) == self._grade(r, k)
-
-            def grading(vec):
-                return vec.reshape(nk, nk)[~allowed].ravel()
-
-            acts = [
-                (self._action_on_shifted(a, s, lpos), self._action_on_free(r, lpos))
-                for lpos in range(nk)
-            ]
-
-            def linearity(vec):
-                t = vec.reshape(nk, nk)
-                return np.concatenate(
-                    [(t @ rho_r - rho_gs @ t).ravel() for rho_gs, rho_r in acts]
-                )
-
-            basis = solution_basis([grading, linearity], nk * nk, self.tol)
-            scale = np.sqrt(nk)
-            self._mor_cache[key] = tuple(
-                scale * v.reshape(nk, nk) for v in basis.vectors
-            )
-        return self._mor_cache[key]
-
-    def handle(self, a: int) -> int:
-        return a
-
-    def combine(self, h1: int, h2: int) -> int:
-        return self.group.mul(h1, h2)
-
-    def assoc_diag(self, h1: int, h2: int, r: int) -> np.ndarray:
-        om = self.cat.pointed.cocycle
-        return np.array(
-            [om[h1, h2, self._grade(r, kpos)] for kpos in range(len(self.k_elements))],
-            dtype=np.complex128,
-        )
-
-
-class DisjointUnionModule:
-    """Disjoint union of two concrete modules over the same category.
-
-    Legal module data whose base graph is disconnected; used to exercise the
-    connectedness diagnostic.
-    """
-
-    def __init__(self, first, second):
-        self.cat = first.cat
-        self.first = first
-        self.second = second
-        self.base_dims = tuple(first.base_dims) + tuple(second.base_dims)
-        self._cut = first.n_base
-
-    @property
-    def n_base(self) -> int:
-        return len(self.base_dims)
-
-    def _part(self, r: int):
-        return (0, self.first, r) if r < self._cut else (1, self.second, r - self._cut)
-
-    def mor_basis(self, a, r, s):
-        pr, mod_r, rr = self._part(r)
-        ps, mod_s, ss = self._part(s)
-        if pr != ps:
-            return ()
-        return mod_r.mor_basis(a, rr, ss)
-
-    def handle(self, a):
-        return self.first.handle(a)
-
-    def combine(self, h1, h2):
-        return self.first.combine(h1, h2)
-
-    def assoc_diag(self, h1, h2, r):
-        _, mod, rr = self._part(r)
-        return mod.assoc_diag(h1, h2, rr)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BigradedFunctor:
     """Normal form of a module category: bi-graded multiplicity data.
 
-    All downstream computations read the module through this interface; the
-    concrete backend supplies morphism bases and associator diagonals.
-    ``coherence_overrides`` allows tests to inject faults into specific
-    coherence blocks without touching the backend.
+    One record, filled once by a builder and read by everything downstream.
+
+    - ``base_dims[r]`` is the dimension of the simple module object X_r.
+    - ``dims[a, r, s]`` is dim Mor(X_r, u_a (x) X_s).
+    - ``bases[(a, r, s)]`` stacks an isometry basis of that space, shape
+      (dims[a, r, s], d_a d_s, d_r), for every nonzero block; the unit label
+      has the exact identity matrix.
+    - ``coherence[(a, b, r, t)]`` holds, for every block with at least one
+      column (s, m, n), the expansion of the iterated action against the
+      fusion isometries (see ``_coherence``).
+    - The module associator on u_a (x) u_b (x) X_r is diagonal, with entry
+      ``phase[handle[a], handle[b], r, k]`` at fibre coordinate (i, j, k);
+      ``fuse[h1, h2]`` is the handle of a fused pair.  A subgroup module has
+      one handle and all-ones phases; a coset module has handle = label,
+      ``fuse`` = the group law and phase[g, h, r, k] = omega(g, h, t_r k).
+    - ``subgroup`` and ``irrep_table`` (H and its irreducibles) are set for
+      subgroup modules only.
     """
 
     cat: CategoryPresentation
-    concrete: object
-    name: str = "module"
-    coherence_overrides: dict = field(default_factory=dict)
-    _coh_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    name: str
+    base_dims: tuple[int, ...]
+    dims: np.ndarray
+    bases: dict[tuple[int, int, int], np.ndarray]
+    coherence: dict[tuple[int, int, int, int], dict[int, np.ndarray]]
+    handle: np.ndarray
+    fuse: np.ndarray
+    phase: np.ndarray
+    subgroup: Subgroup | None = None
+    irrep_table: IrrepTable | None = None
 
     @property
     def n_base(self) -> int:
-        return self.concrete.n_base
+        return len(self.base_dims)
 
-    @property
-    def base_dims(self) -> tuple[int, ...]:
-        return tuple(self.concrete.base_dims)
+    def mor_basis(self, a: int, r: int, s: int) -> np.ndarray:
+        """The stacked basis of Mor(X_r, u_a (x) X_s); empty when the block is zero."""
+        if (a, r, s) in self.bases:
+            return self.bases[(a, r, s)]
+        shape = (0, self.cat.dim(a) * self.base_dims[s], self.base_dims[r])
+        return np.zeros(shape, dtype=np.complex128)
 
-    @cached_property
-    def dims(self) -> np.ndarray:
-        """Integer tensor dim Mor(X_r, u_a (x) X_s), indexed [a, r, s]."""
-        n = len(self.cat.obj_dim)
-        j = self.n_base
-        out = np.zeros((n, j, j), dtype=np.int64)
-        for a in range(n):
-            for r in range(j):
-                for s in range(j):
-                    out[a, r, s] = len(self.concrete.mor_basis(a, r, s))
-        return out
-
-    def mor_basis(self, a: int, r: int, s: int) -> tuple[np.ndarray, ...]:
-        return self.concrete.mor_basis(a, r, s)
+    def fibre_phases(self, a: int, b: int, r: int) -> np.ndarray:
+        """Diagonal of the module associator on u_a (x) u_b (x) X_r."""
+        row = self.phase[self.handle[a], self.handle[b], r, : self.base_dims[r]]
+        return np.tile(row, self.cat.dim(a) * self.cat.dim(b))
 
     def columns(self, a: int, b: int, r: int, t: int) -> list[tuple[int, int, int]]:
         """Ordered index triples (s, m, n) for F_{rs}(a) (x) F_{st}(b)."""
@@ -309,61 +86,6 @@ class BigradedFunctor:
                 for n in range(int(self.dims[b, s, t])):
                     cols.append((s, m, n))
         return cols
-
-    def coherence(self, a: int, b: int, r: int, t: int) -> dict[int, np.ndarray]:
-        """Coefficients of iterated action against the fusion channels.
-
-        For each channel c the array has shape (N_ab^c, dim F_rt(c), #columns)
-        and holds the expansion of phi* (id_a (x) g) f through the fusion
-        isometry iota^c_k in the chosen basis of Mor(X_r, u_c (x) X_t).
-        """
-        key = (a, b, r, t)
-        if key in self.coherence_overrides:
-            return self.coherence_overrides[key]
-        if key in self._coh_cache:
-            return self._coh_cache[key]
-        da, db = self.cat.dim(a), self.cat.dim(b)
-        dr, dt = self.base_dims[r], self.base_dims[t]
-        phi_conj = np.conj(
-            self.concrete.assoc_diag(self.concrete.handle(a), self.concrete.handle(b), t)
-        )
-        eye_a = np.eye(da, dtype=np.complex128)
-        eye_t = np.eye(dt, dtype=np.complex128)
-        # columns in (s, m, n) order: per s, (I_a (x) t_b[n]) @ t_a[m] as one batched matmul
-        blocks = []
-        for s in np.flatnonzero(self.dims[a, r] * self.dims[b, :, t]).tolist():
-            lifted = np.stack([kron(eye_a, tb) for tb in self.mor_basis(b, s, t)])
-            comp = lifted[None] @ np.stack(self.mor_basis(a, r, s))[:, None]
-            blocks.append(comp.reshape(-1, *comp.shape[2:]))
-        composites = (
-            phi_conj[:, None] * np.concatenate(blocks)
-            if blocks
-            else np.zeros((0, da * db * dt, dr), dtype=np.complex128)
-        )
-        out: dict[int, np.ndarray] = {}
-        for c in self.cat.channels(a, b):
-            tcs = self.mor_basis(c, r, t)
-            arr = np.zeros((self.cat.mult(a, b, c), len(tcs), len(composites)), dtype=np.complex128)
-            if tcs and len(composites):
-                tcs_dag = np.conj(np.stack(tcs)).transpose(0, 2, 1)[:, None]
-                for k, iota in enumerate(self.cat.isometries(a, b, c)):
-                    proj = kron(dagger(iota), eye_t) @ composites
-                    arr[k] = np.trace(tcs_dag @ proj[None], axis1=-2, axis2=-1) / dr
-            out[c] = arr
-        self._coh_cache[key] = out
-        return out
-
-    def coherence_matrix(self, a: int, b: int, r: int, t: int) -> np.ndarray:
-        """The coherence block as one matrix, rows ordered by (c, k, p)."""
-        blocks = self.coherence(a, b, r, t)
-        rows = []
-        for c in sorted(blocks):
-            arr = blocks[c]
-            rows.append(arr.reshape(arr.shape[0] * arr.shape[1], arr.shape[2]))
-        if not rows:
-            ncols = len(self.columns(a, b, r, t))
-            return np.zeros((0, ncols), dtype=np.complex128)
-        return np.vstack(rows)
 
     def frobenius_image(self, a: int, r: int, s: int, m: int,
                         pair: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
@@ -377,7 +99,7 @@ class BigradedFunctor:
         ds = self.base_dims[s]
         rvec = (self.cat.canonical_conjugates(a) if pair is None else pair)[0]
         ta = self.mor_basis(a, r, s)[m]
-        phi = self.concrete.assoc_diag(self.concrete.handle(abar), self.concrete.handle(a), s)
+        phi = self.fibre_phases(abar, a, s)
         lift = phi[:, None] * kron(rvec.reshape(-1, 1), np.eye(ds, dtype=np.complex128))
         return kron(np.eye(dbar, dtype=np.complex128), dagger(ta)) @ lift
 
@@ -388,9 +110,7 @@ class BigradedFunctor:
         dr = self.base_dims[r]
         rbar = (self.cat.canonical_conjugates(a) if pair is None else pair)[1]
         abar = self.cat.dual_map[a]
-        phi_conj = np.conj(
-            self.concrete.assoc_diag(self.concrete.handle(a), self.concrete.handle(abar), r)
-        )
+        phi_conj = np.conj(self.fibre_phases(a, abar, r))
         lifted = phi_conj[:, None] * (kron(np.eye(da, dtype=np.complex128), g))
         fdag = kron(dagger(rbar), np.eye(dr, dtype=np.complex128)) @ lifted
         return dagger(fdag)
@@ -410,24 +130,190 @@ class BigradedFunctor:
         return out
 
 
+def _coherence(f: BigradedFunctor, a: int, b: int, r: int, t: int) -> dict[int, np.ndarray]:
+    """Coefficients of iterated action against the fusion channels.
+
+    For each channel c the array has shape (N_ab^c, dim F_rt(c), #columns)
+    and holds the expansion of phi* (id_a (x) g) f through the fusion
+    isometry iota^c_k in the chosen basis of Mor(X_r, u_c (x) X_t).  The
+    block must have at least one column.
+    """
+    cat = f.cat
+    da = cat.dim(a)
+    dr, dt = f.base_dims[r], f.base_dims[t]
+    phi_conj = np.conj(f.fibre_phases(a, b, t))
+    eye_a = np.eye(da, dtype=np.complex128)
+    eye_t = np.eye(dt, dtype=np.complex128)
+    # columns in (s, m, n) order: per s, (I_a (x) t_b[n]) @ t_a[m] as one batched matmul
+    blocks = []
+    for s in np.flatnonzero(f.dims[a, r] * f.dims[b, :, t]).tolist():
+        lifted = np.stack([kron(eye_a, tb) for tb in f.bases[(b, s, t)]])
+        comp = lifted[None] @ f.bases[(a, r, s)][:, None]
+        blocks.append(comp.reshape(-1, *comp.shape[2:]))
+    composites = phi_conj[:, None] * np.concatenate(blocks)
+    out: dict[int, np.ndarray] = {}
+    for c in cat.channels(a, b):
+        tcs = f.mor_basis(c, r, t)
+        arr = np.zeros((cat.mult(a, b, c), len(tcs), len(composites)), dtype=np.complex128)
+        if len(tcs):
+            tcs_dag = np.conj(tcs).transpose(0, 2, 1)[:, None]
+            for k, iota in enumerate(cat.isometries(a, b, c)):
+                proj = kron(dagger(iota), eye_t) @ composites
+                arr[k] = np.trace(tcs_dag @ proj[None], axis1=-2, axis2=-1) / dr
+        out[c] = arr
+    return out
+
+
+def _assemble(cat: CategoryPresentation, name: str, base_dims: tuple[int, ...],
+              bases: dict[tuple[int, int, int], np.ndarray], handle: np.ndarray,
+              fuse: np.ndarray, phase: np.ndarray, subgroup: Subgroup | None = None,
+              irrep_table: IrrepTable | None = None) -> BigradedFunctor:
+    """The record of the given bases and phases, with dims and coherence filled in."""
+    j = len(base_dims)
+    dims = np.zeros((len(cat.obj_dim), j, j), dtype=np.int64)
+    for key, stack in bases.items():
+        dims[key] = len(stack)
+    f = BigradedFunctor(cat, name, tuple(base_dims), dims, bases, {}, handle, fuse, phase,
+                        subgroup, irrep_table)
+    linked = np.argwhere(np.einsum("ars,bst->abrt", dims, dims))
+    return replace(f, coherence={key: _coherence(f, *key) for key in map(tuple, linked.tolist())})
+
+
 def module_from_subgroup(cat: CategoryPresentation, subgroup: Subgroup,
                          seed: int = 0, tol: float = DEFAULT_TOL) -> BigradedFunctor:
-    concrete = SubgroupModule(cat, subgroup, seed=seed, tol=tol)
-    return BigradedFunctor(cat, concrete, name=f"subgroup[{len(subgroup.elements)}]")
+    """Representations of a subgroup H as a module over Rep(G).
+
+    Simple module objects are the irreducibles of H; the category acts by
+    restricting a representation of G to H and tensoring.  All associators
+    are identities because everything lives on concrete tensor products.
+    """
+    if cat.kind != "group" or cat.reps is None:
+        raise ModuleDataError("subgroup module needs a group-backed category")
+    if not np.array_equal(subgroup.parent.mult_table, cat.reps[0].group.mult_table):
+        raise ModuleDataError("subgroup does not belong to the category's group")
+    table = extract_irreps(subgroup.as_group, seed=seed, tol=tol)
+    base_dims = tuple(x.dim for x in table.irreps)
+    bases = {(UNIT_LABEL, r, r): np.eye(d, dtype=np.complex128)[None]
+             for r, d in enumerate(base_dims)}
+    for a in cat.labels:
+        if a == UNIT_LABEL:
+            continue
+        restricted = restrict(cat.reps[a], subgroup)
+        for s, xs in enumerate(table.irreps):
+            acting = tensor_rep(restricted, xs)
+            for r, xr in enumerate(table.irreps):
+                basis = intertwiner_basis(xr, acting, tol)
+                if len(basis):
+                    bases[(a, r, s)] = np.sqrt(base_dims[r]) * np.stack(basis.vectors)
+    n_labels, j = len(cat.obj_dim), len(base_dims)
+    return _assemble(
+        cat, f"subgroup[{len(subgroup.elements)}]", base_dims, bases,
+        handle=np.zeros(n_labels, dtype=np.int64), fuse=np.zeros((1, 1), dtype=np.int64),
+        phase=np.ones((1, 1, j, max(base_dims)), dtype=np.complex128),
+        subgroup=subgroup, irrep_table=table,
+    )
+
+
+def _check_coboundary(om: np.ndarray, mul: np.ndarray, k_el: np.ndarray,
+                      kpos: np.ndarray, mu: np.ndarray) -> None:
+    """d(mu)(k,l,m) = mu(l,m) mu(k,lm) / (mu(kl,m) mu(k,l)) must equal omega on K."""
+    i, j, h = np.ix_(*(np.arange(len(k_el)),) * 3)
+    jh = kpos[mul[k_el[j], k_el[h]]]
+    ij = kpos[mul[k_el[i], k_el[j]]]
+    dmu = mu[j, h] * mu[i, jh] / (mu[ij, h] * mu[i, j])
+    bad = np.argwhere(np.abs(dmu - om[k_el[i], k_el[j], k_el[h]]) > 1e-10)
+    if bad.size:
+        k, l, m = k_el[bad[0]].tolist()
+        raise CocycleError(f"coboundary of the 2-cochain differs from the cocycle at ({k},{l},{m})")
 
 
 def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
                         mu: np.ndarray | None = None, tol: float = DEFAULT_TOL) -> BigradedFunctor:
-    concrete = PointedCosetModule(cat, subgroup, mu=mu, tol=tol)
-    return BigradedFunctor(cat, concrete, name=f"coset[{len(subgroup.elements)}]")
+    """Twisted coset module over a pointed category.
+
+    Given a subgroup K of the pointed category's group and a 2-cochain mu on
+    K whose coboundary matches the restricted 3-cocycle, the simple module
+    objects are indexed by the left cosets of K; each is the free rank-one
+    module over the mu-twisted group algebra of K, with basis labeled by K.
+    Basis vector k of X_r has grade t_r k, with t_r the first element of the
+    r-th coset.
+    """
+    if cat.kind != "pointed" or cat.pointed is None:
+        raise ModuleDataError("coset module needs a pointed category")
+    group = cat.pointed.group
+    if not np.array_equal(subgroup.parent.mult_table, group.mult_table):
+        raise ModuleDataError("subgroup does not belong to the category's group")
+    om, mul = cat.pointed.cocycle, group.mult_table
+    k_el = np.array(subgroup.elements, dtype=np.int64)
+    nk = len(k_el)
+    mu = np.ones((nk, nk), dtype=np.complex128) if mu is None else np.asarray(mu, dtype=np.complex128)
+    if mu.shape != (nk, nk):
+        raise ModuleDataError("2-cochain shape does not match the subgroup order")
+    if np.max(np.abs(np.abs(mu) - 1.0)) > 1e-12:
+        raise ModuleDataError("2-cochain values must be unit modulus")
+    kpos = np.full(group.order, -1, dtype=np.int64)
+    kpos[k_el] = np.arange(nk)
+    _check_coboundary(om, mul, k_el, kpos, mu)
+
+    cosets = subgroup.left_cosets()
+    reps_t = np.array([c[0] for c in cosets], dtype=np.int64)
+    coset_of = np.empty(group.order, dtype=np.int64)
+    for r, coset in enumerate(cosets):
+        coset_of[list(coset)] = r
+    grade = mul[reps_t[:, None], k_el[None, :]]
+    # free[r, l]: right multiplication by the l-th generator on X_r,
+    # e_k -> omega(t_r, k, l) mu(k, l) e_kl
+    r_, k_, l_ = np.ix_(np.arange(len(cosets)), np.arange(nk), np.arange(nk))
+    free = np.zeros((len(cosets), nk, nk, nk), dtype=np.complex128)
+    free[r_, l_, kpos[mul[k_el[k_], k_el[l_]]], k_] = om[reps_t[r_], k_el[k_], k_el[l_]] * mu[k_, l_]
+
+    bases = {}
+    for a in cat.labels:
+        for s in range(len(cosets)):
+            if a == UNIT_LABEL:
+                bases[(a, s, s)] = np.eye(nk, dtype=np.complex128)[None]
+                continue
+            # grading-preserving module maps X_r -> delta_a (x) X_s
+            r = int(coset_of[mul[a, reps_t[s]]])
+            allowed = mul[a, grade[s]][:, None] == grade[r][None, :]
+            # right multiplication by generator l on delta_a (x) X_s
+            shifted = free[s] * om[a, grade[s][None, :], k_el[:, None]][:, None, :]
+            acts = [(shifted[lpos], free[r, lpos]) for lpos in range(nk)]
+
+            def grading(vec):
+                return vec.reshape(nk, nk)[~allowed].ravel()
+
+            def linearity(vec):
+                t = vec.reshape(nk, nk)
+                return np.concatenate(
+                    [(t @ rho_r - rho_gs @ t).ravel() for rho_gs, rho_r in acts]
+                )
+
+            basis = solution_basis([grading, linearity], nk * nk, tol)
+            if len(basis):
+                bases[(a, r, s)] = np.sqrt(nk) * np.stack([v.reshape(nk, nk) for v in basis.vectors])
+    return _assemble(cat, f"coset[{nk}]", (nk,) * len(cosets), bases,
+                     handle=np.arange(group.order), fuse=mul, phase=om[:, :, grade])
 
 
 def disjoint_union_module(f1: BigradedFunctor, f2: BigradedFunctor) -> BigradedFunctor:
+    """Disjoint union of two modules over the same category.
+
+    Legal module data whose base graph is disconnected; used to exercise the
+    connectedness diagnostic.  The base labels of ``f2`` follow those of
+    ``f1``, so every table is the block-diagonal concatenation of the two.
+    """
     if f1.cat is not f2.cat:
         raise ModuleDataError("disjoint union needs modules over the same category")
-    return BigradedFunctor(f1.cat, DisjointUnionModule(f1.concrete, f2.concrete),
-                           name=f"{f1.name}+{f2.name}")
-
+    cut = f1.n_base
+    bases = dict(f1.bases)
+    bases.update({(a, r + cut, s + cut): v for (a, r, s), v in f2.bases.items()})
+    width = max(f1.phase.shape[3], f2.phase.shape[3])
+    phase = np.ones((*f1.phase.shape[:2], cut + f2.n_base, width), dtype=np.complex128)
+    phase[:, :, :cut, : f1.phase.shape[3]] = f1.phase
+    phase[:, :, cut:, : f2.phase.shape[3]] = f2.phase
+    return _assemble(f1.cat, f"{f1.name}+{f2.name}", f1.base_dims + f2.base_dims, bases,
+                     f1.handle, f1.fuse, phase)
 
 def _strongly_connected(adj: np.ndarray) -> bool:
     n = adj.shape[0]
@@ -470,11 +356,9 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
     cert.add("unit_basis", "unit morphism basis is the identity matrix", exact_unit)
 
     iso = 0.0
-    for a in labels:
-        for r in range(j):
-            for s in range(j):
-                for t in f.mor_basis(a, r, s):
-                    iso = max(iso, max_residual(dagger(t) @ t, np.eye(f.base_dims[r])))
+    for (a, r, s), stack in f.bases.items():
+        for t in stack:
+            iso = max(iso, max_residual(dagger(t) @ t, np.eye(f.base_dims[r])))
     cert.add("morphism_isometry", "module morphism bases are isometries", iso)
 
     count_ok = all(
@@ -489,16 +373,12 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
     )
 
     coh = 0.0
-    for a in labels:
-        for b in labels:
-            for r in range(j):
-                for t in range(j):
-                    u = f.coherence_matrix(a, b, r, t)
-                    if u.shape[1] == 0:
-                        continue
-                    coh = max(coh, max_residual(dagger(u) @ u, np.eye(u.shape[1])))
-                    if u.shape[0]:
-                        coh = max(coh, max_residual(u @ dagger(u), np.eye(u.shape[0])))
+    for blocks in f.coherence.values():
+        # one matrix per block, rows ordered by (c, k, p)
+        u = np.vstack([blocks[c].reshape(-1, blocks[c].shape[2]) for c in sorted(blocks)])
+        coh = max(coh, max_residual(dagger(u) @ u, np.eye(u.shape[1])))
+        if u.shape[0]:
+            coh = max(coh, max_residual(u @ dagger(u), np.eye(u.shape[0])))
     cert.add("coherence_unitarity", "iterated-action coherence blocks are unitary", coh)
 
     cert.add(
@@ -520,13 +400,10 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
     )
 
     frob_rt = 0.0
-    for a in labels:
-        for r in range(j):
-            for s in range(j):
-                for m in range(int(dims[a, r, s])):
-                    img = f.frobenius_image(a, r, s, m)
-                    back = f.frobenius_back(a, r, img)
-                    frob_rt = max(frob_rt, max_residual(back, f.mor_basis(a, r, s)[m]))
+    for (a, r, s), stack in f.bases.items():
+        for m, t in enumerate(stack):
+            back = f.frobenius_back(a, r, f.frobenius_image(a, r, s, m))
+            frob_rt = max(frob_rt, max_residual(back, t))
     cert.add("frobenius_roundtrip", "dual-label pairing composes to the identity", frob_rt)
 
     adj = (dims.sum(axis=0) > 0)
@@ -566,14 +443,13 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     (a,r,s,m) -> (b,s,t,n) -> (c,t,w,o) is checked.  The chains are built in
     runs of about ``_TRIPLE_CHUNK``; within a run they are grouped by the
     shape (da, db, dc, dr, ds, dt, dw) of their matrices, and each group is
-    evaluated with four batched einsums.  The associator diagonals are
-    fetched once per (h1, h2, r) key.
+    evaluated with four batched einsums, reading the associator diagonals
+    straight from the phase table.
     """
-    cat, conc = f.cat, f.concrete
+    cat, handle, fuse = f.cat, f.handle, f.fuse
     ldim = np.asarray(cat.obj_dim)
     bdim = np.asarray(f.base_dims)
-    handle = np.array([conc.handle(a) for a in cat.labels])
-    fused = np.array([[conc.combine(ha, hb) for hb in handle] for ha in handle])
+    phase_conj = np.conj(f.phase)
     alpha_conj = np.conj(np.array(
         [[[cat.assoc_scalar(a, b, c) for c in cat.labels] for b in cat.labels] for a in cat.labels],
         dtype=np.complex128,
@@ -604,18 +480,6 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
     ns = len(shapes)
 
-    phase_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def phases(h1, h2, rr):
-        keys = np.stack([h1, h2, rr], axis=1)
-        uniq, inv = np.unique(keys, axis=0, return_inverse=True)
-        table = []
-        for k in map(tuple, uniq.tolist()):
-            if k not in phase_cache:
-                phase_cache[k] = np.conj(conc.assoc_diag(*k))
-            table.append(phase_cache[k])
-        return np.stack(table)[inv.reshape(-1)]
-
     worst = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         pair, e3 = _successors(dst[second[lo:hi]], src, f.n_base)
@@ -628,17 +492,19 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
             n = len(i1)
             ta, tb, tc = stacked[k1][pos[i1]], stacked[k2][pos[i2]], stacked[k3][pos[i3]]
             a, b, c = lab[i1], lab[i2], lab[i3]
+            ha, hb, hc = handle[a], handle[b], handle[c]
             t, w = dst[i2], dst[i3]
+            # the phases depend on the base coordinate only; they broadcast over the fibre
             # fuse a,b first
             two = np.einsum("nBts,nasr->naBtr", tb, ta)
-            two *= phases(handle[a], handle[b], t).reshape(n, da, db, dt, 1)
+            two *= phase_conj[ha, hb, t, :dt].reshape(n, 1, 1, dt, 1)
             left = np.einsum("nCwt,naBtr->naBCwr", tc, two)
-            left *= phases(fused[a, b], handle[c], w).reshape(n, da, db, dc, dw, 1)
+            left *= phase_conj[fuse[ha, hb], hc, w, :dw].reshape(n, 1, 1, 1, dw, 1)
             # fuse b,c first, then pull through the associator
             inner = np.einsum("nCwt,nBts->nBCws", tc, tb)
-            inner *= phases(handle[b], handle[c], w).reshape(n, db, dc, dw, 1)
+            inner *= phase_conj[hb, hc, w, :dw].reshape(n, 1, 1, dw, 1)
             right = np.einsum("nBCws,nasr->naBCwr", inner, ta)
-            right *= phases(handle[a], fused[b, c], w).reshape(n, da, db, dc, dw, 1)
+            right *= phase_conj[ha, fuse[hb, hc], w, :dw].reshape(n, 1, 1, 1, dw, 1)
             right *= alpha_conj[a, b, c].reshape(n, 1, 1, 1, 1, 1)
             worst = max(worst, max_residual(left, right))
     return worst
@@ -673,66 +539,3 @@ def equivalence_check(m: np.ndarray) -> bool:
         and np.all(m.sum(axis=0) == 1)
         and np.all(m.sum(axis=1) == 1)
     )
-
-
-def bigraded_dual(h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dual of a banded bi-graded Hilbert space, with snake residuals.
-
-    The dual grading transposes the dimension matrix; the duality vectors
-    pair each component with its conjugate through the standard bases.  Both
-    snake identities are evaluated concretely component by component and the
-    max residual is returned.
-    """
-    h = np.asarray(h, dtype=np.int64)
-    if h.ndim != 2:
-        raise ValueError("expected a 2-d dimension matrix")
-    dual = h.T.copy()
-    jn, jm = h.shape
-    if jn != jm:
-        raise ValueError("bi-graded duality needs a square label set")
-    worst = 0.0
-    for r in range(jn):
-        for s in range(jn):
-            d = int(h[r, s])
-            if d == 0:
-                continue
-            eye = np.eye(d, dtype=np.complex128)
-            # duality vector sum_i conj(xi_i) (x) xi_i over the standard basis
-            rvec = np.zeros((d * d, 1), dtype=np.complex128)
-            for i in range(d):
-                rvec += kron(np.conj(eye[:, i : i + 1]), eye[:, i : i + 1])
-            rbar = np.zeros((d * d, 1), dtype=np.complex128)
-            for i in range(d):
-                rbar += kron(eye[:, i : i + 1], np.conj(eye[:, i : i + 1]))
-            snake1 = kron(dagger(rbar), eye) @ kron(eye, rvec)
-            snake2 = kron(dagger(rvec), eye) @ kron(eye, rbar)
-            worst = max(worst, max_residual(snake1, eye))
-            worst = max(worst, max_residual(snake2, eye))
-    return dual, worst
-
-
-def amplification(h_dim: int, x_dim: int) -> tuple[int, list[np.ndarray], float]:
-    """Direct sum of h_dim copies of a simple object of dimension x_dim.
-
-    Returns the amplified dimension, the canonical injection isometries, and
-    the max residual of the two amplification axioms: injections compose to
-    inner products, and their ranges sum to the identity.
-    """
-    if h_dim < 0:
-        raise ValueError("amplification size must be nonnegative")
-    total = h_dim * x_dim
-    injections = []
-    eye_x = np.eye(x_dim, dtype=np.complex128)
-    for i in range(h_dim):
-        v = np.zeros((total, x_dim), dtype=np.complex128)
-        v[i * x_dim : (i + 1) * x_dim, :] = eye_x
-        injections.append(v)
-    worst = 0.0
-    for i, vi in enumerate(injections):
-        for k, vk in enumerate(injections):
-            want = eye_x if i == k else np.zeros_like(eye_x)
-            worst = max(worst, max_residual(dagger(vi) @ vk, want))
-    if h_dim:
-        acc = sum(v @ dagger(v) for v in injections)
-        worst = max(worst, max_residual(acc, np.eye(total)))
-    return total, injections, worst

@@ -58,7 +58,7 @@ def structure_tensor(f: BigradedFunctor, x: int, y: int, z: int) -> np.ndarray:
                 tensor[p, q, out_pos[(a, m, i)]] = 1.0
                 continue
             db = db_cache.setdefault(b, cat.dim(b))
-            coh = f.coherence(a, b, x, z)
+            coh = f.coherence[(a, b, x, z)]
             cols = f.columns(a, b, x, z)
             col = cols.index((y, m, n))
             for c, arr in coh.items():
@@ -180,22 +180,14 @@ class SpectralAlgebra:
             abar = cat.dual_map[a]
             dbar = cat.dim(abar)
             pair = cat.canonical_conjugates(a)
-            r, rbar = pair[0].ravel(), pair[1].ravel()
             b = self.functor.frobenius_block(a, self.base, self.base, pair)
-            bb = dagger(b) @ b  # (m, n) ordering after transpose below
-            v = np.zeros((da, da), dtype=np.complex128)
-            for i in range(da):
-                for j in range(da):
-                    v[i, j] = sum(
-                        np.conj(rbar[i * dbar + l]) * r[l * da + j] for l in range(dbar)
-                    )
-            for m in range(na):
-                for nn in range(na):
-                    for i in range(da):
-                        for j in range(da):
-                            g[self.index[(a, m, i)], self.index[(a, nn, j)]] = (
-                                bb[nn, m] * v[i, j] / cat.qdim[a]
-                            )
+            bb = dagger(b) @ b
+            # V[i, j] = sum_l conj(Rbar[i, l]) R[l, j]
+            v = np.conj(pair[1]).reshape(da, dbar) @ pair[0].reshape(dbar, da)
+            # the triples of label a are contiguous, ordered (m, i)
+            start = self.index[(a, 0, 0)]
+            block = slice(start, start + na * da)
+            g[block, block] = np.kron(bb.T, v) / cat.qdim[a]
         return g
 
 
@@ -302,7 +294,7 @@ def classical_roundtrip(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
                        tolerance=tol, seed=seed)
     n = alg.dim
     t = alg.tensor
-    comm = np.einsum("pqr->pqr", t) - np.einsum("qpr->pqr", t)
+    comm = t - t.transpose(1, 0, 2)
     cert.add("commutativity", "fg = gf on all basis pairs",
              float(np.max(np.abs(comm))) if comm.size else 0.0)
 
@@ -531,14 +523,12 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
     blocks are computed by expanding honest morphism composites.
     """
     from .grouprep import UnitaryRep, intertwiner_basis
-    from .modcat import SubgroupModule
 
-    cx, cy = fx.concrete, fy.concrete
-    if not isinstance(cx, SubgroupModule) or not isinstance(cy, SubgroupModule):
+    if fx.irrep_table is None or fy.irrep_table is None:
         raise ReconstructionError("restriction morphism needs subgroup-backed modules")
     if fx.cat is not fy.cat:
         raise ReconstructionError("modules must share the category")
-    hx, hy = cx.subgroup, cy.subgroup
+    hx, hy = fx.subgroup, fy.subgroup
     if not set(hy.elements) <= set(hx.elements):
         raise ReconstructionError("target subgroup must be contained in the source subgroup")
 
@@ -553,8 +543,9 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
     fdims = np.zeros((jy, jx), dtype=np.int64)
     for p in range(jy):
         for r in range(jx):
-            basis = intertwiner_basis(cy.h_table.irreps[p], as_hy_rep(cx.h_table.irreps[r]), tol)
-            scale = np.sqrt(cy.base_dims[p])
+            basis = intertwiner_basis(fy.irrep_table.irreps[p],
+                                      as_hy_rep(fx.irrep_table.irreps[r]), tol)
+            scale = np.sqrt(fy.base_dims[p])
             fbases[(p, r)] = tuple(scale * v for v in basis.vectors)
             fdims[p, r] = len(basis)
 
@@ -573,7 +564,7 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
                     for ri, (q, n, beta) in enumerate(rows):
                         ty = fy.mor_basis(a, p, q)[n]
                         target = kron(eye_a, fbases[(q, r)][beta]) @ ty
-                        blk[ri, ci] = np.trace(dagger(target) @ comp) / cy.base_dims[p]
+                        blk[ri, ci] = np.trace(dagger(target) @ comp) / fy.base_dims[p]
                 mor.psi[(a, p, r)] = blk
     return mor
 
@@ -678,7 +669,7 @@ def _hexagon_residual(mor: ModuleMorphism, weights=None) -> float:
                                         vb = mor.psi[(b, q, r)][rb, cb_i]
                                         if vb == 0.0:
                                             continue
-                                        ycoh = fy.coherence(a, b, p, w)
+                                        ycoh = fy.coherence[(a, b, p, w)]
                                         if c not in ycoh:
                                             continue
                                         ycols = fy.columns(a, b, p, w)
@@ -687,7 +678,7 @@ def _hexagon_residual(mor: ModuleMorphism, weights=None) -> float:
                                             ti = tgt.index((w, pp, gamma))
                                             pa[ti, di] += va * vb * ycoh[c][k, pp, yc_i]
                                 # path two: fuse on source, exchange the channel
-                                xcoh = fx.coherence(a, b, s, r)
+                                xcoh = fx.coherence[(a, b, s, r)]
                                 if c in xcoh:
                                     xcols = fx.columns(a, b, s, r)
                                     xc_i = xcols.index((t, m, n))

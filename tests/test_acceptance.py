@@ -4,6 +4,8 @@ Every test prints its verdict line itself so the log reads as a checklist;
 a failed assertion leaves the criterion marked FAIL.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -182,23 +184,22 @@ def test_criterion_10_fault_injection():
     cat.fusion[(two, two)][c] = (bad,) + tuple(isos[1:])
     caught.append(not verify_presentation(cat).passed)
 
-    # fault 3: coherence block perturbed through the override hook
+    # fault 3: coherence block perturbed in a copy of the module record
     _, cat, f = _fresh_s3_setup()
     key = (two, two, 0, 0)
-    coh = {c: arr.copy() for c, arr in f.coherence(*key).items()}
+    coh = {c: arr.copy() for c, arr in f.coherence[key].items()}
     for c, arr in coh.items():
         if arr.size:
             arr.flat[0] += eps
             break
-    f.coherence_overrides[key] = coh
-    caught.append(not validate_module(f).passed)
+    caught.append(not validate_module(replace(f, coherence={**f.coherence, key: coh})).passed)
 
-    # fault 4: same kind of override must also break the algebra axioms;
+    # fault 4: the same kind of copy must also break the algebra axioms;
     # perturb the column the base-0 product actually reads (intermediate s=0)
     _, cat, f = _fresh_s3_setup()
-    coh = {c: arr.copy() for c, arr in f.coherence(*key).items()}
+    coh = {c: arr.copy() for c, arr in f.coherence[key].items()}
     coh[two][0, 0, 0] += eps
-    f.coherence_overrides[key] = coh
+    f = replace(f, coherence={**f.coherence, key: coh})
     caught.append(not verify_algebra(build_algebra(f, 0)).passed)
 
     # fault 5: exchange block of a morphism

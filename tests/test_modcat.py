@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,6 @@ from qhspace import tensorcat
 from qhspace.modcat import (
     CocycleError,
     ModuleDataError,
-    amplification,
-    bigraded_dual,
     disjoint_union_module,
     equivalence_check,
     functor_dimension_matrix,
@@ -17,6 +17,7 @@ from qhspace.modcat import (
 )
 from qhspace.modcat import _triple_coherence_residual
 from qhspace.numkit import dagger, kron, max_residual
+from qhspace.reconstruct import ReconstructionError, restriction_morphism
 
 
 def test_all_s3_modules_validate(s3_modules):
@@ -49,9 +50,13 @@ def test_pointed_module_dims_are_permutations(z4_pointed_module):
 
 
 def test_pointed_cochain_coboundary_checked(z4_pointed_cat, z4):
-    # nontrivial cocycle restricted to the order-2 subgroup admits no cochain
-    with pytest.raises(CocycleError):
+    # nontrivial cocycle restricted to the subgroup <2> admits no cochain;
+    # the message names the first failing (k,l,m) in lexicographic order
+    with pytest.raises(CocycleError, match=r"at \(2,2,2\)$"):
         module_from_pointed(z4_pointed_cat, Subgroup.generated(z4, [2]))
+    z8_cat = tensorcat.from_pointed(tensorcat.standard_cyclic_cocycle(8))
+    with pytest.raises(CocycleError, match=r"at \(2,2,6\)$"):
+        module_from_pointed(z8_cat, Subgroup.generated(cyclic_group(8), [2]))
 
 
 def test_mismatched_backend_rejected(s3_cat, z4):
@@ -66,6 +71,41 @@ def test_disjoint_union_is_disconnected(z4_coset_module):
     assert [c.name for c in strict.checks if not c.passed] == ["connectedness"]
     waived = validate_module(fu, require_connected=False)
     assert waived.passed
+
+
+def test_disjoint_union_is_block_diagonal(s3_modules, z4_pointed_module, z4_coset_module):
+    for f in (z4_pointed_module, z4_coset_module, s3_modules["order2"]):
+        fu = disjoint_union_module(f, f)
+        j = f.n_base
+        for a in f.cat.labels:
+            want = np.zeros((2 * j, 2 * j), dtype=np.int64)
+            want[:j, :j] = want[j:, j:] = f.dims[a]
+            assert np.array_equal(fu.dims[a], want)
+        assert len(fu.coherence) == 2 * len(f.coherence)
+        for (a, b, r, t), blocks in f.coherence.items():
+            for shift in (0, j):
+                got = fu.coherence[(a, b, r + shift, t + shift)]
+                assert got.keys() == blocks.keys()
+                for c in blocks:
+                    assert np.array_equal(got[c], blocks[c])
+
+
+def test_perturbed_copy_fails_and_original_passes(s3_modules):
+    f = s3_modules["order2"]
+    key = max(f.coherence, key=lambda k: sum(arr.size for arr in f.coherence[k].values()))
+    bad = {c: arr.copy() for c, arr in f.coherence[key].items()}
+    next(arr for arr in bad.values() if arr.size).flat[0] += 1e-3
+    g = replace(f, coherence={**f.coherence, key: bad})
+    cert = validate_module(g)
+    assert [c.name for c in cert.checks if not c.passed] == ["coherence_unitarity"]
+    assert validate_module(f).passed
+
+
+def test_restriction_of_coset_module_refused(z4_coset_module, z4_pointed_module):
+    with pytest.raises(ReconstructionError, match="subgroup-backed"):
+        restriction_morphism(z4_coset_module, z4_coset_module)
+    with pytest.raises(ReconstructionError, match="subgroup-backed"):
+        restriction_morphism(z4_pointed_module, z4_pointed_module)
 
 
 def test_morphism_bases_are_isometries(s3_modules):
@@ -85,13 +125,9 @@ def test_unit_basis_bitwise_identity(s3_modules, z4_coset_module):
 
 def test_coherence_unitary(s3_modules):
     f = s3_modules["order2"]
-    for a in f.cat.labels:
-        for b in f.cat.labels:
-            for r in range(f.n_base):
-                for t in range(f.n_base):
-                    u = f.coherence_matrix(a, b, r, t)
-                    if u.shape[1]:
-                        assert max_residual(dagger(u) @ u, np.eye(u.shape[1])) < 1e-12
+    for blocks in f.coherence.values():
+        u = np.vstack([blocks[c].reshape(-1, blocks[c].shape[2]) for c in sorted(blocks)])
+        assert u.shape[1] and max_residual(dagger(u) @ u, np.eye(u.shape[1])) < 1e-12
 
 
 def test_functor_dimension_matrix_identity(s3_table):
@@ -112,24 +148,6 @@ def test_functor_dimension_matrix_restriction(s3_table, s3_subgroups):
     assert not equivalence_check(m)
 
 
-def test_bigraded_dual_transposes_and_snakes():
-    h = np.array([[1, 2], [0, 3]])
-    dual, res = bigraded_dual(h)
-    assert np.array_equal(dual, h.T)
-    assert res < 1e-12
-    with pytest.raises(ValueError):
-        bigraded_dual(np.zeros((2, 3), dtype=np.int64))
-
-
-def test_amplification_axioms():
-    total, injections, res = amplification(3, 2)
-    assert total == 6 and len(injections) == 3 and res < 1e-12
-    total, injections, res = amplification(0, 2)
-    assert total == 0 and injections == []
-    with pytest.raises(ValueError):
-        amplification(-1, 2)
-
-
 def test_frobenius_dims_symmetry(s3_modules, z4_pointed_module):
     for f in (s3_modules["order2"], z4_pointed_module):
         cat = f.cat
@@ -138,14 +156,20 @@ def test_frobenius_dims_symmetry(s3_modules, z4_pointed_module):
             assert np.array_equal(f.dims[a], f.dims[abar].T)
 
 
-def test_triple_coherence_catches_flipped_cocycle(z4):
-    # a fresh category: the flip below would leak into the session fixtures
+def _flipped_z4_module(z4):
+    """Z4 standard cocycle, trivial K, built after flipping cocycle[1, 2, 2].
+
+    A fresh category: the flip would leak into the session fixtures.
+    """
     cat = tensorcat.from_pointed(tensorcat.standard_cyclic_cocycle(4))
-    f = module_from_pointed(cat, Subgroup.generated(z4, []))
-    assert validate_module(f).passed
     assert abs(cat.pointed.cocycle[1, 2, 2] - 1j) < 1e-12
     cat.pointed.cocycle[1, 2, 2] *= -1
-    cert = validate_module(f)
+    return module_from_pointed(cat, Subgroup.generated(z4, []))
+
+
+def test_triple_coherence_catches_flipped_cocycle(z4_pointed_module, z4):
+    assert validate_module(z4_pointed_module).passed
+    cert = validate_module(_flipped_z4_module(z4))
     assert [c.name for c in cert.checks if not c.passed] == ["triple_coherence"]
     check = next(c for c in cert.checks if c.name == "triple_coherence")
     assert check.value == pytest.approx(2.0, abs=1e-9)
@@ -157,11 +181,16 @@ def test_triple_coherence_residual_small(s3_modules, z4_pointed_module, z4_coset
         assert check.passed and check.value < 1e-12, f.name
 
 
+def _assoc_diag(f, h1, h2, r, fibre):
+    """The module associator diagonal, read from the phase table."""
+    return np.tile(f.phase[h1, h2, r, :f.base_dims[r]], fibre)
+
+
 def _coherence_loop(f, a, b, r, t):
-    """Column-by-column form of ``BigradedFunctor.coherence``: the reference."""
-    cat, conc = f.cat, f.concrete
+    """Column-by-column form of ``modcat._coherence``: the reference."""
+    cat = f.cat
     cols = f.columns(a, b, r, t)
-    phi_conj = np.conj(conc.assoc_diag(conc.handle(a), conc.handle(b), t))
+    phi_conj = np.conj(_assoc_diag(f, f.handle[a], f.handle[b], t, cat.dim(a) * cat.dim(b)))
     eye_a = np.eye(cat.dim(a), dtype=np.complex128)
     eye_t = np.eye(f.base_dims[t], dtype=np.complex128)
     composites = [
@@ -184,13 +213,14 @@ def _coherence_loop(f, a, b, r, t):
 
 def _triple_loop(f):
     """Chain-by-chain form of ``_triple_coherence_residual``: the reference."""
-    cat, conc = f.cat, f.concrete
+    cat = f.cat
     worst = 0.0
     for a in cat.labels:
         for b in cat.labels:
             for c in cat.labels:
-                ha, hb, hc = conc.handle(a), conc.handle(b), conc.handle(c)
-                hab, hbc = conc.combine(ha, hb), conc.combine(hb, hc)
+                ha, hb, hc = f.handle[a], f.handle[b], f.handle[c]
+                hab, hbc = f.fuse[ha, hb], f.fuse[hb, hc]
+                da, db, dc = cat.dim(a), cat.dim(b), cat.dim(c)
                 eye_a = np.eye(cat.dim(a), dtype=np.complex128)
                 eye_b = np.eye(cat.dim(b), dtype=np.complex128)
                 eye_ab = np.eye(cat.dim(a) * cat.dim(b), dtype=np.complex128)
@@ -201,13 +231,13 @@ def _triple_loop(f):
                                 for ta in f.mor_basis(a, r, s):
                                     for tb in f.mor_basis(b, s, t):
                                         for tc in f.mor_basis(c, t, w):
-                                            two = np.conj(conc.assoc_diag(ha, hb, t))[:, None] * (
+                                            two = np.conj(_assoc_diag(f, ha, hb, t, da * db))[:, None] * (
                                                 kron(eye_a, tb) @ ta)
-                                            left = np.conj(conc.assoc_diag(hab, hc, w))[:, None] * (
+                                            left = np.conj(_assoc_diag(f, hab, hc, w, da * db * dc))[:, None] * (
                                                 kron(eye_ab, tc) @ two)
-                                            inner = np.conj(conc.assoc_diag(hb, hc, w))[:, None] * (
+                                            inner = np.conj(_assoc_diag(f, hb, hc, w, db * dc))[:, None] * (
                                                 kron(eye_b, tc) @ tb)
-                                            right = np.conj(conc.assoc_diag(ha, hbc, w))[:, None] * (
+                                            right = np.conj(_assoc_diag(f, ha, hbc, w, da * db * dc))[:, None] * (
                                                 kron(eye_a, inner) @ ta)
                                             right = np.conj(cat.assoc_scalar(a, b, c)) * right
                                             worst = max(worst, max_residual(left, right))
@@ -217,21 +247,19 @@ def _triple_loop(f):
 def test_coherence_matches_column_loop(s3_modules, z4_pointed_module, z4_coset_module):
     # the batched form does the same products in the same order: equal bits
     for f in (s3_modules["order2"], s3_modules["full"], z4_pointed_module, z4_coset_module):
-        for a in f.cat.labels:
-            for b in f.cat.labels:
-                for r in range(f.n_base):
-                    for t in range(f.n_base):
-                        got, want = f.coherence(a, b, r, t), _coherence_loop(f, a, b, r, t)
-                        assert got.keys() == want.keys()
-                        for c in want:
-                            assert np.array_equal(got[c], want[c]), (f.name, a, b, r, t, c)
+        labels, bases = f.cat.labels, range(f.n_base)
+        linked = [(a, b, r, t) for a in labels for b in labels for r in bases for t in bases
+                  if f.columns(a, b, r, t)]
+        assert sorted(f.coherence) == linked
+        for key in linked:
+            got, want = f.coherence[key], _coherence_loop(f, *key)
+            assert got.keys() == want.keys()
+            for c in want:
+                assert np.array_equal(got[c], want[c]), (f.name, key, c)
 
 
 def test_triple_coherence_matches_chain_loop(s3_modules, z4_pointed_module, z4_coset_module, z4):
     # einsum sums in another order: residuals agree to a few units of roundoff
-    cat = tensorcat.from_pointed(tensorcat.standard_cyclic_cocycle(4))
-    flipped = module_from_pointed(cat, Subgroup.generated(z4, []))
-    flipped.dims
-    cat.pointed.cocycle[1, 2, 2] *= -1
+    flipped = _flipped_z4_module(z4)
     for f in (*s3_modules.values(), z4_pointed_module, z4_coset_module, flipped):
         assert abs(_triple_coherence_residual(f) - _triple_loop(f)) < 1e-14, f.name
