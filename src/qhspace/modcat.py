@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .grouprep import IrrepTable, Subgroup, UnitaryRep, extract_irreps, intertwiner_basis, restrict, tensor_rep
-from .numkit import DEFAULT_TOL, dagger, kron, max_residual, solution_basis
+from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, solution_basis
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError
 
 
@@ -78,56 +78,46 @@ class BigradedFunctor:
         row = self.phase[self.handle[a], self.handle[b], r, : self.base_dims[r]]
         return np.tile(row, self.cat.dim(a) * self.cat.dim(b))
 
-    def columns(self, a: int, b: int, r: int, t: int) -> list[tuple[int, int, int]]:
-        """Ordered index triples (s, m, n) for F_{rs}(a) (x) F_{st}(b)."""
-        cols = []
-        for s in range(self.n_base):
-            for m in range(int(self.dims[a, r, s])):
-                for n in range(int(self.dims[b, s, t])):
-                    cols.append((s, m, n))
-        return cols
+    def column_offsets(self, a: int, b: int, r: int, t: int) -> np.ndarray:
+        """Where each intermediate label s starts in the columns of ``coherence[(a, b, r, t)]``.
 
-    def frobenius_image(self, a: int, r: int, s: int, m: int,
-                        pair: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        The columns run over (s, m, n); the block of s is (dims[a, r, s], dims[b, s, t]),
+        m major.  The last entry is the column count.
+        """
+        return block_offsets(self.dims[a, r] * self.dims[b, :, t])
+
+    def frobenius_image(self, a: int, r: int, s: int, m: int) -> np.ndarray:
         """The partner in Mor(X_s, u_abar (x) X_r) of the m-th basis morphism.
 
-        Computed with the canonical conjugate pair unless one is supplied, so
-        the result never depends on user rescalings of the stored duality.
+        Computed with the canonical conjugate pair, so the result never
+        depends on user rescalings of the stored duality.
         """
         abar = self.cat.dual_map[a]
         dbar = self.cat.dim(abar)
         ds = self.base_dims[s]
-        rvec = (self.cat.canonical_conjugates(a) if pair is None else pair)[0]
+        rvec = self.cat.canonical_conjugates(a)[0]
         ta = self.mor_basis(a, r, s)[m]
         phi = self.fibre_phases(abar, a, s)
         lift = phi[:, None] * kron(rvec.reshape(-1, 1), np.eye(ds, dtype=np.complex128))
         return kron(np.eye(dbar, dtype=np.complex128), dagger(ta)) @ lift
 
-    def frobenius_back(self, a: int, r: int, g: np.ndarray,
-                       pair: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    def frobenius_back(self, a: int, r: int, g: np.ndarray) -> np.ndarray:
         """Inverse direction: from Mor(X_s, u_abar (x) X_r) back to Mor(X_r, u_a (x) X_s)."""
         da = self.cat.dim(a)
         dr = self.base_dims[r]
-        rbar = (self.cat.canonical_conjugates(a) if pair is None else pair)[1]
+        rbar = self.cat.canonical_conjugates(a)[1]
         abar = self.cat.dual_map[a]
         phi_conj = np.conj(self.fibre_phases(a, abar, r))
         lifted = phi_conj[:, None] * (kron(np.eye(da, dtype=np.complex128), g))
         fdag = kron(dagger(rbar), np.eye(dr, dtype=np.complex128)) @ lifted
         return dagger(fdag)
 
-    def frobenius_block(self, a: int, r: int, s: int,
-                        pair: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    def frobenius_block(self, a: int, r: int, s: int) -> np.ndarray:
         """Matrix B[q, m] expanding each Frobenius image in the dual-label basis."""
-        abar = self.cat.dual_map[a]
-        tbars = self.mor_basis(abar, s, r)
-        na = int(self.dims[a, r, s])
-        ds = self.base_dims[s]
-        out = np.zeros((len(tbars), na), dtype=np.complex128)
-        for m in range(na):
-            img = self.frobenius_image(a, r, s, m, pair)
-            for q, tb in enumerate(tbars):
-                out[q, m] = np.trace(dagger(tb) @ img) / ds
-        return out
+        tbars = self.mor_basis(self.cat.dual_map[a], s, r)
+        imgs = [self.frobenius_image(a, r, s, m) for m in range(int(self.dims[a, r, s]))]
+        out = [[np.trace(dagger(tb) @ img) / self.base_dims[s] for img in imgs] for tb in tbars]
+        return np.array(out, dtype=np.complex128).reshape(len(tbars), len(imgs))
 
 
 def _coherence(f: BigradedFunctor, a: int, b: int, r: int, t: int) -> dict[int, np.ndarray]:

@@ -41,6 +41,11 @@ def dagger(a) -> np.ndarray:
     return np.conj(np.asarray(a)).T
 
 
+def block_offsets(sizes) -> np.ndarray:
+    """Start of each block in a concatenation of blocks of the given sizes; the last entry is the total."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
 def phase_fix(v: np.ndarray) -> np.ndarray:
     """Rotate a vector so its largest-modulus coordinate is real positive.
 

@@ -5,6 +5,23 @@ spanned by triples (a, m, i): a channel label, a multiplicity index into
 Mor(X_x, u_a (x) X_y), and a coordinate in the fiber Hilbert space of u_a.
 Multiplication, the involution, and the invariant expectation are all exact
 finite formulas in the coherence and duality data of the module.
+
+Each space is laid out in contiguous blocks over its leading label, and a
+cumulative-offset vector (``numkit.block_offsets``) says where each block
+starts:
+
+- the (x, y) spectral space: one (dims[a, x, y], d_a) block of triples
+  (m, i) per label a, at ``spectral_offsets(f, x, y)``;
+- the columns (s, m, n) of ``coherence[(a, b, r, t)]``: one
+  (dims[a, r, s], dims[b, s, t]) block per intermediate base label s, at
+  ``BigradedFunctor.column_offsets``;
+- the rows (q, n, beta) of ``psi[(a, p, r)]``: one (target dims[a, p, q],
+  fdims[q, r]) block per target base label q, at
+  ``ModuleMorphism.row_offsets``; its columns (s, alpha, m): one
+  (fdims[p, s], source dims[a, s, r]) block per source base label s, at
+  ``ModuleMorphism.col_offsets``.
+
+The kernels are einsums over these blocks reshaped to (multiplicity, fibre).
 """
 
 from __future__ import annotations
@@ -16,7 +33,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .modcat import BigradedFunctor
-from .numkit import DEFAULT_TOL, dagger, kron, max_residual, psd_check
+from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, psd_check
 from .tensorcat import UNIT_LABEL
 
 
@@ -34,75 +51,63 @@ def basis_triples(f: BigradedFunctor, x: int, y: int) -> list[tuple[int, int, in
     return out
 
 
+def spectral_offsets(f: BigradedFunctor, x: int, y: int) -> np.ndarray:
+    """Where the (dims[a, x, y], d_a) block of each label a starts in the (x, y) spectral space."""
+    return block_offsets(f.dims[:, x, y] * np.asarray(f.cat.obj_dim))
+
+
 def structure_tensor(f: BigradedFunctor, x: int, y: int, z: int) -> np.ndarray:
     """Structure constants of the composition map at (x,y) x (y,z) -> (x,z).
 
     Entry [p, q, r] is the coefficient of the r-th output basis element in
     the product of the p-th and q-th inputs.  Products against the unit
-    label are written as exact Kronecker deltas rather than computed.
+    label are written as exact identities rather than computed.  The block
+    of labels (a, b) in channel c contracts the (y, m, n) coherence columns
+    with the stacked fusion isometries.
     """
-    left = basis_triples(f, x, y)
-    right = basis_triples(f, y, z)
-    out = basis_triples(f, x, z)
-    out_pos = {t: i for i, t in enumerate(out)}
-    tensor = np.zeros((len(left), len(right), len(out)), dtype=np.complex128)
     cat = f.cat
-    for p, (a, m, i) in enumerate(left):
-        if a == UNIT_LABEL:
-            for q, triple in enumerate(right):
-                tensor[p, q, out_pos[triple]] = 1.0
-            continue
-        db_cache: dict[int, int] = {}
-        for q, (b, n, j) in enumerate(right):
-            if b == UNIT_LABEL:
-                tensor[p, q, out_pos[(a, m, i)]] = 1.0
+    left, right, out = (spectral_offsets(f, *key) for key in ((x, y), (y, z), (x, z)))
+    tensor = np.zeros((left[-1], right[-1], out[-1]), dtype=np.complex128)
+    if f.dims[UNIT_LABEL, x, y]:
+        tensor[0] = np.eye(right[-1])
+    if f.dims[UNIT_LABEL, y, z]:
+        tensor[:, 0] = np.eye(left[-1])
+    for a in np.flatnonzero(f.dims[:, x, y]).tolist():
+        for b in np.flatnonzero(f.dims[:, y, z]).tolist():
+            if UNIT_LABEL in (a, b):
                 continue
-            db = db_cache.setdefault(b, cat.dim(b))
-            coh = f.coherence[(a, b, x, z)]
-            cols = f.columns(a, b, x, z)
-            col = cols.index((y, m, n))
-            for c, arr in coh.items():
-                iotas = cat.isometries(a, b, c)
-                for k, iota in enumerate(iotas):
-                    for pp in range(arr.shape[1]):
-                        coeff = arr[k, pp, col]
-                        if coeff == 0.0:
-                            continue
-                        # fiber vectors live in the conjugate Hilbert space,
-                        # so the channel projection uses the conjugated isometry
-                        for l in range(cat.dim(c)):
-                            w = coeff * iota[i * db + j, l]
-                            if w != 0.0:
-                                tensor[p, q, out_pos[(c, pp, l)]] += w
+            cols = f.column_offsets(a, b, x, z)
+            nm, nn = int(f.dims[a, x, y]), int(f.dims[b, y, z])
+            da, db = cat.dim(a), cat.dim(b)
+            for c, arr in f.coherence[(a, b, x, z)].items():
+                (k, npp, _), dc = arr.shape, cat.dim(c)
+                coeff = arr[:, :, cols[y]:cols[y + 1]].reshape(k, npp, nm, nn)
+                # fiber vectors live in the conjugate Hilbert space,
+                # so the channel projection uses the conjugated isometry
+                iotas = np.stack(cat.isometries(a, b, c)).reshape(k, da, db, dc)
+                blk = np.einsum("kpmn,kijl->minjpl", coeff, iotas)
+                tensor[left[a]:left[a + 1], right[b]:right[b + 1], out[c]:out[c + 1]] = \
+                    blk.reshape(nm * da, nn * db, npp * dc)
     return tensor
 
 
-def star_matrix(f: BigradedFunctor, x: int, y: int,
-                pair_map=None) -> np.ndarray:
-    """Matrix of the conjugate-linear involution from (x,y) to (y,x) triples.
+def star_matrix(f: BigradedFunctor, x: int, y: int) -> np.ndarray:
+    """Matrix of the conjugate-linear involution from the (x,y) to the (y,x) spectral space.
 
-    ``star(v) = S @ conj(v)``.  The duality pair for each label defaults to
-    the canonical one recomputed from the fusion data, so user rescalings of
-    the stored conjugates never leak into the result.
+    ``star(v) = S @ conj(v)``.  The block from label a to its dual is the
+    Frobenius block of a times the conjugated Rbar_a of the canonical pair,
+    recomputed from the fusion data so that user rescalings of the stored
+    conjugates never leak into the result.
     """
-    src = basis_triples(f, x, y)
-    dst = basis_triples(f, y, x)
-    dst_pos = {t: i for i, t in enumerate(dst)}
     cat = f.cat
-    s = np.zeros((len(dst), len(src)), dtype=np.complex128)
-    for col, (a, m, i) in enumerate(src):
+    src, dst = spectral_offsets(f, x, y), spectral_offsets(f, y, x)
+    s = np.zeros((dst[-1], src[-1]), dtype=np.complex128)
+    for a in np.flatnonzero(f.dims[:, x, y]).tolist():
         abar = cat.dual_map[a]
-        dbar = cat.dim(abar)
-        pair = cat.canonical_conjugates(a) if pair_map is None else pair_map(a)
-        rbar = pair[1].ravel()
-        b = f.frobenius_block(a, x, y, pair)
-        for q in range(b.shape[0]):
-            if b[q, m] == 0.0:
-                continue
-            for l in range(dbar):
-                w = b[q, m] * np.conj(rbar[i * dbar + l])
-                if w != 0.0:
-                    s[dst_pos[(abar, q, l)], col] += w
+        rbar = np.conj(cat.canonical_conjugates(a)[1]).reshape(cat.dim(a), cat.dim(abar))
+        blk = np.einsum("qm,il->qlmi", f.frobenius_block(a, x, y), rbar)
+        s[dst[abar]:dst[abar + 1], src[a]:src[a + 1]] = blk.reshape(dst[abar + 1] - dst[abar],
+                                                                    src[a + 1] - src[a])
     return s
 
 
@@ -169,25 +174,19 @@ class SpectralAlgebra:
         (B^t B-bar)[m, n] * V[i, j] / qdim(a) where B is the dual-label
         expansion of the Frobenius images and V pairs the conjugate vectors.
         """
-        cat = self.functor.cat
-        n = self.dim
-        g = np.zeros((n, n), dtype=np.complex128)
-        for a in cat.labels:
-            na = int(self.functor.dims[a, self.base, self.base])
-            if na == 0:
-                continue
+        f, base = self.functor, self.base
+        cat = f.cat
+        off = spectral_offsets(f, base, base)
+        g = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for a in np.flatnonzero(f.dims[:, base, base]).tolist():
             da = cat.dim(a)
-            abar = cat.dual_map[a]
-            dbar = cat.dim(abar)
-            pair = cat.canonical_conjugates(a)
-            b = self.functor.frobenius_block(a, self.base, self.base, pair)
+            dbar = cat.dim(cat.dual_map[a])
+            r, rbar = cat.canonical_conjugates(a)
+            b = f.frobenius_block(a, base, base)
             bb = dagger(b) @ b
             # V[i, j] = sum_l conj(Rbar[i, l]) R[l, j]
-            v = np.conj(pair[1]).reshape(da, dbar) @ pair[0].reshape(dbar, da)
-            # the triples of label a are contiguous, ordered (m, i)
-            start = self.index[(a, 0, 0)]
-            block = slice(start, start + na * da)
-            g[block, block] = np.kron(bb.T, v) / cat.qdim[a]
+            v = np.conj(rbar).reshape(da, dbar) @ r.reshape(dbar, da)
+            g[off[a]:off[a + 1], off[a]:off[a + 1]] = np.kron(bb.T, v) / cat.qdim[a]
         return g
 
 
@@ -422,33 +421,23 @@ def block_structure_tensor(f: BigradedFunctor, blocks: tuple[int, ...]) -> tuple
     """Structure constants of the algebra at a direct sum of base labels.
 
     The basis is indexed by (u, v, a, m, i): a corner (u, v) of the block
-    decomposition and a spectral triple of that corner.  Used to confirm
-    that corner data assembled from simple bases matches the direct sum.
+    decomposition and a spectral triple of that corner, corners in (u, v)
+    order.  The product of corners (u, v) and (v, w) is the structure tensor
+    of (blocks[u], blocks[v], blocks[w]), placed at the offsets of the three
+    corners.  Used to confirm that corner data assembled from simple bases
+    matches the direct sum.
     """
-    basis = []
-    for u, ru in enumerate(blocks):
-        for v, rv in enumerate(blocks):
-            for t in basis_triples(f, ru, rv):
-                basis.append((u, v) + t)
-    pos = {b: i for i, b in enumerate(basis)}
+    k = len(blocks)
+    basis = [(u, v) + t for u in range(k) for v in range(k) for t in basis_triples(f, blocks[u], blocks[v])]
+    off = block_offsets([spectral_offsets(f, ru, rv)[-1] for ru in blocks for rv in blocks])
+    corner = [slice(lo, hi) for lo, hi in zip(off[:-1], off[1:])]
     n = len(basis)
     tensor = np.zeros((n, n, n), dtype=np.complex128)
-    corner_cache: dict[tuple[int, int, int], np.ndarray] = {}
-    for p, (u, v, a, m, i) in enumerate(basis):
-        for q, (v2, w, b, nn, j) in enumerate(basis):
-            if v2 != v:
-                continue
-            key = (blocks[u], blocks[v], blocks[w])
-            if key not in corner_cache:
-                corner_cache[key] = structure_tensor(f, *key)
-            ct = corner_cache[key]
-            t1 = basis_triples(f, blocks[u], blocks[v])
-            t2 = basis_triples(f, blocks[v], blocks[w])
-            t3 = basis_triples(f, blocks[u], blocks[w])
-            row = ct[t1.index((a, m, i)), t2.index((b, nn, j)), :]
-            for r3, triple in enumerate(t3):
-                if row[r3] != 0.0:
-                    tensor[p, q, pos[(u, w) + triple]] += row[r3]
+    for u in range(k):
+        for v in range(k):
+            for w in range(k):
+                tensor[corner[u * k + v], corner[v * k + w], corner[u * k + w]] = \
+                    structure_tensor(f, blocks[u], blocks[v], blocks[w])
     return basis, tensor
 
 
@@ -496,21 +485,13 @@ class ModuleMorphism:
     x_base: int = 0
     y_base: int = 0
 
-    def rows(self, a: int, p: int, r: int) -> list[tuple[int, int, int]]:
-        out = []
-        for q in range(self.target.n_base):
-            for n in range(int(self.target.dims[a, p, q])):
-                for beta in range(int(self.fdims[q, r])):
-                    out.append((q, n, beta))
-        return out
+    def row_offsets(self, a: int, p: int, r: int) -> np.ndarray:
+        """Where the (target dims[a, p, q], fdims[q, r]) row block of each q starts in psi[(a, p, r)]."""
+        return block_offsets(self.target.dims[a, p] * self.fdims[:, r])
 
-    def cols(self, a: int, p: int, r: int) -> list[tuple[int, int, int]]:
-        out = []
-        for s in range(self.source.n_base):
-            for alpha in range(int(self.fdims[p, s])):
-                for m in range(int(self.source.dims[a, s, r])):
-                    out.append((s, alpha, m))
-        return out
+    def col_offsets(self, a: int, p: int, r: int) -> np.ndarray:
+        """Where the (fdims[p, s], source dims[a, s, r]) column block of each s starts in psi[(a, p, r)]."""
+        return block_offsets(self.fdims[p] * self.source.dims[a, :, r])
 
 
 def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
@@ -552,20 +533,15 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
     mor = ModuleMorphism(fx, fy, fdims, {}, x_base=0, y_base=0)
     cat = fx.cat
     for a in cat.labels:
-        da = cat.dim(a)
-        eye_a = np.eye(da, dtype=np.complex128)
+        eye_a = np.eye(cat.dim(a), dtype=np.complex128)
         for p in range(jy):
             for r in range(jx):
-                rows = mor.rows(a, p, r)
-                cols = mor.cols(a, p, r)
-                blk = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-                for ci, (s, alpha, m) in enumerate(cols):
-                    comp = fx.mor_basis(a, s, r)[m] @ fbases[(p, s)][alpha]
-                    for ri, (q, n, beta) in enumerate(rows):
-                        ty = fy.mor_basis(a, p, q)[n]
-                        target = kron(eye_a, fbases[(q, r)][beta]) @ ty
-                        blk[ri, ci] = np.trace(dagger(target) @ comp) / fy.base_dims[p]
-                mor.psi[(a, p, r)] = blk
+                # columns (s, alpha, m) and rows (q, n, beta), in block order
+                comps = [tx @ fa for s in range(jx) for fa in fbases[(p, s)] for tx in fx.mor_basis(a, s, r)]
+                targets = [kron(eye_a, fb) @ ty for q in range(jy) for ty in fy.mor_basis(a, p, q)
+                           for fb in fbases[(q, r)]]
+                blk = [[np.trace(dagger(t) @ comp) / fy.base_dims[p] for comp in comps] for t in targets]
+                mor.psi[(a, p, r)] = np.array(blk, dtype=np.complex128).reshape(len(targets), len(comps))
     return mor
 
 
@@ -582,14 +558,32 @@ def eigenvector_test(mor: ModuleMorphism, a: int) -> float:
     return float(np.max(np.abs(fd @ mx - my @ fd)))
 
 
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    off = block_offsets([len(blk) for blk in blocks])
+    out = np.zeros((off[-1], off[-1]), dtype=np.complex128)
+    for blk, lo, hi in zip(blocks, off[:-1], off[1:]):
+        out[lo:hi, lo:hi] = blk
+    return out
+
+
 def gauge_transform(mor: ModuleMorphism,
                     unitaries: dict[tuple[int, int], np.ndarray]) -> ModuleMorphism:
     """Change the multiplicity-space bases by block unitaries.
 
-    ``unitaries[(p, r)]`` rotates the (p, r) multiplicity space; missing
-    blocks default to the identity.  The block at the two distinguished
-    bases must stay the identity so the normalization vector is preserved.
+    ``unitaries[(p, r)]`` rotates the (p, r) multiplicity space and must be a
+    (fdims[p, r], fdims[p, r]) unitary; missing blocks default to the
+    identity.  The block at the two distinguished bases must stay the
+    identity so the normalization vector is preserved.  Each exchange block
+    psi[(a, p, r)] becomes R^dagger psi C, with R block-diagonal over the
+    target labels q (blocks I (x) U[(q, r)]) and C over the source labels s
+    (blocks U[(p, s)] (x) I).
     """
+    for key, u in unitaries.items():
+        d = int(mor.fdims[key])
+        if np.shape(u) != (d, d):
+            raise ReconstructionError(f"gauge block {key} has shape {np.shape(u)}, not ({d}, {d})")
+        if max_residual(dagger(u) @ u, np.eye(d)) > DEFAULT_TOL:
+            raise ReconstructionError(f"gauge block {key} is not unitary")
     key0 = (mor.y_base, mor.x_base)
     if key0 in unitaries and max_residual(unitaries[key0], np.eye(int(mor.fdims[key0]))) > 0:
         raise ReconstructionError("gauge must fix the distinguished multiplicity vector")
@@ -598,23 +592,48 @@ def gauge_transform(mor: ModuleMorphism,
         d = int(mor.fdims[p, r])
         return np.asarray(unitaries.get((p, r), np.eye(d)), dtype=np.complex128)
 
+    fx, fy = mor.source, mor.target
     new_psi = {}
     for (a, p, r), blk in mor.psi.items():
-        rows = mor.rows(a, p, r)
-        cols = mor.cols(a, p, r)
-        row_t = np.zeros((len(rows), len(rows)), dtype=np.complex128)
-        for i, (q, n, beta) in enumerate(rows):
-            for k, (q2, n2, beta2) in enumerate(rows):
-                if q == q2 and n == n2:
-                    row_t[i, k] = u(q, r)[beta, beta2]
-        col_t = np.zeros((len(cols), len(cols)), dtype=np.complex128)
-        for i, (s, alpha, m) in enumerate(cols):
-            for k, (s2, alpha2, m2) in enumerate(cols):
-                if s == s2 and m == m2:
-                    col_t[i, k] = u(p, s)[alpha, alpha2]
+        row_t = _block_diag([np.kron(np.eye(fy.dims[a, p, q]), u(q, r)) for q in range(fy.n_base)])
+        col_t = _block_diag([np.kron(u(p, s), np.eye(fx.dims[a, s, r])) for s in range(fx.n_base)])
         new_psi[(a, p, r)] = dagger(row_t) @ blk @ col_t
-    return ModuleMorphism(mor.source, mor.target, mor.fdims.copy(), new_psi,
-                          mor.x_base, mor.y_base)
+    return ModuleMorphism(fx, fy, mor.fdims.copy(), new_psi, mor.x_base, mor.y_base)
+
+
+def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
+                    s: int, t: int) -> np.ndarray:
+    """Path one minus path two of the hexagon on one source sub-block, into channel c.
+
+    The sub-block holds (alpha, m, n): alpha in the (p, s) multiplicity
+    space, m in Mor(X_s, u_a (x) X_t) and n in Mor(X_t, u_b (x) X_r).  The
+    result has shape (k, row of psi[(c, p, r)], alpha, m, n).
+    """
+    fx, fy, fd = mor.source, mor.target, mor.fdims
+    kmax = fx.cat.mult(a, b, c)
+    nal, nm, nn, nmc = int(fd[p, s]), int(fx.dims[a, s, t]), int(fx.dims[b, t, r]), int(fx.dims[c, s, r])
+    crows, ccols = mor.row_offsets(c, p, r), mor.col_offsets(c, p, r)
+    # path two: fuse on source, exchange the channel
+    xcols = fx.column_offsets(a, b, s, r)
+    xcoh = fx.coherence[(a, b, s, r)][c][:, :, xcols[t]:xcols[t + 1]].reshape(kmax, nmc, nm, nn)
+    psi_c = mor.psi[(c, p, r)][:, ccols[s]:ccols[s + 1]].reshape(crows[-1], nal, nmc)
+    out = -np.einsum("kumn,Tau->kTamn", xcoh, psi_c)
+    # path one: exchange a, exchange b, fuse on target; the a-exchange lands in q, the b-exchange in w
+    arows, acols = mor.row_offsets(a, p, t), mor.col_offsets(a, p, t)
+    for q in range(fy.n_base):
+        nq = int(fy.dims[a, p, q])
+        psi_a = mor.psi[(a, p, t)][arows[q]:arows[q + 1], acols[s]:acols[s + 1]]
+        psi_a = psi_a.reshape(nq, int(fd[q, t]), nal, nm)
+        brows, bcols = mor.row_offsets(b, q, r), mor.col_offsets(b, q, r)
+        for w in np.flatnonzero(nq * fy.dims[b, q]).tolist():
+            nw, npp = int(fy.dims[b, q, w]), int(fy.dims[c, p, w])
+            psi_b = mor.psi[(b, q, r)][brows[w]:brows[w + 1], bcols[t]:bcols[t + 1]]
+            psi_b = psi_b.reshape(nw, int(fd[w, r]), int(fd[q, t]), nn)
+            ycols = fy.column_offsets(a, b, p, w)
+            ycoh = fy.coherence[(a, b, p, w)][c][:, :, ycols[q]:ycols[q + 1]].reshape(kmax, npp, nq, nw)
+            path = np.einsum("xbam,ygbn,kpxy->kpgamn", psi_a, psi_b, ycoh)
+            out[:, crows[w]:crows[w + 1]] += path.reshape(kmax, crows[w + 1] - crows[w], nal, nm, nn)
+    return out
 
 
 def _hexagon_residual(mor: ModuleMorphism, weights=None) -> float:
@@ -623,81 +642,27 @@ def _hexagon_residual(mor: ModuleMorphism, weights=None) -> float:
     Path one applies the exchange label by label and then fuses on the
     target side; path two fuses on the source side and exchanges the fused
     channel.  ``weights`` optionally contracts the channel rows with given
-    coefficients, exercising a non-basis fusion morphism.
+    coefficients, exercising a non-basis fusion morphism; it is asked for
+    each (a, b, c, k) in loop order, once per (p, r) with a nonempty source.
     """
-    fx, fy = mor.source, mor.target
-    cat = fx.cat
+    fx = mor.source
+    cat, jx = fx.cat, fx.n_base
     worst = 0.0
     for a in cat.labels:
         for b in cat.labels:
-            for p in range(fy.n_base):
-                for r in range(fx.n_base):
-                    dom = []
-                    for s in range(fx.n_base):
-                        for t in range(fx.n_base):
-                            for alpha in range(int(mor.fdims[p, s])):
-                                for m in range(int(fx.dims[a, s, t])):
-                                    for n in range(int(fx.dims[b, t, r])):
-                                        dom.append((s, t, alpha, m, n))
-                    if not dom:
+            for p in range(mor.target.n_base):
+                for r in range(jx):
+                    subs = [(s, t) for s in range(jx) for t in range(jx)
+                            if mor.fdims[p, s] * fx.dims[a, s, t] * fx.dims[b, t, r]]
+                    if not subs:
                         continue
                     for c in cat.channels(a, b):
                         kmax = cat.mult(a, b, c)
-                        tgt = []
-                        for w in range(fy.n_base):
-                            for pp in range(int(fy.dims[c, p, w])):
-                                for gamma in range(int(mor.fdims[w, r])):
-                                    tgt.append((w, pp, gamma))
-                        if not tgt and not dom:
-                            continue
-                        for k in range(kmax):
-                            pa = np.zeros((len(tgt), len(dom)), dtype=np.complex128)
-                            pb = np.zeros((len(tgt), len(dom)), dtype=np.complex128)
-                            for di, (s, t, alpha, m, n) in enumerate(dom):
-                                # path one: exchange a, exchange b, fuse on target
-                                rows_a = mor.rows(a, p, t)
-                                cols_a = mor.cols(a, p, t)
-                                ca_i = cols_a.index((s, alpha, m))
-                                for ra, (q, na, beta) in enumerate(rows_a):
-                                    va = mor.psi[(a, p, t)][ra, ca_i]
-                                    if va == 0.0:
-                                        continue
-                                    rows_b = mor.rows(b, q, r)
-                                    cols_b = mor.cols(b, q, r)
-                                    cb_i = cols_b.index((t, beta, n))
-                                    for rb, (w, nb, gamma) in enumerate(rows_b):
-                                        vb = mor.psi[(b, q, r)][rb, cb_i]
-                                        if vb == 0.0:
-                                            continue
-                                        ycoh = fy.coherence[(a, b, p, w)]
-                                        if c not in ycoh:
-                                            continue
-                                        ycols = fy.columns(a, b, p, w)
-                                        yc_i = ycols.index((q, na, nb))
-                                        for pp in range(int(fy.dims[c, p, w])):
-                                            ti = tgt.index((w, pp, gamma))
-                                            pa[ti, di] += va * vb * ycoh[c][k, pp, yc_i]
-                                # path two: fuse on source, exchange the channel
-                                xcoh = fx.coherence[(a, b, s, r)]
-                                if c in xcoh:
-                                    xcols = fx.columns(a, b, s, r)
-                                    xc_i = xcols.index((t, m, n))
-                                    rows_c = mor.rows(c, p, r)
-                                    cols_c = mor.cols(c, p, r)
-                                    for mm in range(int(fx.dims[c, s, r])):
-                                        xv = xcoh[c][k, mm, xc_i]
-                                        if xv == 0.0:
-                                            continue
-                                        cc_i = cols_c.index((s, alpha, mm))
-                                        for rc, (w, pp, gamma) in enumerate(rows_c):
-                                            ti = tgt.index((w, pp, gamma))
-                                            pb[ti, di] += xv * mor.psi[(c, p, r)][rc, cc_i]
-                            if weights is None:
-                                worst = max(worst, max_residual(pa, pb))
-                            else:
-                                lam = weights((a, b, c, k))
-                                worst = max(worst, float(np.max(np.abs(lam * (pa - pb))))
-                                            if pa.size else 0.0)
+                        diff = np.concatenate([_exchange_paths(mor, a, b, c, p, r, s, t).reshape(kmax, -1)
+                                               for s, t in subs], axis=1)
+                        for k, d in enumerate(diff):
+                            lam = 1.0 if weights is None else weights((a, b, c, k))
+                            worst = max(worst, float(np.max(np.abs(lam * d), initial=0.0)))
     return worst
 
 
@@ -757,23 +722,21 @@ def validate_morphism(mor: ModuleMorphism, tol: float = DEFAULT_TOL,
 
 
 def algebra_map(mor: ModuleMorphism) -> np.ndarray:
-    """Matrix of the induced unital *-homomorphism between the base algebras."""
+    """Matrix of the induced unital *-homomorphism between the base algebras.
+
+    Label a maps by B (x) I, B the exchange block psi[(a, y_base, x_base)]
+    read at rows (y_base, n, 0) and columns (x_base, 0, m).
+    """
     fx, fy = mor.source, mor.target
-    if int(mor.fdims[mor.y_base, mor.x_base]) != 1:
+    xb, yb = mor.x_base, mor.y_base
+    if int(mor.fdims[yb, xb]) != 1:
         raise ReconstructionError("morphism is not normalized at the bases")
-    src = basis_triples(fx, mor.x_base, mor.x_base)
-    dst = basis_triples(fy, mor.y_base, mor.y_base)
-    dst_pos = {t: i for i, t in enumerate(dst)}
-    theta = np.zeros((len(dst), len(src)), dtype=np.complex128)
-    for ci, (a, m, i) in enumerate(src):
-        blk = mor.psi[(a, mor.y_base, mor.x_base)]
-        rows = mor.rows(a, mor.y_base, mor.x_base)
-        cols = mor.cols(a, mor.y_base, mor.x_base)
-        cc = cols.index((mor.x_base, 0, m))
-        for ri, (q, n, beta) in enumerate(rows):
-            if q != mor.y_base or beta != 0:
-                continue
-            theta[dst_pos[(a, n, i)], ci] += blk[ri, cc]
+    src, dst = spectral_offsets(fx, xb, xb), spectral_offsets(fy, yb, yb)
+    theta = np.zeros((dst[-1], src[-1]), dtype=np.complex128)
+    for a in np.flatnonzero(fx.dims[:, xb, xb]).tolist():
+        rows, cols = mor.row_offsets(a, yb, xb), mor.col_offsets(a, yb, xb)
+        blk = mor.psi[(a, yb, xb)][rows[yb]:rows[yb + 1], cols[xb]:cols[xb + 1]]
+        theta[dst[a]:dst[a + 1], src[a]:src[a + 1]] = np.kron(blk, np.eye(fx.cat.dim(a)))
     return theta
 
 

@@ -151,11 +151,11 @@ class CategoryPresentation:
         rbar = np.conj(x).reshape(da * dbar, 1)
         return r, rbar
 
-    def snake_residuals(self, a: int, pair: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, float]:
+    def snake_residuals(self, a: int) -> tuple[float, float]:
         """Residuals of the two conjugate identities for label a."""
         abar = self.dual_map[a]
         da, dbar = self.obj_dim[a], self.obj_dim[abar]
-        r, rbar = self.conj_solutions[a] if pair is None else pair
+        r, rbar = self.conj_solutions[a]
         eye_a = np.eye(da, dtype=np.complex128)
         eye_bar = np.eye(dbar, dtype=np.complex128)
         s1 = (

@@ -1,0 +1,271 @@
+"""Loop references for the block kernels of ``reconstruct``.
+
+Each reference is the element-by-element form of a kernel: it lists the
+index triples of every space and finds each basis element with
+``list.index``, so it shares no layout code with the kernel it checks.
+"""
+
+from dataclasses import replace
+from itertools import permutations, product
+
+import numpy as np
+import pytest
+
+from qhspace import tensorcat
+from qhspace.grouprep import Subgroup, extract_irreps, group_from_permutations
+from qhspace.modcat import module_from_subgroup
+from qhspace.numkit import DEFAULT_TOL, max_residual
+from qhspace.reconstruct import (
+    _hexagon_residual,
+    basis_triples,
+    block_structure_tensor,
+    restriction_morphism,
+    star_matrix,
+    structure_tensor,
+)
+from qhspace.tensorcat import UNIT_LABEL
+
+
+def _columns(f, a, b, r, t):
+    """Coherence columns (s, m, n) of F_{rs}(a) (x) F_{st}(b), in order."""
+    return [(s, m, n) for s in range(f.n_base) for m in range(int(f.dims[a, r, s]))
+            for n in range(int(f.dims[b, s, t]))]
+
+
+def _rows(mor, a, p, r):
+    """Rows (q, n, beta) of psi[(a, p, r)], in order."""
+    return [(q, n, beta) for q in range(mor.target.n_base) for n in range(int(mor.target.dims[a, p, q]))
+            for beta in range(int(mor.fdims[q, r]))]
+
+
+def _cols(mor, a, p, r):
+    """Columns (s, alpha, m) of psi[(a, p, r)], in order."""
+    return [(s, alpha, m) for s in range(mor.source.n_base) for alpha in range(int(mor.fdims[p, s]))
+            for m in range(int(mor.source.dims[a, s, r]))]
+
+
+def _structure_loop(f, x, y, z):
+    """Entry-by-entry form of ``structure_tensor``: the reference."""
+    left = basis_triples(f, x, y)
+    right = basis_triples(f, y, z)
+    out = basis_triples(f, x, z)
+    out_pos = {t: i for i, t in enumerate(out)}
+    tensor = np.zeros((len(left), len(right), len(out)), dtype=np.complex128)
+    cat = f.cat
+    for p, (a, m, i) in enumerate(left):
+        if a == UNIT_LABEL:
+            for q, triple in enumerate(right):
+                tensor[p, q, out_pos[triple]] = 1.0
+            continue
+        for q, (b, n, j) in enumerate(right):
+            if b == UNIT_LABEL:
+                tensor[p, q, out_pos[(a, m, i)]] = 1.0
+                continue
+            db = cat.dim(b)
+            coh = f.coherence[(a, b, x, z)]
+            col = _columns(f, a, b, x, z).index((y, m, n))
+            for c, arr in coh.items():
+                for k, iota in enumerate(cat.isometries(a, b, c)):
+                    for pp in range(arr.shape[1]):
+                        coeff = arr[k, pp, col]
+                        if coeff == 0.0:
+                            continue
+                        for l in range(cat.dim(c)):
+                            w = coeff * iota[i * db + j, l]
+                            if w != 0.0:
+                                tensor[p, q, out_pos[(c, pp, l)]] += w
+    return tensor
+
+
+def _star_loop(f, x, y):
+    """Column-by-column form of ``star_matrix``: the reference."""
+    src = basis_triples(f, x, y)
+    dst = basis_triples(f, y, x)
+    dst_pos = {t: i for i, t in enumerate(dst)}
+    cat = f.cat
+    s = np.zeros((len(dst), len(src)), dtype=np.complex128)
+    for col, (a, m, i) in enumerate(src):
+        abar = cat.dual_map[a]
+        dbar = cat.dim(abar)
+        rbar = cat.canonical_conjugates(a)[1].ravel()
+        b = f.frobenius_block(a, x, y)
+        for q in range(b.shape[0]):
+            if b[q, m] == 0.0:
+                continue
+            for l in range(dbar):
+                w = b[q, m] * np.conj(rbar[i * dbar + l])
+                if w != 0.0:
+                    s[dst_pos[(abar, q, l)], col] += w
+    return s
+
+
+def _block_loop(f, blocks):
+    """Entry-by-entry form of ``block_structure_tensor``: the reference."""
+    basis = []
+    for u, ru in enumerate(blocks):
+        for v, rv in enumerate(blocks):
+            for t in basis_triples(f, ru, rv):
+                basis.append((u, v) + t)
+    pos = {b: i for i, b in enumerate(basis)}
+    n = len(basis)
+    tensor = np.zeros((n, n, n), dtype=np.complex128)
+    for p, (u, v, a, m, i) in enumerate(basis):
+        for q, (v2, w, b, nn, j) in enumerate(basis):
+            if v2 != v:
+                continue
+            ct = structure_tensor(f, blocks[u], blocks[v], blocks[w])
+            t1 = basis_triples(f, blocks[u], blocks[v])
+            t2 = basis_triples(f, blocks[v], blocks[w])
+            t3 = basis_triples(f, blocks[u], blocks[w])
+            row = ct[t1.index((a, m, i)), t2.index((b, nn, j)), :]
+            for r3, triple in enumerate(t3):
+                if row[r3] != 0.0:
+                    tensor[p, q, pos[(u, w) + triple]] += row[r3]
+    return basis, tensor
+
+
+def _hexagon_loop(mor, weights=None):
+    """Entry-by-entry form of ``_hexagon_residual``: the reference."""
+    fx, fy = mor.source, mor.target
+    cat = fx.cat
+    worst = 0.0
+    for a in cat.labels:
+        for b in cat.labels:
+            for p in range(fy.n_base):
+                for r in range(fx.n_base):
+                    dom = []
+                    for s in range(fx.n_base):
+                        for t in range(fx.n_base):
+                            for alpha in range(int(mor.fdims[p, s])):
+                                for m in range(int(fx.dims[a, s, t])):
+                                    for n in range(int(fx.dims[b, t, r])):
+                                        dom.append((s, t, alpha, m, n))
+                    if not dom:
+                        continue
+                    for c in cat.channels(a, b):
+                        tgt = _rows(mor, c, p, r)
+                        for k in range(cat.mult(a, b, c)):
+                            pa = np.zeros((len(tgt), len(dom)), dtype=np.complex128)
+                            pb = np.zeros((len(tgt), len(dom)), dtype=np.complex128)
+                            for di, (s, t, alpha, m, n) in enumerate(dom):
+                                # path one: exchange a, exchange b, fuse on target
+                                ca_i = _cols(mor, a, p, t).index((s, alpha, m))
+                                for ra, (q, na, beta) in enumerate(_rows(mor, a, p, t)):
+                                    va = mor.psi[(a, p, t)][ra, ca_i]
+                                    if va == 0.0:
+                                        continue
+                                    cb_i = _cols(mor, b, q, r).index((t, beta, n))
+                                    for rb, (w, nb, gamma) in enumerate(_rows(mor, b, q, r)):
+                                        vb = mor.psi[(b, q, r)][rb, cb_i]
+                                        if vb == 0.0:
+                                            continue
+                                        ycoh = fy.coherence[(a, b, p, w)]
+                                        yc_i = _columns(fy, a, b, p, w).index((q, na, nb))
+                                        for pp in range(int(fy.dims[c, p, w])):
+                                            ti = tgt.index((w, pp, gamma))
+                                            pa[ti, di] += va * vb * ycoh[c][k, pp, yc_i]
+                                # path two: fuse on source, exchange the channel
+                                xcoh = fx.coherence[(a, b, s, r)]
+                                xc_i = _columns(fx, a, b, s, r).index((t, m, n))
+                                rows_c, cols_c = _rows(mor, c, p, r), _cols(mor, c, p, r)
+                                for mm in range(int(fx.dims[c, s, r])):
+                                    xv = xcoh[c][k, mm, xc_i]
+                                    if xv == 0.0:
+                                        continue
+                                    cc_i = cols_c.index((s, alpha, mm))
+                                    for rc, (w, pp, gamma) in enumerate(rows_c):
+                                        ti = tgt.index((w, pp, gamma))
+                                        pb[ti, di] += xv * mor.psi[(c, p, r)][rc, cc_i]
+                            if weights is None:
+                                worst = max(worst, max_residual(pa, pb))
+                            else:
+                                lam = weights((a, b, c, k))
+                                worst = max(worst, float(np.max(np.abs(lam * (pa - pb))))
+                                            if pa.size else 0.0)
+    return worst
+
+
+@pytest.fixture(scope="module")
+def a4_modules():
+    """A4 over an order-3 subgroup and over the trivial one.
+
+    3 (x) 3 holds the 3 twice, so the sums over the fusion multiplicity k
+    have two terms; every S3 and Z4 multiplicity is one.
+    """
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    g = group_from_permutations(even)
+    cat = tensorcat.from_group(extract_irreps(g, seed=0))
+    assert max(cat.mult(a, b, c) for a in cat.labels for b in cat.labels for c in cat.channels(a, b)) == 2
+    z3 = Subgroup.generated(g, [even.index((1, 2, 0, 3))])
+    return [module_from_subgroup(cat, z3), module_from_subgroup(cat, Subgroup.generated(g, []))]
+
+
+@pytest.fixture(scope="module")
+def modules(s3_modules, z4_pointed_module, z4_coset_module, a4_modules):
+    return [*s3_modules.values(), z4_pointed_module, z4_coset_module, *a4_modules]
+
+
+def test_structure_tensor_matches_loop(modules):
+    # the einsum forms the same products and sums as the loop: equal bits
+    for f in modules:
+        for x, y, z in product(range(f.n_base), repeat=3):
+            assert np.array_equal(structure_tensor(f, x, y, z), _structure_loop(f, x, y, z)), (f.name, x, y, z)
+
+
+def test_star_matrix_matches_loop(modules):
+    for f in modules:
+        for x, y in product(range(f.n_base), repeat=2):
+            assert np.array_equal(star_matrix(f, x, y), _star_loop(f, x, y)), (f.name, x, y)
+
+
+def test_block_structure_tensor_places_corners(modules):
+    for f in modules:
+        for x in range(f.n_base):
+            for y in range(x + 1, f.n_base):
+                basis, tensor = block_structure_tensor(f, (x, y))
+                ref_basis, ref = _block_loop(f, (x, y))
+                assert basis == ref_basis and np.array_equal(tensor, ref), (f.name, x, y)
+
+
+@pytest.fixture(scope="module")
+def restrictions(s3_modules, a4_modules):
+    nested = [("order2", "trivial"), ("order3", "trivial"), ("full", "order2"),
+              ("full", "order3"), ("order2", "order2")]
+    return [restriction_morphism(s3_modules[src], s3_modules[tgt]) for src, tgt in nested] + \
+        [restriction_morphism(*a4_modules)]
+
+
+def _perturbed(mor):
+    """A copy with one entry of its largest exchange block moved by 1e-3."""
+    key = max(mor.psi, key=lambda k: mor.psi[k].size)
+    bad = mor.psi[key].copy()
+    bad.flat[0] += 1e-3
+    return replace(mor, psi={**mor.psi, key: bad})
+
+
+def _recorded_weights(seed):
+    """The random channel weights of ``validate_morphism``, with the keys asked for, in order."""
+    rng = np.random.default_rng(seed)
+    lams, asked = {}, []
+
+    def weights(key):
+        asked.append(key)
+        if key not in lams:
+            lams[key] = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        return lams[key]
+
+    return weights, asked
+
+
+def test_hexagon_matches_loop(restrictions):
+    # the blocks sum in another order: residuals agree to a few units of roundoff
+    for mor in restrictions:
+        for m in (mor, _perturbed(mor)):
+            assert abs(_hexagon_residual(m) - _hexagon_loop(m)) < 1e-14
+            w_block, asked_block = _recorded_weights(5)
+            w_loop, asked_loop = _recorded_weights(5)
+            assert abs(_hexagon_residual(m, w_block) - _hexagon_loop(m, w_loop)) < 1e-14
+            assert asked_block == asked_loop
+        assert _hexagon_residual(mor) < 1e-12
+        assert _hexagon_residual(_perturbed(mor)) > DEFAULT_TOL

@@ -189,18 +189,20 @@ def _assoc_diag(f, h1, h2, r, fibre):
 def _coherence_loop(f, a, b, r, t):
     """Column-by-column form of ``modcat._coherence``: the reference."""
     cat = f.cat
-    cols = f.columns(a, b, r, t)
+    off = f.column_offsets(a, b, r, t)
     phi_conj = np.conj(_assoc_diag(f, f.handle[a], f.handle[b], t, cat.dim(a) * cat.dim(b)))
     eye_a = np.eye(cat.dim(a), dtype=np.complex128)
     eye_t = np.eye(f.base_dims[t], dtype=np.complex128)
-    composites = [
-        phi_conj[:, None] * (kron(eye_a, f.mor_basis(b, s, t)[n]) @ f.mor_basis(a, r, s)[m])
-        for s, m, n in cols
-    ]
+    # column (s, m, n) sits at off[s] + m * dims[b, s, t] + n
+    composites = [None] * off[-1]
+    for s in range(f.n_base):
+        for m, ta in enumerate(f.mor_basis(a, r, s)):
+            for n, tb in enumerate(f.mor_basis(b, s, t)):
+                composites[off[s] + m * f.dims[b, s, t] + n] = phi_conj[:, None] * (kron(eye_a, tb) @ ta)
     out = {}
     for c in cat.channels(a, b):
         tcs = f.mor_basis(c, r, t)
-        arr = np.zeros((cat.mult(a, b, c), len(tcs), len(cols)), dtype=np.complex128)
+        arr = np.zeros((cat.mult(a, b, c), len(tcs), len(composites)), dtype=np.complex128)
         for k, iota in enumerate(cat.isometries(a, b, c)):
             proj_map = kron(dagger(iota), eye_t)
             for col, comp in enumerate(composites):
@@ -249,7 +251,7 @@ def test_coherence_matches_column_loop(s3_modules, z4_pointed_module, z4_coset_m
     for f in (s3_modules["order2"], s3_modules["full"], z4_pointed_module, z4_coset_module):
         labels, bases = f.cat.labels, range(f.n_base)
         linked = [(a, b, r, t) for a in labels for b in labels for r in bases for t in bases
-                  if f.columns(a, b, r, t)]
+                  if f.column_offsets(a, b, r, t)[-1]]
         assert sorted(f.coherence) == linked
         for key in linked:
             got, want = f.coherence[key], _coherence_loop(f, *key)

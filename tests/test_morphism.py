@@ -78,6 +78,17 @@ def test_gauge_must_fix_base_block(s3_restriction):
         gauge_transform(s3_restriction, {key: np.array([[1j]])})
 
 
+def test_gauge_rejects_wrong_shape(s3_restriction):
+    # (0, 1) is one-dimensional; a 2x2 swap used to be read at its top-left entry
+    with pytest.raises(ReconstructionError, match=r"\(0, 1\) has shape \(2, 2\)"):
+        gauge_transform(s3_restriction, {(0, 1): np.array([[0.0, 1.0], [1.0, 0.0]])})
+
+
+def test_gauge_rejects_non_unitary(s3_restriction):
+    with pytest.raises(ReconstructionError, match=r"\(0, 1\) is not unitary"):
+        gauge_transform(s3_restriction, {(0, 1): 3 * np.eye(1)})
+
+
 def test_restriction_requires_nesting(s3_modules):
     with pytest.raises(ReconstructionError):
         restriction_morphism(s3_modules["order2"], s3_modules["order3"])

@@ -10,7 +10,6 @@ from qhspace.reconstruct import (
     build_bimodule,
     classical_roundtrip,
     cp_certificate,
-    star_matrix,
     verify_algebra,
     verify_bimodule,
 )
@@ -93,14 +92,6 @@ def test_structure_constants_bitwise_under_rescaling(s3, s3_table, s3_subgroups)
         alg2 = build_algebra(module_from_subgroup(cat2, sub), 0)
         assert np.array_equal(ref.tensor, alg2.tensor)
         assert np.array_equal(ref.star_mat, alg2.star_mat)
-
-
-def test_star_matrix_canonical_equals_stored_before_rescaling(s3_modules):
-    f = s3_modules["order2"]
-    cat = f.cat
-    s_canon = star_matrix(f, 0, 0)
-    s_stored = star_matrix(f, 0, 0, pair_map=lambda a: cat.conj_solutions[a])
-    assert max_residual(s_canon, s_stored) < 1e-12
 
 
 def test_bimodule_all_corners(s3_modules):

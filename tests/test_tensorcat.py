@@ -103,6 +103,16 @@ def test_canonical_conjugates_deterministic(s3_cat):
         assert np.array_equal(r1, r2) and np.array_equal(rb1, rb2)
 
 
+def test_stored_conjugates_are_canonical(s3_cat, z4_cat, z4_pointed_cat):
+    # before any rescaling the stored pair is the canonical one, so a star
+    # matrix built from either pair is the same
+    for cat in (s3_cat, z4_cat, z4_pointed_cat):
+        for a in cat.labels:
+            r, rb = cat.conj_solutions[a]
+            r_canon, rb_canon = cat.canonical_conjugates(a)
+            assert np.array_equal(r, r_canon) and np.array_equal(rb, rb_canon)
+
+
 def test_conjugate_norm_product(s3_cat, z4_pointed_cat):
     for cat in (s3_cat, z4_pointed_cat):
         for a in cat.labels:
