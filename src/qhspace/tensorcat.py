@@ -10,7 +10,7 @@ data over a finite group with a 3-cocycle (scalar associator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -87,7 +87,8 @@ class CategoryPresentation:
     iota^c_{ab,k}, each a (dim_a*dim_b) x dim_c matrix with iota^t iota = id.
     ``conj_solutions[a]`` is the pair (R_a, Rbar_a) of column vectors solving
     the two snake identities; they may be rescaled by users, so derived
-    quantities that must not depend on the scaling recompute canonical ones.
+    quantities that must not depend on the scaling read the canonical pair,
+    which is solved once from the fusion data when the presentation is made.
     """
 
     kind: str  # "group" or "pointed"
@@ -98,10 +99,12 @@ class CategoryPresentation:
     conj_solutions: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     reps: tuple[UnitaryRep, ...] | None = None  # group backend only
     pointed: PointedFusionData | None = None  # pointed backend only
+    _canonical: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._canonical = {a: self._solve_conjugates(a) for a in self.labels}
         if not self.conj_solutions:
-            self.conj_solutions = {a: self.canonical_conjugates(a) for a in self.labels}
+            self.conj_solutions = dict(self._canonical)
 
     @property
     def labels(self) -> range:
@@ -126,7 +129,11 @@ class CategoryPresentation:
         return 1.0
 
     def canonical_conjugates(self, a: int) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic normalized conjugate pair computed from fusion data.
+        """Deterministic normalized conjugate pair computed from fusion data, read-only."""
+        return self._canonical[a]
+
+    def _solve_conjugates(self, a: int) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical pair of label a, read-only.
 
         R_a is sqrt(qdim) times the unique unit fusion isometry into the
         trivial channel of abar x a; Rbar_a is the unique solution of the
@@ -149,6 +156,7 @@ class CategoryPresentation:
         rhs = np.eye(da, dtype=np.complex128).ravel()
         x, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
         rbar = np.conj(x).reshape(da * dbar, 1)
+        r.flags.writeable = rbar.flags.writeable = False
         return r, rbar
 
     def snake_residuals(self, a: int) -> tuple[float, float]:
@@ -176,10 +184,7 @@ class CategoryPresentation:
         new_conj = {
             a: (s * r, (1.0 / np.conj(s)) * rbar) for a, (r, rbar) in self.conj_solutions.items()
         }
-        return CategoryPresentation(
-            self.kind, self.obj_dim, self.dual_map, self.qdim, self.fusion,
-            new_conj, self.reps, self.pointed,
-        )
+        return replace(self, conj_solutions=new_conj)
 
 
 def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentation:

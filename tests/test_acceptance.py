@@ -75,10 +75,7 @@ def test_criterion_04_star_axioms(s3_modules, z4_pointed_module, z4_coset_module
     ok = True
     for f in all_example_modules(s3_modules, z4_pointed_module, z4_coset_module):
         for base in range(f.n_base):
-            alg = build_algebra(f, base)
-            if alg.dim > 40:
-                continue
-            cert = verify_algebra(alg, tol=1e-8)
+            cert = verify_algebra(build_algebra(f, base), tol=1e-8)
             ok = ok and cert.passed
     verdict(4, "*-algebra axioms < 1e-8 on every built algebra", ok)
 

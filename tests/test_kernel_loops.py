@@ -3,6 +3,8 @@
 Each reference is the element-by-element form of a kernel: it lists the
 index triples of every space and finds each basis element with
 ``list.index``, so it shares no layout code with the kernel it checks.
+The certificate checks are compared with their whole-tensor einsum and
+pair-by-pair loop forms.
 """
 
 from dataclasses import replace
@@ -15,13 +17,21 @@ from qhspace import tensorcat
 from qhspace.grouprep import Subgroup, extract_irreps, group_from_permutations
 from qhspace.modcat import module_from_subgroup
 from qhspace.numkit import DEFAULT_TOL, max_residual
+from qhspace import reconstruct
 from qhspace.reconstruct import (
     _hexagon_residual,
+    algebra_map,
     basis_triples,
+    block_consistency,
     block_structure_tensor,
+    build_algebra,
+    build_bimodule,
     restriction_morphism,
     star_matrix,
     structure_tensor,
+    verify_algebra,
+    verify_algebra_map,
+    verify_bimodule,
 )
 from qhspace.tensorcat import UNIT_LABEL
 
@@ -269,3 +279,107 @@ def test_hexagon_matches_loop(restrictions):
             assert asked_block == asked_loop
         assert _hexagon_residual(mor) < 1e-12
         assert _hexagon_residual(_perturbed(mor)) > DEFAULT_TOL
+
+
+def _assoc_einsum(ab, bc, left, right):
+    """The n^4 form of ``_assoc_residual``: both bracketings as whole tensors."""
+    assoc = np.einsum("pqu,urs->pqrs", ab, bc) - np.einsum("qru,pus->pqrs", left, right)
+    return float(np.max(np.abs(assoc))) if assoc.size else 0.0
+
+
+def _star_product_loop(t, s, sp, t_op):
+    """Pair-by-pair form of (f g)* = g* f*: the ``antimultiplicative`` and ``star_exchanges_actions`` checks."""
+    worst = 0.0
+    for p in range(t.shape[0]):
+        for q in range(t.shape[1]):
+            lhs = s @ np.conj(t[p, q, :])
+            rhs = np.einsum("u,v,uvr->r", s[:, q], sp[:, p], t_op)
+            worst = max(worst, max_residual(lhs, rhs))
+    return worst
+
+
+def _multiplicative_loop(th, tx, ty):
+    """Pair-by-pair form of the ``multiplicative`` check of ``verify_algebra_map``."""
+    worst = 0.0
+    for p in range(len(tx)):
+        for q in range(len(tx)):
+            lhs = th @ tx[p, q, :]
+            rhs = np.einsum("p,q,pqr->r", th[:, p], th[:, q], ty)
+            worst = max(worst, max_residual(lhs, rhs))
+    return worst
+
+
+def _gram_loop(alg):
+    """Row-by-row form of ``gram_from_product``."""
+    o = alg.index[(UNIT_LABEL, 0, 0)]
+    g = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
+    for p in range(alg.dim):
+        g[p, :] = np.einsum("u,uqr->qr", alg.star_mat[:, p], alg.tensor)[:, o]
+    return g
+
+
+def _noisy(t, seed=0):
+    """A copy moved by 1e-3 in every entry, so that no residual is at roundoff level."""
+    rng = np.random.default_rng(seed)
+    return t + 1e-3 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+
+
+def _values(cert):
+    return {c.name: c.value for c in cert.checks}
+
+
+def test_algebra_checks_match_loops(modules):
+    for f in modules:
+        for x in range(f.n_base):
+            clean = build_algebra(f, x)
+            # the star matrices of these algebras are symmetric; the noisy one is not
+            for t, s in ((clean.tensor, clean.star_mat), (_noisy(clean.tensor), _noisy(clean.star_mat, 1))):
+                alg = build_algebra(f, x)
+                alg.tensor, alg.star_mat = t, s
+                got = _values(verify_algebra(alg))
+                assert abs(got["associativity"] - _assoc_einsum(t, t, t, t)) < 1e-14, (f.name, x)
+                assert abs(got["antimultiplicative"] - _star_product_loop(t, s, s, t)) < 1e-14, (f.name, x)
+                assert max_residual(alg.gram_from_product(), _gram_loop(alg)) < 1e-14, (f.name, x)
+
+
+def test_bimodule_checks_match_loops(modules):
+    # corners whose size differs from the left algebra's: a transposed index fails here
+    corners = [(f, x, y) for f in modules for x, y in product(range(f.n_base), repeat=2)
+               if build_algebra(f, x).dim != build_bimodule(f, x, y).dim]
+    assert len(corners) >= 4
+    for f, x, y in corners:
+        ax, ay = build_algebra(f, x), build_algebra(f, y)
+        clean = build_bimodule(f, x, y)
+        for lt, rt in ((clean.left_tensor, clean.right_tensor),
+                       (_noisy(clean.left_tensor, 1), _noisy(clean.right_tensor, 2))):
+            bim = build_bimodule(f, x, y)
+            bim.left_tensor, bim.right_tensor = lt, rt
+            got = _values(verify_bimodule(bim))
+            assert abs(got["left_associativity"] - _assoc_einsum(ax.tensor, lt, lt, lt)) < 1e-14, (f.name, x, y)
+            assert abs(got["right_associativity"] - _assoc_einsum(rt, rt, ay.tensor, rt)) < 1e-14, (f.name, x, y)
+            assert abs(got["commuting_actions"] - _assoc_einsum(lt, rt, rt, lt)) < 1e-14, (f.name, x, y)
+            ref = _star_product_loop(lt, bim.star_mat, ax.star_mat, structure_tensor(f, y, x, x))
+            assert abs(got["star_exchanges_actions"] - ref) < 1e-14, (f.name, x, y)
+
+
+def test_block_associativity_matches_einsum(s3_modules, monkeypatch):
+    f = s3_modules["order2"]
+    basis, tensor = block_structure_tensor(f, (0, 1))
+    for t in (tensor, _noisy(tensor)):
+        monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, t))
+        got = _values(block_consistency(f, 0, 1))
+        assert abs(got["block_associativity"] - _assoc_einsum(t, t, t, t)) < 1e-14
+
+
+def test_multiplicative_matches_loop(restrictions, s3_modules):
+    # every algebra at a trivial base is commutative; the identity of S3 > S3
+    # read at the two-dimensional base maps the noncommutative M_2 to itself
+    full = s3_modules["full"]
+    matrix_map = replace(restriction_morphism(full, full), x_base=2, y_base=2)
+    assert build_algebra(full, 2).dim == 4
+    for mor in [*restrictions, matrix_map]:
+        noisy = replace(mor, psi={k: _noisy(v) for k, v in mor.psi.items()})
+        for m in (mor, noisy):
+            ref = _multiplicative_loop(algebra_map(m), build_algebra(m.source, m.x_base).tensor,
+                                       build_algebra(m.target, m.y_base).tensor)
+            assert abs(_values(verify_algebra_map(m))["multiplicative"] - ref) < 1e-14

@@ -1,11 +1,17 @@
+import tracemalloc
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+from qhspace import reconstruct, tensorcat
+from qhspace.grouprep import Subgroup, extract_irreps, symmetric_group
 from qhspace.modcat import module_from_pointed, module_from_subgroup
 from qhspace.numkit import max_residual
 from qhspace.reconstruct import (
     ReconstructionError,
     block_consistency,
+    block_structure_tensor,
     build_algebra,
     build_bimodule,
     classical_roundtrip,
@@ -129,3 +135,83 @@ def test_star_is_involutive_on_random_elements(s3_modules):
         alg = build_algebra(f, 0)
         v = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
         assert max_residual(alg.star(alg.star(v)), v) < 1e-9
+
+
+# Fault injection on the associativity checks.  Each fault adds 1e-3 to one
+# zero entry of a copied tensor: in a unit row (or right-unit column) for the
+# four checks that pair the fault with that unit, where the residual is
+# exactly the fault, and in the right-unit column of an off-diagonal corner
+# for commuting_actions.  Checks that do not read the copied tensor keep
+# their values.
+EPS = 1e-3
+
+
+def _bumped(t, idx):
+    bad = t.copy()
+    assert bad[idx] == 0.0
+    bad[idx] += EPS
+    return bad
+
+
+def _assert_caught(clean, bad, check, unchanged):
+    before = {c.name: c for c in clean.checks}
+    after = {c.name: c for c in bad.checks}
+    assert clean.passed, clean.to_text()
+    assert not after[check].passed and after[check].value >= EPS, after[check]
+    for name in unchanged:
+        assert after[name] == before[name], name
+
+
+def test_associativity_fault_caught(s3_modules):
+    f = s3_modules["full"]  # base dims (1, 1, 2): the algebra at base 2 has dimension 4
+    alg = build_algebra(f, 2)
+    alg.tensor = _bumped(build_algebra(f, 2).tensor, (0, 1, 2))
+    _assert_caught(verify_algebra(build_algebra(f, 2)), verify_algebra(alg), "associativity",
+                   ("right_unit", "involution", "unit_star"))
+
+
+@pytest.mark.parametrize("check, corner, side, unchanged", [
+    ("left_associativity", (0, 2), "left_tensor",
+     ("right_unit", "right_associativity", "star_involutive")),
+    ("right_associativity", (2, 0), "right_tensor",
+     ("left_unit", "left_associativity", "star_involutive", "star_exchanges_actions")),
+    ("commuting_actions", (2, 1), "right_tensor",
+     ("left_unit", "left_associativity", "star_involutive", "star_exchanges_actions")),
+])
+def test_bimodule_associativity_fault_caught(s3_modules, check, corner, side, unchanged):
+    # corners between a one-dimensional and a four-dimensional algebra, so
+    # that index (0, 0, 1) sits in the unit row of the left action or the
+    # unit column of the right action
+    f = s3_modules["full"]
+    bim = build_bimodule(f, *corner)
+    setattr(bim, side, _bumped(getattr(build_bimodule(f, *corner), side), (0, 0, 1)))
+    _assert_caught(verify_bimodule(build_bimodule(f, *corner)), verify_bimodule(bim), check, unchanged)
+
+
+def test_block_associativity_fault_caught(s3_modules, monkeypatch):
+    f = s3_modules["full"]
+    clean = block_consistency(f, 0, 2)
+    basis, tensor = block_structure_tensor(f, (0, 2))
+    # index 0 is the unit of corner (0, 0), indices 1 and 2 span corner (0, 2)
+    bad = _bumped(tensor, (0, 1, 2))
+    monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, bad))
+    _assert_caught(clean, block_consistency(f, 0, 2), "block_associativity", ("block_right_unit",))
+
+
+def test_block_consistency_memory_is_cubic():
+    # S4 over the S3 fixing the last point: the block algebra at base labels
+    # (0, 2) has dimension 4 + 8 + 8 + 16 = 36, so an n^4 tensor of it takes 27 MB
+    perms = sorted(permutations(range(4)))
+    g = symmetric_group(4)
+    cat = tensorcat.from_group(extract_irreps(g, seed=0))
+    f = module_from_subgroup(cat, Subgroup.generated(g, [perms.index((1, 0, 2, 3)),
+                                                         perms.index((1, 2, 0, 3))]))
+    assert len(block_structure_tensor(f, (0, 2))[0]) == 36
+    tracemalloc.start()
+    try:
+        cert = block_consistency(f, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed, cert.to_text()
+    assert peak < 10e6, peak

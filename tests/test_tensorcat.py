@@ -103,6 +103,20 @@ def test_canonical_conjugates_deterministic(s3_cat):
         assert np.array_equal(r1, r2) and np.array_equal(rb1, rb2)
 
 
+def test_canonical_conjugates_read_only_and_kept_by_rescaled_copies(s3_cat, z4_pointed_cat):
+    for cat in (s3_cat, z4_pointed_cat):
+        copy = cat.with_rescaled_conjugates(2.0 + 1j)
+        for a in cat.labels:
+            r, rb = cat.canonical_conjugates(a)
+            with pytest.raises(ValueError):
+                r[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                rb[0, 0] = 0.0
+            r2, rb2 = copy.canonical_conjugates(a)
+            assert np.array_equal(r, r2) and np.array_equal(rb, rb2)
+            assert not np.array_equal(copy.conj_solutions[a][0], r)
+
+
 def test_stored_conjugates_are_canonical(s3_cat, z4_cat, z4_pointed_cat):
     # before any rescaling the stored pair is the canonical one, so a star
     # matrix built from either pair is the same
