@@ -59,7 +59,15 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     # rotate by the argument rather than dividing by the modulus: the
     # division overflows for subnormal coordinates
     phase = np.exp(-1j * np.angle(flat[j]))
-    return v * phase
+    w = v * phase
+    out = np.abs(w.ravel())
+    if int(np.argmax(out)) != j:
+        # rounding in the rotation lifted a near-tied coordinate to the top;
+        # pin the pivot above it so the pivot stays the argmax and a second
+        # call is the identity
+        top = out.max()
+        w.ravel()[j] = top if out[:j].max(initial=0.0) < top else np.nextafter(top, np.inf)
+    return w
 
 
 @dataclass(frozen=True)
