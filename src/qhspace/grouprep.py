@@ -216,7 +216,8 @@ def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) ->
             acc += v.matrix(g) @ t @ u.matrix(group.inv(g))
         return (acc / n - t).ravel()
 
-    basis = solution_basis([avg_minus_id], du * dv, tol)
+    eye = np.eye(du * dv, dtype=np.complex128)
+    basis = solution_basis(np.column_stack([avg_minus_id(eye[:, j]) for j in range(du * dv)]), tol)
     return OrthonormalBasis(du * dv, tuple(w.reshape(dv, du) for w in basis.vectors), tol)
 
 

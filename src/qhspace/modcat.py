@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .grouprep import IrrepTable, Subgroup, UnitaryRep, extract_irreps, intertwiner_basis, restrict, tensor_rep
-from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, solution_basis
+from .numkit import DEFAULT_TOL, NumericalRankError, block_offsets, dagger, kron, max_residual
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError
 
 
@@ -227,6 +227,19 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
     module over the mu-twisted group algebra of K, with basis labeled by K.
     Basis vector k of X_r has grade t_r k, with t_r the first element of the
     r-th coset.
+
+    Every space Mor(X_r, delta_a (x) X_s) is at most one-dimensional, and its
+    generator is written down in closed form.  Right multiplication by l sends
+    e_j in X_r to rho_r(j, l) e_jl, with rho_r(j, l) = omega(t_r, j, l) mu(j, l),
+    and e_i in delta_a (x) X_s to rho_s(i, l) e_il, with rho_s(i, l) =
+    omega(t_s, i, l) mu(i, l) omega(a, t_s i, l).  Let g be the element of K
+    with a t_s g = t_r.  A grading-preserving map sends e_j to c_j e_pi(j),
+    pi(j) = g j, and it is a module map iff c_jl rho_r(j, l) = c_j rho_s(pi(j), l)
+    for all j, l.  The pivot convention fixes c_e = 1, so the entry at
+    (pi(e), e) is exactly 1; then c_l = rho_s(g, l) / rho_r(e, l).  All |K|^2
+    equations are checked at once: a residual above ``tol`` means the space is
+    zero and the block is dropped, and a residual within a factor 10 of
+    ``tol`` raises ``NumericalRankError``, the rule of ``solution_basis``.
     """
     if cat.kind != "pointed" or cat.pointed is None:
         raise ModuleDataError("coset module needs a pointed category")
@@ -251,11 +264,10 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
     for r, coset in enumerate(cosets):
         coset_of[list(coset)] = r
     grade = mul[reps_t[:, None], k_el[None, :]]
-    # free[r, l]: right multiplication by the l-th generator on X_r,
-    # e_k -> omega(t_r, k, l) mu(k, l) e_kl
-    r_, k_, l_ = np.ix_(np.arange(len(cosets)), np.arange(nk), np.arange(nk))
-    free = np.zeros((len(cosets), nk, nk, nk), dtype=np.complex128)
-    free[r_, l_, kpos[mul[k_el[k_], k_el[l_]]], k_] = om[reps_t[r_], k_el[k_], k_el[l_]] * mu[k_, l_]
+    # rho[r, j, l] = rho_r(j, l); prod[j, l] is the position of jl in K
+    rho = om[reps_t[:, None, None], k_el[None, :, None], k_el[None, None, :]] * mu
+    prod = kpos[mul[k_el[:, None], k_el[None, :]]]
+    e = int(kpos[group.identity])
 
     bases = {}
     for a in cat.labels:
@@ -263,25 +275,22 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
             if a == UNIT_LABEL:
                 bases[(a, s, s)] = np.eye(nk, dtype=np.complex128)[None]
                 continue
-            # grading-preserving module maps X_r -> delta_a (x) X_s
-            r = int(coset_of[mul[a, reps_t[s]]])
-            allowed = mul[a, grade[s]][:, None] == grade[r][None, :]
-            # right multiplication by generator l on delta_a (x) X_s
-            shifted = free[s] * om[a, grade[s][None, :], k_el[:, None]][:, None, :]
-            acts = [(shifted[lpos], free[r, lpos]) for lpos in range(nk)]
-
-            def grading(vec):
-                return vec.reshape(nk, nk)[~allowed].ravel()
-
-            def linearity(vec):
-                t = vec.reshape(nk, nk)
-                return np.concatenate(
-                    [(t @ rho_r - rho_gs @ t).ravel() for rho_gs, rho_r in acts]
+            at = mul[a, reps_t[s]]
+            r = int(coset_of[at])
+            g = mul[group.inverse[at], reps_t[r]]
+            perm = kpos[mul[g, k_el]]
+            rho_s = rho[s] * om[a, grade[s][:, None], k_el[None, :]]
+            c = rho_s[perm[e]] / rho[r, e]
+            c[e] = 1.0
+            res = max_residual(c[prod] * rho[r], c[:, None] * rho_s[perm])
+            if tol / 10.0 < res < tol * 10.0:
+                raise NumericalRankError(
+                    f"module-map residual {res:.3e} of block {(a, r, s)} is near the threshold {tol:.3e}"
                 )
-
-            basis = solution_basis([grading, linearity], nk * nk, tol)
-            if len(basis):
-                bases[(a, r, s)] = np.sqrt(nk) * np.stack([v.reshape(nk, nk) for v in basis.vectors])
+            if res <= tol:
+                t = np.zeros((1, nk, nk), dtype=np.complex128)
+                t[0, perm, np.arange(nk)] = c
+                bases[(a, r, s)] = t
     return _assemble(cat, f"coset[{nk}]", (nk,) * len(cosets), bases,
                      handle=np.arange(group.order), fuse=mul, phase=om[:, :, grade])
 

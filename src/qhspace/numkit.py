@@ -88,30 +88,25 @@ class OrthonormalBasis:
         return np.column_stack([v.ravel() for v in self.vectors])
 
 
-def solution_basis(constraints, dim: int, tol: float = DEFAULT_TOL) -> OrthonormalBasis:
-    """Orthonormal basis of the joint kernel of linear maps on C^dim.
+def solution_basis(constraint, tol: float = DEFAULT_TOL) -> OrthonormalBasis:
+    """Orthonormal basis of the kernel of a constraint matrix.
 
-    ``constraints`` is a sequence of callables sending a length-``dim`` vector
-    to a residual vector; the joint kernel is extracted from the SVD of the
-    stacked constraint matrix.  An empty constraint list yields the standard
-    basis.  Rank is decided by singular values above ``tol`` times the largest
-    one; a cluster of singular values within a factor 10 of the threshold is
-    reported as ill-conditioned input.
+    ``constraint`` is an (m, dim) matrix whose rows are the linear
+    constraints on C^dim; stack several constraint sets with ``np.vstack``.
+    A matrix with no rows yields the standard basis.  Rank is decided by
+    singular values above ``tol`` times the largest one; a cluster of
+    singular values within a factor 10 of the threshold is reported as
+    ill-conditioned input.
     """
-    constraints = list(constraints)
-    if not constraints:
+    stacked = np.asarray(constraint, dtype=np.complex128)
+    dim = stacked.shape[1]
+    if not stacked.shape[0]:
         eye = np.eye(dim, dtype=np.complex128)
         return OrthonormalBasis(dim, tuple(eye[:, j].copy() for j in range(dim)), tol)
 
-    rows = []
-    eye = np.eye(dim, dtype=np.complex128)
-    for lin in constraints:
-        cols = [np.asarray(lin(eye[:, j]), dtype=np.complex128).ravel() for j in range(dim)]
-        rows.append(np.column_stack(cols))
-    stacked = np.vstack(rows)
-
-    # the full SVD also for tall matrices: the reduced one gives the kernel
-    # vectors, and so the structure constants, different last bits
+    # the full SVD stays: the one pipeline caller passes a square matrix, for
+    # which the reduced SVD saves nothing; a tall matrix pays for a U that is
+    # never read, but the reduced SVD would move the last bits of its kernel
     _, svals, vh = np.linalg.svd(stacked)
     # floor the cutoff at tol itself so an all-zero constraint matrix is
     # recognized as rank 0 instead of rank decided by roundoff noise

@@ -277,36 +277,28 @@ def _recoupling_residual(cat: CategoryPresentation, a: int, b: int, c: int) -> f
 
     For each total channel e, the compositions through a x b and through
     b x c both give bases of the same morphism space; the matrix of inner
-    products between them must be unitary.
+    products between them must be unitary.  The paths of each side are
+    stacked, so the matrix is one einsum per channel.
     """
     worst = 0.0
     dims = cat.obj_dim
-    eye_c = np.eye(dims[c], dtype=np.complex128)
-    eye_a = np.eye(dims[a], dtype=np.complex128)
+    rows = dims[a] * dims[b] * dims[c]
     alpha_inv = np.conj(cat.assoc_scalar(a, b, c))
-    totals = set()
-    for d in cat.channels(a, b):
-        totals.update(cat.channels(d, c))
-    for e in sorted(totals):
-        left = []
-        for d in cat.channels(a, b):
-            for iota_ab in cat.isometries(a, b, d):
-                for iota_dc in cat.isometries(d, c, e):
-                    left.append(kron(iota_ab, eye_c) @ iota_dc)
-        right = []
-        for dd in cat.channels(b, c):
-            for iota_bc in cat.isometries(b, c, dd):
-                for iota_ad in cat.isometries(a, dd, e):
-                    right.append(alpha_inv * (kron(eye_a, iota_bc) @ iota_ad))
+    for e in sorted({e for d in cat.channels(a, b) for e in cat.channels(d, c)}):
+        de = dims[e]
+        # (iota_ab (x) id_c) iota_dc, with iota_ab major
+        left = [np.einsum("kxd,ldze->klxze", np.stack(cat.isometries(a, b, d)),
+                          np.stack(cat.isometries(d, c, e)).reshape(-1, dims[d], dims[c], de))
+                for d in cat.channels(a, b) if cat.mult(d, c, e)]
+        # (id_a (x) iota_bc) iota_ad, with iota_bc major
+        right = [np.einsum("kyd,lxde->klxye", np.stack(cat.isometries(b, c, d)),
+                           np.stack(cat.isometries(a, d, e)).reshape(-1, dims[a], dims[d], de))
+                 for d in cat.channels(b, c) if cat.mult(a, d, e)]
+        left = np.concatenate([x.reshape(-1, rows, de) for x in left])
+        right = np.concatenate([y.reshape(-1, rows, de) for y in right]) if right else left[:0]
         if len(left) != len(right):
             return float("inf")
-        if not left:
-            continue
-        de = dims[e]
-        w = np.empty((len(left), len(right)), dtype=np.complex128)
-        for i, x in enumerate(left):
-            for j, y in enumerate(right):
-                w[i, j] = np.trace(dagger(x) @ y) / de
+        w = alpha_inv * np.einsum("ipe,jpe->ij", np.conj(left), right) / de
         worst = max(worst, max_residual(dagger(w) @ w, np.eye(len(left))))
     return worst
 

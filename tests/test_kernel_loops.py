@@ -1,10 +1,11 @@
-"""Loop references for the block kernels of ``reconstruct``.
+"""Loop references for the block kernels of ``reconstruct``, ``tensorcat`` and ``modcat``.
 
 Each reference is the element-by-element form of a kernel: it lists the
 index triples of every space and finds each basis element with
 ``list.index``, so it shares no layout code with the kernel it checks.
 The certificate checks are compared with their whole-tensor einsum and
-pair-by-pair loop forms.
+pair-by-pair loop forms.  The closed-form coset-module bases are compared
+with the kernel of the full constraint matrix, found by an SVD.
 """
 
 from dataclasses import replace
@@ -14,9 +15,17 @@ import numpy as np
 import pytest
 
 from qhspace import tensorcat
-from qhspace.grouprep import Subgroup, extract_irreps, group_from_permutations
-from qhspace.modcat import module_from_subgroup
-from qhspace.numkit import DEFAULT_TOL, max_residual
+from qhspace.grouprep import (
+    FiniteGroup,
+    Subgroup,
+    cyclic_group,
+    dihedral_group,
+    extract_irreps,
+    group_from_permutations,
+    symmetric_group,
+)
+from qhspace.modcat import _assemble, module_from_pointed, module_from_subgroup, validate_module
+from qhspace.numkit import DEFAULT_TOL, NumericalRankError, max_residual, solution_basis
 from qhspace import reconstruct
 from qhspace.reconstruct import (
     _hexagon_residual,
@@ -383,3 +392,157 @@ def test_multiplicative_matches_loop(restrictions, s3_modules):
             ref = _multiplicative_loop(algebra_map(m), build_algebra(m.source, m.x_base).tensor,
                                        build_algebra(m.target, m.y_base).tensor)
             assert abs(_values(verify_algebra_map(m))["multiplicative"] - ref) < 1e-14
+
+
+def _recoupling_loop(cat, a, b, c):
+    """Path-by-path form of ``tensorcat._recoupling_residual``: the reference."""
+    worst = 0.0
+    dims = cat.obj_dim
+    eye_c = np.eye(dims[c], dtype=np.complex128)
+    eye_a = np.eye(dims[a], dtype=np.complex128)
+    alpha_inv = np.conj(cat.assoc_scalar(a, b, c))
+    totals = set()
+    for d in cat.channels(a, b):
+        totals.update(cat.channels(d, c))
+    for e in sorted(totals):
+        left = []
+        for d in cat.channels(a, b):
+            for iota_ab in cat.isometries(a, b, d):
+                for iota_dc in cat.isometries(d, c, e):
+                    left.append(np.kron(iota_ab, eye_c) @ iota_dc)
+        right = []
+        for dd in cat.channels(b, c):
+            for iota_bc in cat.isometries(b, c, dd):
+                for iota_ad in cat.isometries(a, dd, e):
+                    right.append(alpha_inv * (np.kron(eye_a, iota_bc) @ iota_ad))
+        if len(left) != len(right):
+            return float("inf")
+        w = np.empty((len(left), len(right)), dtype=np.complex128)
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                w[i, j] = np.trace(np.conj(x).T @ y) / dims[e]
+        worst = max(worst, max_residual(np.conj(w).T @ w, np.eye(len(left))))
+    return worst
+
+
+def test_recoupling_matches_loop(s3_cat, z4_pointed_cat, a4_modules):
+    z8 = tensorcat.from_pointed(tensorcat.standard_cyclic_cocycle(8))
+    cats = [s3_cat, z4_pointed_cat, a4_modules[0].cat, z8]
+    # one fusion isometry moved by 1e-3, so that the residuals are not at roundoff level
+    key = (1, 1)
+    chan = s3_cat.channels(*key)[0]
+    bad = list(s3_cat.fusion[key][chan])
+    bad[0] = _noisy(bad[0])
+    fusion = {**s3_cat.fusion, key: {**s3_cat.fusion[key], chan: tuple(bad)}}
+    cats.append(replace(s3_cat, fusion=fusion))
+    for cat in cats:
+        for a, b, c in product(cat.labels, repeat=3):
+            got, ref = tensorcat._recoupling_residual(cat, a, b, c), _recoupling_loop(cat, a, b, c)
+            assert abs(got - ref) < 1e-14, (cat.kind, a, b, c)
+            assert (got <= DEFAULT_TOL) == (ref <= DEFAULT_TOL)
+    assert tensorcat._recoupling_residual(cats[-1], 1, 1, 1) > DEFAULT_TOL
+
+
+def _coset_bases_svd(cat, subgroup, mu=None, tol=DEFAULT_TOL):
+    """Coset-module bases as the kernel of the grading and linearity constraints: the reference.
+
+    Column j of the constraint matrix of each (a, s) is the image of the
+    j-th unit matrix under the grading and linearity maps; its kernel, found
+    by an SVD, is phase-fixed at its largest coordinate.
+    """
+    group = cat.pointed.group
+    om, mul = cat.pointed.cocycle, group.mult_table
+    k_el = np.array(subgroup.elements)
+    nk = len(k_el)
+    mu = np.ones((nk, nk), dtype=np.complex128) if mu is None else mu
+    kpos = np.full(group.order, -1)
+    kpos[k_el] = np.arange(nk)
+    cosets = subgroup.left_cosets()
+    reps_t = np.array([c[0] for c in cosets])
+    coset_of = {g: r for r, coset in enumerate(cosets) for g in coset}
+    grade = mul[reps_t[:, None], k_el[None, :]]
+    # free[r, l]: e_k -> omega(t_r, k, l) mu(k, l) e_kl on X_r
+    free = np.zeros((len(cosets), nk, nk, nk), dtype=np.complex128)
+    for r, l, k in product(range(len(cosets)), range(nk), range(nk)):
+        free[r, l, kpos[mul[k_el[k], k_el[l]]], k] = om[reps_t[r], k_el[k], k_el[l]] * mu[k, l]
+    # the standard basis of the nk x nk matrices, one per column of the constraint matrix
+    units = np.eye(nk * nk, dtype=np.complex128).reshape(-1, nk, nk)
+    bases = {}
+    for a in cat.labels:
+        for s in range(len(cosets)):
+            r = coset_of[mul[a, reps_t[s]]]
+            allowed = mul[a, grade[s]][:, None] == grade[r][None, :]
+            shifted = free[s] * om[a, grade[s][None, :], k_el[:, None]][:, None, :]
+            grading = units[:, ~allowed]
+            linearity = [(units @ free[r, l] - shifted[l] @ units).reshape(nk * nk, -1) for l in range(nk)]
+            basis = solution_basis(np.hstack([grading, *linearity]).T, tol)
+            if len(basis):
+                bases[(a, r, s)] = np.sqrt(nk) * np.stack([v.reshape(nk, nk) for v in basis.vectors])
+    return bases
+
+
+def _cyclic_subgroups(group):
+    return sorted({Subgroup.generated(group, [g]).elements for g in range(group.order)})
+
+
+def _klein_twisted():
+    """Z2 x Z2 (element 2 a2 + a1) with K = G and mu(a, b) = (-1)^(a1 b2), a bilinear 2-cocycle."""
+    el = np.arange(4)
+    k4 = FiniteGroup(el[:, None] ^ el[None, :])
+    mu = (-1.0 + 0j) ** ((el[:, None] & 1) * (el[None, :] >> 1))
+    cat = tensorcat.from_pointed(tensorcat.PointedFusionData(k4, np.ones((4, 4, 4))))
+    return cat, Subgroup(k4, tuple(range(4))), mu
+
+
+def _trivial_pointed(group):
+    return tensorcat.from_pointed(tensorcat.PointedFusionData(group, np.ones((group.order,) * 3)))
+
+
+def _coset_cases(z4_pointed_cat, z4_trivial_pointed_cat, z4):
+    cases = [(z4_pointed_cat, Subgroup.generated(z4, []), None),
+             (z4_trivial_pointed_cat, Subgroup.generated(z4, [1]), None),
+             _klein_twisted()]
+    for group in (symmetric_group(3), dihedral_group(8)):
+        cat = _trivial_pointed(group)
+        cases += [(cat, Subgroup(group, k), None) for k in _cyclic_subgroups(group)]
+    z8 = cyclic_group(8)
+    cases.append((_trivial_pointed(z8), Subgroup(z8, (0, 4)), None))
+    return cases
+
+
+def test_coset_bases_match_svd_kernel(z4_pointed_cat, z4_trivial_pointed_cat, z4):
+    cases = _coset_cases(z4_pointed_cat, z4_trivial_pointed_cat, z4)
+    assert len(cases) == 3 + 5 + 12 + 1
+    for cat, sub, mu in cases:
+        got = module_from_pointed(cat, sub, mu=mu).bases
+        ref = _coset_bases_svd(cat, sub, mu)
+        assert got.keys() == ref.keys(), (cat.pointed.group.order, sub.elements)
+        for key, t in got.items():
+            assert t.shape == ref[key].shape == (1, len(sub.elements), len(sub.elements))
+            # equal up to one unit phase, and the entry at (pi(e), e) is exactly 1
+            z = np.vdot(ref[key], t) / np.vdot(ref[key], ref[key])
+            assert abs(abs(z) - 1.0) < 1e-12 and max_residual(t, z * ref[key]) < 1e-12, key
+            assert t[0, :, sub.elements.index(0)].tolist().count(1.0) == 1
+
+
+def _tampered_z8(entry):
+    """Z8 with the trivial cocycle, omega[3, 1, 4] set in place after the category is made."""
+    cat = _trivial_pointed(cyclic_group(8))
+    cat.pointed.cocycle[3, 1, 4] = entry
+    return cat, Subgroup(cat.pointed.group, (0, 4))
+
+
+def test_tampered_cocycle_drops_the_same_block():
+    cat, sub = _tampered_z8(-1.0)
+    got = module_from_pointed(cat, sub)
+    ref = _coset_bases_svd(cat, sub)
+    assert len(got.bases) == len(ref) == 31 and got.bases.keys() == ref.keys()
+    failed = ["decomposition_count", "coherence_unitarity", "triple_coherence", "frobenius_dims"]
+    for f in (got, _assemble(cat, "svd", got.base_dims, ref, got.handle, got.fuse, got.phase)):
+        assert [c.name for c in validate_module(f).checks if not c.passed] == failed
+
+
+def test_tampered_cocycle_near_threshold_refuses():
+    cat, sub = _tampered_z8(np.exp(1e-9j))
+    with pytest.raises(NumericalRankError):
+        module_from_pointed(cat, sub)

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import qhspace
 from qhspace.grouprep import Subgroup, cyclic_group, extract_irreps
 from qhspace import tensorcat
 from qhspace.modcat import (
@@ -265,3 +269,47 @@ def test_triple_coherence_matches_chain_loop(s3_modules, z4_pointed_module, z4_c
     flipped = _flipped_z4_module(z4)
     for f in (*s3_modules.values(), z4_pointed_module, z4_coset_module, flipped):
         assert abs(_triple_coherence_residual(f) - _triple_loop(f)) < 1e-14, f.name
+
+
+# builds Z10 > Z10 and Z8 > Z2 over the trivial cocycle and saves every basis,
+# structure tensor and star matrix to the .npz file named by argv[1]
+_COSET_DUMP = """
+import sys
+import numpy as np
+from qhspace import tensorcat
+from qhspace.grouprep import Subgroup, cyclic_group
+from qhspace.modcat import module_from_pointed
+from qhspace.reconstruct import build_algebra
+
+out = {}
+for n, k in ((10, tuple(range(10))), (8, (0, 4))):
+    group = cyclic_group(n)
+    cat = tensorcat.from_pointed(tensorcat.PointedFusionData(group, np.ones((n, n, n))))
+    f = module_from_pointed(cat, Subgroup(group, k))
+    for key, basis in f.bases.items():
+        out[f"{n}/basis{key}"] = basis
+    for r in range(f.n_base):
+        alg = build_algebra(f, r)
+        out[f"{n}/tensor{r}"] = alg.tensor
+        out[f"{n}/star{r}"] = alg.star_mat
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_coset_bits_independent_of_blas_threads_and_kernel(tmp_path):
+    # the closed-form bases use no BLAS, so nothing downstream inherits its
+    # thread- or kernel-dependent rounding
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qhspace.__file__))
+    runs = []
+    for name, extra in (("default", {}), ("threads2", {"OPENBLAS_NUM_THREADS": "2"}),
+                        ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+        out = tmp_path / f"{name}.npz"
+        subprocess.run([sys.executable, "-c", _COSET_DUMP, str(out)], env={**env, **extra},
+                       check=True, timeout=300)
+        runs.append(np.load(out))
+    ref = runs[0]
+    assert len(ref.files) == 12 + 40
+    for run in runs[1:]:
+        assert run.files == ref.files
+        assert [k for k in ref.files if not np.array_equal(run[k], ref[k])] == []

@@ -48,28 +48,28 @@ def test_phase_fix_gauge_independent(v, r, t):
 
 
 def test_solution_basis_empty_constraints_is_standard_basis():
-    basis = solution_basis([], 4)
+    basis = solution_basis(np.zeros((0, 4)))
     assert len(basis) == 4
     assert np.array_equal(basis.matrix(), np.eye(4))
 
 
 def test_solution_basis_kernel():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    basis = solution_basis([lambda v: a @ v], 3)
+    basis = solution_basis(a)
     assert len(basis) == 1
     v = basis.vectors[0]
     assert max_residual(a @ v, np.zeros(2)) < 1e-12
 
 
 def test_solution_basis_zero_map_full_kernel():
-    basis = solution_basis([lambda v: np.zeros(2)], 3)
+    basis = solution_basis(np.zeros((2, 3)))
     assert len(basis) == 3
 
 
 def test_solution_basis_threshold_cluster_raises():
     a = np.diag([1.0, 5e-9, 1e-15])
     with pytest.raises(NumericalRankError):
-        solution_basis([lambda v: a @ v], 3, tol=1e-9)
+        solution_basis(a, tol=1e-9)
 
 
 def test_solution_basis_tall_known_kernel():
@@ -78,7 +78,7 @@ def test_solution_basis_tall_known_kernel():
     k = np.array([1.0, -2j, 0.0]) / np.sqrt(5.0)
     a = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
     a -= np.outer(a @ k, np.conj(k))
-    basis = solution_basis([lambda v: a[:6] @ v, lambda v: a[6:] @ v], 3)
+    basis = solution_basis(np.vstack([a[:6], a[6:]]))
     assert len(basis) == 1
     v = basis.vectors[0]
     assert abs(v[1].imag) < 1e-12 and v[1].real > 0  # the largest coordinate is real positive
@@ -88,7 +88,7 @@ def test_solution_basis_tall_known_kernel():
 def test_solution_basis_tall_threshold_cluster_raises():
     a = np.vstack([np.diag([1.0, 5e-9, 1e-15]), np.zeros((5, 3))])
     with pytest.raises(NumericalRankError):
-        solution_basis([lambda v: a @ v], 3, tol=1e-9)
+        solution_basis(a, tol=1e-9)
 
 
 def test_psd_check():
