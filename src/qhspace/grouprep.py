@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import DEFAULT_TOL, OrthonormalBasis, dagger, kron, max_residual, solution_basis
+from .numkit import DEFAULT_TOL, dagger, max_residual, solution_basis
 
 
 class GroupAxiomError(Exception):
@@ -42,17 +42,10 @@ class FiniteGroup:
                 raise GroupAxiomError(f"table is not a Latin square at row/col {i}")
             if table[self.identity, i] != i or table[i, self.identity] != i:
                 raise GroupAxiomError(f"identity law fails at element {i}")
-        # associativity: exhaustive up to order 256, sampled beyond
-        if n <= 256:
-            t = table
-            for g in range(n):
-                if not np.array_equal(t[t[g, :], :][:, :], t[g, t]):
-                    raise GroupAxiomError(f"associativity fails involving element {g}")
-        else:
-            rng = np.random.default_rng(0)
-            for g, h, k in rng.integers(0, n, size=(4096, 3)):
-                if table[table[g, h], k] != table[g, table[h, k]]:
-                    raise GroupAxiomError(f"associativity fails at ({g},{h},{k})")
+        # associativity, exhaustively, one row g at a time: (gh)k against g(hk)
+        for g in range(n):
+            if not np.array_equal(table[table[g]], table[g, table]):
+                raise GroupAxiomError(f"associativity fails involving element {g}")
 
     @property
     def order(self) -> int:
@@ -148,77 +141,70 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 @dataclass(frozen=True)
 class UnitaryRep:
-    """A unitary representation given by one matrix per group element."""
+    """A unitary representation: ``mats[g]`` is the matrix of element g, shape (|G|, d, d)."""
 
     group: FiniteGroup
-    matrices: tuple[np.ndarray, ...]
+    mats: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mats", np.asarray(self.mats, dtype=np.complex128))
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
-
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
+        return self.mats.shape[1]
 
     @cached_property
     def character(self) -> np.ndarray:
-        return np.array([np.trace(m) for m in self.matrices])
+        return np.trace(self.mats, axis1=1, axis2=2)
 
     def validate(self, tol: float = DEFAULT_TOL) -> float:
         """Max residual over unitarity and multiplicativity checks."""
-        worst = 0.0
-        eye = np.eye(self.dim)
-        for g, m in enumerate(self.matrices):
-            worst = max(worst, max_residual(dagger(m) @ m, eye))
+        m = self.mats
+        worst = max_residual(np.conj(m).transpose(0, 2, 1) @ m, np.eye(self.dim))
         for g in range(self.group.order):
-            for h in range(self.group.order):
-                prod = self.matrices[g] @ self.matrices[h]
-                worst = max(worst, max_residual(prod, self.matrices[self.group.mul(g, h)]))
+            worst = max(worst, max_residual(m[g] @ m, m[self.group.mult_table[g]]))
         return worst
 
 
 def trivial_rep(group: FiniteGroup) -> UnitaryRep:
-    one = np.ones((1, 1), dtype=np.complex128)
-    return UnitaryRep(group, tuple(one for _ in range(group.order)))
+    return UnitaryRep(group, np.ones((group.order, 1, 1), dtype=np.complex128))
 
 
 def tensor_rep(u: UnitaryRep, v: UnitaryRep) -> UnitaryRep:
     if u.group is not v.group and not np.array_equal(u.group.mult_table, v.group.mult_table):
         raise ValueError("tensor product needs a common group")
-    return UnitaryRep(u.group, tuple(kron(u.matrix(g), v.matrix(g)) for g in range(u.group.order)))
+    # the broadcast product rounds exactly as np.kron does; einsum does not
+    prod = u.mats[:, :, None, :, None] * v.mats[:, None, :, None, :]
+    d = u.dim * v.dim
+    return UnitaryRep(u.group, prod.reshape(u.group.order, d, d))
 
 
 def regular_rep(group: FiniteGroup) -> UnitaryRep:
     n = group.order
-    mats = []
-    for g in range(n):
-        m = np.zeros((n, n), dtype=np.complex128)
-        for h in range(n):
-            m[group.mul(g, h), h] = 1.0
-        mats.append(m)
-    return UnitaryRep(group, tuple(mats))
+    mats = np.zeros((n, n, n), dtype=np.complex128)
+    idx = np.arange(n)
+    mats[idx[:, None], group.mult_table, idx[None, :]] = 1.0  # g sends h to gh
+    return UnitaryRep(group, mats)
 
 
-def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) -> OrthonormalBasis:
-    """Orthonormal basis of {T : T u(g) = v(g) T for all g}.
+def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of {T : T u(g) = v(g) T for all g}, stacked as (k, dim v, dim u).
 
-    Computed by the averaging projector T -> (1/|G|) sum_g v(g) T u(g)^-1
-    followed by kernel extraction of (P - id).
+    Computed by the averaging projector P: T -> (1/|G|) sum_g v(g) T u(g)^-1,
+    applied to all matrix units at once, followed by kernel extraction of
+    (P - id).
     """
     group = u.group
-    n = group.order
     du, dv = u.dim, v.dim
-
-    def avg_minus_id(vec):
-        t = vec.reshape(dv, du)
-        acc = np.zeros_like(t)
-        for g in range(n):
-            acc += v.matrix(g) @ t @ u.matrix(group.inv(g))
-        return (acc / n - t).ravel()
-
-    eye = np.eye(du * dv, dtype=np.complex128)
-    basis = solution_basis(np.column_stack([avg_minus_id(eye[:, j]) for j in range(du * dv)]), tol)
-    return OrthonormalBasis(du * dv, tuple(w.reshape(dv, du) for w in basis.vectors), tol)
+    units = np.eye(du * dv, dtype=np.complex128).reshape(du * dv, dv, du)
+    acc = np.zeros_like(units)
+    # one g at a time, in g order: a single sum over g rounds differently
+    for g in range(group.order):
+        acc += v.mats[g] @ units @ u.mats[group.inverse[g]]
+    # column j of the constraint matrix is (P - id) of the j-th matrix unit
+    constraint = (acc / group.order - units).reshape(du * dv, du * dv).T
+    basis = solution_basis(constraint, tol)
+    return basis.reshape(len(basis), dv, du)
 
 
 @dataclass(frozen=True)
@@ -275,6 +261,19 @@ def _character_key(group: FiniteGroup, rep: UnitaryRep, digits: int = 6):
     return (rep.dim, tuple(key))
 
 
+def _regular_average(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
+    """Hermitian part of (1/|G|) sum_g R(g) h R(g^-1), R the regular representation.
+
+    R(g) h R(g^-1) permutes the rows and columns of h; the terms are added
+    one g at a time, in g order.
+    """
+    c = np.zeros_like(h)
+    for g in range(group.order):
+        p = group.mult_table[group.inverse[g]]
+        c += h[np.ix_(p, p)]
+    return (c + dagger(c)) / (2.0 * group.order)
+
+
 def extract_irreps(group: FiniteGroup, seed: int = 0, tol: float = DEFAULT_TOL) -> IrrepTable:
     """Decompose the regular representation into a full irrep table.
 
@@ -282,18 +281,13 @@ def extract_irreps(group: FiniteGroup, seed: int = 0, tol: float = DEFAULT_TOL) 
     give a commutant element; its eigenspaces are invariant, generically
     irreducible, subspaces.  Degenerate seeds are retried up to 8 times.
     """
-    reg = regular_rep(group)
     n = group.order
     last_err = None
     for attempt in range(8):
         rng = np.random.default_rng(seed + attempt)
         h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (h + dagger(h)) / 2.0
-        c = np.zeros((n, n), dtype=np.complex128)
-        for g in range(n):
-            c += reg.matrix(g) @ h @ reg.matrix(group.inv(g))
-        c = (c + dagger(c)) / (2.0 * n)
-        evals, evecs = np.linalg.eigh(c)
+        evals, evecs = np.linalg.eigh(_regular_average(group, h))
         # cluster eigenvalues into invariant subspaces
         blocks = []
         start = 0
@@ -304,8 +298,8 @@ def extract_irreps(group: FiniteGroup, seed: int = 0, tol: float = DEFAULT_TOL) 
         try:
             candidates = []
             for basis in blocks:
-                mats = tuple(dagger(basis) @ reg.matrix(g) @ basis for g in range(n))
-                cand = UnitaryRep(group, mats)
+                # (B^dagger R(g)) B, where B^dagger R(g) permutes the columns of B^dagger
+                cand = UnitaryRep(group, dagger(basis)[:, group.mult_table].transpose(1, 0, 2) @ basis)
                 if cand.validate(1e-8) > 1e-8:
                     raise IrrepExtractionError("eigenspace is not invariant")
                 if len(intertwiner_basis(cand, cand, tol)) != 1:
@@ -397,4 +391,4 @@ def restrict(u: UnitaryRep, sub: Subgroup) -> UnitaryRep:
     """Restriction of a representation to a subgroup (reindexed matrices)."""
     if sub.parent is not u.group and not np.array_equal(sub.parent.mult_table, u.group.mult_table):
         raise ValueError("subgroup does not belong to the representation's group")
-    return UnitaryRep(sub.as_group, tuple(u.matrix(g) for g in sub.elements))
+    return UnitaryRep(sub.as_group, u.mats[list(sub.elements)])

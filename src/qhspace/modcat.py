@@ -194,7 +194,7 @@ def module_from_subgroup(cat: CategoryPresentation, subgroup: Subgroup,
             for r, xr in enumerate(table.irreps):
                 basis = intertwiner_basis(xr, acting, tol)
                 if len(basis):
-                    bases[(a, r, s)] = np.sqrt(base_dims[r]) * np.stack(basis.vectors)
+                    bases[(a, r, s)] = np.sqrt(base_dims[r]) * basis
     n_labels, j = len(cat.obj_dim), len(base_dims)
     return _assemble(
         cat, f"subgroup[{len(subgroup.elements)}]", base_dims, bases,

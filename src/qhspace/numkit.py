@@ -8,8 +8,6 @@ has to be canonical and reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -70,26 +68,8 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
-    """Orthonormal column vectors of a subspace of C^ambient_dim."""
-
-    ambient_dim: int
-    vectors: tuple[np.ndarray, ...]
-    tolerance: float = DEFAULT_TOL
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def matrix(self) -> np.ndarray:
-        """Basis as the columns of an ambient_dim x len(self) matrix."""
-        if not self.vectors:
-            return np.zeros((self.ambient_dim, 0), dtype=np.complex128)
-        return np.column_stack([v.ravel() for v in self.vectors])
-
-
-def solution_basis(constraint, tol: float = DEFAULT_TOL) -> OrthonormalBasis:
-    """Orthonormal basis of the kernel of a constraint matrix.
+def solution_basis(constraint, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of a constraint matrix, as the rows of a (k, dim) array.
 
     ``constraint`` is an (m, dim) matrix whose rows are the linear
     constraints on C^dim; stack several constraint sets with ``np.vstack``.
@@ -101,8 +81,7 @@ def solution_basis(constraint, tol: float = DEFAULT_TOL) -> OrthonormalBasis:
     stacked = np.asarray(constraint, dtype=np.complex128)
     dim = stacked.shape[1]
     if not stacked.shape[0]:
-        eye = np.eye(dim, dtype=np.complex128)
-        return OrthonormalBasis(dim, tuple(eye[:, j].copy() for j in range(dim)), tol)
+        return np.eye(dim, dtype=np.complex128)
 
     # the full SVD stays: the one pipeline caller passes a square matrix, for
     # which the reduced SVD saves nothing; a tall matrix pays for a U that is
@@ -119,8 +98,7 @@ def solution_basis(constraint, tol: float = DEFAULT_TOL) -> OrthonormalBasis:
             )
     rank = int(np.sum(svals > cutoff)) if svals.size else 0
     kernel = vh[rank:, :].conj()  # rows span the kernel
-    vectors = tuple(phase_fix(kernel[j, :].copy()) for j in range(kernel.shape[0]))
-    return OrthonormalBasis(dim, vectors, tol)
+    return np.array([phase_fix(row) for row in kernel], dtype=np.complex128).reshape(len(kernel), dim)
 
 
 def psd_check(g, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

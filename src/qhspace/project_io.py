@@ -82,18 +82,15 @@ def category_fingerprint(cat: tensorcat.CategoryPresentation) -> str:
 def irrep_table_to_dict(table: IrrepTable) -> dict:
     return {
         "mult_table": np.asarray(table.group.mult_table).tolist(),
-        "irreps": [encode_array(np.stack(r.matrices)) for r in table.irreps],
+        "irreps": [encode_array(r.mats) for r in table.irreps],
         "dual_map": list(table.dual_map),
     }
 
 
 def irrep_table_from_dict(d: dict) -> IrrepTable:
     group = FiniteGroup(np.asarray(d["mult_table"], dtype=np.int64))
-    irreps = []
-    for mats in d["irreps"]:
-        arr = decode_array(mats)
-        irreps.append(UnitaryRep(group, tuple(arr[k] for k in range(arr.shape[0]))))
-    return IrrepTable(group, tuple(irreps), tuple(d["dual_map"]))
+    irreps = tuple(UnitaryRep(group, decode_array(mats)) for mats in d["irreps"])
+    return IrrepTable(group, irreps, tuple(d["dual_map"]))
 
 
 def algebra_to_dict(alg: SpectralAlgebra) -> dict:

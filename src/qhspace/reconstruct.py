@@ -259,7 +259,6 @@ def verify_algebra(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
 
 
 def cp_certificate(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
-                   amplification_sizes: tuple[int, ...] = (1, 2, 3),
                    seed: int = 0) -> Certificate:
     """Positivity of the invariant expectation, by two independent routes."""
     cert = Certificate(subject=f"cp[{alg.functor.name}@{alg.base}]",
@@ -277,9 +276,7 @@ def cp_certificate(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
 
     rng = np.random.default_rng(seed)
     gh = (g1 + dagger(g1)) / 2.0
-    for size in amplification_sizes:
-        if size <= 1:
-            continue
+    for size in (2, 3):
         worst_lo = 0.0
         for _ in range(4):
             c = rng.standard_normal((alg.dim, size)) + 1j * rng.standard_normal((alg.dim, size))
@@ -504,7 +501,7 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
     spaces are intertwiner spaces over the smaller subgroup; the exchange
     blocks are computed by expanding honest morphism composites.
     """
-    from .grouprep import UnitaryRep, intertwiner_basis
+    from .grouprep import Subgroup, intertwiner_basis, restrict
 
     if fx.irrep_table is None or fy.irrep_table is None:
         raise ReconstructionError("restriction morphism needs subgroup-backed modules")
@@ -514,21 +511,18 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
     if not set(hy.elements) <= set(hx.elements):
         raise ReconstructionError("target subgroup must be contained in the source subgroup")
 
+    # H_y as a subgroup of H_x, on H_x's element positions
     pos_x = {g: i for i, g in enumerate(hx.elements)}
-
-    def as_hy_rep(rep_x: UnitaryRep) -> UnitaryRep:
-        mats = tuple(rep_x.matrix(pos_x[g]) for g in hy.elements)
-        return UnitaryRep(hy.as_group, mats)
+    hy_in_hx = Subgroup(hx.as_group, tuple(pos_x[g] for g in hy.elements))
 
     jx, jy = fx.n_base, fy.n_base
-    fbases: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+    fbases: dict[tuple[int, int], np.ndarray] = {}
     fdims = np.zeros((jy, jx), dtype=np.int64)
     for p in range(jy):
         for r in range(jx):
             basis = intertwiner_basis(fy.irrep_table.irreps[p],
-                                      as_hy_rep(fx.irrep_table.irreps[r]), tol)
-            scale = np.sqrt(fy.base_dims[p])
-            fbases[(p, r)] = tuple(scale * v for v in basis.vectors)
+                                      restrict(fx.irrep_table.irreps[r], hy_in_hx), tol)
+            fbases[(p, r)] = np.sqrt(fy.base_dims[p]) * basis
             fdims[p, r] = len(basis)
 
     mor = ModuleMorphism(fx, fy, fdims, {}, x_base=0, y_base=0)

@@ -211,8 +211,7 @@ def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentat
             for c in range(n):
                 basis = intertwiner_basis(reps[c], prod, tol)
                 if len(basis):
-                    scale = np.sqrt(dims[c])
-                    by_channel[c] = tuple(scale * t for t in basis.vectors)
+                    by_channel[c] = tuple(np.sqrt(dims[c]) * basis)
             fusion[(a, b)] = by_channel
     return CategoryPresentation(
         kind="group",
@@ -350,14 +349,12 @@ def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> 
 
     if cat.kind == "group" and cat.reps is not None:
         equi = 0.0
-        group = cat.reps[0].group
         for a in cat.labels:
             for b in cat.labels:
+                big = tensor_rep(cat.reps[a], cat.reps[b]).mats
                 for c in cat.channels(a, b):
                     for iota in cat.isometries(a, b, c):
-                        for g in range(group.order):
-                            big = kron(cat.reps[a].matrix(g), cat.reps[b].matrix(g))
-                            equi = max(equi, max_residual(big @ iota, iota @ cat.reps[c].matrix(g)))
+                        equi = max(equi, max_residual(big @ iota, iota @ cat.reps[c].mats))
         cert.add("fusion_equivariance", "fusion isometries intertwine the group action", equi)
     if cat.kind == "pointed" and cat.pointed is not None:
         law_ok = all(

@@ -5,6 +5,7 @@ from qhspace.grouprep import (
     FiniteGroup,
     GroupAxiomError,
     Subgroup,
+    UnitaryRep,
     cyclic_group,
     dihedral_group,
     extract_irreps,
@@ -20,6 +21,31 @@ from qhspace.grouprep import (
 def test_group_axioms_reject_bad_table():
     with pytest.raises(GroupAxiomError):
         FiniteGroup(np.array([[0, 0], [0, 0]]))
+
+
+def test_group_axioms_reject_nonassociative_loop_of_order_260():
+    # swapping the entries 3 and 133 at rows 1, 131 and columns 2, 132 of Z260
+    # keeps a Latin square with identity 0, but 1 * (1 * 2) = 1 * 133 = 134
+    # while (1 * 1) * 2 = 2 * 2 = 4; a sample of triples can miss this
+    table = cyclic_group(260).mult_table.copy()
+    for r, c in ((1, 2), (1, 132), (131, 2), (131, 132)):
+        table[r, c] = 136 - table[r, c]  # 3 <-> 133
+    with pytest.raises(GroupAxiomError):
+        FiniteGroup(table)
+
+
+def test_unitary_rep_validate_catches_one_perturbed_entry(s3_table):
+    tol = 1e-8
+    for rep in s3_table.irreps:
+        assert rep.validate() < 1e-12
+        for g in range(rep.group.order):
+            mats = rep.mats.copy()
+            mats[g, -1, 0] += 1e-6
+            assert UnitaryRep(rep.group, mats).validate() > tol, (rep.dim, g)
+    # a similar representation is still multiplicative, but no longer unitary
+    two = s3_table.irreps[2]
+    s = np.diag([1.0, 1.0 + 1e-6])
+    assert UnitaryRep(two.group, s @ two.mats @ np.linalg.inv(s)).validate() > tol
 
 
 def test_symmetric_group_order():
@@ -64,8 +90,7 @@ def test_extraction_deterministic(s3):
     t1 = extract_irreps(s3, seed=0)
     t2 = extract_irreps(s3, seed=0)
     for a, b in zip(t1.irreps, t2.irreps):
-        for ma, mb in zip(a.matrices, b.matrices):
-            assert np.array_equal(ma, mb)
+        assert np.array_equal(a.mats, b.mats)
 
 
 def test_subgroup_generated_closure(s3):

@@ -40,8 +40,7 @@ def test_array_roundtrip():
 def test_irrep_table_roundtrip(s3_table):
     t2 = irrep_table_from_dict(irrep_table_to_dict(s3_table))
     for a, b in zip(s3_table.irreps, t2.irreps):
-        for ma, mb in zip(a.matrices, b.matrices):
-            assert np.array_equal(ma, mb)
+        assert np.array_equal(a.mats, b.mats)
 
 
 def test_algebra_dict_roundtrip(s3_modules):

@@ -5,7 +5,9 @@ index triples of every space and finds each basis element with
 ``list.index``, so it shares no layout code with the kernel it checks.
 The certificate checks are compared with their whole-tensor einsum and
 pair-by-pair loop forms.  The closed-form coset-module bases are compared
-with the kernel of the full constraint matrix, found by an SVD.
+with the kernel of the full constraint matrix, found by an SVD.  The
+stacked-array kernels of ``grouprep`` are compared with their
+tuple-of-matrices forms, which loop over the group elements.
 """
 
 from dataclasses import replace
@@ -15,17 +17,20 @@ import numpy as np
 import pytest
 
 from qhspace import tensorcat
+from qhspace import grouprep
 from qhspace.grouprep import (
     FiniteGroup,
     Subgroup,
+    _regular_average,
     cyclic_group,
     dihedral_group,
     extract_irreps,
     group_from_permutations,
     symmetric_group,
+    tensor_rep,
 )
 from qhspace.modcat import _assemble, module_from_pointed, module_from_subgroup, validate_module
-from qhspace.numkit import DEFAULT_TOL, NumericalRankError, max_residual, solution_basis
+from qhspace.numkit import DEFAULT_TOL, NumericalRankError, kron, max_residual, solution_basis
 from qhspace import reconstruct
 from qhspace.reconstruct import (
     _hexagon_residual,
@@ -477,7 +482,7 @@ def _coset_bases_svd(cat, subgroup, mu=None, tol=DEFAULT_TOL):
             linearity = [(units @ free[r, l] - shifted[l] @ units).reshape(nk * nk, -1) for l in range(nk)]
             basis = solution_basis(np.hstack([grading, *linearity]).T, tol)
             if len(basis):
-                bases[(a, r, s)] = np.sqrt(nk) * np.stack([v.reshape(nk, nk) for v in basis.vectors])
+                bases[(a, r, s)] = np.sqrt(nk) * basis.reshape(-1, nk, nk)
     return bases
 
 
@@ -546,3 +551,86 @@ def test_tampered_cocycle_near_threshold_refuses():
     cat, sub = _tampered_z8(np.exp(1e-9j))
     with pytest.raises(NumericalRankError):
         module_from_pointed(cat, sub)
+
+
+# ---------------------------------------------------------------- group layer
+
+
+@pytest.fixture(scope="module")
+def group_tables():
+    """S3, A4 and S4 with their irreducibles; A4 and S4 have irreps of dimension 3."""
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    groups = [symmetric_group(3), group_from_permutations(even), symmetric_group(4)]
+    return [extract_irreps(g, seed=0) for g in groups]
+
+
+def _constraint_loop(u, v):
+    """Column-by-column constraint matrix of the tuple-of-matrices ``intertwiner_basis``."""
+    group = u.group
+    mats_u, mats_v = tuple(u.mats), tuple(v.mats)
+    du, dv = u.dim, v.dim
+
+    def avg_minus_id(vec):
+        t = vec.reshape(dv, du)
+        acc = np.zeros_like(t)
+        for g in range(group.order):
+            acc += mats_v[g] @ t @ mats_u[group.inv(g)]
+        return (acc / group.order - t).ravel()
+
+    eye = np.eye(du * dv, dtype=np.complex128)
+    return np.column_stack([avg_minus_id(eye[:, j]) for j in range(du * dv)])
+
+
+def _regular_loop(group):
+    """The regular representation as a tuple of permutation matrices."""
+    mats = []
+    for g in range(group.order):
+        m = np.zeros((group.order, group.order), dtype=np.complex128)
+        for h in range(group.order):
+            m[group.mul(g, h), h] = 1.0
+        mats.append(m)
+    return tuple(mats)
+
+
+def test_tensor_rep_matches_kron_loop(group_tables):
+    for table in group_tables:
+        for u in table.irreps:
+            for v in table.irreps:
+                ref = np.stack([kron(mu, mv) for mu, mv in zip(tuple(u.mats), tuple(v.mats))])
+                assert np.array_equal(tensor_rep(u, v).mats, ref)
+
+
+def test_intertwiner_constraint_matches_loop(group_tables, monkeypatch):
+    seen = []
+
+    def recording(constraint, tol):
+        seen.append(constraint)
+        return solution_basis(constraint, tol)
+
+    monkeypatch.setattr(grouprep, "solution_basis", recording)
+    for table in group_tables:
+        reps = table.irreps
+        for a, b, c in product(range(len(reps)), repeat=3):
+            prod = tensor_rep(reps[a], reps[b])
+            seen.clear()
+            grouprep.intertwiner_basis(reps[c], prod)
+            assert len(seen) == 1
+            assert np.array_equal(seen[0], _constraint_loop(reps[c], prod)), (table.group.order, a, b, c)
+
+
+def test_regular_average_matches_loop(group_tables):
+    for table in group_tables:
+        group = table.group
+        n = group.order
+        reg = _regular_loop(group)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = (h + np.conj(h).T) / 2.0
+            c = np.zeros((n, n), dtype=np.complex128)
+            for g in range(n):
+                c += reg[g] @ h @ reg[group.inv(g)]
+            ref = (c + np.conj(c).T) / (2.0 * n)
+            assert np.array_equal(_regular_average(group, h), ref), (n, seed)
+        assert np.array_equal(grouprep.regular_rep(group).mats, np.stack(reg))

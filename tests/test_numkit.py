@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qhspace.grouprep import intertwiner_basis
 from qhspace.numkit import (
     HermitianityError,
     NumericalRankError,
-    OrthonormalBasis,
     dagger,
     kron,
     max_residual,
@@ -50,14 +50,14 @@ def test_phase_fix_gauge_independent(v, r, t):
 def test_solution_basis_empty_constraints_is_standard_basis():
     basis = solution_basis(np.zeros((0, 4)))
     assert len(basis) == 4
-    assert np.array_equal(basis.matrix(), np.eye(4))
+    assert np.array_equal(basis, np.eye(4))
 
 
 def test_solution_basis_kernel():
     a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     basis = solution_basis(a)
     assert len(basis) == 1
-    v = basis.vectors[0]
+    v = basis[0]
     assert max_residual(a @ v, np.zeros(2)) < 1e-12
 
 
@@ -80,7 +80,7 @@ def test_solution_basis_tall_known_kernel():
     a -= np.outer(a @ k, np.conj(k))
     basis = solution_basis(np.vstack([a[:6], a[6:]]))
     assert len(basis) == 1
-    v = basis.vectors[0]
+    v = basis[0]
     assert abs(v[1].imag) < 1e-12 and v[1].real > 0  # the largest coordinate is real positive
     assert max_residual(v, phase_fix(k)) < 1e-12
 
@@ -112,6 +112,9 @@ def test_dagger():
     assert max_residual(dagger(dagger(m)), m) == 0.0
 
 
-def test_orthonormal_basis_matrix_shape():
-    b = OrthonormalBasis(3, ())
-    assert b.matrix().shape == (3, 0)
+def test_empty_kernel_is_complex_array(s3_table):
+    basis = solution_basis(np.diag([1.0, 2.0, 3.0]))
+    assert basis.shape == (0, 3) and basis.dtype == np.complex128
+    one, _, two = s3_table.irreps  # dimensions 1, 1, 2
+    basis = intertwiner_basis(one, two)
+    assert basis.shape == (0, 2, 1) and basis.dtype == np.complex128
