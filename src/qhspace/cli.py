@@ -10,20 +10,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .certificate import Certificate
-from .modcat import validate_module
-from .numkit import DEFAULT_TOL
+from .grouprep import GroupAxiomError, IrrepExtractionError
+from .modcat import ModuleDataError, validate_module
+from .numkit import DEFAULT_TOL, HermitianityError, NumericalRankError
 from .project_io import ProjectError, algebra_to_dict, load_project, save_project
 from .reconstruct import (
+    ReconstructionError,
     algebra_map,
     build_algebra,
     eigenvector_test,
     validate_morphism,
     verify_algebra_map,
 )
-from .tensorcat import verify_presentation
+from .tensorcat import CocycleError, PresentationError, verify_presentation
 from .verify import ALL_SUITES, report, run_suite
 
 
@@ -148,15 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the library refuses input it cannot process with these; exit 1 is kept for failed checks
+_INPUT_ERRORS = (ProjectError, OSError, ValueError, GroupAxiomError, IrrepExtractionError, CocycleError,
+                PresentationError, ModuleDataError, NumericalRankError, HermitianityError,
+                ReconstructionError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("error: tolerance must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: tolerance must be positive and finite", file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except (ProjectError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _INPUT_ERRORS as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

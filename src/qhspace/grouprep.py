@@ -157,8 +157,8 @@ class UnitaryRep:
     def character(self) -> np.ndarray:
         return np.trace(self.mats, axis1=1, axis2=2)
 
-    def validate(self, tol: float = DEFAULT_TOL) -> float:
-        """Max residual over unitarity and multiplicativity checks."""
+    def validate(self) -> float:
+        """Max residual over unitarity and multiplicativity; each caller compares it with its tolerance."""
         m = self.mats
         worst = max_residual(np.conj(m).transpose(0, 2, 1) @ m, np.eye(self.dim))
         for g in range(self.group.order):
@@ -235,7 +235,7 @@ class IrrepTable:
         if self.irreps[0].dim != 1 or max_residual(self.irreps[0].character, np.ones(n)) > tol:
             raise IrrepExtractionError("label 0 is not the trivial representation")
         for a, u in enumerate(self.irreps):
-            if u.validate(tol) > tol:
+            if u.validate() > tol:
                 raise IrrepExtractionError(f"irrep {a} fails unitarity/multiplicativity")
             for b, v in enumerate(self.irreps):
                 want = 1 if a == b else 0
@@ -300,7 +300,7 @@ def extract_irreps(group: FiniteGroup, seed: int = 0, tol: float = DEFAULT_TOL) 
             for basis in blocks:
                 # (B^dagger R(g)) B, where B^dagger R(g) permutes the columns of B^dagger
                 cand = UnitaryRep(group, dagger(basis)[:, group.mult_table].transpose(1, 0, 2) @ basis)
-                if cand.validate(1e-8) > 1e-8:
+                if cand.validate() > 1e-8:
                     raise IrrepExtractionError("eigenspace is not invariant")
                 if len(intertwiner_basis(cand, cand, tol)) != 1:
                     raise IrrepExtractionError("eigenspace is not irreducible")

@@ -19,8 +19,8 @@ import numpy as np
 
 from .certificate import Certificate
 from .grouprep import IrrepTable, Subgroup, UnitaryRep, extract_irreps, intertwiner_basis, restrict, tensor_rep
-from .numkit import DEFAULT_TOL, NumericalRankError, block_offsets, dagger, kron, max_residual
-from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError
+from .numkit import DEFAULT_TOL, NumericalRankError, block_offsets, max_residual, stack_by_shape, successors
+from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError, fusion_table
 
 
 class ModuleDataError(Exception):
@@ -40,7 +40,7 @@ class BigradedFunctor:
       has the exact identity matrix.
     - ``coherence[(a, b, r, t)]`` holds, for every block with at least one
       column (s, m, n), the expansion of the iterated action against the
-      fusion isometries (see ``_coherence``).
+      fusion isometries (see ``_coherence_blocks``).
     - The module associator on u_a (x) u_b (x) X_r is diagonal, with entry
       ``phase[handle[a], handle[b], r, k]`` at fibre coordinate (i, j, k);
       ``fuse[h1, h2]`` is the handle of a fused pair.  A subgroup module has
@@ -73,11 +73,6 @@ class BigradedFunctor:
         shape = (0, self.cat.dim(a) * self.base_dims[s], self.base_dims[r])
         return np.zeros(shape, dtype=np.complex128)
 
-    def fibre_phases(self, a: int, b: int, r: int) -> np.ndarray:
-        """Diagonal of the module associator on u_a (x) u_b (x) X_r."""
-        row = self.phase[self.handle[a], self.handle[b], r, : self.base_dims[r]]
-        return np.tile(row, self.cat.dim(a) * self.cat.dim(b))
-
     def column_offsets(self, a: int, b: int, r: int, t: int) -> np.ndarray:
         """Where each intermediate label s starts in the columns of ``coherence[(a, b, r, t)]``.
 
@@ -86,71 +81,135 @@ class BigradedFunctor:
         """
         return block_offsets(self.dims[a, r] * self.dims[b, :, t])
 
-    def frobenius_image(self, a: int, r: int, s: int, m: int) -> np.ndarray:
-        """The partner in Mor(X_s, u_abar (x) X_r) of the m-th basis morphism.
-
-        Computed with the canonical conjugate pair, so the result never
-        depends on user rescalings of the stored duality.
-        """
-        abar = self.cat.dual_map[a]
-        dbar = self.cat.dim(abar)
-        ds = self.base_dims[s]
-        rvec = self.cat.canonical_conjugates(a)[0]
-        ta = self.mor_basis(a, r, s)[m]
-        phi = self.fibre_phases(abar, a, s)
-        lift = phi[:, None] * kron(rvec.reshape(-1, 1), np.eye(ds, dtype=np.complex128))
-        return kron(np.eye(dbar, dtype=np.complex128), dagger(ta)) @ lift
-
-    def frobenius_back(self, a: int, r: int, g: np.ndarray) -> np.ndarray:
-        """Inverse direction: from Mor(X_s, u_abar (x) X_r) back to Mor(X_r, u_a (x) X_s)."""
-        da = self.cat.dim(a)
-        dr = self.base_dims[r]
-        rbar = self.cat.canonical_conjugates(a)[1]
-        abar = self.cat.dual_map[a]
-        phi_conj = np.conj(self.fibre_phases(a, abar, r))
-        lifted = phi_conj[:, None] * (kron(np.eye(da, dtype=np.complex128), g))
-        fdag = kron(dagger(rbar), np.eye(dr, dtype=np.complex128)) @ lifted
-        return dagger(fdag)
-
     def frobenius_block(self, a: int, r: int, s: int) -> np.ndarray:
-        """Matrix B[q, m] expanding each Frobenius image in the dual-label basis."""
+        """Matrix B[q, m] expanding each Frobenius image in the dual-label basis (dims[a, r, s] > 0)."""
         tbars = self.mor_basis(self.cat.dual_map[a], s, r)
-        imgs = [self.frobenius_image(a, r, s, m) for m in range(int(self.dims[a, r, s]))]
-        out = [[np.trace(dagger(tb) @ img) / self.base_dims[s] for img in imgs] for tb in tbars]
-        return np.array(out, dtype=np.complex128).reshape(len(tbars), len(imgs))
+        n = int(self.dims[a, r, s])
+        imgs = _frobenius_images(self, np.full(n, a), np.full(n, s), self.bases[(a, r, s)])
+        traced = np.trace(np.conj(tbars).transpose(0, 2, 1)[:, None] @ imgs[None], axis1=-2, axis2=-1)
+        return traced / self.base_dims[s]
 
 
-def _coherence(f: BigradedFunctor, a: int, b: int, r: int, t: int) -> dict[int, np.ndarray]:
-    """Coefficients of iterated action against the fusion channels.
+def _conjugates(cat: CategoryPresentation, lab: np.ndarray, which: int) -> np.ndarray:
+    """The canonical R (which=0) or Rbar (which=1) of each label, stacked; the labels share one dimension."""
+    labels = np.flatnonzero(np.bincount(lab))
+    stacked = np.stack([cat.canonical_conjugates(a)[which] for a in labels.tolist()])
+    return stacked[np.searchsorted(labels, lab)]
 
-    For each channel c the array has shape (N_ab^c, dim F_rt(c), #columns)
-    and holds the expansion of phi* (id_a (x) g) f through the fusion
-    isometry iota^c_k in the chosen basis of Mor(X_r, u_c (x) X_t).  The
-    block must have at least one column.
+
+def _frobenius_images(f: BigradedFunctor, lab: np.ndarray, dst: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Partners in Mor(X_dst, u_abar (x) X_src) of basis morphisms t[i] in Mor(X_src, u_lab[i] (x) X_dst).
+
+    ``t`` stacks matrices of one shape.  Computed with the canonical conjugate
+    pair, so the result never depends on user rescalings of the stored duality.
     """
     cat = f.cat
-    da = cat.dim(a)
-    dr, dt = f.base_dims[r], f.base_dims[t]
-    phi_conj = np.conj(f.fibre_phases(a, b, t))
-    eye_a = np.eye(da, dtype=np.complex128)
-    eye_t = np.eye(dt, dtype=np.complex128)
-    # columns in (s, m, n) order: per s, (I_a (x) t_b[n]) @ t_a[m] as one batched matmul
-    blocks = []
-    for s in np.flatnonzero(f.dims[a, r] * f.dims[b, :, t]).tolist():
-        lifted = np.stack([kron(eye_a, tb) for tb in f.bases[(b, s, t)]])
-        comp = lifted[None] @ f.bases[(a, r, s)][:, None]
-        blocks.append(comp.reshape(-1, *comp.shape[2:]))
-    composites = phi_conj[:, None] * np.concatenate(blocks)
-    out: dict[int, np.ndarray] = {}
-    for c in cat.channels(a, b):
-        tcs = f.mor_basis(c, r, t)
-        arr = np.zeros((cat.mult(a, b, c), len(tcs), len(composites)), dtype=np.complex128)
-        if len(tcs):
-            tcs_dag = np.conj(tcs).transpose(0, 2, 1)[:, None]
-            for k, iota in enumerate(cat.isometries(a, b, c)):
-                proj = kron(dagger(iota), eye_t) @ composites
-                arr[k] = np.trace(tcs_dag @ proj[None], axis1=-2, axis2=-1) / dr
-        out[c] = arr
+    abar = np.asarray(cat.dual_map)[lab]
+    da, dbar, ds = cat.dim(int(lab[0])), cat.dim(int(abar[0])), f.base_dims[int(dst[0])]
+    phi = np.tile(f.phase[f.handle[abar], f.handle[lab], dst, :ds], (1, dbar * da))
+    lift = phi[:, :, None] * np.kron(_conjugates(cat, lab, 0), np.eye(ds, dtype=np.complex128))
+    return np.kron(np.eye(dbar, dtype=np.complex128), np.conj(t).transpose(0, 2, 1)) @ lift
+
+
+def _frobenius_back(f: BigradedFunctor, lab: np.ndarray, src: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Inverse of ``_frobenius_images``: from Mor(X_s, u_abar (x) X_src) back to Mor(X_src, u_lab (x) X_s)."""
+    cat = f.cat
+    abar = np.asarray(cat.dual_map)[lab]
+    da, dbar, dr = cat.dim(int(lab[0])), cat.dim(int(abar[0])), f.base_dims[int(src[0])]
+    phi_conj = np.conj(np.tile(f.phase[f.handle[lab], f.handle[abar], src, :dr], (1, da * dbar)))
+    lifted = phi_conj[:, :, None] * np.kron(np.eye(da, dtype=np.complex128), g)
+    rbar_dag = np.conj(_conjugates(cat, lab, 1)).transpose(0, 2, 1)
+    fdag = np.kron(rbar_dag, np.eye(dr, dtype=np.complex128)) @ lifted
+    return np.conj(fdag).transpose(0, 2, 1)
+
+
+def _edges(f: BigradedFunctor) -> tuple:
+    """One edge per basis morphism t in Mor(X_src, u_lab (x) X_dst), regrouped by shape.
+
+    Returns (lab, src, dst, m, kind, pos, stacks): the edges run in (lab,
+    src, dst, m) order, m is the place of t in its block, and t, reshaped to
+    (d_lab, d_dst, d_src), is ``stacks[kind[i]][pos[i]]``.
+    """
+    keys = np.argwhere(f.dims)
+    mult = f.dims[tuple(keys.T)]
+    lab, src, dst = np.repeat(keys, mult, axis=0).T
+    m = np.arange(len(lab)) - np.repeat(np.cumsum(mult) - mult, mult)
+    ldim, bdim = f.cat.obj_dim, f.base_dims
+    kind, pos, stacks = stack_by_shape([f.bases[(a, r, s)].reshape(-1, ldim[a], bdim[s], bdim[r])
+                                        for a, r, s in keys.tolist()])
+    return lab, src, dst, m, kind, pos, stacks
+
+
+def _coherence_blocks(f: BigradedFunctor) -> dict[tuple[int, int, int, int], dict[int, np.ndarray]]:
+    """Coefficients of the iterated action against the fusion channels, for every block.
+
+    Column (s, m, n) of block (a, b, r, t) is the composable pair of basis
+    morphisms t_a = (a, r, s, m) and t_b = (b, s, t, n); against the k-th
+    fusion isometry iota into c and the p-th basis morphism t_c of
+    Mor(X_r, u_c (x) X_t) its coefficient is
+
+        coherence[(a, b, r, t)][c][k, p, col]
+            = tr(t_c^* (iota^* (x) id_t) phi^* (id_a (x) t_b) t_a) / d_r,
+
+    with phi the module associator on u_a (x) u_b (x) X_t; channels without
+    a basis morphism t_c give (N_ab^c, 0, #columns) arrays.  Every
+    coefficient is listed with index arrays and evaluated in one stacked
+    chain per shape of (t_a, t_b, t_c, iota).  Each stacked product acts on
+    the same matrices, with the same memory layout, as a product of single
+    matrices would, so the bits do not depend on the grouping.
+    """
+    cat = f.cat
+    lab, src, dst, m, kind, pos, stacks = _edges(f)
+    (fa, fb, fc, fk), fkind, fpos, fstacks = fusion_table(cat)
+    nl, j = len(cat.obj_dim), f.n_base
+    # columns, sorted by block and then by (s, m, n)
+    e1, e2 = successors(dst, src, j)
+    block_code = ((lab[e1] * nl + lab[e2]) * j + src[e1]) * j + dst[e2]
+    order = np.lexsort((e2, e1, dst[e1], block_code))
+    e1, e2 = e1[order], e2[order]
+    _, first, ncols = np.unique(block_code[order], return_index=True, return_counts=True)
+    block = np.repeat(np.arange(len(first)), ncols)
+    col = np.arange(len(e1)) - first[block]
+    a, b, r, t = lab[e1[first]], lab[e2[first]], src[e1[first]], dst[e2[first]]
+    # coefficients: column x fusion isometry of (a, b) x basis morphism t_c of (c, r, t);
+    # in (block, c, k, p, column) order they fill the channel arrays of the blocks one after another
+    ci, fi = successors(lab[e1] * nl + lab[e2], fa * nl + fb, nl * nl)
+    xi, e3 = successors((fc[fi] * j + src[e1[ci]]) * j + dst[e2[ci]], (lab * j + src) * j + dst, nl * j * j)
+    ci, fi = ci[xi], fi[xi]
+    where = np.empty_like(ci)
+    where[np.lexsort((col[ci], m[e3], fi, block[ci]))] = np.arange(len(ci))
+
+    buf = np.empty(len(ci), dtype=np.complex128)
+    i1, i2 = e1[ci], e2[ci]
+    ns = len(stacks)
+    code = ((kind[i1] * ns + kind[i2]) * ns + kind[e3]) * len(fstacks) + fkind[fi]
+    # distinct codes from bincount: np.unique without return_index or return_counts
+    # costs 0.25 to 1 MB of RSS (it touches numpy.ma or more numpy code)
+    for g in np.flatnonzero(np.bincount(code)).tolist():
+        sel = np.flatnonzero(code == g)
+        ta, tb, tc = (stacks[kind[e[sel[0]]]][pos[e[sel]]] for e in (i1, i2, e3))
+        iota = fstacks[fkind[fi[sel[0]]]][fpos[fi[sel]]]
+        n, (da, ds, dr), (db, dt, _) = len(sel), ta.shape[1:], tb.shape[1:]
+        phi_conj = np.conj(np.tile(f.phase[f.handle[lab[i1[sel]]], f.handle[lab[i2[sel]]], dst[i2[sel]], :dt],
+                                   (1, da * db)))
+        lift = np.kron(np.eye(da, dtype=np.complex128), tb.reshape(n, db * dt, ds))
+        comp = phi_conj[:, :, None] * (lift @ ta.reshape(n, da * ds, dr))
+        proj = np.kron(np.conj(iota).transpose(0, 2, 1), np.eye(dt, dtype=np.complex128)) @ comp
+        tc_dag = np.conj(tc.reshape(n, -1, dr)).transpose(0, 2, 1)
+        buf[where[sel]] = np.trace(tc_dag @ proj, axis1=-2, axis2=-1) / dr
+
+    # the (N_ab^c, dims[c, r, t], #columns) array of each block and channel, in (block, c) order
+    chan = np.flatnonzero(fk == 0)
+    seg_block, seg_chan = successors(a * nl + b, fa[chan] * nl + fb[chan], nl * nl)
+    shapes = np.stack([np.diff(np.append(chan, len(fk)))[seg_chan],
+                       f.dims[fc[chan[seg_chan]], r[seg_block], t[seg_block]], ncols[seg_block]], axis=1)
+    sizes = np.prod(shapes, axis=1)
+    starts = np.cumsum(sizes) - sizes
+    keys = list(zip(a.tolist(), b.tolist(), r.tolist(), t.tolist()))
+    out: dict[tuple[int, int, int, int], dict[int, np.ndarray]] = {key: {} for key in keys}
+    for blk, c, start, (k, p, nc) in zip(seg_block.tolist(), fc[chan[seg_chan]].tolist(), starts.tolist(),
+                                         shapes.tolist()):
+        out[keys[blk]][c] = buf[start:start + k * p * nc].reshape(k, p, nc)
     return out
 
 
@@ -165,8 +224,7 @@ def _assemble(cat: CategoryPresentation, name: str, base_dims: tuple[int, ...],
         dims[key] = len(stack)
     f = BigradedFunctor(cat, name, tuple(base_dims), dims, bases, {}, handle, fuse, phase,
                         subgroup, irrep_table)
-    linked = np.argwhere(np.einsum("ars,bst->abrt", dims, dims))
-    return replace(f, coherence={key: _coherence(f, *key) for key in map(tuple, linked.tolist())})
+    return replace(f, coherence=_coherence_blocks(f))
 
 
 def module_from_subgroup(cat: CategoryPresentation, subgroup: Subgroup,
@@ -338,46 +396,41 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
     """Check the structural axioms of the bi-graded presentation."""
     cert = Certificate(subject=f"module[{f.name}]", tolerance=tol)
     cat = f.cat
-    labels = range(len(cat.obj_dim))
-    j = f.n_base
     dims = f.dims
+    ldim, bdim = np.asarray(cat.obj_dim), np.asarray(f.base_dims)
 
-    unit_ok = all(
-        dims[UNIT_LABEL, r, s] == (1 if r == s else 0) for r in range(j) for s in range(j)
-    )
-    cert.add_flag("unit_grading", "unit label acts as the identity grading", unit_ok)
+    cert.add_flag("unit_grading", "unit label acts as the identity grading",
+                  np.array_equal(dims[UNIT_LABEL], np.eye(f.n_base, dtype=np.int64)))
     exact_unit = 0.0
-    for r in range(j):
+    for r in range(f.n_base):
         exact_unit = max(
             exact_unit,
             max_residual(f.mor_basis(UNIT_LABEL, r, r)[0], np.eye(f.base_dims[r])),
         )
     cert.add("unit_basis", "unit morphism basis is the identity matrix", exact_unit)
 
+    lab, src, dst, _, kind, pos, stacks = _edges(f)
     iso = 0.0
-    for (a, r, s), stack in f.bases.items():
-        for t in stack:
-            iso = max(iso, max_residual(dagger(t) @ t, np.eye(f.base_dims[r])))
+    for stack in stacks:
+        t = stack.reshape(len(stack), -1, stack.shape[3])
+        iso = max(iso, max_residual(np.conj(t).transpose(0, 2, 1) @ t, np.eye(t.shape[2])))
     cert.add("morphism_isometry", "module morphism bases are isometries", iso)
 
-    count_ok = all(
-        cat.dim(a) * f.base_dims[s] == sum(int(dims[a, r, s]) * f.base_dims[r] for r in range(j))
-        for a in labels
-        for s in range(j)
-    )
     cert.add_flag(
         "decomposition_count",
         "acting on a simple object decomposes with matching total dimension",
-        count_ok,
+        np.array_equal(ldim[:, None] * bdim[None, :], np.einsum("ars,r->as", dims, bdim)),
     )
 
+    # one matrix per block, rows ordered by (c, k, p); one batched product per matrix shape
     coh = 0.0
-    for blocks in f.coherence.values():
-        # one matrix per block, rows ordered by (c, k, p)
-        u = np.vstack([blocks[c].reshape(-1, blocks[c].shape[2]) for c in sorted(blocks)])
-        coh = max(coh, max_residual(dagger(u) @ u, np.eye(u.shape[1])))
-        if u.shape[0]:
-            coh = max(coh, max_residual(u @ dagger(u), np.eye(u.shape[0])))
+    blocks = [np.concatenate([chans[c].reshape(-1, chans[c].shape[2]) for c in sorted(chans)])[None]
+              for chans in f.coherence.values()]
+    for u in stack_by_shape(blocks)[2]:
+        u_dag = np.conj(u).transpose(0, 2, 1)
+        coh = max(coh, max_residual(u_dag @ u, np.eye(u.shape[2])))
+        if u.shape[1]:
+            coh = max(coh, max_residual(u @ u_dag, np.eye(u.shape[1])))
     cert.add("coherence_unitarity", "iterated-action coherence blocks are unitary", coh)
 
     cert.add(
@@ -386,23 +439,20 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
         _triple_coherence_residual(f),
     )
 
-    frob_dims_ok = all(
-        dims[a, r, s] == dims[cat.dual_map[a], s, r]
-        for a in labels
-        for r in range(j)
-        for s in range(j)
-    )
     cert.add_flag(
         "frobenius_dims",
         "multiplicity dims are symmetric under (a,r,s) -> (dual a, s, r)",
-        frob_dims_ok,
+        np.array_equal(dims, dims[list(cat.dual_map)].transpose(0, 2, 1)),
     )
 
     frob_rt = 0.0
-    for (a, r, s), stack in f.bases.items():
-        for m, t in enumerate(stack):
-            back = f.frobenius_back(a, r, f.frobenius_image(a, r, s, m))
-            frob_rt = max(frob_rt, max_residual(back, t))
+    group = kind * (ldim.max() + 1) + ldim[np.asarray(cat.dual_map)[lab]]
+    for g in np.flatnonzero(np.bincount(group)).tolist():
+        sel = np.flatnonzero(group == g)
+        t = stacks[kind[sel[0]]][pos[sel]]
+        t = t.reshape(len(sel), -1, t.shape[3])
+        back = _frobenius_back(f, lab[sel], src[sel], _frobenius_images(f, lab[sel], dst[sel], t))
+        frob_rt = max(frob_rt, max_residual(back, t))
     cert.add("frobenius_roundtrip", "dual-label pairing composes to the identity", frob_rt)
 
     adj = (dims.sum(axis=0) > 0)
@@ -419,20 +469,6 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
 _TRIPLE_CHUNK = 512
 
 
-def _successors(ends: np.ndarray, src: np.ndarray, n_base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair each path ending at base label ends[i] with every edge leaving it.
-
-    Returns (path index, edge index) arrays, grouped by path in edge order.
-    """
-    order = np.argsort(src, kind="stable")
-    count = np.bincount(src, minlength=n_base)
-    start = np.cumsum(count) - count
-    per_path = count[ends]
-    path = np.repeat(np.arange(len(ends)), per_path)
-    offset = np.arange(len(path)) - np.repeat(np.cumsum(per_path) - per_path, per_path)
-    return path, order[start[ends][path] + offset]
-
-
 def _triple_coherence_residual(f: BigradedFunctor) -> float:
     """Compare the two bracketings of acting by a, then b, then c.
 
@@ -446,50 +482,28 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     straight from the phase table.
     """
     cat, handle, fuse = f.cat, f.handle, f.fuse
-    ldim = np.asarray(cat.obj_dim)
-    bdim = np.asarray(f.base_dims)
     phase_conj = np.conj(f.phase)
-    alpha_conj = np.conj(np.array(
-        [[[cat.assoc_scalar(a, b, c) for c in cat.labels] for b in cat.labels] for a in cat.labels],
-        dtype=np.complex128,
-    ))
+    alpha_conj = np.conj(cat.assoc_table())
+    lab, src, dst, _, kind, pos, stacked = _edges(f)
 
-    # one edge per basis morphism t in Mor(X_src, u_lab (x) X_dst), stacked by shape
-    blocks = np.argwhere(f.dims)
-    lab, src, dst = np.repeat(blocks, f.dims[tuple(blocks.T)], axis=0).T
-    stacks: dict[tuple[int, int, int], list[np.ndarray]] = {}
-    kind, pos = [], []  # shape index of each edge, and its place in that stack
-    for la, ls, ld in blocks.tolist():
-        shape = (int(ldim[la]), int(bdim[ld]), int(bdim[ls]))
-        if shape not in stacks:
-            stacks[shape] = []
-        k = list(stacks).index(shape)
-        for mat in f.mor_basis(la, ls, ld):
-            kind.append(k)
-            pos.append(len(stacks[shape]))
-            stacks[shape].append(mat.reshape(shape))
-    kind, pos = np.array(kind, dtype=np.int64), np.array(pos, dtype=np.int64)
-    shapes = list(stacks)
-    stacked = [np.stack(mats) for mats in stacks.values()]
-
-    first, second = _successors(dst, src, f.n_base)
+    first, second = successors(dst, src, f.n_base)
     # split the composable pairs into runs that extend to about _TRIPLE_CHUNK chains
     per_pair = np.bincount(src, minlength=f.n_base)[dst[second]]
     run = (np.cumsum(per_pair) - per_pair) // _TRIPLE_CHUNK
     cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
-    ns = len(shapes)
+    ns = len(stacked)
 
     worst = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        pair, e3 = _successors(dst[second[lo:hi]], src, f.n_base)
+        pair, e3 = successors(dst[second[lo:hi]], src, f.n_base)
         e1, e2 = first[lo:hi][pair], second[lo:hi][pair]
         chain_kind = (kind[e1] * ns + kind[e2]) * ns + kind[e3]
         for code in np.flatnonzero(np.bincount(chain_kind)).tolist():
             k1, k2, k3 = code // ns**2, code // ns % ns, code % ns
-            (da, _, _), (db, dt, _), (dc, dw, _) = shapes[k1], shapes[k2], shapes[k3]
             i1, i2, i3 = (e[chain_kind == code] for e in (e1, e2, e3))
             n = len(i1)
             ta, tb, tc = stacked[k1][pos[i1]], stacked[k2][pos[i2]], stacked[k3][pos[i3]]
+            dt, dw = tb.shape[2], tc.shape[2]
             a, b, c = lab[i1], lab[i2], lab[i3]
             ha, hb, hc = handle[a], handle[b], handle[c]
             t, w = dst[i2], dst[i3]

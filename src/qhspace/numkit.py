@@ -44,6 +44,41 @@ def block_offsets(sizes) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
 
 
+def successors(ends: np.ndarray, src: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each path ending at node ends[i] with every edge leaving it.
+
+    Edges are given by their source nodes ``src``.  Returns (path index,
+    edge index) arrays, grouped by path in edge order.
+    """
+    order = np.argsort(src, kind="stable")
+    count = np.bincount(src, minlength=n_nodes)
+    start = np.cumsum(count) - count
+    per_path = count[ends]
+    path = np.repeat(np.arange(len(ends)), per_path)
+    offset = np.arange(len(path)) - np.repeat(np.cumsum(per_path) - per_path, per_path)
+    return path, order[start[ends][path] + offset]
+
+
+def stack_by_shape(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Regroup stacks of matrices into one stack per matrix shape.
+
+    ``blocks`` is a list of (n_i, ...) arrays.  Returns (kind, pos, stacks):
+    the j-th matrix of the concatenated blocks is ``stacks[kind[j]][pos[j]]``,
+    and each stack keeps the order of the concatenation.
+    """
+    shapes: dict[tuple[int, ...], int] = {}
+    block_kind = [shapes.setdefault(blk.shape[1:], len(shapes)) for blk in blocks]
+    groups: list[list[np.ndarray]] = [[] for _ in shapes]
+    for blk, k in zip(blocks, block_kind):
+        groups[k].append(blk)
+    kind = np.repeat(np.array(block_kind, dtype=np.int64), [len(blk) for blk in blocks])
+    count = np.bincount(kind, minlength=len(shapes))
+    order = np.argsort(kind, kind="stable")
+    pos = np.empty_like(kind)
+    pos[order] = np.arange(len(kind)) - np.repeat(np.cumsum(count) - count, count)
+    return kind, pos, [np.concatenate(g) for g in groups]
+
+
 def phase_fix(v: np.ndarray) -> np.ndarray:
     """Rotate a vector so its largest-modulus coordinate is real positive.
 

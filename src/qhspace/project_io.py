@@ -95,12 +95,8 @@ def irrep_table_from_dict(d: dict) -> IrrepTable:
 
 def algebra_to_dict(alg: SpectralAlgebra) -> dict:
     t = alg.tensor
-    triplets = []
-    for p in range(alg.dim):
-        for q in range(alg.dim):
-            for r in range(alg.dim):
-                if t[p, q, r] != 0.0:
-                    triplets.append([p, q, r, _pair(t[p, q, r])])
+    # the nonzero structure constants, in C order of (p, q, r)
+    triplets = [[p, q, r, _pair(t[p, q, r])] for p, q, r in np.argwhere(t != 0.0).tolist()]
     return {
         "basis": [list(tr) for tr in alg.triples],
         "grading": [tr[0] for tr in alg.triples],

@@ -1,8 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from qhspace import tensorcat
-from qhspace.grouprep import Subgroup, cyclic_group, extract_irreps, symmetric_group
+from qhspace.grouprep import Subgroup, cyclic_group, extract_irreps, group_from_permutations, symmetric_group
 from qhspace.modcat import module_from_pointed, module_from_subgroup
 
 
@@ -69,3 +71,19 @@ def z4_pointed_module(z4_pointed_cat, z4):
 @pytest.fixture(scope="session")
 def z4_coset_module(z4_trivial_pointed_cat, z4):
     return module_from_pointed(z4_trivial_pointed_cat, Subgroup.generated(z4, [2]))
+
+
+@pytest.fixture(scope="session")
+def a4_modules():
+    """A4 over an order-3 subgroup and over the trivial one.
+
+    3 (x) 3 holds the 3 twice, so the sums over the fusion multiplicity k
+    have two terms; every S3 and Z4 multiplicity is one.
+    """
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    g = group_from_permutations(even)
+    cat = tensorcat.from_group(extract_irreps(g, seed=0))
+    assert max(cat.mult(a, b, c) for a in cat.labels for b in cat.labels for c in cat.channels(a, b)) == 2
+    z3 = Subgroup.generated(g, [even.index((1, 2, 0, 3))])
+    return [module_from_subgroup(cat, z3), module_from_subgroup(cat, Subgroup.generated(g, []))]

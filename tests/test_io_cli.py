@@ -43,12 +43,35 @@ def test_irrep_table_roundtrip(s3_table):
         assert np.array_equal(a.mats, b.mats)
 
 
-def test_algebra_dict_roundtrip(s3_modules):
+def _algebra_dict_loop(alg):
+    """``algebra_to_dict`` with the entry-by-entry scan of the structure tensor: the reference."""
+    t = alg.tensor
+    triplets = []
+    for p in range(alg.dim):
+        for q in range(alg.dim):
+            for r in range(alg.dim):
+                if t[p, q, r] != 0.0:
+                    z = t[p, q, r]
+                    triplets.append([p, q, r, [float(f"{x:.17g}") for x in (z.real, z.imag)]])
+    return {**algebra_to_dict(alg), "structure_constants": triplets}
+
+
+def test_algebra_dict_roundtrip(s3_modules, tmp_path):
     alg = build_algebra(s3_modules["order2"], 0)
     d = algebra_from_dict(json.loads(json.dumps(algebra_to_dict(alg))))
     assert d["basis"] == alg.triples
     assert np.array_equal(d["tensor"], alg.tensor)
     assert np.array_equal(d["star_matrix"], alg.star_mat)
+    # the ``qhs reconstruct`` file of every base of the example projects, byte
+    # for byte; they are written afresh, so that their fingerprints hold on any BLAS kernel
+    out = str(tmp_path / "alg.json")
+    for path in write_example_projects(str(tmp_path)):
+        mod = load_project(path).module
+        for base in range(mod.n_base):
+            assert main(["reconstruct", path, "--base", str(base), "--out", out]) == 0
+            ref = json.dumps(_algebra_dict_loop(build_algebra(mod, base)), indent=2, sort_keys=True) + "\n"
+            with open(out) as fh:
+                assert fh.read() == ref, (path, base)
 
 
 def test_certificate_roundtrip(s3_modules):
@@ -128,10 +151,24 @@ def test_write_example_projects_matches_shipped(tmp_path):
         assert fresh == shipped
 
 
-def test_cli_validate_exit_codes(tmp_path):
+def test_cli_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", project_path("s3_subgroup")]) == 0
     assert main(["validate", str(tmp_path / "missing.qhs.json")]) == 2
     assert main(["validate", project_path("s3_subgroup"), "--tol", "-1"]) == 2
+    # non-finite tolerances are refused up front; a tolerance the library
+    # cannot work with is refused by it (IrrepExtractionError,
+    # NumericalRankError), and that too is an input error
+    for tol in ("nan", "inf", "1e-20", "0.5"):
+        capsys.readouterr()
+        assert main(["validate", project_path("s3_subgroup"), "--tol", tol]) == 2, tol
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (tol, err)
+    # fingerprints that match a multiplication table that is not a group
+    path = str(tmp_path / "bad_group.qhs.json")
+    save_project(path, {"group": {"mult_table": [[0, 1], [1, 1]]}})
+    capsys.readouterr()
+    assert main(["validate", path]) == 2
+    assert capsys.readouterr().err.startswith("error: GroupAxiomError: ")
 
 
 def test_cli_verify_and_report(tmp_path):

@@ -29,7 +29,7 @@ from qhspace.grouprep import (
     symmetric_group,
     tensor_rep,
 )
-from qhspace.modcat import _assemble, module_from_pointed, module_from_subgroup, validate_module
+from qhspace.modcat import _assemble, module_from_pointed, validate_module
 from qhspace.numkit import DEFAULT_TOL, NumericalRankError, kron, max_residual, solution_basis
 from qhspace import reconstruct
 from qhspace.reconstruct import (
@@ -210,22 +210,6 @@ def _hexagon_loop(mor, weights=None):
 
 
 @pytest.fixture(scope="module")
-def a4_modules():
-    """A4 over an order-3 subgroup and over the trivial one.
-
-    3 (x) 3 holds the 3 twice, so the sums over the fusion multiplicity k
-    have two terms; every S3 and Z4 multiplicity is one.
-    """
-    even = [p for p in permutations(range(4))
-            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
-    g = group_from_permutations(even)
-    cat = tensorcat.from_group(extract_irreps(g, seed=0))
-    assert max(cat.mult(a, b, c) for a in cat.labels for b in cat.labels for c in cat.channels(a, b)) == 2
-    z3 = Subgroup.generated(g, [even.index((1, 2, 0, 3))])
-    return [module_from_subgroup(cat, z3), module_from_subgroup(cat, Subgroup.generated(g, []))]
-
-
-@pytest.fixture(scope="module")
 def modules(s3_modules, z4_pointed_module, z4_coset_module, a4_modules):
     return [*s3_modules.values(), z4_pointed_module, z4_coset_module, *a4_modules]
 
@@ -400,7 +384,7 @@ def test_multiplicative_matches_loop(restrictions, s3_modules):
 
 
 def _recoupling_loop(cat, a, b, c):
-    """Path-by-path form of ``tensorcat._recoupling_residual``: the reference."""
+    """Path-by-path form of ``tensorcat._recoupling_residual`` at one triple: the reference."""
     worst = 0.0
     dims = cat.obj_dim
     eye_c = np.eye(dims[c], dtype=np.complex128)
@@ -430,22 +414,31 @@ def _recoupling_loop(cat, a, b, c):
     return worst
 
 
+def _with_noisy_isometry(cat, key, chan, k):
+    """A copy of the category with the k-th fusion isometry of (key, chan) moved by 1e-3."""
+    bad = list(cat.fusion[key][chan])
+    bad[k] = _noisy(bad[k])
+    return replace(cat, fusion={**cat.fusion, key: {**cat.fusion[key], chan: tuple(bad)}})
+
+
 def test_recoupling_matches_loop(s3_cat, z4_pointed_cat, a4_modules):
+    # the batched check against the worst of the per-triple loops, over every
+    # (a, b, c); A4's 3 (x) 3 holds the 3 twice, Z8 has the standard cocycle
+    a4 = a4_modules[0].cat
+    three = next(a for a in a4.labels if a4.mult(a, a, a) == 2)
     z8 = tensorcat.from_pointed(tensorcat.standard_cyclic_cocycle(8))
-    cats = [s3_cat, z4_pointed_cat, a4_modules[0].cat, z8]
-    # one fusion isometry moved by 1e-3, so that the residuals are not at roundoff level
-    key = (1, 1)
-    chan = s3_cat.channels(*key)[0]
-    bad = list(s3_cat.fusion[key][chan])
-    bad[0] = _noisy(bad[0])
-    fusion = {**s3_cat.fusion, key: {**s3_cat.fusion[key], chan: tuple(bad)}}
-    cats.append(replace(s3_cat, fusion=fusion))
-    for cat in cats:
-        for a, b, c in product(cat.labels, repeat=3):
-            got, ref = tensorcat._recoupling_residual(cat, a, b, c), _recoupling_loop(cat, a, b, c)
-            assert abs(got - ref) < 1e-14, (cat.kind, a, b, c)
-            assert (got <= DEFAULT_TOL) == (ref <= DEFAULT_TOL)
-    assert tensorcat._recoupling_residual(cats[-1], 1, 1, 1) > DEFAULT_TOL
+    # noisy copies, so that the residuals are not at roundoff level
+    noisy = [_with_noisy_isometry(s3_cat, (1, 1), s3_cat.channels(1, 1)[0], 0),
+             _with_noisy_isometry(a4, (three, three), three, 1)]
+    # and one with that second isometry dropped: the 3 x 3 channel 3 is no longer complete
+    isos = a4.fusion[(three, three)]
+    short = replace(a4, fusion={**a4.fusion, (three, three): {**isos, three: isos[three][:1]}})
+    for cat in [s3_cat, z4_pointed_cat, a4, z8, *noisy, short]:
+        got = tensorcat._recoupling_residual(cat)
+        ref = max(_recoupling_loop(cat, a, b, c) for a, b, c in product(cat.labels, repeat=3))
+        assert abs(got - ref) < 1e-14, (cat.kind, len(cat.labels))
+        assert (got <= DEFAULT_TOL) == (ref <= DEFAULT_TOL)
+    assert all(tensorcat._recoupling_residual(cat) > DEFAULT_TOL for cat in [*noisy, short])
 
 
 def _coset_bases_svd(cat, subgroup, mu=None, tol=DEFAULT_TOL):

@@ -20,7 +20,7 @@ from qhspace.modcat import (
     validate_module,
 )
 from qhspace.modcat import _triple_coherence_residual
-from qhspace.numkit import dagger, kron, max_residual
+from qhspace.numkit import DEFAULT_TOL, dagger, kron, max_residual
 from qhspace.reconstruct import ReconstructionError, restriction_morphism
 
 
@@ -94,7 +94,7 @@ def test_disjoint_union_is_block_diagonal(s3_modules, z4_pointed_module, z4_cose
                     assert np.array_equal(got[c], blocks[c])
 
 
-def test_perturbed_copy_fails_and_original_passes(s3_modules):
+def test_perturbed_copy_fails_and_original_passes(s3_modules, z4_pointed_module):
     f = s3_modules["order2"]
     key = max(f.coherence, key=lambda k: sum(arr.size for arr in f.coherence[k].values()))
     bad = {c: arr.copy() for c, arr in f.coherence[key].items()}
@@ -103,6 +103,20 @@ def test_perturbed_copy_fails_and_original_passes(s3_modules):
     cert = validate_module(g)
     assert [c.name for c in cert.checks if not c.passed] == ["coherence_unitarity"]
     assert validate_module(f).passed
+    # a zero row in one channel: the columns stay orthonormal, the rows do not
+    c0 = min(f.coherence[key])
+    arr = f.coherence[key][c0]
+    padded = np.concatenate([arr, np.zeros((len(arr), 1, arr.shape[2]), dtype=np.complex128)], axis=1)
+    tall = replace(f, coherence={**f.coherence, key: {**f.coherence[key], c0: padded}})
+    cert = validate_module(tall)
+    assert [(c.name, c.value) for c in cert.checks if not c.passed] == [("coherence_unitarity", 1.0)]
+    # module associator phases moved by 1e-3 break the Frobenius round trip
+    phase = z4_pointed_module.phase.copy()
+    phase[1, 3] *= np.exp(1e-3j)
+    h = replace(z4_pointed_module, phase=phase)
+    assert "frobenius_roundtrip" in [c.name for c in validate_module(h).checks if not c.passed]
+    for copy in (f, g, tall, h):
+        _assert_checks_match_loops(copy)
 
 
 def test_restriction_of_coset_module_refused(z4_coset_module, z4_pointed_module):
@@ -191,7 +205,7 @@ def _assoc_diag(f, h1, h2, r, fibre):
 
 
 def _coherence_loop(f, a, b, r, t):
-    """Column-by-column form of ``modcat._coherence``: the reference."""
+    """Column-by-column form of ``modcat._coherence_blocks`` at one block: the reference."""
     cat = f.cat
     off = f.column_offsets(a, b, r, t)
     phi_conj = np.conj(_assoc_diag(f, f.handle[a], f.handle[b], t, cat.dim(a) * cat.dim(b)))
@@ -215,6 +229,72 @@ def _coherence_loop(f, a, b, r, t):
                     arr[k, p, col] = np.trace(dagger(tc) @ proj) / f.base_dims[r]
         out[c] = arr
     return out
+
+
+def _coherence_unitarity_loop(f):
+    """Block-by-block form of the ``coherence_unitarity`` check: the reference."""
+    coh = 0.0
+    for blocks in f.coherence.values():
+        u = np.vstack([blocks[c].reshape(-1, blocks[c].shape[2]) for c in sorted(blocks)])
+        coh = max(coh, max_residual(dagger(u) @ u, np.eye(u.shape[1])))
+        if u.shape[0]:
+            coh = max(coh, max_residual(u @ dagger(u), np.eye(u.shape[0])))
+    return coh
+
+
+def _frobenius_image_loop(f, a, r, s, m):
+    """The partner in Mor(X_s, u_abar (x) X_r) of the m-th basis morphism, one at a time."""
+    cat = f.cat
+    abar = cat.dual_map[a]
+    ds = f.base_dims[s]
+    rvec = cat.canonical_conjugates(a)[0]
+    phi = _assoc_diag(f, f.handle[abar], f.handle[a], s, cat.dim(abar) * cat.dim(a))
+    lift = phi[:, None] * kron(rvec.reshape(-1, 1), np.eye(ds, dtype=np.complex128))
+    return kron(np.eye(cat.dim(abar), dtype=np.complex128), dagger(f.bases[(a, r, s)][m])) @ lift
+
+
+def _frobenius_back_loop(f, a, r, g):
+    """From Mor(X_s, u_abar (x) X_r) back to Mor(X_r, u_a (x) X_s), one morphism at a time."""
+    cat = f.cat
+    abar = cat.dual_map[a]
+    dr = f.base_dims[r]
+    rbar = cat.canonical_conjugates(a)[1]
+    phi_conj = np.conj(_assoc_diag(f, f.handle[a], f.handle[abar], r, cat.dim(a) * cat.dim(abar)))
+    lifted = phi_conj[:, None] * kron(np.eye(cat.dim(a), dtype=np.complex128), g)
+    return dagger(kron(dagger(rbar), np.eye(dr, dtype=np.complex128)) @ lifted)
+
+
+def _frobenius_roundtrip_loop(f):
+    """Morphism-by-morphism form of the ``frobenius_roundtrip`` check: the reference."""
+    worst = 0.0
+    for (a, r, s), stack in f.bases.items():
+        for m, t in enumerate(stack):
+            back = _frobenius_back_loop(f, a, r, _frobenius_image_loop(f, a, r, s, m))
+            worst = max(worst, max_residual(back, t))
+    return worst
+
+
+def _frobenius_block_loop(f, a, r, s):
+    """Trace-by-trace form of ``frobenius_block``: the reference."""
+    tbars = f.mor_basis(f.cat.dual_map[a], s, r)
+    imgs = [_frobenius_image_loop(f, a, r, s, m) for m in range(int(f.dims[a, r, s]))]
+    out = [[np.trace(dagger(tb) @ img) / f.base_dims[s] for img in imgs] for tb in tbars]
+    return np.array(out, dtype=np.complex128).reshape(len(tbars), len(imgs))
+
+
+def _check_values(f):
+    return {c.name: (c.value, c.passed) for c in validate_module(f).checks}
+
+
+def _assert_checks_match_loops(f):
+    # batched in another grouping: the values agree with the loops to roundoff
+    got = _check_values(f)
+    for name, loop in (("coherence_unitarity", _coherence_unitarity_loop),
+                       ("frobenius_roundtrip", _frobenius_roundtrip_loop)):
+        value, passed = got[name]
+        ref = loop(f)
+        assert abs(value - ref) < 1e-14, (f.name, name, value, ref)
+        assert passed == (ref <= DEFAULT_TOL), (f.name, name)
 
 
 def _triple_loop(f):
@@ -250,9 +330,28 @@ def _triple_loop(f):
     return worst
 
 
-def test_coherence_matches_column_loop(s3_modules, z4_pointed_module, z4_coset_module):
-    # the batched form does the same products in the same order: equal bits
-    for f in (s3_modules["order2"], s3_modules["full"], z4_pointed_module, z4_coset_module):
+@pytest.fixture(scope="module")
+def coset_modules():
+    """Coset modules with |K| > 1: Z8 > Z2 (four cosets) and Z10 > Z10 (one), trivial cocycle."""
+    out = []
+    for n, k in ((8, (0, 4)), (10, tuple(range(10)))):
+        group = cyclic_group(n)
+        cat = tensorcat.from_pointed(tensorcat.PointedFusionData(group, np.ones((n, n, n))))
+        out.append(module_from_pointed(cat, Subgroup(group, k)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def shape_modules(s3_modules, z4_pointed_module, z4_coset_module, a4_modules, coset_modules):
+    """Modules whose blocks come in several product shapes, with fusion multiplicity two (A4)."""
+    return [s3_modules["order2"], s3_modules["full"], z4_pointed_module, z4_coset_module,
+            *a4_modules, *coset_modules]
+
+
+def test_coherence_matches_column_loop(shape_modules):
+    # the shape-grouped form does the same products on the same matrices: equal bits,
+    # signed zeros included
+    for f in shape_modules:
         labels, bases = f.cat.labels, range(f.n_base)
         linked = [(a, b, r, t) for a in labels for b in labels for r in bases for t in bases
                   if f.column_offsets(a, b, r, t)[-1]]
@@ -261,7 +360,22 @@ def test_coherence_matches_column_loop(s3_modules, z4_pointed_module, z4_coset_m
             got, want = f.coherence[key], _coherence_loop(f, *key)
             assert got.keys() == want.keys()
             for c in want:
+                assert got[c].dtype == want[c].dtype and got[c].shape == want[c].shape
                 assert np.array_equal(got[c], want[c]), (f.name, key, c)
+                assert got[c].tobytes() == want[c].tobytes(), (f.name, key, c)
+
+
+def test_frobenius_block_matches_loop(shape_modules):
+    # the star matrices read these blocks, so they must be equal bit for bit
+    for f in shape_modules:
+        for a, r, s in f.bases:
+            got, want = f.frobenius_block(a, r, s), _frobenius_block_loop(f, a, r, s)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (f.name, a, r, s)
+
+
+def test_module_checks_match_loops(shape_modules, s3_modules, z4):
+    for f in (*shape_modules, s3_modules["trivial"], s3_modules["order3"], _flipped_z4_module(z4)):
+        _assert_checks_match_loops(f)
 
 
 def test_triple_coherence_matches_chain_loop(s3_modules, z4_pointed_module, z4_coset_module, z4):

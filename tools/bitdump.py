@@ -1,0 +1,146 @@
+"""Dump the arrays a refactor must leave bit for bit unchanged, and compare two dumps.
+
+    PYTHONPATH=src python3 tools/bitdump.py dump OUT.npz
+    python3 tools/bitdump.py compare A.npz B.npz
+
+``dump`` uses the ``qhspace`` found on the path, so pointing ``PYTHONPATH``
+at another checkout's ``src`` dumps that checkout.  It covers the three
+shipped projects and the ``pointed_ladder`` and ``corners`` cases of
+``perfbench`` (the corners at seeds 1 and 7) and saves, one key per array:
+
+- every module basis and coherence block;
+- the structure tensor and star matrix of the algebra at every base;
+- the left and right tensors and star matrix of every bimodule corner;
+- the exchange blocks ``psi`` of every restriction morphism;
+- the verdict of every named check of ``run_suite``, ``verify_bimodule``,
+  ``block_consistency``, ``validate_morphism`` and ``verify_algebra_map``.
+
+``compare`` prints every key whose array differs in dtype, shape or bytes
+(so signed zeros count), or that only one dump has, and exits with 1 if it
+printed any.  Dump both sides at the same ``OPENBLAS_NUM_THREADS``.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROJECTS = ("s3_subgroup", "s3_morphism", "z4_pointed")
+CORNER_SEEDS = (1, 7)
+
+
+def _verdicts(out: dict, tag: str, cert) -> None:
+    for check in cert.checks:
+        out[f"{tag}/{check.name}"] = np.array(check.passed)
+
+
+def _module(out: dict, tag: str, mod) -> None:
+    from qhspace.reconstruct import build_algebra
+
+    for key, basis in mod.bases.items():
+        out[f"{tag}/basis{key}"] = basis
+    for key, chans in mod.coherence.items():
+        for c, arr in chans.items():
+            out[f"{tag}/coherence{key}/{c}"] = arr
+    for x in range(mod.n_base):
+        alg = build_algebra(mod, x)
+        out[f"{tag}/tensor{x}"] = alg.tensor
+        out[f"{tag}/star{x}"] = alg.star_mat
+
+
+def _morphism(out: dict, tag: str, mor, seed: int) -> None:
+    from qhspace.reconstruct import validate_morphism, verify_algebra_map
+
+    for key, block in mor.psi.items():
+        out[f"{tag}/psi{key}"] = block
+    _verdicts(out, f"{tag}/validate_morphism", validate_morphism(mor, seed=seed))
+    _verdicts(out, f"{tag}/verify_algebra_map", verify_algebra_map(mor))
+
+
+def _corners(out: dict, tag: str, mod, seed: int) -> None:
+    from qhspace.reconstruct import block_consistency, build_bimodule, verify_bimodule
+
+    for x in range(mod.n_base):
+        for y in range(mod.n_base):
+            bim = build_bimodule(mod, x, y)
+            out[f"{tag}/bimodule{x, y}/left"] = bim.left_tensor
+            out[f"{tag}/bimodule{x, y}/right"] = bim.right_tensor
+            out[f"{tag}/bimodule{x, y}/star"] = bim.star_mat
+            _verdicts(out, f"{tag}/bimodule{x, y}", verify_bimodule(bim))
+            if x < y:
+                _verdicts(out, f"{tag}/block{x, y}", block_consistency(mod, x, y))
+
+
+def dump(path: str) -> None:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from workloads import coset_module, make_inputs, subgroup_module
+
+    from qhspace.project_io import load_project
+    from qhspace.reconstruct import restriction_morphism
+    from qhspace.tensorcat import PointedFusionData, from_group, from_pointed
+    from qhspace.grouprep import extract_irreps
+    from qhspace.verify import run_suite
+
+    out: dict[str, np.ndarray] = {}
+    for name in PROJECTS:
+        project = load_project(os.path.join(ROOT, "projects", f"{name}.qhs.json"))
+        if project.module is not None:
+            _module(out, name, project.module)
+            _verdicts(out, f"{name}/run_suite", run_suite(project.category, project.module))
+        if project.morphism is not None:
+            _module(out, f"{name}/target", project.morphism.target)
+            _morphism(out, name, project.morphism, 0)
+    for case in make_inputs("pointed_ladder", 0, ROOT):
+        cat = from_pointed(PointedFusionData(case.group, case.cocycle))
+        mod = coset_module(cat, case.group, case.subgroup)
+        _module(out, case.id, mod)
+        _verdicts(out, f"{case.id}/run_suite", run_suite(cat, mod))
+    for seed in CORNER_SEEDS:
+        for case in make_inputs("corners", seed, ROOT):
+            tag = f"{case.id}@{seed}"
+            cat = from_group(extract_irreps(case.group))
+            mod = subgroup_module(cat, case.group, case.subgroup)
+            _module(out, tag, mod)
+            _verdicts(out, f"{tag}/run_suite", run_suite(cat, mod, seed=seed))
+            _corners(out, tag, mod, seed)
+            triv = subgroup_module(cat, case.group, (case.group.identity,))
+            _module(out, f"{tag}/trivial", triv)
+            _morphism(out, tag, restriction_morphism(mod, triv), seed)
+    np.savez(path, **out)
+    print(f"{len(out)} arrays written to {path}")
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = np.load(path_a), np.load(path_b)
+    keys_a, keys_b = set(a.files), set(b.files)
+    differ = 0
+    for key in sorted(keys_a | keys_b):
+        if key not in keys_a or key not in keys_b:
+            print(f"only in {path_a if key in keys_a else path_b}: {key}")
+        elif a[key].dtype != b[key].dtype or a[key].shape != b[key].shape:
+            print(f"dtype or shape: {key}: {a[key].dtype}{a[key].shape} vs {b[key].dtype}{b[key].shape}")
+        elif a[key].tobytes() != b[key].tobytes():
+            diff = np.abs(a[key].astype(np.complex128) - b[key].astype(np.complex128))
+            print(f"bytes: {key} (max |difference| {np.max(diff):.3e})")
+        else:
+            continue
+        differ += 1
+    print(f"{differ} of {len(keys_a | keys_b)} arrays differ")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        dump(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
