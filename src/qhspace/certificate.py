@@ -13,6 +13,20 @@ from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
 
+_NUMBER = (int, float)
+_CHECK_FIELDS = (("name", str), ("property", str), ("value", _NUMBER), ("threshold", _NUMBER), ("passed", bool))
+
+
+def _field(d, key: str, kind, where: str):
+    """d[key] when d is an object holding it with the given type, else a ValueError saying which."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"{where} lacks key {key!r}")
+    if not isinstance(d[key], kind):
+        raise ValueError(f"{where} key {key!r} holds a {type(d[key]).__name__}")
+    return d[key]
+
 
 @dataclass(frozen=True)
 class Check:
@@ -33,7 +47,7 @@ class Check:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Check":
-        return cls(d["name"], d["property"], d["value"], d["threshold"], d["passed"])
+        return cls(*(_field(d, key, kind, "check") for key, kind in _CHECK_FIELDS))
 
 
 @dataclass
@@ -83,8 +97,9 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
-        cert = cls(d["subject"], d["tolerance"], d.get("seed", 0))
-        cert.checks = [Check.from_dict(c) for c in d["checks"]]
+        cert = cls(_field(d, "subject", str, "certificate"), _field(d, "tolerance", _NUMBER, "certificate"),
+                   d.get("seed", 0))
+        cert.checks = [Check.from_dict(c) for c in _field(d, "checks", list, "certificate")]
         return cert
 
     def to_json(self) -> str:

@@ -328,9 +328,7 @@ def extract_irreps(group: FiniteGroup, seed: int = 0, tol: float = DEFAULT_TOL) 
                 if len(matches) != 1:
                     raise IrrepExtractionError(f"dual of irrep {a} not unique")
                 dual.append(matches[0])
-            table = IrrepTable(group, tuple(reps), tuple(dual))
-            table.validate()
-            return table
+            return IrrepTable(group, tuple(reps), tuple(dual))
         except IrrepExtractionError as err:
             last_err = err
             continue

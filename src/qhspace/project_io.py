@@ -143,6 +143,8 @@ def save_project(path: str, sections: dict) -> None:
 def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ProjectError(f"{path}: a project is a JSON object, not a {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ProjectError(
@@ -150,17 +152,26 @@ def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
         )
     sections = doc.get("sections", {})
     stored = doc.get("fingerprints", {})
+    if not (isinstance(sections, dict) and isinstance(stored, dict)):
+        raise ProjectError(f"{path}: sections and fingerprints must be JSON objects")
     for name, body in sections.items():
+        if not isinstance(body, dict):
+            raise ProjectError(f"{path}: section {name!r} is not a JSON object")
         want = fingerprint(body)
         if stored.get(name) != want:
             raise ProjectError(f"{path}: fingerprint mismatch in section {name!r}")
 
+    def field(section: str, key: str):
+        if key not in sections[section]:
+            raise ProjectError(f"{path}: section {section!r} lacks key {key!r}")
+        return sections[section][key]
+
     if "group" not in sections:
         raise ProjectError(f"{path}: missing group section")
-    group = FiniteGroup(np.asarray(sections["group"]["mult_table"], dtype=np.int64))
+    group = FiniteGroup(np.asarray(field("group", "mult_table"), dtype=np.int64))
 
     if "cocycle" in sections:
-        values = decode_array(sections["cocycle"]["values"])
+        values = decode_array(field("cocycle", "values"))
         data = tensorcat.PointedFusionData(group, values)
         cat = tensorcat.from_pointed(data)
     else:
@@ -176,14 +187,15 @@ def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
                 f"{path}: module section was built against a different category "
                 f"(fingerprint {msec.get('category_fingerprint')!r}, current {cat_fp!r})"
             )
-        sub = Subgroup(group, tuple(msec["elements"]))
-        if msec["backend"] == "subgroup":
+        sub = Subgroup(group, tuple(field("module", "elements")))
+        backend = field("module", "backend")
+        if backend == "subgroup":
             module = module_from_subgroup(cat, sub, seed=int(msec.get("seed", 0)), tol=tol)
-        elif msec["backend"] == "pointed":
+        elif backend == "pointed":
             mu = decode_array(msec["mu"]) if msec.get("mu") is not None else None
             module = module_from_pointed(cat, sub, mu=mu, tol=tol)
         else:
-            raise ProjectError(f"{path}: unknown module backend {msec['backend']!r}")
+            raise ProjectError(f"{path}: unknown module backend {backend!r}")
 
     morphism = None
     if "morphism" in sections:
@@ -192,7 +204,7 @@ def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
         wsec = sections["morphism"]
         if wsec.get("backend") != "restriction":
             raise ProjectError(f"{path}: unknown morphism backend {wsec.get('backend')!r}")
-        tsub = Subgroup(group, tuple(wsec["target_elements"]))
+        tsub = Subgroup(group, tuple(field("morphism", "target_elements")))
         target = module_from_subgroup(cat, tsub, seed=int(wsec.get("seed", 0)), tol=tol)
         morphism = restriction_morphism(module, target, tol)
 

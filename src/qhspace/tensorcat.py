@@ -248,35 +248,6 @@ def from_pointed(data: PointedFusionData) -> CategoryPresentation:
     )
 
 
-def frobenius_on_category(cat: CategoryPresentation, a: int, b: int, c: int):
-    """Linear bijection Mor(u_a x u_b, u_c) <-> Mor(u_b, u_abar x u_c).
-
-    Returns (forward, backward) callables; their round-trip is the identity
-    by the conjugate identities.  Morphisms are matrices mapping the source
-    space to the target space in the fixed tensor-product bases.
-    """
-    abar = cat.dual_map[a]
-    da, db, dc = cat.dim(a), cat.dim(b), cat.dim(c)
-    dbar = cat.dim(abar)
-    r, rbar = cat.conj_solutions[a]
-    eye_b = np.eye(db, dtype=np.complex128)
-    eye_c = np.eye(dc, dtype=np.complex128)
-    eye_a = np.eye(da, dtype=np.complex128)
-    eye_bar = np.eye(dbar, dtype=np.complex128)
-    alpha = cat.assoc_scalar(abar, a, b)
-    beta_inv = np.conj(cat.assoc_scalar(a, abar, c))
-
-    def forward(f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=np.complex128).reshape(dc, da * db)
-        return kron(eye_bar, f) @ (alpha * kron(r, eye_b))
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        g = np.asarray(g, dtype=np.complex128).reshape(dbar * dc, db)
-        return kron(dagger(rbar), eye_c) @ (beta_inv * kron(eye_a, g))
-
-    return forward, backward
-
-
 def fusion_table(cat: CategoryPresentation) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
     """Every fusion isometry as one row (a, b, c, k), regrouped into one stack per shape.
 

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qhspace.grouprep import (
     cyclic_group,
     dihedral_group,
     extract_irreps,
+    group_from_permutations,
     intertwiner_basis,
     regular_rep,
     restrict,
@@ -62,6 +65,29 @@ def test_irrep_dims():
 def test_irreps_validate(s3_table):
     s3_table.validate()
     assert sum(r.dim ** 2 for r in s3_table.irreps) == 6
+
+
+def _quaternion_group():
+    """Q8 from the closure of i and j as 2 x 2 complex matrices, identity first."""
+    gens = [np.array([[1j, 0], [0, -1j]]), np.array([[0, 1], [-1, 0]], dtype=np.complex128)]
+    elems = [np.eye(2, dtype=np.complex128)]
+    for m in elems:
+        for g in gens:
+            if not any(np.allclose(m @ g, e) for e in elems):
+                elems.append(m @ g)
+    table = [[next(k for k, e in enumerate(elems) if np.allclose(x @ y, e)) for y in elems] for x in elems]
+    return FiniteGroup(np.array(table))
+
+
+def test_extracted_tables_validate():
+    # extract_irreps checks each condition of IrrepTable.validate as it builds the table
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    groups = [symmetric_group(3), _quaternion_group(), group_from_permutations(even),
+              symmetric_group(4), dihedral_group(12)]
+    for group, order in zip(groups, (6, 8, 12, 24, 24)):
+        assert group.order == order
+        extract_irreps(group, seed=0).validate()
 
 
 def test_trivial_label_is_zero(s3_table):

@@ -171,6 +171,35 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: GroupAxiomError: ")
 
 
+def test_cli_malformed_input_exits_2(tmp_path, capsys):
+    # each malformed file is an input error: exit 2 with one line naming what is wrong
+    cert = Certificate(subject="s", tolerance=1e-9)
+    cert.add("c", "a property", 0.0)
+    no_property = cert.to_dict()
+    del no_property["checks"][0]["property"]
+    no_elements = example_projects()["s3_subgroup"]
+    del no_elements["module"]["elements"]
+    cases = [
+        ("report", project_path("s3_subgroup"), "certificate lacks key 'subject'"),
+        ("report", no_property, "check lacks key 'property'"),
+        ("report", [1, 2], "certificate must be a JSON object, not list"),
+        ("validate", [1, 2], "a project is a JSON object, not a list"),
+        ("validate", {"group": {}}, "section 'group' lacks key 'mult_table'"),
+        ("validate", no_elements, "section 'module' lacks key 'elements'"),
+    ]
+    for i, (command, body, message) in enumerate(cases):
+        path = body if isinstance(body, str) else str(tmp_path / f"case{i}.json")
+        if command == "validate" and isinstance(body, dict):
+            save_project(path, body)  # fingerprinted afresh, so only the missing key is wrong
+        elif not isinstance(body, str):
+            with open(path, "w") as fh:
+                json.dump(body, fh)
+        capsys.readouterr()
+        assert main([command, path]) == 2, message
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, (message, err)
+
+
 def test_cli_verify_and_report(tmp_path):
     out = str(tmp_path / "cert.json")
     assert main(["verify", project_path("z4_pointed"), "--format", "json",

@@ -266,17 +266,54 @@ def _recorded_weights(seed):
     return weights, asked
 
 
-def test_hexagon_matches_loop(restrictions):
+def test_hexagon_matches_loop(restrictions, monkeypatch):
     # the blocks sum in another order: residuals agree to a few units of roundoff
     for mor in restrictions:
         for m in (mor, _perturbed(mor)):
-            assert abs(_hexagon_residual(m) - _hexagon_loop(m)) < 1e-14
-            w_block, asked_block = _recorded_weights(5)
-            w_loop, asked_loop = _recorded_weights(5)
-            assert abs(_hexagon_residual(m, w_block) - _hexagon_loop(m, w_loop)) < 1e-14
-            assert asked_block == asked_loop
-        assert _hexagon_residual(mor) < 1e-12
-        assert _hexagon_residual(_perturbed(mor)) > DEFAULT_TOL
+            rows = _hexagon_residual(m)
+            assert abs(max(rows.values()) - _hexagon_loop(m)) < 1e-14
+            weights, asked = _recorded_weights(5)
+            sampled = _hexagon_loop(m, weights)
+            assert list(rows) == list(dict.fromkeys(asked))
+            assert abs(_values(reconstruct.validate_morphism(m, seed=5))["hexagon_sampled"] - sampled) < 1e-14
+        assert max(_hexagon_residual(mor).values()) < 1e-12
+        assert max(_hexagon_residual(_perturbed(mor)).values()) > DEFAULT_TOL
+
+    calls = []
+    monkeypatch.setattr(reconstruct, "_hexagon_residual",
+                        lambda mor: calls.append(mor) or _hexagon_residual(mor))
+    reconstruct.validate_morphism(restrictions[0], seed=5)
+    assert len(calls) == 1
+
+
+def _restriction_loop(fx, fy, tol=DEFAULT_TOL):
+    """Entry-by-entry form of ``restriction_morphism``'s exchange blocks: one trace per (row, column)."""
+    pos_x = {g: i for i, g in enumerate(fx.subgroup.elements)}
+    hy_in_hx = Subgroup(fx.subgroup.as_group, tuple(pos_x[g] for g in fy.subgroup.elements))
+    fbases = {(p, r): np.sqrt(fy.base_dims[p]) * grouprep.intertwiner_basis(
+        fy.irrep_table.irreps[p], grouprep.restrict(fx.irrep_table.irreps[r], hy_in_hx), tol)
+        for p in range(fy.n_base) for r in range(fx.n_base)}
+    psi = {}
+    for a in fx.cat.labels:
+        eye_a = np.eye(fx.cat.dim(a), dtype=np.complex128)
+        for p in range(fy.n_base):
+            for r in range(fx.n_base):
+                comps = [tx @ fa for s in range(fx.n_base) for fa in fbases[(p, s)]
+                         for tx in fx.mor_basis(a, s, r)]
+                targets = [kron(eye_a, fb) @ ty for q in range(fy.n_base) for ty in fy.mor_basis(a, p, q)
+                           for fb in fbases[(q, r)]]
+                blk = [[np.trace(t.conj().T @ comp) / fy.base_dims[p] for comp in comps] for t in targets]
+                psi[(a, p, r)] = np.array(blk, dtype=np.complex128).reshape(len(targets), len(comps))
+    return psi
+
+
+def test_restriction_matches_loop(restrictions):
+    # one stacked product and one batched trace take the same BLAS calls and sums: equal bits
+    for mor in restrictions:
+        ref = _restriction_loop(mor.source, mor.target)
+        assert mor.psi.keys() == ref.keys()
+        for key, blk in mor.psi.items():
+            assert blk.dtype == ref[key].dtype and np.array_equal(blk, ref[key]), key
 
 
 def _assoc_einsum(ab, bc, left, right):

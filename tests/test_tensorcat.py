@@ -3,7 +3,6 @@ import pytest
 
 from qhspace import tensorcat
 from qhspace.grouprep import cyclic_group
-from qhspace.numkit import dagger, max_residual
 from qhspace.tensorcat import (
     UNIT_LABEL,
     CocycleError,
@@ -82,18 +81,6 @@ def test_cocycle_identity_enforced():
 def test_standard_cocycle_nontrivial():
     data = standard_cyclic_cocycle(4)
     assert abs(data.cocycle[2, 2, 2] + 1.0) < 1e-12  # equals -1
-
-
-def test_frobenius_reciprocity_roundtrip(s3_cat):
-    from qhspace.tensorcat import frobenius_on_category
-
-    for a in s3_cat.labels:
-        for b in s3_cat.labels:
-            for c in s3_cat.channels(a, b):
-                fwd, back = frobenius_on_category(s3_cat, a, b, c)
-                for iota in s3_cat.isometries(a, b, c):
-                    f = dagger(iota)  # element of Mor(a x b, c) transposed view
-                    assert max_residual(back(fwd(f)), f) < 1e-9
 
 
 def test_canonical_conjugates_deterministic(s3_cat):
