@@ -14,6 +14,7 @@ and the disjoint union of two records.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,13 +74,16 @@ class BigradedFunctor:
         shape = (0, self.cat.dim(a) * self.base_dims[s], self.base_dims[r])
         return np.zeros(shape, dtype=np.complex128)
 
-    def column_offsets(self, a: int, b: int, r: int, t: int) -> np.ndarray:
-        """Where each intermediate label s starts in the columns of ``coherence[(a, b, r, t)]``.
+    @cached_property
+    def column_offsets(self) -> np.ndarray:
+        """``column_offsets[a, b, r, t]``: where each intermediate label s starts in the columns of
+        ``coherence[(a, b, r, t)]``.
 
         The columns run over (s, m, n); the block of s is (dims[a, r, s], dims[b, s, t]),
         m major.  The last entry is the column count.
         """
-        return block_offsets(self.dims[a, r] * self.dims[b, :, t])
+        sizes = self.dims[:, None, :, :, None] * self.dims[None, :, None, :, :]  # [a, b, r, s, t]
+        return block_offsets(sizes.transpose(0, 1, 2, 4, 3))
 
     def frobenius_block(self, a: int, r: int, s: int) -> np.ndarray:
         """Matrix B[q, m] expanding each Frobenius image in the dual-label basis (dims[a, r, s] > 0)."""

@@ -40,8 +40,15 @@ def dagger(a) -> np.ndarray:
 
 
 def block_offsets(sizes) -> np.ndarray:
-    """Start of each block in a concatenation of blocks of the given sizes; the last entry is the total."""
-    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    """Start of each block in a concatenation of blocks of the given sizes; the last entry is the total.
+
+    An n-d array of sizes gives one offset vector per position of its
+    leading axes, over the last axis.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    out = np.zeros(sizes.shape[:-1] + (sizes.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(sizes, axis=-1, out=out[..., 1:])
+    return out
 
 
 def successors(ends: np.ndarray, src: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +161,11 @@ def psd_check(g, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     evals = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
     lo = float(evals[0])
     return lo >= -tol * scale, lo
+
+
+def largest(values) -> float:
+    """The largest of some residuals, 0.0 for none, NaN if any is NaN (``max`` would drop it)."""
+    return float(np.max(np.asarray(values, dtype=np.float64), initial=0.0))
 
 
 def max_residual(a, b) -> float:

@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
 from .certificate import Certificate
 from .modcat import BigradedFunctor
-from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, psd_check
+from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, largest, max_residual, psd_check
 from .tensorcat import UNIT_LABEL
 
 
@@ -76,7 +77,7 @@ def structure_tensor(f: BigradedFunctor, x: int, y: int, z: int) -> np.ndarray:
         for b in np.flatnonzero(f.dims[:, y, z]).tolist():
             if UNIT_LABEL in (a, b):
                 continue
-            cols = f.column_offsets(a, b, x, z)
+            cols = f.column_offsets[a, b, x, z]
             nm, nn = int(f.dims[a, x, y]), int(f.dims[b, y, z])
             da, db = cat.dim(a), cat.dim(b)
             for c, arr in f.coherence[(a, b, x, z)].items():
@@ -192,21 +193,52 @@ def build_algebra(f: BigradedFunctor, base: int = 0) -> SpectralAlgebra:
     return SpectralAlgebra(f, base)
 
 
-def _assoc_residual(ab: np.ndarray, bc: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+def _support(t: np.ndarray, cuts: list[list[slice]]) -> set[tuple[int, int, int]]:
+    """The blocks (I, J, K) of t, cut at each axis' slices, that have a nonzero entry.
+
+    NaN and inf count as nonzero.
+    """
+    return {(i, j, k) for (i, si), (j, sj), (k, sk) in product(*map(enumerate, cuts)) if t[si, sj, sk].any()}
+
+
+def _assoc_residual(ab: np.ndarray, bc: np.ndarray, left: np.ndarray, right: np.ndarray,
+                    off: np.ndarray | None = None) -> float:
     """max |sum_u ab[p, q, u] bc[u, r, s] - sum_u left[q, r, u] right[p, u, s]| over (p, q, r, s).
 
-    Both bracketings are formed one p at a time, as two GEMMs: O(n^3)
-    memory, and no n^4 array is built.
+    ``off`` cuts every axis into the same blocks (``numkit.block_offsets``);
+    without it each axis is one block.  Output block (P, Q, R, S) sums only
+    the products ab[P, Q, U] bc[U, R, S] and left[Q, R, U] right[P, U, S]
+    whose two factor blocks both have a nonzero entry: every other product
+    is exactly zero.  Both bracketings are formed one p at a time, as GEMMs
+    of blocks: O(n^3) memory, and no n^4 array is built.
     """
-    nq, nr, nu = left.shape
-    ns = bc.shape[2]
-    bc_rows = bc.reshape(len(bc), nr * ns)
-    left_rows = left.reshape(nq * nr, nu)
-    worst = 0.0
-    for p in range(len(ab)):
-        d = ab[p] @ bc_rows - (left_rows @ right[p]).reshape(nq, nr * ns)
-        worst = max(worst, float(np.max(np.abs(d), initial=0.0)))
-    return worst
+    if off is None:
+        # p, q, u of ab and bc; r, s; u of left and right
+        P, Q, U, R, S, V = ([slice(0, n)] for n in (*ab.shape, *bc.shape[1:], left.shape[2]))
+    else:
+        P = Q = U = R = S = V = [slice(lo, hi) for lo, hi in zip(off[:-1].tolist(), off[1:].tolist())]
+    s_ab, s_bc, s_left, s_right = (_support(ab, [P, Q, U]), _support(bc, [U, R, S]),
+                                   _support(left, [Q, R, V]), _support(right, [P, V, S]))
+    # the factor blocks as matrices: bc[U, R, S] as (u, (r, s)), left[Q, R, V] as ((q, r), v)
+    bc_blk = {(u, r, s): bc[U[u], R[r], S[s]].reshape(U[u].stop - U[u].start, -1) for u, r, s in s_bc}
+    left_blk = {(q, r, v): left[Q[q], R[r], V[v]].reshape(-1, V[v].stop - V[v].start) for q, r, v in s_left}
+    values = []
+    for bp, rows in enumerate(P):
+        # each output block (Q, R, S) of row block P that has a product, with the blocks U and V it sums
+        terms = []
+        for q, r, s in product(range(len(Q)), range(len(R)), range(len(S))):
+            us = [u for u in range(len(U)) if (bp, q, u) in s_ab and (u, r, s) in s_bc]
+            vs = [v for v in range(len(V)) if (q, r, v) in s_left and (bp, v, s) in s_right]
+            if us or vs:
+                terms.append((q, r, s, us, vs))
+        for p in range(rows.start, rows.stop):
+            for q, r, s, us, vs in terms:
+                one = [ab[p, Q[q], U[u]] @ bc_blk[u, r, s] for u in us]
+                two = [(left_blk[q, r, v] @ right[p, V[v], S[s]]).reshape(Q[q].stop - Q[q].start, -1)
+                       for v in vs]
+                d = (sum(one[1:], one[0]) if one else 0.0) - (sum(two[1:], two[0]) if two else 0.0)
+                values.append(np.max(np.abs(d), initial=0.0))
+    return largest(values)
 
 
 def _bilinear(t: np.ndarray, mu: np.ndarray, mv: np.ndarray) -> np.ndarray:
@@ -248,12 +280,8 @@ def verify_algebra(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
 
     rng = np.random.default_rng(seed)
     vs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    inter = 0.0
-    for va in vs:
-        for vb in vs:
-            lhs = alg.multiply(va, vb)
-            inter = max(inter, max_residual(alg.star(lhs),
-                                            alg.multiply(alg.star(vb), alg.star(va))))
+    inter = largest([max_residual(alg.star(alg.multiply(va, vb)), alg.multiply(alg.star(vb), alg.star(va)))
+                     for va in vs for vb in vs])
     cert.add("antimultiplicative_sampled", "(fg)* = g* f* on random elements", inter)
     return cert
 
@@ -460,8 +488,10 @@ def block_consistency(f: BigradedFunctor, x: int, y: int,
              max_residual(np.einsum("p,pqr->qr", unit, tensor).T, eye))
     cert.add("block_right_unit", "sum of corner units is a right unit",
              max_residual(np.einsum("q,pqr->pr", unit, tensor).T, eye))
+    # corner (u, v) times corner (v', w) is zero unless v = v': the residual skips those products
+    corners = block_offsets(np.bincount([2 * u + v for u, v, *_ in basis], minlength=4))
     cert.add("block_associativity", "corner products assemble associatively",
-             _assoc_residual(tensor, tensor, tensor, tensor))
+             _assoc_residual(tensor, tensor, tensor, tensor, corners))
     return cert
 
 
@@ -483,13 +513,19 @@ class ModuleMorphism:
     x_base: int = 0
     y_base: int = 0
 
-    def row_offsets(self, a: int, p: int, r: int) -> np.ndarray:
-        """Where the (target dims[a, p, q], fdims[q, r]) row block of each q starts in psi[(a, p, r)]."""
-        return block_offsets(self.target.dims[a, p] * self.fdims[:, r])
+    @cached_property
+    def row_offsets(self) -> np.ndarray:
+        """``row_offsets[a, p, r]``: where the (target dims[a, p, q], fdims[q, r]) row block of each q
+        starts in psi[(a, p, r)]."""
+        sizes = self.target.dims[:, :, :, None] * self.fdims  # [a, p, q, r]
+        return block_offsets(sizes.transpose(0, 1, 3, 2))
 
-    def col_offsets(self, a: int, p: int, r: int) -> np.ndarray:
-        """Where the (fdims[p, s], source dims[a, s, r]) column block of each s starts in psi[(a, p, r)]."""
-        return block_offsets(self.fdims[p] * self.source.dims[a, :, r])
+    @cached_property
+    def col_offsets(self) -> np.ndarray:
+        """``col_offsets[a, p, r]``: where the (fdims[p, s], source dims[a, s, r]) column block of each s
+        starts in psi[(a, p, r)]."""
+        sizes = self.fdims[None, :, :, None] * self.source.dims[:, None]  # [a, p, s, r]
+        return block_offsets(sizes.transpose(0, 1, 3, 2))
 
 
 def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
@@ -609,24 +645,24 @@ def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
     fx, fy, fd = mor.source, mor.target, mor.fdims
     kmax = fx.cat.mult(a, b, c)
     nal, nm, nn, nmc = int(fd[p, s]), int(fx.dims[a, s, t]), int(fx.dims[b, t, r]), int(fx.dims[c, s, r])
-    crows, ccols = mor.row_offsets(c, p, r), mor.col_offsets(c, p, r)
+    crows, ccols = mor.row_offsets[c, p, r], mor.col_offsets[c, p, r]
     # path two: fuse on source, exchange the channel
-    xcols = fx.column_offsets(a, b, s, r)
+    xcols = fx.column_offsets[a, b, s, r]
     xcoh = fx.coherence[(a, b, s, r)][c][:, :, xcols[t]:xcols[t + 1]].reshape(kmax, nmc, nm, nn)
     psi_c = mor.psi[(c, p, r)][:, ccols[s]:ccols[s + 1]].reshape(crows[-1], nal, nmc)
     out = -np.einsum("kumn,Tau->kTamn", xcoh, psi_c)
     # path one: exchange a, exchange b, fuse on target; the a-exchange lands in q, the b-exchange in w
-    arows, acols = mor.row_offsets(a, p, t), mor.col_offsets(a, p, t)
+    arows, acols = mor.row_offsets[a, p, t], mor.col_offsets[a, p, t]
     for q in range(fy.n_base):
         nq = int(fy.dims[a, p, q])
         psi_a = mor.psi[(a, p, t)][arows[q]:arows[q + 1], acols[s]:acols[s + 1]]
         psi_a = psi_a.reshape(nq, int(fd[q, t]), nal, nm)
-        brows, bcols = mor.row_offsets(b, q, r), mor.col_offsets(b, q, r)
+        brows, bcols = mor.row_offsets[b, q, r], mor.col_offsets[b, q, r]
         for w in np.flatnonzero(nq * fy.dims[b, q]).tolist():
             nw, npp = int(fy.dims[b, q, w]), int(fy.dims[c, p, w])
             psi_b = mor.psi[(b, q, r)][brows[w]:brows[w + 1], bcols[t]:bcols[t + 1]]
             psi_b = psi_b.reshape(nw, int(fd[w, r]), int(fd[q, t]), nn)
-            ycols = fy.column_offsets(a, b, p, w)
+            ycols = fy.column_offsets[a, b, p, w]
             ycoh = fy.coherence[(a, b, p, w)][c][:, :, ycols[q]:ycols[q + 1]].reshape(kmax, npp, nq, nw)
             path = np.einsum("xbam,ygbn,kpxy->kpgamn", psi_a, psi_b, ycoh)
             out[:, crows[w]:crows[w + 1]] += path.reshape(kmax, crows[w + 1] - crows[w], nal, nm, nn)
@@ -643,7 +679,7 @@ def _hexagon_residual(mor: ModuleMorphism) -> dict[tuple[int, int, int, int], fl
     """
     fx = mor.source
     cat, jx = fx.cat, fx.n_base
-    worst: dict[tuple[int, int, int, int], float] = {}
+    rows: dict[tuple[int, int, int, int], list[float]] = {}
     for a in cat.labels:
         for b in cat.labels:
             for p in range(mor.target.n_base):
@@ -657,8 +693,8 @@ def _hexagon_residual(mor: ModuleMorphism) -> dict[tuple[int, int, int, int], fl
                         diff = np.concatenate([_exchange_paths(mor, a, b, c, p, r, s, t).reshape(kmax, -1)
                                                for s, t in subs], axis=1)
                         for k, d in enumerate(np.max(np.abs(diff), axis=1, initial=0.0).tolist()):
-                            worst[(a, b, c, k)] = max(worst.get((a, b, c, k), 0.0), d)
-    return worst
+                            rows.setdefault((a, b, c, k), []).append(d)
+    return {key: largest(values) for key, values in rows.items()}
 
 
 def validate_morphism(mor: ModuleMorphism, tol: float = DEFAULT_TOL,
@@ -675,34 +711,24 @@ def validate_morphism(mor: ModuleMorphism, tol: float = DEFAULT_TOL,
     cert.add_flag("base_normalization",
                   "the source base maps to the target base with multiplicity one", base_ok)
 
-    unit_res = 0.0
-    for p in range(fy.n_base):
-        for r in range(fx.n_base):
-            blk = mor.psi[(UNIT_LABEL, p, r)]
-            d = int(mor.fdims[p, r])
-            unit_res = max(unit_res, max_residual(blk, np.eye(d)))
+    unit_res = largest([max_residual(mor.psi[(UNIT_LABEL, p, r)], np.eye(int(mor.fdims[p, r])))
+                        for p in range(fy.n_base) for r in range(fx.n_base)])
     cert.add("unit_block", "the unit label exchanges as the identity", unit_res)
 
-    unitary = 0.0
-    square = True
-    for (a, p, r), blk in mor.psi.items():
-        if blk.shape[0] != blk.shape[1]:
-            square = False
-            continue
-        if blk.size:
-            unitary = max(unitary, max_residual(dagger(blk) @ blk, np.eye(blk.shape[1])))
+    square = all(blk.shape[0] == blk.shape[1] for blk in mor.psi.values())
+    unitary = largest([max_residual(dagger(blk) @ blk, np.eye(blk.shape[1])) for blk in mor.psi.values()
+                       if blk.shape[0] == blk.shape[1] and blk.size])
     cert.add_flag("blocks_square", "exchange blocks are square", square)
     cert.add("blocks_unitary", "exchange blocks are unitary", unitary)
 
     rows = _hexagon_residual(mor)
     cert.add("hexagon", "label-wise exchange composed with fusion is path independent",
-             max(rows.values(), default=0.0))
+             largest(list(rows.values())))
     # one random complex weight per channel row, drawn in key order, scales that row's residual
     rng = np.random.default_rng(seed)
     cert.add("hexagon_sampled",
              "path independence against a random fusion-channel combination",
-             max((abs(complex(rng.standard_normal(), rng.standard_normal())) * d for d in rows.values()),
-                 default=0.0))
+             largest([abs(complex(rng.standard_normal(), rng.standard_normal())) * d for d in rows.values()]))
 
     eig = max(eigenvector_test(mor, a) for a in cat.labels)
     cert.add("multiplicity_intertwining",
@@ -724,7 +750,7 @@ def algebra_map(mor: ModuleMorphism) -> np.ndarray:
     src, dst = spectral_offsets(fx, xb, xb), spectral_offsets(fy, yb, yb)
     theta = np.zeros((dst[-1], src[-1]), dtype=np.complex128)
     for a in np.flatnonzero(fx.dims[:, xb, xb]).tolist():
-        rows, cols = mor.row_offsets(a, yb, xb), mor.col_offsets(a, yb, xb)
+        rows, cols = mor.row_offsets[a, yb, xb], mor.col_offsets[a, yb, xb]
         blk = mor.psi[(a, yb, xb)][rows[yb]:rows[yb + 1], cols[xb]:cols[xb + 1]]
         theta[dst[a]:dst[a + 1], src[a]:src[a + 1]] = np.kron(blk, np.eye(fx.cat.dim(a)))
     return theta

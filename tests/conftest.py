@@ -87,3 +87,16 @@ def a4_modules():
     assert max(cat.mult(a, b, c) for a in cat.labels for b in cat.labels for c in cat.channels(a, b)) == 2
     z3 = Subgroup.generated(g, [even.index((1, 2, 0, 3))])
     return [module_from_subgroup(cat, z3), module_from_subgroup(cat, Subgroup.generated(g, []))]
+
+
+@pytest.fixture(scope="session")
+def s4_over_s3():
+    """S4 over the S3 that fixes the last point: base dims (1, 1, 2).
+
+    Its block algebra at base labels (0, 2) has dimension 4 + 8 + 8 + 16 = 36.
+    """
+    perms = sorted(permutations(range(4)))
+    g = symmetric_group(4)
+    cat = tensorcat.from_group(extract_irreps(g, seed=0))
+    return module_from_subgroup(cat, Subgroup.generated(g, [perms.index((1, 0, 2, 3)),
+                                                            perms.index((1, 2, 0, 3))]))

@@ -322,6 +322,19 @@ def _assoc_einsum(ab, bc, left, right):
     return float(np.max(np.abs(assoc))) if assoc.size else 0.0
 
 
+def _assoc_rows(ab, bc, left, right):
+    """The dense row-GEMM form of ``_assoc_residual``: two whole GEMMs per row p."""
+    nq, nr, nu = left.shape
+    ns = bc.shape[2]
+    bc_rows = bc.reshape(len(bc), nr * ns)
+    left_rows = left.reshape(nq * nr, nu)
+    worst = 0.0
+    for p in range(len(ab)):
+        d = ab[p] @ bc_rows - (left_rows @ right[p]).reshape(nq, nr * ns)
+        worst = max(worst, float(np.max(np.abs(d), initial=0.0)))
+    return worst
+
+
 def _star_product_loop(t, s, sp, t_op):
     """Pair-by-pair form of (f g)* = g* f*: the ``antimultiplicative`` and ``star_exchanges_actions`` checks."""
     worst = 0.0
@@ -373,6 +386,8 @@ def test_algebra_checks_match_loops(modules):
                 alg.tensor, alg.star_mat = t, s
                 got = _values(verify_algebra(alg))
                 assert abs(got["associativity"] - _assoc_einsum(t, t, t, t)) < 1e-14, (f.name, x)
+                # one block per axis: the dense GEMMs, bit for bit
+                assert got["associativity"] == _assoc_rows(t, t, t, t), (f.name, x)
                 assert abs(got["antimultiplicative"] - _star_product_loop(t, s, s, t)) < 1e-14, (f.name, x)
                 assert max_residual(alg.gram_from_product(), _gram_loop(alg)) < 1e-14, (f.name, x)
 
@@ -393,17 +408,35 @@ def test_bimodule_checks_match_loops(modules):
             assert abs(got["left_associativity"] - _assoc_einsum(ax.tensor, lt, lt, lt)) < 1e-14, (f.name, x, y)
             assert abs(got["right_associativity"] - _assoc_einsum(rt, rt, ay.tensor, rt)) < 1e-14, (f.name, x, y)
             assert abs(got["commuting_actions"] - _assoc_einsum(lt, rt, rt, lt)) < 1e-14, (f.name, x, y)
+            assert got["left_associativity"] == _assoc_rows(ax.tensor, lt, lt, lt), (f.name, x, y)
+            assert got["right_associativity"] == _assoc_rows(rt, rt, ay.tensor, rt), (f.name, x, y)
+            assert got["commuting_actions"] == _assoc_rows(lt, rt, rt, lt), (f.name, x, y)
             ref = _star_product_loop(lt, bim.star_mat, ax.star_mat, structure_tensor(f, y, x, x))
             assert abs(got["star_exchanges_actions"] - ref) < 1e-14, (f.name, x, y)
 
 
-def test_block_associativity_matches_einsum(s3_modules, monkeypatch):
-    f = s3_modules["order2"]
-    basis, tensor = block_structure_tensor(f, (0, 1))
-    for t in (tensor, _noisy(tensor)):
-        monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, t))
-        got = _values(block_consistency(f, 0, 1))
-        assert abs(got["block_associativity"] - _assoc_einsum(t, t, t, t)) < 1e-14
+def _uncomposable_bump(basis, t):
+    """A copy with 1e-3 added at p in corner (0, 0), q in corner (1, 1): a product the algebra never forms."""
+    q = next(i for i, b in enumerate(basis) if b[:2] == (1, 1))
+    assert basis[0][:2] == (0, 0) and not t[0, q].any()
+    bad = t.copy()
+    bad[0, q, 0] += 1e-3
+    return bad
+
+
+def test_block_associativity_matches_einsum(modules, s4_over_s3, monkeypatch):
+    # the block-sparse residual skips corner products that are exactly zero; the einsum forms them all
+    pairs = [(f, x, y) for f in modules for x in range(f.n_base) for y in range(x + 1, f.n_base)]
+    pairs.append((s4_over_s3, 0, 2))
+    assert len(pairs) >= 10
+    for f, x, y in pairs:
+        basis, tensor = block_structure_tensor(f, (x, y))
+        for t in (tensor, _noisy(tensor), _uncomposable_bump(basis, tensor)):
+            monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, t))
+            got = next(c for c in block_consistency(f, x, y).checks if c.name == "block_associativity")
+            ref = _assoc_einsum(t, t, t, t)
+            assert abs(got.value - ref) < 1e-14, (f.name, x, y)
+            assert got.passed == (ref <= DEFAULT_TOL), (f.name, x, y)
 
 
 def test_multiplicative_matches_loop(restrictions, s3_modules):

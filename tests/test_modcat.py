@@ -207,7 +207,7 @@ def _assoc_diag(f, h1, h2, r, fibre):
 def _coherence_loop(f, a, b, r, t):
     """Column-by-column form of ``modcat._coherence_blocks`` at one block: the reference."""
     cat = f.cat
-    off = f.column_offsets(a, b, r, t)
+    off = f.column_offsets[a, b, r, t]
     phi_conj = np.conj(_assoc_diag(f, f.handle[a], f.handle[b], t, cat.dim(a) * cat.dim(b)))
     eye_a = np.eye(cat.dim(a), dtype=np.complex128)
     eye_t = np.eye(f.base_dims[t], dtype=np.complex128)
@@ -354,7 +354,7 @@ def test_coherence_matches_column_loop(shape_modules):
     for f in shape_modules:
         labels, bases = f.cat.labels, range(f.n_base)
         linked = [(a, b, r, t) for a in labels for b in labels for r in bases for t in bases
-                  if f.column_offsets(a, b, r, t)[-1]]
+                  if f.column_offsets[a, b, r, t][-1]]
         assert sorted(f.coherence) == linked
         for key in linked:
             got, want = f.coherence[key], _coherence_loop(f, *key)

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qhspace.grouprep import Subgroup
+from qhspace.modcat import module_from_subgroup
 from qhspace.numkit import max_residual
 from qhspace.reconstruct import (
     ReconstructionError,
@@ -101,3 +105,26 @@ def test_identity_restriction_is_trivial(s3_modules):
     th = algebra_map(mor)
     assert th.shape == (3, 3)
     assert np.linalg.matrix_rank(th) == 3
+
+
+@pytest.mark.parametrize("case, key, failing", [
+    ("S4>S3>1", (1, 0, 0), {"blocks_unitary", "hexagon", "hexagon_sampled"}),
+    ("S4>S3>1", (0, 0, 0), {"unit_block", "blocks_unitary", "hexagon", "hexagon_sampled"}),
+    # each channel row this entry feeds has finite residuals from earlier (p, r) first:
+    # only a NaN-propagating fold within the row reports it
+    ("S3>Z2", (1, 1, 2), {"blocks_unitary", "hexagon", "hexagon_sampled"}),
+])
+def test_nan_exchange_entry_fails(s4_over_s3, s3_modules, case, key, failing):
+    # Python's max(worst, x) keeps worst when x is NaN: each residual that reads the
+    # NaN entry must report it, or the certificate passes
+    if case == "S3>Z2":
+        mor = restriction_morphism(s3_modules["full"], s3_modules["order2"])
+    else:
+        triv = module_from_subgroup(s4_over_s3.cat, Subgroup.generated(s4_over_s3.subgroup.parent, []))
+        mor = restriction_morphism(s4_over_s3, triv)
+    assert validate_morphism(mor).passed
+    blk = mor.psi[key].copy()
+    blk[0, 0] = np.nan
+    cert = validate_morphism(replace(mor, psi={**mor.psi, key: blk}))
+    assert {c.name for c in cert.checks if not c.passed} == failing, cert.to_text()
+    assert all(np.isnan(c.value) for c in cert.checks if c.name in failing)

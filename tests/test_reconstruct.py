@@ -1,15 +1,14 @@
 import tracemalloc
-from itertools import permutations
 
 import numpy as np
 import pytest
 
-from qhspace import reconstruct, tensorcat
-from qhspace.grouprep import Subgroup, extract_irreps, symmetric_group
+from qhspace import reconstruct
 from qhspace.modcat import module_from_pointed, module_from_subgroup
 from qhspace.numkit import max_residual
 from qhspace.reconstruct import (
     ReconstructionError,
+    _assoc_residual,
     block_consistency,
     block_structure_tensor,
     build_algebra,
@@ -198,14 +197,30 @@ def test_block_associativity_fault_caught(s3_modules, monkeypatch):
     _assert_caught(clean, block_consistency(f, 0, 2), "block_associativity", ("block_right_unit",))
 
 
-def test_block_consistency_memory_is_cubic():
-    # S4 over the S3 fixing the last point: the block algebra at base labels
-    # (0, 2) has dimension 4 + 8 + 8 + 16 = 36, so an n^4 tensor of it takes 27 MB
-    perms = sorted(permutations(range(4)))
-    g = symmetric_group(4)
-    cat = tensorcat.from_group(extract_irreps(g, seed=0))
-    f = module_from_subgroup(cat, Subgroup.generated(g, [perms.index((1, 0, 2, 3)),
-                                                         perms.index((1, 2, 0, 3))]))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_fails_associativity(s3_modules, monkeypatch, bad):
+    # Python's max(worst, x) keeps worst when x is NaN, so a NaN row residual was dropped
+    f = s3_modules["full"]
+    t = build_algebra(f, 2).tensor.copy()
+    t[0, 1, 2] = bad
+    basis, tensor = block_structure_tensor(f, (0, 2))
+    block_t = tensor.copy()
+    # p in corner (0, 0), q in corner (1, 1): the block algebra never forms this product
+    assert basis[0][:2] == (0, 0) and basis[-1][:2] == (1, 1)
+    block_t[0, -1, 0] = bad
+    monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, block_t))
+    # inf - inf and 0 * inf raise numpy's invalid-value warning, which the library leaves alone
+    with np.errstate(invalid="ignore"):
+        plain = _assoc_residual(t, t, t, t)
+        check = next(c for c in block_consistency(f, 0, 2).checks if c.name == "block_associativity")
+    assert not np.isfinite(plain)
+    assert not np.isfinite(check.value) and not check.passed
+
+
+def test_block_consistency_memory_is_cubic(s4_over_s3):
+    # the block algebra of S4 > S3 at base labels (0, 2) has dimension 36,
+    # so an n^4 tensor of it takes 27 MB
+    f = s4_over_s3
     assert len(block_structure_tensor(f, (0, 2))[0]) == 36
     tracemalloc.start()
     try:

@@ -13,11 +13,15 @@ shipped projects and the ``pointed_ladder`` and ``corners`` cases of
 - the left and right tensors and star matrix of every bimodule corner;
 - the exchange blocks ``psi`` of every restriction morphism;
 - the verdict of every named check of ``run_suite``, ``verify_bimodule``,
-  ``block_consistency``, ``validate_morphism`` and ``verify_algebra_map``.
+  ``block_consistency``, ``validate_morphism`` and ``verify_algebra_map``,
+  and, under the same name prefixed with ``value/``, the value it measured.
 
 ``compare`` prints every key whose array differs in dtype, shape or bytes
 (so signed zeros count), or that only one dump has, and exits with 1 if it
-printed any.  Dump both sides at the same ``OPENBLAS_NUM_THREADS``.
+printed any.  Check values are left out of that count and of the exit
+status: a refactor may round a residual differently.  A summary line gives
+the largest relative change of a check value, |a - b| / max(|a|, |b|), and
+its key.  Dump both sides at the same ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ CORNER_SEEDS = (1, 7)
 def _verdicts(out: dict, tag: str, cert) -> None:
     for check in cert.checks:
         out[f"{tag}/{check.name}"] = np.array(check.passed)
+        out[f"value/{tag}/{check.name}"] = np.array(check.value)
 
 
 def _module(out: dict, tag: str, mod) -> None:
@@ -113,9 +118,24 @@ def dump(path: str) -> None:
     print(f"{len(out)} arrays written to {path}")
 
 
+def _value_change(a, b, keys: set[str]) -> None:
+    """Print the largest relative change of a check value present in both dumps."""
+    worst, where = 0.0, None
+    for key in sorted(keys):
+        va, vb = float(a[key]), float(b[key])
+        if va == vb or (np.isnan(va) and np.isnan(vb)):
+            continue
+        rel = abs(va - vb) / max(abs(va), abs(vb)) if np.isfinite(va) and np.isfinite(vb) else float("inf")
+        if where is None or rel > worst:
+            worst, where = rel, f"{key[len('value/'):]}: {va!r} vs {vb!r}, |difference| {abs(va - vb):.3e}"
+    print(f"{len(keys)} check values, largest relative change {worst:.3e}" + (f" at {where}" if where else ""))
+
+
 def compare(path_a: str, path_b: str) -> int:
     a, b = np.load(path_a), np.load(path_b)
-    keys_a, keys_b = set(a.files), set(b.files)
+    values = {key for key in set(a.files) & set(b.files) if key.startswith("value/")}
+    keys_a = {key for key in a.files if not key.startswith("value/")}
+    keys_b = {key for key in b.files if not key.startswith("value/")}
     differ = 0
     for key in sorted(keys_a | keys_b):
         if key not in keys_a or key not in keys_b:
@@ -129,6 +149,7 @@ def compare(path_a: str, path_b: str) -> int:
             continue
         differ += 1
     print(f"{differ} of {len(keys_a | keys_b)} arrays differ")
+    _value_change(a, b, values)
     return 1 if differ else 0
 
 
