@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import DEFAULT_TOL, dagger, max_residual, solution_basis
+from .numkit import DEFAULT_TOL, dagger, largest, max_residual, solution_basis
 
 
 class GroupAxiomError(Exception):
@@ -160,10 +160,9 @@ class UnitaryRep:
     def validate(self) -> float:
         """Max residual over unitarity and multiplicativity; each caller compares it with its tolerance."""
         m = self.mats
-        worst = max_residual(np.conj(m).transpose(0, 2, 1) @ m, np.eye(self.dim))
-        for g in range(self.group.order):
-            worst = max(worst, max_residual(m[g] @ m, m[self.group.mult_table[g]]))
-        return worst
+        unitary = max_residual(np.conj(m).transpose(0, 2, 1) @ m, np.eye(self.dim))
+        return largest([unitary, *(max_residual(m[g] @ m, m[self.group.mult_table[g]])
+                                   for g in range(self.group.order))])
 
 
 def trivial_rep(group: FiniteGroup) -> UnitaryRep:

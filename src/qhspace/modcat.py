@@ -20,7 +20,8 @@ import numpy as np
 
 from .certificate import Certificate
 from .grouprep import IrrepTable, Subgroup, UnitaryRep, extract_irreps, intertwiner_basis, restrict, tensor_rep
-from .numkit import DEFAULT_TOL, NumericalRankError, block_offsets, max_residual, stack_by_shape, successors
+from .numkit import (DEFAULT_TOL, NumericalRankError, block_offsets, largest, max_residual, stack_by_shape,
+                     successors)
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError, fusion_table
 
 
@@ -39,9 +40,12 @@ class BigradedFunctor:
     - ``bases[(a, r, s)]`` stacks an isometry basis of that space, shape
       (dims[a, r, s], d_a d_s, d_r), for every nonzero block; the unit label
       has the exact identity matrix.
-    - ``coherence[(a, b, r, t)]`` holds, for every block with at least one
-      column (s, m, n), the expansion of the iterated action against the
-      fusion isometries (see ``_coherence_blocks``).
+    - ``coherence`` is one 1-d buffer: the expansion of the iterated action
+      against the fusion isometries (see ``_coherence_blocks``), block
+      (a, b, r, t) after block, each a row-major matrix with rows (c, k, p),
+      channels c ascending, and columns (s, m, n) at ``column_offsets``.
+      ``coherence_offsets`` says where each block starts, and
+      ``coherence_channel`` reads the rows of one channel.
     - The module associator on u_a (x) u_b (x) X_r is diagonal, with entry
       ``phase[handle[a], handle[b], r, k]`` at fibre coordinate (i, j, k);
       ``fuse[h1, h2]`` is the handle of a fused pair.  A subgroup module has
@@ -56,7 +60,7 @@ class BigradedFunctor:
     base_dims: tuple[int, ...]
     dims: np.ndarray
     bases: dict[tuple[int, int, int], np.ndarray]
-    coherence: dict[tuple[int, int, int, int], dict[int, np.ndarray]]
+    coherence: np.ndarray
     handle: np.ndarray
     fuse: np.ndarray
     phase: np.ndarray
@@ -77,13 +81,27 @@ class BigradedFunctor:
     @cached_property
     def column_offsets(self) -> np.ndarray:
         """``column_offsets[a, b, r, t]``: where each intermediate label s starts in the columns of
-        ``coherence[(a, b, r, t)]``.
+        coherence block (a, b, r, t).
 
         The columns run over (s, m, n); the block of s is (dims[a, r, s], dims[b, s, t]),
         m major.  The last entry is the column count.
         """
         sizes = self.dims[:, None, :, :, None] * self.dims[None, :, None, :, :]  # [a, b, r, s, t]
         return block_offsets(sizes.transpose(0, 1, 2, 4, 3))
+
+    @cached_property
+    def coherence_offsets(self) -> np.ndarray:
+        """``coherence_offsets[a, b, r, t]``: where block (a, b, r, t) starts in ``coherence``."""
+        sizes = _block_rows(self) * self.column_offsets[..., -1]
+        return block_offsets(sizes.ravel())[:-1].reshape(sizes.shape)
+
+    def coherence_channel(self, a: int, b: int, r: int, t: int, c: int) -> np.ndarray:
+        """The (N_ab^c, dims[c, r, t], #columns) rows of channel c in block (a, b, r, t), a view."""
+        chans, dims = self.cat.fusion[(a, b)], self.dims
+        above = sum([len(isos) * dims[e, r, t] for e, isos in chans.items() if e < c])
+        k, p, cols = len(chans.get(c, ())), dims[c, r, t], self.column_offsets[a, b, r, t, -1]
+        start = self.coherence_offsets[a, b, r, t] + above * cols
+        return self.coherence[start:start + k * p * cols].reshape(k, p, cols)
 
     def frobenius_block(self, a: int, r: int, s: int) -> np.ndarray:
         """Matrix B[q, m] expanding each Frobenius image in the dual-label basis (dims[a, r, s] > 0)."""
@@ -92,6 +110,14 @@ class BigradedFunctor:
         imgs = _frobenius_images(self, np.full(n, a), np.full(n, s), self.bases[(a, r, s)])
         traced = np.trace(np.conj(tbars).transpose(0, 2, 1)[:, None] @ imgs[None], axis1=-2, axis2=-1)
         return traced / self.base_dims[s]
+
+
+def _block_rows(f: BigradedFunctor) -> np.ndarray:
+    """``rows[a, b, r, t]`` = sum_c N_ab^c dims[c, r, t], the row count of coherence block (a, b, r, t)."""
+    mult = np.zeros((len(f.cat.obj_dim),) * 3, dtype=np.int64)
+    for (a, b), chans in f.cat.fusion.items():
+        mult[a, b, list(chans)] = [len(isos) for isos in chans.values()]
+    return np.einsum("abc,crt->abrt", mult, f.dims)
 
 
 def _conjugates(cat: CategoryPresentation, lab: np.ndarray, which: int) -> np.ndarray:
@@ -144,27 +170,28 @@ def _edges(f: BigradedFunctor) -> tuple:
     return lab, src, dst, m, kind, pos, stacks
 
 
-def _coherence_blocks(f: BigradedFunctor) -> dict[tuple[int, int, int, int], dict[int, np.ndarray]]:
-    """Coefficients of the iterated action against the fusion channels, for every block.
+def _coherence_blocks(f: BigradedFunctor) -> np.ndarray:
+    """Coefficients of the iterated action against the fusion channels, as one buffer.
 
     Column (s, m, n) of block (a, b, r, t) is the composable pair of basis
     morphisms t_a = (a, r, s, m) and t_b = (b, s, t, n); against the k-th
     fusion isometry iota into c and the p-th basis morphism t_c of
     Mor(X_r, u_c (x) X_t) its coefficient is
 
-        coherence[(a, b, r, t)][c][k, p, col]
+        coherence_channel(a, b, r, t, c)[k, p, col]
             = tr(t_c^* (iota^* (x) id_t) phi^* (id_a (x) t_b) t_a) / d_r,
 
-    with phi the module associator on u_a (x) u_b (x) X_t; channels without
-    a basis morphism t_c give (N_ab^c, 0, #columns) arrays.  Every
-    coefficient is listed with index arrays and evaluated in one stacked
-    chain per shape of (t_a, t_b, t_c, iota).  Each stacked product acts on
-    the same matrices, with the same memory layout, as a product of single
-    matrices would, so the bits do not depend on the grouping.
+    with phi the module associator on u_a (x) u_b (x) X_t.  The buffer holds
+    the blocks one after another in (a, b, r, t) order, each a row-major
+    matrix with rows (c, k, p).  Every coefficient is listed with index
+    arrays and evaluated in one stacked chain per shape of (t_a, t_b, t_c,
+    iota).  Each stacked product acts on the same matrices, with the same
+    memory layout, as a product of single matrices would, so the bits do not
+    depend on the grouping.
     """
     cat = f.cat
     lab, src, dst, m, kind, pos, stacks = _edges(f)
-    (fa, fb, fc, fk), fkind, fpos, fstacks = fusion_table(cat)
+    (fa, fb, fc, _), fkind, fpos, fstacks = fusion_table(cat)
     nl, j = len(cat.obj_dim), f.n_base
     # columns, sorted by block and then by (s, m, n)
     e1, e2 = successors(dst, src, j)
@@ -174,9 +201,8 @@ def _coherence_blocks(f: BigradedFunctor) -> dict[tuple[int, int, int, int], dic
     _, first, ncols = np.unique(block_code[order], return_index=True, return_counts=True)
     block = np.repeat(np.arange(len(first)), ncols)
     col = np.arange(len(e1)) - first[block]
-    a, b, r, t = lab[e1[first]], lab[e2[first]], src[e1[first]], dst[e2[first]]
     # coefficients: column x fusion isometry of (a, b) x basis morphism t_c of (c, r, t);
-    # in (block, c, k, p, column) order they fill the channel arrays of the blocks one after another
+    # in (block, c, k, p, column) order they fill the blocks one after another
     ci, fi = successors(lab[e1] * nl + lab[e2], fa * nl + fb, nl * nl)
     xi, e3 = successors((fc[fi] * j + src[e1[ci]]) * j + dst[e2[ci]], (lab * j + src) * j + dst, nl * j * j)
     ci, fi = ci[xi], fi[xi]
@@ -202,19 +228,7 @@ def _coherence_blocks(f: BigradedFunctor) -> dict[tuple[int, int, int, int], dic
         tc_dag = np.conj(tc.reshape(n, -1, dr)).transpose(0, 2, 1)
         buf[where[sel]] = np.trace(tc_dag @ proj, axis1=-2, axis2=-1) / dr
 
-    # the (N_ab^c, dims[c, r, t], #columns) array of each block and channel, in (block, c) order
-    chan = np.flatnonzero(fk == 0)
-    seg_block, seg_chan = successors(a * nl + b, fa[chan] * nl + fb[chan], nl * nl)
-    shapes = np.stack([np.diff(np.append(chan, len(fk)))[seg_chan],
-                       f.dims[fc[chan[seg_chan]], r[seg_block], t[seg_block]], ncols[seg_block]], axis=1)
-    sizes = np.prod(shapes, axis=1)
-    starts = np.cumsum(sizes) - sizes
-    keys = list(zip(a.tolist(), b.tolist(), r.tolist(), t.tolist()))
-    out: dict[tuple[int, int, int, int], dict[int, np.ndarray]] = {key: {} for key in keys}
-    for blk, c, start, (k, p, nc) in zip(seg_block.tolist(), fc[chan[seg_chan]].tolist(), starts.tolist(),
-                                         shapes.tolist()):
-        out[keys[blk]][c] = buf[start:start + k * p * nc].reshape(k, p, nc)
-    return out
+    return buf
 
 
 def _assemble(cat: CategoryPresentation, name: str, base_dims: tuple[int, ...],
@@ -226,8 +240,8 @@ def _assemble(cat: CategoryPresentation, name: str, base_dims: tuple[int, ...],
     dims = np.zeros((len(cat.obj_dim), j, j), dtype=np.int64)
     for key, stack in bases.items():
         dims[key] = len(stack)
-    f = BigradedFunctor(cat, name, tuple(base_dims), dims, bases, {}, handle, fuse, phase,
-                        subgroup, irrep_table)
+    f = BigradedFunctor(cat, name, tuple(base_dims), dims, bases, np.empty(0, dtype=np.complex128),
+                        handle, fuse, phase, subgroup, irrep_table)
     return replace(f, coherence=_coherence_blocks(f))
 
 
@@ -376,23 +390,13 @@ def disjoint_union_module(f1: BigradedFunctor, f2: BigradedFunctor) -> BigradedF
     return _assemble(f1.cat, f"{f1.name}+{f2.name}", f1.base_dims + f2.base_dims, bases,
                      f1.handle, f1.fuse, phase)
 
+
 def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-    if n == 0:
-        return False
-
-    def reach(mat):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(n):
-                if mat[i, j] and j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == n
-
-    return reach(adj) and reach(adj.T)
+    """True iff every node reaches every other: the reachability closure, by repeated squaring, is full."""
+    reach = (adj | np.eye(len(adj), dtype=bool)).astype(np.int64)
+    for _ in range(len(adj).bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    return len(adj) > 0 and bool(reach.all())
 
 
 def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
@@ -405,20 +409,16 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
 
     cert.add_flag("unit_grading", "unit label acts as the identity grading",
                   np.array_equal(dims[UNIT_LABEL], np.eye(f.n_base, dtype=np.int64)))
-    exact_unit = 0.0
-    for r in range(f.n_base):
-        exact_unit = max(
-            exact_unit,
-            max_residual(f.mor_basis(UNIT_LABEL, r, r)[0], np.eye(f.base_dims[r])),
-        )
+    exact_unit = largest([max_residual(f.mor_basis(UNIT_LABEL, r, r)[0], np.eye(f.base_dims[r]))
+                          for r in range(f.n_base)])
     cert.add("unit_basis", "unit morphism basis is the identity matrix", exact_unit)
 
     lab, src, dst, _, kind, pos, stacks = _edges(f)
-    iso = 0.0
+    iso = []
     for stack in stacks:
         t = stack.reshape(len(stack), -1, stack.shape[3])
-        iso = max(iso, max_residual(np.conj(t).transpose(0, 2, 1) @ t, np.eye(t.shape[2])))
-    cert.add("morphism_isometry", "module morphism bases are isometries", iso)
+        iso.append(max_residual(np.conj(t).transpose(0, 2, 1) @ t, np.eye(t.shape[2])))
+    cert.add("morphism_isometry", "module morphism bases are isometries", largest(iso))
 
     cert.add_flag(
         "decomposition_count",
@@ -426,16 +426,21 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
         np.array_equal(ldim[:, None] * bdim[None, :], np.einsum("ars,r->as", dims, bdim)),
     )
 
-    # one matrix per block, rows ordered by (c, k, p); one batched product per matrix shape
-    coh = 0.0
-    blocks = [np.concatenate([chans[c].reshape(-1, chans[c].shape[2]) for c in sorted(chans)])[None]
-              for chans in f.coherence.values()]
-    for u in stack_by_shape(blocks)[2]:
+    # every block with a column, gathered from the buffer and multiplied once per matrix shape
+    coh = []
+    cols = f.column_offsets[..., -1].ravel()
+    live = np.flatnonzero(cols)
+    rows, cols, starts = _block_rows(f).ravel()[live], cols[live], f.coherence_offsets.ravel()[live]
+    width = int(cols.max(initial=0)) + 1
+    shape = rows * width + cols
+    for g in np.flatnonzero(np.bincount(shape)).tolist():
+        (nr, nc), at = divmod(g, width), starts[shape == g]
+        u = f.coherence[at[:, None] + np.arange(nr * nc)].reshape(len(at), nr, nc)
         u_dag = np.conj(u).transpose(0, 2, 1)
-        coh = max(coh, max_residual(u_dag @ u, np.eye(u.shape[2])))
-        if u.shape[1]:
-            coh = max(coh, max_residual(u @ u_dag, np.eye(u.shape[1])))
-    cert.add("coherence_unitarity", "iterated-action coherence blocks are unitary", coh)
+        coh.append(max_residual(u_dag @ u, np.eye(nc)))
+        if nr:
+            coh.append(max_residual(u @ u_dag, np.eye(nr)))
+    cert.add("coherence_unitarity", "iterated-action coherence blocks are unitary", largest(coh))
 
     cert.add(
         "triple_coherence",
@@ -449,15 +454,15 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
         np.array_equal(dims, dims[list(cat.dual_map)].transpose(0, 2, 1)),
     )
 
-    frob_rt = 0.0
+    frob_rt = []
     group = kind * (ldim.max() + 1) + ldim[np.asarray(cat.dual_map)[lab]]
     for g in np.flatnonzero(np.bincount(group)).tolist():
         sel = np.flatnonzero(group == g)
         t = stacks[kind[sel[0]]][pos[sel]]
         t = t.reshape(len(sel), -1, t.shape[3])
         back = _frobenius_back(f, lab[sel], src[sel], _frobenius_images(f, lab[sel], dst[sel], t))
-        frob_rt = max(frob_rt, max_residual(back, t))
-    cert.add("frobenius_roundtrip", "dual-label pairing composes to the identity", frob_rt)
+        frob_rt.append(max_residual(back, t))
+    cert.add("frobenius_roundtrip", "dual-label pairing composes to the identity", largest(frob_rt))
 
     adj = (dims.sum(axis=0) > 0)
     connected = _strongly_connected(np.asarray(adj))
@@ -469,8 +474,8 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
     return cert
 
 
-# composable chains built and evaluated at a time; bounds the temporaries
-_TRIPLE_CHUNK = 512
+# einsum entries per run of chains: bounds the temporaries of the triple check
+_TRIPLE_ENTRIES = 1 << 14
 
 
 def _triple_coherence_residual(f: BigradedFunctor) -> float:
@@ -480,8 +485,9 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     triple tensor product; the right-bracketed path is pulled back through
     the category associator.  Every composable chain of basis morphisms
     (a,r,s,m) -> (b,s,t,n) -> (c,t,w,o) is checked.  The chains are built in
-    runs of about ``_TRIPLE_CHUNK``; within a run they are grouped by the
-    shape (da, db, dc, dr, ds, dt, dw) of their matrices, and each group is
+    runs of about ``_TRIPLE_ENTRIES`` entries of their largest temporary,
+    da db dc dw dr per chain; within a run they are grouped by the shape
+    (da, db, dc, dr, ds, dt, dw) of their matrices, and each group is
     evaluated with four batched einsums, reading the associator diagonals
     straight from the phase table.
     """
@@ -489,15 +495,18 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     phase_conj = np.conj(f.phase)
     alpha_conj = np.conj(cat.assoc_table())
     lab, src, dst, _, kind, pos, stacked = _edges(f)
+    ldim, bdim = np.asarray(cat.obj_dim), np.asarray(f.base_dims)
 
     first, second = successors(dst, src, f.n_base)
-    # split the composable pairs into runs that extend to about _TRIPLE_CHUNK chains
-    per_pair = np.bincount(src, minlength=f.n_base)[dst[second]]
-    run = (np.cumsum(per_pair) - per_pair) // _TRIPLE_CHUNK
+    # split the composable pairs into runs of about _TRIPLE_ENTRIES entries; a pair
+    # (a, r, s) -> (b, s, t) weighs da db dr times the sum of dc dw over the edges leaving t
+    leaving = np.bincount(src, weights=ldim[lab] * bdim[dst], minlength=f.n_base)
+    weight = ldim[lab[first]] * ldim[lab[second]] * bdim[src[first]] * leaving[dst[second]]
+    run = (np.cumsum(weight) - weight) // _TRIPLE_ENTRIES
     cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
     ns = len(stacked)
 
-    worst = 0.0
+    worst = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         pair, e3 = successors(dst[second[lo:hi]], src, f.n_base)
         e1, e2 = first[lo:hi][pair], second[lo:hi][pair]
@@ -523,8 +532,8 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
             right = np.einsum("nBCws,nasr->naBCwr", inner, ta)
             right *= phase_conj[ha, fuse[hb, hc], w, :dw].reshape(n, 1, 1, 1, dw, 1)
             right *= alpha_conj[a, b, c].reshape(n, 1, 1, 1, 1, 1)
-            worst = max(worst, max_residual(left, right))
-    return worst
+            worst.append(max_residual(left, right))
+    return largest(worst)
 
 
 def functor_dimension_matrix(target: IrrepTable, images: list[UnitaryRep],

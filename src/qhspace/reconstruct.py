@@ -12,7 +12,8 @@ starts:
 
 - the (x, y) spectral space: one (dims[a, x, y], d_a) block of triples
   (m, i) per label a, at ``spectral_offsets(f, x, y)``;
-- the columns (s, m, n) of ``coherence[(a, b, r, t)]``: one
+- the columns (s, m, n) of each channel c of coherence block (a, b, r, t),
+  as ``BigradedFunctor.coherence_channel(a, b, r, t, c)`` returns it: one
   (dims[a, r, s], dims[b, s, t]) block per intermediate base label s, at
   ``BigradedFunctor.column_offsets``;
 - the rows (q, n, beta) of ``psi[(a, p, r)]``: one (target dims[a, p, q],
@@ -44,12 +45,7 @@ class ReconstructionError(Exception):
 
 def basis_triples(f: BigradedFunctor, x: int, y: int) -> list[tuple[int, int, int]]:
     """Ordered index triples (a, m, i) spanning the spectral space at (x, y)."""
-    out = []
-    for a in f.cat.labels:
-        for m in range(int(f.dims[a, x, y])):
-            for i in range(f.cat.dim(a)):
-                out.append((a, m, i))
-    return out
+    return [(a, m, i) for a in f.cat.labels for m in range(int(f.dims[a, x, y])) for i in range(f.cat.dim(a))]
 
 
 def spectral_offsets(f: BigradedFunctor, x: int, y: int) -> np.ndarray:
@@ -80,7 +76,8 @@ def structure_tensor(f: BigradedFunctor, x: int, y: int, z: int) -> np.ndarray:
             cols = f.column_offsets[a, b, x, z]
             nm, nn = int(f.dims[a, x, y]), int(f.dims[b, y, z])
             da, db = cat.dim(a), cat.dim(b)
-            for c, arr in f.coherence[(a, b, x, z)].items():
+            for c in cat.channels(a, b):
+                arr = f.coherence_channel(a, b, x, z, c)
                 (k, npp, _), dc = arr.shape, cat.dim(c)
                 coeff = arr[:, :, cols[y]:cols[y + 1]].reshape(k, npp, nm, nn)
                 # fiber vectors live in the conjugate Hilbert space,
@@ -347,7 +344,7 @@ def classical_roundtrip(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
     cert.add_flag("spectrum_simple", "generic element separates the characters", True)
 
     idems = []
-    worst = 0.0
+    worst = []
     for k in range(n):
         w = vecs[:, k]
         sq = alg.multiply(w, w)
@@ -358,19 +355,16 @@ def classical_roundtrip(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
             cert.add_flag("idempotent_scale", "eigenvector squares to a multiple of itself", False)
             return cert
         e = w / c
-        worst = max(worst, max_residual(alg.multiply(e, e), e))
+        worst.append(max_residual(alg.multiply(e, e), e))
         idems.append(e)
-    cert.add("idempotents", "rescaled eigenvectors are idempotent", worst)
+    cert.add("idempotents", "rescaled eigenvectors are idempotent", largest(worst))
 
-    ortho = 0.0
-    for i, ei in enumerate(idems):
-        for k, ek in enumerate(idems):
-            if i != k:
-                ortho = max(ortho, float(np.max(np.abs(alg.multiply(ei, ek)))))
+    ortho = largest([np.max(np.abs(alg.multiply(ei, ek)))
+                     for i, ei in enumerate(idems) for k, ek in enumerate(idems) if i != k])
     cert.add("orthogonality", "distinct idempotents multiply to zero", ortho)
     cert.add("partition_of_unit", "idempotents sum to the unit",
              max_residual(sum(idems), alg.unit))
-    selfadj = max(max_residual(alg.star(e), e) for e in idems)
+    selfadj = largest([max_residual(alg.star(e), e) for e in idems])
     cert.add("self_adjoint", "each idempotent is self-adjoint", selfadj)
     cert.add_flag("point_count", "number of characters equals the dimension",
                   len(idems) == n, value=float(len(idems)))
@@ -460,11 +454,9 @@ def block_structure_tensor(f: BigradedFunctor, blocks: tuple[int, ...]) -> tuple
     corner = [slice(lo, hi) for lo, hi in zip(off[:-1], off[1:])]
     n = len(basis)
     tensor = np.zeros((n, n, n), dtype=np.complex128)
-    for u in range(k):
-        for v in range(k):
-            for w in range(k):
-                tensor[corner[u * k + v], corner[v * k + w], corner[u * k + w]] = \
-                    structure_tensor(f, blocks[u], blocks[v], blocks[w])
+    for u, v, w in product(range(k), repeat=3):
+        tensor[corner[u * k + v], corner[v * k + w], corner[u * k + w]] = \
+            structure_tensor(f, blocks[u], blocks[v], blocks[w])
     return basis, tensor
 
 
@@ -479,10 +471,7 @@ def block_consistency(f: BigradedFunctor, x: int, y: int,
     cert = Certificate(subject=f"blocks[{f.name}@({x},{y})]", tolerance=tol)
     basis, tensor = block_structure_tensor(f, (x, y))
     n = len(basis)
-    unit = np.zeros(n, dtype=np.complex128)
-    for i, (u, v, a, m, k) in enumerate(basis):
-        if u == v and a == UNIT_LABEL:
-            unit[i] = 1.0
+    unit = np.array([u == v and a == UNIT_LABEL for u, v, a, *_ in basis], dtype=np.complex128)
     eye = np.eye(n)
     cert.add("block_left_unit", "sum of corner units is a left unit",
              max_residual(np.einsum("p,pqr->qr", unit, tensor).T, eye))
@@ -648,7 +637,7 @@ def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
     crows, ccols = mor.row_offsets[c, p, r], mor.col_offsets[c, p, r]
     # path two: fuse on source, exchange the channel
     xcols = fx.column_offsets[a, b, s, r]
-    xcoh = fx.coherence[(a, b, s, r)][c][:, :, xcols[t]:xcols[t + 1]].reshape(kmax, nmc, nm, nn)
+    xcoh = fx.coherence_channel(a, b, s, r, c)[:, :, xcols[t]:xcols[t + 1]].reshape(kmax, nmc, nm, nn)
     psi_c = mor.psi[(c, p, r)][:, ccols[s]:ccols[s + 1]].reshape(crows[-1], nal, nmc)
     out = -np.einsum("kumn,Tau->kTamn", xcoh, psi_c)
     # path one: exchange a, exchange b, fuse on target; the a-exchange lands in q, the b-exchange in w
@@ -663,7 +652,7 @@ def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
             psi_b = mor.psi[(b, q, r)][brows[w]:brows[w + 1], bcols[t]:bcols[t + 1]]
             psi_b = psi_b.reshape(nw, int(fd[w, r]), int(fd[q, t]), nn)
             ycols = fy.column_offsets[a, b, p, w]
-            ycoh = fy.coherence[(a, b, p, w)][c][:, :, ycols[q]:ycols[q + 1]].reshape(kmax, npp, nq, nw)
+            ycoh = fy.coherence_channel(a, b, p, w, c)[:, :, ycols[q]:ycols[q + 1]].reshape(kmax, npp, nq, nw)
             path = np.einsum("xbam,ygbn,kpxy->kpgamn", psi_a, psi_b, ycoh)
             out[:, crows[w]:crows[w + 1]] += path.reshape(kmax, crows[w + 1] - crows[w], nal, nm, nn)
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .grouprep import FiniteGroup, IrrepTable, UnitaryRep, intertwiner_basis, tensor_rep
-from .numkit import DEFAULT_TOL, dagger, kron, max_residual, stack_by_shape, successors
+from .numkit import DEFAULT_TOL, dagger, kron, largest, max_residual, stack_by_shape, successors
 
 UNIT_LABEL = 0
 
@@ -309,7 +309,7 @@ def _recoupling_residual(cat: CategoryPresentation) -> float:
     size = dims[fa[l1[first]]] * dims[fb[l1[first]]] * dims[fb[l2[first]]] * dims[cases % n]
     alpha_inv = np.conj(cat.assoc_table()[fa[l1[first]], fb[l1[first]], fb[l2[first]]])
     shape = size * (count.max() + 1) + count
-    worst = 0.0
+    worst = []
     by_shape = np.argsort(shape, kind="stable")
     for sel in np.split(by_shape, np.flatnonzero(np.diff(shape[by_shape])) + 1):
         k, s = int(count[sel[0]]), int(size[sel[0]])
@@ -318,8 +318,8 @@ def _recoupling_residual(cat: CategoryPresentation) -> float:
         right = paths(r1[run], r2[run], "nyd,nxde->nxye", False, s).reshape(len(sel), k, s)
         w = alpha_inv[sel, None, None] * np.einsum("nip,njp->nij", np.conj(left), right)
         w /= dims[cases[sel] % n][:, None, None]
-        worst = max(worst, max_residual(np.conj(w).transpose(0, 2, 1) @ w, np.eye(k)))
-    return worst
+        worst.append(max_residual(np.conj(w).transpose(0, 2, 1) @ w, np.eye(k)))
+    return largest(worst)
 
 
 def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> Certificate:
@@ -329,7 +329,7 @@ def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> 
     n = len(dims)
 
     cert.add_flag("unit_dim", "tensor unit is one-dimensional", dims[UNIT_LABEL] == 1)
-    unit_res = 0.0
+    unit_res = []
     unit_ok = True
     for b in cat.labels:
         for key, want in (((UNIT_LABEL, b), b), ((b, UNIT_LABEL), b)):
@@ -337,9 +337,9 @@ def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> 
             if chans != (want,):
                 unit_ok = False
                 continue
-            unit_res = max(unit_res, max_residual(cat.isometries(*key, want)[0], np.eye(dims[b])))
+            unit_res.append(max_residual(cat.isometries(*key, want)[0], np.eye(dims[b])))
     cert.add_flag("unit_channels", "tensoring with the unit is the identity channel", unit_ok)
-    cert.add("unit_isometries", "unit fusion isometries equal identity matrices", unit_res)
+    cert.add("unit_isometries", "unit fusion isometries equal identity matrices", largest(unit_res))
 
     dual_ok = all(
         cat.mult(a, b, UNIT_LABEL) == (1 if b == cat.dual_map[a] else 0)
@@ -356,26 +356,26 @@ def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> 
     cert.add_flag("fusion_dim_count", "channel dimensions sum to the product dimension", count_ok)
 
     # the isometries of each (a, b) side by side, one batched product per matrix shape
-    ortho = 0.0
-    complete = 0.0
+    ortho = []
+    complete = []
     sides = [np.hstack([iota for c in cat.channels(a, b) for iota in cat.isometries(a, b, c)])[None]
              for a in cat.labels for b in cat.labels]
     for m in stack_by_shape(sides)[2]:
         m_dag = np.conj(m).transpose(0, 2, 1)
-        ortho = max(ortho, max_residual(m_dag @ m, np.eye(m.shape[2])))
-        complete = max(complete, max_residual(m @ m_dag, np.eye(m.shape[1])))
-    cert.add("isometry_orthogonality", "fusion isometries have orthogonal ranges", ortho)
-    cert.add("isometry_completeness", "fusion isometry ranges sum to the identity", complete)
+        ortho.append(max_residual(m_dag @ m, np.eye(m.shape[2])))
+        complete.append(max_residual(m @ m_dag, np.eye(m.shape[1])))
+    cert.add("isometry_orthogonality", "fusion isometries have orthogonal ranges", largest(ortho))
+    cert.add("isometry_completeness", "fusion isometry ranges sum to the identity", largest(complete))
 
     if cat.kind == "group" and cat.reps is not None:
-        equi = 0.0
+        equi = []
         for a in cat.labels:
             for b in cat.labels:
                 big = tensor_rep(cat.reps[a], cat.reps[b]).mats
                 for c in cat.channels(a, b):
                     for iota in cat.isometries(a, b, c):
-                        equi = max(equi, max_residual(big @ iota, iota @ cat.reps[c].mats))
-        cert.add("fusion_equivariance", "fusion isometries intertwine the group action", equi)
+                        equi.append(max_residual(big @ iota, iota @ cat.reps[c].mats))
+        cert.add("fusion_equivariance", "fusion isometries intertwine the group action", largest(equi))
     if cat.kind == "pointed" and cat.pointed is not None:
         law_ok = all(
             cat.channels(g, h) == (cat.pointed.group.mul(g, h),)
@@ -384,27 +384,21 @@ def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> 
         )
         cert.add_flag("pointed_group_law", "fusion channels follow the group law", law_ok)
 
-    snake = 0.0
-    norm_res = 0.0
-    member = 0.0
+    snake = []
+    norm_res = []
+    member = []
     for a in cat.labels:
-        s1, s2 = cat.snake_residuals(a)
-        snake = max(snake, s1, s2)
+        snake.extend(cat.snake_residuals(a))
         r, rbar = cat.conj_solutions[a]
-        norm_res = max(
-            norm_res, abs(float(np.linalg.norm(r)) * float(np.linalg.norm(rbar)) - cat.qdim[a])
-        )
+        norm_res.append(abs(float(np.linalg.norm(r)) * float(np.linalg.norm(rbar)) - cat.qdim[a]))
         abar = cat.dual_map[a]
         v = cat.isometries(abar, a, UNIT_LABEL)[0].reshape(-1, 1)
         w = cat.isometries(a, abar, UNIT_LABEL)[0].reshape(-1, 1)
-        member = max(
-            member,
-            max_residual(r, v @ (dagger(v) @ r)) / max(1.0, float(np.linalg.norm(r))),
-            max_residual(rbar, w @ (dagger(w) @ rbar)) / max(1.0, float(np.linalg.norm(rbar))),
-        )
-    cert.add("conjugate_snakes", "both conjugate identities hold for every label", snake)
-    cert.add("conjugate_normalization", "norm(R)*norm(Rbar) equals the quantum dimension", norm_res)
-    cert.add("conjugate_membership", "conjugate vectors lie in the trivial fusion channel", member)
+        member.append(max_residual(r, v @ (dagger(v) @ r)) / max(1.0, float(np.linalg.norm(r))))
+        member.append(max_residual(rbar, w @ (dagger(w) @ rbar)) / max(1.0, float(np.linalg.norm(rbar))))
+    cert.add("conjugate_snakes", "both conjugate identities hold for every label", largest(snake))
+    cert.add("conjugate_normalization", "norm(R)*norm(Rbar) equals the quantum dimension", largest(norm_res))
+    cert.add("conjugate_membership", "conjugate vectors lie in the trivial fusion channel", largest(member))
 
     qdim_ok = all(q >= 1.0 - tol for q in cat.qdim)
     cert.add_flag("qdim_bound", "quantum dimensions are at least one", qdim_ok)

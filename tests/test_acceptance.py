@@ -184,19 +184,15 @@ def test_criterion_10_fault_injection():
     # fault 3: coherence block perturbed in a copy of the module record
     _, cat, f = _fresh_s3_setup()
     key = (two, two, 0, 0)
-    coh = {c: arr.copy() for c, arr in f.coherence[key].items()}
-    for c, arr in coh.items():
-        if arr.size:
-            arr.flat[0] += eps
-            break
-    caught.append(not validate_module(replace(f, coherence={**f.coherence, key: coh})).passed)
+    f = replace(f, coherence=f.coherence.copy())
+    next(arr for c in cat.channels(two, two) if (arr := f.coherence_channel(*key, c)).size).flat[0] += eps
+    caught.append(not validate_module(f).passed)
 
     # fault 4: the same kind of copy must also break the algebra axioms;
     # perturb the column the base-0 product actually reads (intermediate s=0)
     _, cat, f = _fresh_s3_setup()
-    coh = {c: arr.copy() for c, arr in f.coherence[key].items()}
-    coh[two][0, 0, 0] += eps
-    f = replace(f, coherence={**f.coherence, key: coh})
+    f = replace(f, coherence=f.coherence.copy())
+    f.coherence_channel(*key, two)[0, 0, 0] += eps
     caught.append(not verify_algebra(build_algebra(f, 0)).passed)
 
     # fault 5: exchange block of a morphism

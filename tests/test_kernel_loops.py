@@ -86,9 +86,9 @@ def _structure_loop(f, x, y, z):
                 tensor[p, q, out_pos[(a, m, i)]] = 1.0
                 continue
             db = cat.dim(b)
-            coh = f.coherence[(a, b, x, z)]
             col = _columns(f, a, b, x, z).index((y, m, n))
-            for c, arr in coh.items():
+            for c in cat.channels(a, b):
+                arr = f.coherence_channel(a, b, x, z, c)
                 for k, iota in enumerate(cat.isometries(a, b, c)):
                     for pp in range(arr.shape[1]):
                         coeff = arr[k, pp, col]
@@ -183,17 +183,17 @@ def _hexagon_loop(mor, weights=None):
                                         vb = mor.psi[(b, q, r)][rb, cb_i]
                                         if vb == 0.0:
                                             continue
-                                        ycoh = fy.coherence[(a, b, p, w)]
+                                        ycoh = fy.coherence_channel(a, b, p, w, c)
                                         yc_i = _columns(fy, a, b, p, w).index((q, na, nb))
                                         for pp in range(int(fy.dims[c, p, w])):
                                             ti = tgt.index((w, pp, gamma))
-                                            pa[ti, di] += va * vb * ycoh[c][k, pp, yc_i]
+                                            pa[ti, di] += va * vb * ycoh[k, pp, yc_i]
                                 # path two: fuse on source, exchange the channel
-                                xcoh = fx.coherence[(a, b, s, r)]
+                                xcoh = fx.coherence_channel(a, b, s, r, c)
                                 xc_i = _columns(fx, a, b, s, r).index((t, m, n))
                                 rows_c, cols_c = _rows(mor, c, p, r), _cols(mor, c, p, r)
                                 for mm in range(int(fx.dims[c, s, r])):
-                                    xv = xcoh[c][k, mm, xc_i]
+                                    xv = xcoh[k, mm, xc_i]
                                     if xv == 0.0:
                                         continue
                                     cc_i = cols_c.index((s, alpha, mm))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,9 @@ from qhspace.modcat import (
     module_from_subgroup,
     validate_module,
 )
+from qhspace import modcat
 from qhspace.modcat import _triple_coherence_residual
-from qhspace.numkit import DEFAULT_TOL, dagger, kron, max_residual
+from qhspace.numkit import DEFAULT_TOL, dagger, kron, max_residual, successors
 from qhspace.reconstruct import ReconstructionError, restriction_morphism
 
 
@@ -85,37 +87,35 @@ def test_disjoint_union_is_block_diagonal(s3_modules, z4_pointed_module, z4_cose
             want = np.zeros((2 * j, 2 * j), dtype=np.int64)
             want[:j, :j] = want[j:, j:] = f.dims[a]
             assert np.array_equal(fu.dims[a], want)
-        assert len(fu.coherence) == 2 * len(f.coherence)
-        for (a, b, r, t), blocks in f.coherence.items():
+        assert fu.coherence.size == 2 * f.coherence.size
+        for a, b, r, t in _coherence_keys(f):
             for shift in (0, j):
-                got = fu.coherence[(a, b, r + shift, t + shift)]
-                assert got.keys() == blocks.keys()
-                for c in blocks:
-                    assert np.array_equal(got[c], blocks[c])
+                for c in f.cat.channels(a, b):
+                    got = fu.coherence_channel(a, b, r + shift, t + shift, c)
+                    assert np.array_equal(got, f.coherence_channel(a, b, r, t, c))
 
 
 def test_perturbed_copy_fails_and_original_passes(s3_modules, z4_pointed_module):
     f = s3_modules["order2"]
-    key = max(f.coherence, key=lambda k: sum(arr.size for arr in f.coherence[k].values()))
-    bad = {c: arr.copy() for c, arr in f.coherence[key].items()}
-    next(arr for arr in bad.values() if arr.size).flat[0] += 1e-3
-    g = replace(f, coherence={**f.coherence, key: bad})
+    key = max(_coherence_keys(f), key=lambda k: _coherence_block(f, k).size)
+    first = next(c for c in f.cat.channels(*key[:2]) if f.coherence_channel(*key, c).size)
+    g = replace(f, coherence=f.coherence.copy())
+    g.coherence_channel(*key, first).flat[0] += 1e-3
     cert = validate_module(g)
     assert [c.name for c in cert.checks if not c.passed] == ["coherence_unitarity"]
     assert validate_module(f).passed
-    # a zero row in one channel: the columns stay orthonormal, the rows do not
-    c0 = min(f.coherence[key])
-    arr = f.coherence[key][c0]
-    padded = np.concatenate([arr, np.zeros((len(arr), 1, arr.shape[2]), dtype=np.complex128)], axis=1)
-    tall = replace(f, coherence={**f.coherence, key: {**f.coherence[key], c0: padded}})
-    cert = validate_module(tall)
+    # a zeroed row: U U^* has a zero on its diagonal, while every entry of U^* U - 1 stays below 1
+    assert np.abs(f.coherence_channel(*key, first)[0, 0]).max() < 0.9
+    zero_row = replace(f, coherence=f.coherence.copy())
+    zero_row.coherence_channel(*key, first)[0, 0] = 0.0
+    cert = validate_module(zero_row)
     assert [(c.name, c.value) for c in cert.checks if not c.passed] == [("coherence_unitarity", 1.0)]
     # module associator phases moved by 1e-3 break the Frobenius round trip
     phase = z4_pointed_module.phase.copy()
     phase[1, 3] *= np.exp(1e-3j)
     h = replace(z4_pointed_module, phase=phase)
     assert "frobenius_roundtrip" in [c.name for c in validate_module(h).checks if not c.passed]
-    for copy in (f, g, tall, h):
+    for copy in (f, g, zero_row, h):
         _assert_checks_match_loops(copy)
 
 
@@ -141,10 +141,21 @@ def test_unit_basis_bitwise_identity(s3_modules, z4_coset_module):
             assert np.array_equal(f.mor_basis(0, r, r)[0], np.eye(f.base_dims[r]))
 
 
+def _coherence_keys(f):
+    """The blocks (a, b, r, t) with at least one column (s, m, n)."""
+    return [tuple(key) for key in np.argwhere(f.column_offsets[..., -1]).tolist()]
+
+
+def _coherence_block(f, key):
+    """Block ``key`` as one matrix, its channels stacked in ascending order."""
+    chans = [f.coherence_channel(*key, c) for c in f.cat.channels(*key[:2])]
+    return np.vstack([arr.reshape(-1, arr.shape[2]) for arr in chans])
+
+
 def test_coherence_unitary(s3_modules):
     f = s3_modules["order2"]
-    for blocks in f.coherence.values():
-        u = np.vstack([blocks[c].reshape(-1, blocks[c].shape[2]) for c in sorted(blocks)])
+    for key in _coherence_keys(f):
+        u = _coherence_block(f, key)
         assert u.shape[1] and max_residual(dagger(u) @ u, np.eye(u.shape[1])) < 1e-12
 
 
@@ -234,8 +245,8 @@ def _coherence_loop(f, a, b, r, t):
 def _coherence_unitarity_loop(f):
     """Block-by-block form of the ``coherence_unitarity`` check: the reference."""
     coh = 0.0
-    for blocks in f.coherence.values():
-        u = np.vstack([blocks[c].reshape(-1, blocks[c].shape[2]) for c in sorted(blocks)])
+    for key in _coherence_keys(f):
+        u = _coherence_block(f, key)
         coh = max(coh, max_residual(dagger(u) @ u, np.eye(u.shape[1])))
         if u.shape[0]:
             coh = max(coh, max_residual(u @ dagger(u), np.eye(u.shape[0])))
@@ -355,14 +366,17 @@ def test_coherence_matches_column_loop(shape_modules):
         labels, bases = f.cat.labels, range(f.n_base)
         linked = [(a, b, r, t) for a in labels for b in labels for r in bases for t in bases
                   if f.column_offsets[a, b, r, t][-1]]
-        assert sorted(f.coherence) == linked
-        for key in linked:
-            got, want = f.coherence[key], _coherence_loop(f, *key)
-            assert got.keys() == want.keys()
+        assert _coherence_keys(f) == linked
+        wants = {key: _coherence_loop(f, *key) for key in linked}
+        assert f.coherence.dtype == np.complex128 and f.coherence.ndim == 1
+        assert f.coherence.size == sum(arr.size for want in wants.values() for arr in want.values())
+        for key, want in wants.items():
+            assert list(want) == list(f.cat.channels(*key[:2]))
             for c in want:
-                assert got[c].dtype == want[c].dtype and got[c].shape == want[c].shape
-                assert np.array_equal(got[c], want[c]), (f.name, key, c)
-                assert got[c].tobytes() == want[c].tobytes(), (f.name, key, c)
+                got = f.coherence_channel(*key, c)
+                assert got.dtype == want[c].dtype and got.shape == want[c].shape
+                assert np.array_equal(got, want[c]), (f.name, key, c)
+                assert got.tobytes() == want[c].tobytes(), (f.name, key, c)
 
 
 def test_frobenius_block_matches_loop(shape_modules):
@@ -378,11 +392,61 @@ def test_module_checks_match_loops(shape_modules, s3_modules, z4):
         _assert_checks_match_loops(f)
 
 
-def test_triple_coherence_matches_chain_loop(s3_modules, z4_pointed_module, z4_coset_module, z4):
-    # einsum sums in another order: residuals agree to a few units of roundoff
+def test_triple_coherence_matches_chain_loop(s3_modules, z4_pointed_module, z4_coset_module, z4, monkeypatch):
+    # einsum sums in another order: residuals agree to a few units of roundoff, for the
+    # shipped entry budget, for one run per composable pair and for one run in all
     flipped = _flipped_z4_module(z4)
-    for f in (*s3_modules.values(), z4_pointed_module, z4_coset_module, flipped):
-        assert abs(_triple_coherence_residual(f) - _triple_loop(f)) < 1e-14, f.name
+    joins = []
+
+    def counted(*args):
+        joins.append(args)
+        return successors(*args)
+
+    monkeypatch.setattr(modcat, "successors", counted)
+    for budget in (modcat._TRIPLE_ENTRIES, 1, np.iinfo(np.int64).max):
+        monkeypatch.setattr(modcat, "_TRIPLE_ENTRIES", budget)
+        for f in (*s3_modules.values(), z4_pointed_module, z4_coset_module, flipped):
+            joins.clear()
+            assert abs(_triple_coherence_residual(f) - _triple_loop(f)) < 1e-14, (f.name, budget)
+            # one join lists the composable pairs, then one join per run extends them to chains
+            edges = f.dims.sum(axis=0)  # edges[r, s]: basis morphisms from X_r to some u_a (x) X_s
+            if budget == 1:  # one run per composable pair
+                assert len(joins) == 1 + int((edges @ edges).sum()), (f.name, len(joins))
+            elif budget == np.iinfo(np.int64).max:
+                assert len(joins) == 2, (f.name, len(joins))
+
+
+def test_triple_coherence_memory_is_bounded():
+    # Z10 > Z10: 1000 chains of 10 x 10 matrices; traced, runs of 512 chains peak at 7.9 to 8.3 MB,
+    # runs of 2^14 entries at 2.8 MB
+    group = cyclic_group(10)
+    cat = tensorcat.from_pointed(tensorcat.PointedFusionData(group, np.ones((10, 10, 10))))
+    f = module_from_pointed(cat, Subgroup(group, tuple(range(10))))
+    tracemalloc.start()
+    try:
+        value = _triple_coherence_residual(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value < 1e-12
+    assert peak < 4e6, peak
+
+
+def test_nan_entry_fails_module_checks(s3_modules):
+    # a max(worst, x) fold keeps worst when x is NaN; the NaN must reach the check value
+    f = s3_modules["full"]
+    key = max(_coherence_keys(f), key=lambda k: _coherence_block(f, k).size)
+    first = next(c for c in f.cat.channels(*key[:2]) if f.coherence_channel(*key, c).size)
+    g = replace(f, coherence=f.coherence.copy())
+    g.coherence_channel(*key, first).flat[0] = np.nan
+    failed = [(c.name, c.value) for c in validate_module(g).checks if not c.passed]
+    assert [name for name, _ in failed] == ["coherence_unitarity"] and np.isnan(failed[0][1])
+    # a NaN in a module basis reaches the triple check
+    bases = dict(f.bases)
+    big = max(bases, key=lambda k: bases[k].size)
+    bases[big] = bases[big].copy()
+    bases[big].flat[0] = np.nan
+    assert np.isnan(_triple_coherence_residual(replace(f, bases=bases)))
 
 
 # builds Z10 > Z10 and Z8 > Z2 over the trivial cocycle and saves every basis,

@@ -120,3 +120,12 @@ def test_conjugate_norm_product(s3_cat, z4_pointed_cat):
             r, rb = cat.conj_solutions[a]
             prod = np.linalg.norm(r) * np.linalg.norm(rb)
             assert prod == pytest.approx(cat.qdim[a], abs=1e-9)
+
+
+def test_nan_fusion_isometry_fails():
+    # a max(worst, x) fold keeps worst when x is NaN; both isometry checks must report it
+    cat = tensorcat.from_pointed(standard_cyclic_cocycle(4))
+    assert verify_presentation(cat).passed
+    cat.fusion[(1, 2)][3] = (np.full((1, 1), np.nan, dtype=np.complex128),)
+    failed = {c.name: c.value for c in verify_presentation(cat).checks if not c.passed}
+    assert np.isnan(failed["isometry_orthogonality"]) and np.isnan(failed["isometry_completeness"])

@@ -8,7 +8,11 @@ at another checkout's ``src`` dumps that checkout.  It covers the three
 shipped projects and the ``pointed_ladder`` and ``corners`` cases of
 ``perfbench`` (the corners at seeds 1 and 7) and saves, one key per array:
 
-- every module basis and coherence block;
+- every module basis, and every channel of every coherence block with a
+  column, read through ``BigradedFunctor.coherence_channel`` under the key
+  ``{tag}/coherence(a, b, r, t)/{c}``; the keys and shapes are those of
+  dumps made when the record held one array per channel, so a dump of
+  either record layout compares array for array with the other;
 - the structure tensor and star matrix of the algebra at every base;
 - the left and right tensors and star matrix of every bimodule corner;
 - the exchange blocks ``psi`` of every restriction morphism;
@@ -47,9 +51,9 @@ def _module(out: dict, tag: str, mod) -> None:
 
     for key, basis in mod.bases.items():
         out[f"{tag}/basis{key}"] = basis
-    for key, chans in mod.coherence.items():
-        for c, arr in chans.items():
-            out[f"{tag}/coherence{key}/{c}"] = arr
+    for key in map(tuple, np.argwhere(mod.column_offsets[..., -1]).tolist()):
+        for c in mod.cat.channels(*key[:2]):
+            out[f"{tag}/coherence{key}/{c}"] = mod.coherence_channel(*key, c)
     for x in range(mod.n_base):
         alg = build_algebra(mod, x)
         out[f"{tag}/tensor{x}"] = alg.tensor
