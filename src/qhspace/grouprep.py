@@ -186,22 +186,37 @@ def regular_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep(group, mats)
 
 
+# entries per run of group elements: bounds the stacked terms of the average
+_AVERAGE_ENTRIES = 1 << 14
+
+
 def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {T : T u(g) = v(g) T for all g}, stacked as (k, dim v, dim u).
 
     Computed by the averaging projector P: T -> (1/|G|) sum_g v(g) T u(g)^-1,
     applied to all matrix units at once, followed by kernel extraction of
-    (P - id).
+    (P - id).  The term v(g) E_ij u(g)^-1 is the outer product of column i
+    of v(g) with row j of u(g)^-1, one broadcast product per run of about
+    ``_AVERAGE_ENTRIES`` entries; the terms are added in g order, starting
+    from zero.  No matrix product enters the sum, so its bits do not depend
+    on the BLAS kernel.
     """
     group = u.group
     du, dv = u.dim, v.dim
-    units = np.eye(du * dv, dtype=np.complex128).reshape(du * dv, dv, du)
+    n = du * dv
+    units = np.eye(n, dtype=np.complex128).reshape(n, dv, du)
     acc = np.zeros_like(units)
-    # one g at a time, in g order: a single sum over g rounds differently
-    for g in range(group.order):
-        acc += v.mats[g] @ units @ u.mats[group.inverse[g]]
+    cols = v.mats.transpose(0, 2, 1)
+    step = max(1, _AVERAGE_ENTRIES // (n * n))
+    for lo in range(0, group.order, step):
+        rows = u.mats[group.inverse[lo:lo + step]]
+        terms = (cols[lo:lo + step, :, None, :, None] * rows[:, None, :, None, :]).reshape(-1, n, dv, du)
+        # a running sum adds in g order, ((acc + T_lo) + T_lo+1) + ...; a reduction may
+        # pair terms.  accumulate copies its input first, which one term does not need
+        terms[0] += acc
+        acc = np.add.accumulate(terms, out=terms)[-1] if len(terms) > 1 else terms[0]
     # column j of the constraint matrix is (P - id) of the j-th matrix unit
-    constraint = (acc / group.order - units).reshape(du * dv, du * dv).T
+    constraint = (acc / group.order - units).reshape(n, n).T
     basis = solution_basis(constraint, tol)
     return basis.reshape(len(basis), dv, du)
 

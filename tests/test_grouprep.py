@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+import qhspace
 from qhspace.grouprep import (
     FiniteGroup,
     GroupAxiomError,
@@ -135,3 +140,70 @@ def test_tensor_with_trivial(s3, s3_table):
     t = trivial_rep(s3)
     for r in s3_table.irreps:
         assert len(intertwiner_basis(r, tensor_rep(t, r))) == 1
+
+
+# loads the groups and irreps saved in argv[1], records the constraint matrix of
+# every intertwiner_basis(c, a (x) b) call and saves them to the .npz file argv[2]
+_CONSTRAINT_DUMP = """
+import sys
+from itertools import product
+import numpy as np
+from qhspace import grouprep
+from qhspace.grouprep import FiniteGroup, UnitaryRep, tensor_rep
+
+src, out, key = np.load(sys.argv[1]), {}, None
+solve = grouprep.solution_basis
+
+def recording(constraint, tol):
+    out[key] = constraint
+    return solve(constraint, tol)
+
+grouprep.solution_basis = recording
+for name in ("S4", "D12"):
+    group = FiniteGroup(src[f"{name}/table"])
+    count = sum(k.startswith(f"{name}/irrep") for k in src.files)
+    reps = [UnitaryRep(group, src[f"{name}/irrep{a}"]) for a in range(count)]
+    for a, b, c in product(range(len(reps)), repeat=3):
+        key = f"{name}/{a},{b},{c}"
+        grouprep.intertwiner_basis(reps[c], tensor_rep(reps[a], reps[b]))
+np.savez(sys.argv[2], **out)
+"""
+
+
+def test_intertwiner_constraint_independent_of_blas_kernel(tmp_path):
+    # the average adds broadcast products, so no BLAS kernel rounds a term; one
+    # matmul pair per g moved 389 of these 854 constraints (on an AVX-512 CPU)
+    irreps = {}
+    for name, group in (("S4", symmetric_group(4)), ("D12", dihedral_group(12))):
+        irreps[f"{name}/table"] = group.mult_table
+        irreps.update({f"{name}/irrep{a}": rep.mats for a, rep in enumerate(extract_irreps(group).irreps)})
+    np.savez(tmp_path / "irreps.npz", **irreps)
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qhspace.__file__))
+    runs = []
+    for name, extra in (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+        out = tmp_path / f"{name}.npz"
+        subprocess.run([sys.executable, "-c", _CONSTRAINT_DUMP, str(tmp_path / "irreps.npz"), str(out)],
+                       env={**env, **extra}, check=True, timeout=300)
+        runs.append(np.load(out))
+    ref, other = runs
+    assert len(ref.files) == 5**3 + 9**3
+    assert other.files == ref.files
+    assert [k for k in ref.files if other[k].tobytes() != ref[k].tobytes()] == []
+
+
+def test_intertwiner_basis_memory_is_bounded():
+    # a 216 x 216 constraint: S4's regular representation against 3 (x) 3.  The terms
+    # of all 24 elements at once would take 18 MB; one matmul pair per g peaked at 3.83 MB
+    s4 = symmetric_group(4)
+    three = extract_irreps(s4).irreps[3]
+    assert three.dim == 3
+    u, v = regular_rep(s4), tensor_rep(three, three)
+    tracemalloc.start()
+    try:
+        basis = intertwiner_basis(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.shape == (9, 9, 24)
+    assert peak < 4.6e6, peak

@@ -5,9 +5,13 @@
 
 ``dump`` uses the ``qhspace`` found on the path, so pointing ``PYTHONPATH``
 at another checkout's ``src`` dumps that checkout.  It covers the three
-shipped projects and the ``pointed_ladder`` and ``corners`` cases of
-``perfbench`` (the corners at seeds 1 and 7) and saves, one key per array:
+shipped projects and the ``group_ladder``, ``pointed_ladder`` and
+``corners`` cases of ``perfbench`` (the corners at seeds 1 and 7) and
+saves, one key per array:
 
+- the matrices of every irreducible representation of a group category
+  (``{tag}/irrep{a}``) and the stacked fusion isometries of every channel
+  (``{tag}/fusion(a, b)/{c}``), for the projects and the group cases;
 - every module basis, and every channel of every coherence block with a
   column, read through ``BigradedFunctor.coherence_channel`` under the key
   ``{tag}/coherence(a, b, r, t)/{c}``; the keys and shapes are those of
@@ -44,6 +48,14 @@ def _verdicts(out: dict, tag: str, cert) -> None:
     for check in cert.checks:
         out[f"{tag}/{check.name}"] = np.array(check.passed)
         out[f"value/{tag}/{check.name}"] = np.array(check.value)
+
+
+def _category(out: dict, tag: str, cat) -> None:
+    for a, rep in enumerate(cat.reps or ()):
+        out[f"{tag}/irrep{a}"] = rep.mats
+    for (a, b), channels in cat.fusion.items():
+        for c, isometries in channels.items():
+            out[f"{tag}/fusion{a, b}/{c}"] = np.stack(isometries)
 
 
 def _module(out: dict, tag: str, mod) -> None:
@@ -96,6 +108,7 @@ def dump(path: str) -> None:
     out: dict[str, np.ndarray] = {}
     for name in PROJECTS:
         project = load_project(os.path.join(ROOT, "projects", f"{name}.qhs.json"))
+        _category(out, name, project.category)
         if project.module is not None:
             _module(out, name, project.module)
             _verdicts(out, f"{name}/run_suite", run_suite(project.category, project.module))
@@ -107,13 +120,16 @@ def dump(path: str) -> None:
         mod = coset_module(cat, case.group, case.subgroup)
         _module(out, case.id, mod)
         _verdicts(out, f"{case.id}/run_suite", run_suite(cat, mod))
-    for seed in CORNER_SEEDS:
-        for case in make_inputs("corners", seed, ROOT):
-            tag = f"{case.id}@{seed}"
-            cat = from_group(extract_irreps(case.group))
-            mod = subgroup_module(cat, case.group, case.subgroup)
-            _module(out, tag, mod)
-            _verdicts(out, f"{tag}/run_suite", run_suite(cat, mod, seed=seed))
+    group_cases = [(case, case.id, 0) for case in make_inputs("group_ladder", 0, ROOT)]
+    group_cases += [(case, f"{case.id}@{seed}", seed) for seed in CORNER_SEEDS
+                    for case in make_inputs("corners", seed, ROOT)]
+    for case, tag, seed in group_cases:
+        cat = from_group(extract_irreps(case.group))
+        _category(out, tag, cat)
+        mod = subgroup_module(cat, case.group, case.subgroup)
+        _module(out, tag, mod)
+        _verdicts(out, f"{tag}/run_suite", run_suite(cat, mod, seed=seed))
+        if case.corners:
             _corners(out, tag, mod, seed)
             triv = subgroup_module(cat, case.group, (case.group.identity,))
             _module(out, f"{tag}/trivial", triv)
