@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numkit import DEFAULT_TOL, dagger, largest, max_residual, solution_basis
+from .numkit import DEFAULT_TOL, RUN_ENTRIES, dagger, largest, max_residual, solution_basis
 
 
 class GroupAxiomError(Exception):
@@ -186,10 +186,6 @@ def regular_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep(group, mats)
 
 
-# entries per run of group elements: bounds the stacked terms of the average
-_AVERAGE_ENTRIES = 1 << 14
-
-
 def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {T : T u(g) = v(g) T for all g}, stacked as (k, dim v, dim u).
 
@@ -197,9 +193,10 @@ def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) ->
     applied to all matrix units at once, followed by kernel extraction of
     (P - id).  The term v(g) E_ij u(g)^-1 is the outer product of column i
     of v(g) with row j of u(g)^-1, one broadcast product per run of about
-    ``_AVERAGE_ENTRIES`` entries; the terms are added in g order, starting
-    from zero.  No matrix product enters the sum, so its bits do not depend
-    on the BLAS kernel.
+    ``RUN_ENTRIES`` entries; the terms are added in g order, starting from
+    zero.  No matrix product enters the sum, so its bits do not depend on
+    the BLAS kernel.  For a u of dimension above one they depend on numpy's
+    complex multiply, which fuses a multiply-add on CPUs that have one.
     """
     group = u.group
     du, dv = u.dim, v.dim
@@ -207,14 +204,30 @@ def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) ->
     units = np.eye(n, dtype=np.complex128).reshape(n, dv, du)
     acc = np.zeros_like(units)
     cols = v.mats.transpose(0, 2, 1)
-    step = max(1, _AVERAGE_ENTRIES // (n * n))
+    step = max(1, RUN_ENTRIES // (n * n))
     for lo in range(0, group.order, step):
-        rows = u.mats[group.inverse[lo:lo + step]]
-        terms = (cols[lo:lo + step, :, None, :, None] * rows[:, None, :, None, :]).reshape(-1, n, dv, du)
-        # a running sum adds in g order, ((acc + T_lo) + T_lo+1) + ...; a reduction may
-        # pair terms.  accumulate copies its input first, which one term does not need
+        col, row = cols[lo:lo + step, :, None, :, None], u.mats[group.inverse[lo:lo + step]][:, None, :, None, :]
+        if du > 1:
+            terms = col * row
+        else:
+            # a one-dimensional u scales the columns of v(g) by a number.  Round each complex
+            # product as two real products and their sum, unfused, as a matrix product with a
+            # 1 x 1 factor does: fusion data with complex characters, and the fingerprints of
+            # projects saved with it, stay as earlier versions computed them
+            terms = np.empty(np.broadcast_shapes(col.shape, row.shape), dtype=np.complex128)
+            np.subtract(col.real * row.real, col.imag * row.imag, out=terms.real)
+            np.add(col.real * row.imag, col.imag * row.real, out=terms.imag)
+        terms = terms.reshape(-1, n, dv, du)
+        # add in g order, ((acc + T_lo) + T_lo+1) + ...; a reduction may pair terms.  A running
+        # sum calls its inner loop once per entry of a term, so a short run of large terms
+        # (a few group elements per run) is added one term at a time instead
         terms[0] += acc
-        acc = np.add.accumulate(terms, out=terms)[-1] if len(terms) > 1 else terms[0]
+        if len(terms) < 8:
+            acc = terms[0]
+            for term in terms[1:]:
+                acc += term
+        else:
+            acc = np.add.accumulate(terms, out=terms)[-1]
     # column j of the constraint matrix is (P - id) of the j-th matrix unit
     constraint = (acc / group.order - units).reshape(n, n).T
     basis = solution_basis(constraint, tol)

@@ -20,8 +20,8 @@ import numpy as np
 
 from .certificate import Certificate
 from .grouprep import IrrepTable, Subgroup, UnitaryRep, extract_irreps, intertwiner_basis, restrict, tensor_rep
-from .numkit import (DEFAULT_TOL, NumericalRankError, block_offsets, largest, max_residual, stack_by_shape,
-                     successors)
+from .numkit import (DEFAULT_TOL, RUN_ENTRIES, NumericalRankError, block_offsets, largest, max_residual,
+                     stack_by_shape, successors)
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError, fusion_table
 
 
@@ -474,10 +474,6 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
     return cert
 
 
-# einsum entries per run of chains: bounds the temporaries of the triple check
-_TRIPLE_ENTRIES = 1 << 14
-
-
 def _triple_coherence_residual(f: BigradedFunctor) -> float:
     """Compare the two bracketings of acting by a, then b, then c.
 
@@ -485,7 +481,7 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     triple tensor product; the right-bracketed path is pulled back through
     the category associator.  Every composable chain of basis morphisms
     (a,r,s,m) -> (b,s,t,n) -> (c,t,w,o) is checked.  The chains are built in
-    runs of about ``_TRIPLE_ENTRIES`` entries of their largest temporary,
+    runs of about ``RUN_ENTRIES`` entries of their largest temporary,
     da db dc dw dr per chain; within a run they are grouped by the shape
     (da, db, dc, dr, ds, dt, dw) of their matrices, and each group is
     evaluated with four batched einsums, reading the associator diagonals
@@ -498,11 +494,11 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     ldim, bdim = np.asarray(cat.obj_dim), np.asarray(f.base_dims)
 
     first, second = successors(dst, src, f.n_base)
-    # split the composable pairs into runs of about _TRIPLE_ENTRIES entries; a pair
+    # split the composable pairs into runs of about RUN_ENTRIES entries; a pair
     # (a, r, s) -> (b, s, t) weighs da db dr times the sum of dc dw over the edges leaving t
     leaving = np.bincount(src, weights=ldim[lab] * bdim[dst], minlength=f.n_base)
     weight = ldim[lab[first]] * ldim[lab[second]] * bdim[src[first]] * leaving[dst[second]]
-    run = (np.cumsum(weight) - weight) // _TRIPLE_ENTRIES
+    run = (np.cumsum(weight) - weight) // RUN_ENTRIES
     cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
     ns = len(stacked)
 

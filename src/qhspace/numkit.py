@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernel shared by every other module.
 
-All morphisms are plain ``numpy`` arrays of ``complex128``.  The one piece of
-policy that lives here is the deterministic phase convention for computed
+All morphisms are plain ``numpy`` arrays of ``complex128``.  Two pieces of
+policy live here.  One is the deterministic phase convention for computed
 bases: every downstream structure constant depends on the basis choice, so it
-has to be canonical and reproducible bit-for-bit.
+has to be canonical and reproducible bit-for-bit.  The other is the entry
+budget ``RUN_ENTRIES`` of the kernels that work in runs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+# entries per run of stacked temporaries: the triple coherence check and the
+# intertwiner average split their work into runs of about this many entries,
+# which bounds their memory
+RUN_ENTRIES = 1 << 14
 
 
 class NumericalRankError(Exception):

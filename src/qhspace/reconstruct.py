@@ -623,15 +623,13 @@ def gauge_transform(mor: ModuleMorphism,
     return ModuleMorphism(fx, fy, mor.fdims.copy(), new_psi, mor.x_base, mor.y_base)
 
 
-def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int, s: int, t: int,
-                    xcoh: np.ndarray, ycoh: list[np.ndarray]) -> np.ndarray:
+def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
+                    s: int, t: int) -> np.ndarray:
     """Path one minus path two of the hexagon on one source sub-block, into channel c.
 
     The sub-block holds (alpha, m, n): alpha in the (p, s) multiplicity
-    space, m in Mor(X_s, u_a (x) X_t) and n in Mor(X_t, u_b (x) X_r).
-    ``xcoh`` is the source coherence channel (a, b, s, r, c) and ``ycoh[w]``
-    the target one (a, b, p, w, c).  The result has shape
-    (k, row of psi[(c, p, r)], alpha, m, n).
+    space, m in Mor(X_s, u_a (x) X_t) and n in Mor(X_t, u_b (x) X_r).  The
+    result has shape (k, row of psi[(c, p, r)], alpha, m, n).
     """
     fx, fy, fd = mor.source, mor.target, mor.fdims
     kmax = fx.cat.mult(a, b, c)
@@ -639,7 +637,7 @@ def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
     crows, ccols = mor.row_offsets[c, p, r], mor.col_offsets[c, p, r]
     # path two: fuse on source, exchange the channel
     xcols = fx.column_offsets[a, b, s, r]
-    xcoh = xcoh[:, :, xcols[t]:xcols[t + 1]].reshape(kmax, nmc, nm, nn)
+    xcoh = fx.coherence_channel(a, b, s, r, c)[:, :, xcols[t]:xcols[t + 1]].reshape(kmax, nmc, nm, nn)
     psi_c = mor.psi[(c, p, r)][:, ccols[s]:ccols[s + 1]].reshape(crows[-1], nal, nmc)
     out = -np.einsum("kumn,Tau->kTamn", xcoh, psi_c)
     # path one: exchange a, exchange b, fuse on target; the a-exchange lands in q, the b-exchange in w
@@ -654,8 +652,8 @@ def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
             psi_b = mor.psi[(b, q, r)][brows[w]:brows[w + 1], bcols[t]:bcols[t + 1]]
             psi_b = psi_b.reshape(nw, int(fd[w, r]), int(fd[q, t]), nn)
             ycols = fy.column_offsets[a, b, p, w]
-            path = np.einsum("xbam,ygbn,kpxy->kpgamn", psi_a, psi_b,
-                             ycoh[w][:, :, ycols[q]:ycols[q + 1]].reshape(kmax, npp, nq, nw))
+            ycoh = fy.coherence_channel(a, b, p, w, c)[:, :, ycols[q]:ycols[q + 1]].reshape(kmax, npp, nq, nw)
+            path = np.einsum("xbam,ygbn,kpxy->kpgamn", psi_a, psi_b, ycoh)
             out[:, crows[w]:crows[w + 1]] += path.reshape(kmax, crows[w + 1] - crows[w], nal, nm, nn)
     return out
 
@@ -668,29 +666,21 @@ def _hexagon_residual(mor: ModuleMorphism) -> dict[tuple[int, int, int, int], fl
     channel.  Returns the worst |path one - path two| of each channel row
     (a, b, c, k) that has a nonempty source, keyed in first-visit loop order.
     """
-    fx, fy = mor.source, mor.target
-    cat, jx, jy = fx.cat, fx.n_base, fy.n_base
+    fx = mor.source
+    cat, jx = fx.cat, fx.n_base
     rows: dict[tuple[int, int, int, int], list[float]] = {}
     for a in cat.labels:
         for b in cat.labels:
-            subs = {(p, r): [(s, t) for s in range(jx) for t in range(jx)
-                             if mor.fdims[p, s] * fx.dims[a, s, t] * fx.dims[b, t, r]]
-                    for p in range(jy) for r in range(jx)}
-            # the source coherence channels (a, b, s, r, c) that some sub-block reads
-            sources = {(s, r) for (_, r), pairs in subs.items() for s, _ in pairs}
-            if not sources:
-                continue
-            # each channel view is fetched once per (a, b, c), and per p on the target side
-            for c in cat.channels(a, b):
-                kmax = cat.mult(a, b, c)
-                xcoh = {(s, r): fx.coherence_channel(a, b, s, r, c) for s, r in sources}
-                for p in range(jy):
-                    ycoh = [fy.coherence_channel(a, b, p, w, c) for w in range(jy)]
-                    for r in range(jx):
-                        if not subs[p, r]:
-                            continue
-                        diff = np.concatenate([_exchange_paths(mor, a, b, c, p, r, s, t, xcoh[s, r], ycoh)
-                                               .reshape(kmax, -1) for s, t in subs[p, r]], axis=1)
+            for p in range(mor.target.n_base):
+                for r in range(jx):
+                    subs = [(s, t) for s in range(jx) for t in range(jx)
+                            if mor.fdims[p, s] * fx.dims[a, s, t] * fx.dims[b, t, r]]
+                    if not subs:
+                        continue
+                    for c in cat.channels(a, b):
+                        kmax = cat.mult(a, b, c)
+                        diff = np.concatenate([_exchange_paths(mor, a, b, c, p, r, s, t).reshape(kmax, -1)
+                                               for s, t in subs], axis=1)
                         for k, d in enumerate(np.max(np.abs(diff), axis=1, initial=0.0).tolist()):
                             rows.setdefault((a, b, c, k), []).append(d)
     return {key: largest(values) for key, values in rows.items()}

@@ -24,6 +24,7 @@ from qhspace.grouprep import (
     tensor_rep,
     trivial_rep,
 )
+from qhspace.numkit import max_residual
 
 
 def test_group_axioms_reject_bad_table():
@@ -142,14 +143,14 @@ def test_tensor_with_trivial(s3, s3_table):
         assert len(intertwiner_basis(r, tensor_rep(t, r))) == 1
 
 
-# loads the groups and irreps saved in argv[1], records the constraint matrix of
-# every intertwiner_basis(c, a (x) b) call and saves them to the .npz file argv[2]
+# loads the groups, irreps and tensor products saved in argv[1], records the constraint
+# matrix of every intertwiner_basis(c, a (x) b) call and saves them to the .npz file argv[2]
 _CONSTRAINT_DUMP = """
 import sys
 from itertools import product
 import numpy as np
 from qhspace import grouprep
-from qhspace.grouprep import FiniteGroup, UnitaryRep, tensor_rep
+from qhspace.grouprep import FiniteGroup, UnitaryRep
 
 src, out, key = np.load(sys.argv[1]), {}, None
 solve = grouprep.solution_basis
@@ -165,31 +166,54 @@ for name in ("S4", "D12"):
     reps = [UnitaryRep(group, src[f"{name}/irrep{a}"]) for a in range(count)]
     for a, b, c in product(range(len(reps)), repeat=3):
         key = f"{name}/{a},{b},{c}"
-        grouprep.intertwiner_basis(reps[c], tensor_rep(reps[a], reps[b]))
+        grouprep.intertwiner_basis(reps[c], UnitaryRep(group, src[f"{name}/tensor{a},{b}"]))
 np.savez(sys.argv[2], **out)
 """
 
 
+def _simd_targets() -> list[str]:
+    """The SIMD targets numpy dispatches to on this CPU, beyond its baseline."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
 def test_intertwiner_constraint_independent_of_blas_kernel(tmp_path):
     # the average adds broadcast products, so no BLAS kernel rounds a term; one
-    # matmul pair per g moved 389 of these 854 constraints (on an AVX-512 CPU)
+    # matmul pair per g moved 388 of these 854 constraints (on an AVX-512 CPU)
     irreps = {}
     for name, group in (("S4", symmetric_group(4)), ("D12", dihedral_group(12))):
         irreps[f"{name}/table"] = group.mult_table
-        irreps.update({f"{name}/irrep{a}": rep.mats for a, rep in enumerate(extract_irreps(group).irreps)})
+        reps = extract_irreps(group).irreps
+        irreps.update({f"{name}/irrep{a}": rep.mats for a, rep in enumerate(reps)})
+        # tensor_rep multiplies complex numbers too: its bits are not under test here
+        irreps.update({f"{name}/tensor{a},{b}": tensor_rep(ra, rb).mats
+                       for a, ra in enumerate(reps) for b, rb in enumerate(reps)})
     np.savez(tmp_path / "irreps.npz", **irreps)
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
+    skip = ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    env = {k: v for k, v in os.environ.items() if k not in skip}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qhspace.__file__))
     runs = []
-    for name, extra in (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+    for name, extra in (("default", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"}),
+                        ("baseline", {"NPY_DISABLE_CPU_FEATURES": ",".join(_simd_targets())})):
         out = tmp_path / f"{name}.npz"
         subprocess.run([sys.executable, "-c", _CONSTRAINT_DUMP, str(tmp_path / "irreps.npz"), str(out)],
                        env={**env, **extra}, check=True, timeout=300)
         runs.append(np.load(out))
-    ref, other = runs
+    ref, haswell, baseline = runs
     assert len(ref.files) == 5**3 + 9**3
-    assert other.files == ref.files
-    assert [k for k in ref.files if other[k].tobytes() != ref[k].tobytes()] == []
+    assert haswell.files == ref.files == baseline.files
+    assert [k for k in ref.files if haswell[k].tobytes() != ref[k].tobytes()] == []
+    # without numpy's SIMD targets its complex multiply fuses no multiply-add (on x86-64,
+    # whose baseline has no FMA).  The products of a u of dimension above one may round
+    # otherwise (409 of the 854 move, on an AVX-512 CPU); those of a one-dimensional u are
+    # two real products and their sum, which round alike everywhere
+    moved = [k for k in ref.files if baseline[k].tobytes() != ref[k].tobytes()]
+    dim_u = {k: irreps[f"{k.split('/')[0]}/irrep{k.split(',')[-1]}"].shape[1] for k in moved}
+    assert [k for k in moved if dim_u[k] == 1] == []
+    assert max((max_residual(baseline[k], ref[k]) for k in moved), default=0.0) < 1e-15
 
 
 def test_intertwiner_basis_memory_is_bounded():

@@ -634,6 +634,8 @@ def _constraint_loop(u, v):
 
     v(g) E_ij u(g)^-1 is the outer product of column i of v(g) with row j of
     u(g)^-1; the terms of each matrix unit are added one g at a time, in g order.
+    For a one-dimensional u each complex product is two real products and their
+    sum, rounded apart.
     """
     group = u.group
     du, dv = u.dim, v.dim
@@ -642,7 +644,14 @@ def _constraint_loop(u, v):
         for j in range(du):
             acc = np.zeros((dv, du), dtype=np.complex128)
             for g in range(group.order):
-                acc += v.mats[g][:, i, None] * u.mats[group.inv(g)][None, j, :]
+                col, row = v.mats[g][:, i, None], u.mats[group.inv(g)][None, j, :]
+                if du > 1:
+                    acc += col * row
+                else:
+                    term = np.empty((dv, du), dtype=np.complex128)
+                    term.real = col.real * row.real - col.imag * row.imag
+                    term.imag = col.real * row.imag + col.imag * row.real
+                    acc += term
             unit = np.zeros((dv, du), dtype=np.complex128)
             unit[i, j] = 1.0
             columns.append((acc / group.order - unit).ravel())
@@ -693,7 +702,7 @@ def test_intertwiner_constraint_matches_loop(group_tables, monkeypatch):
         return solution_basis(constraint, tol)
 
     monkeypatch.setattr(grouprep, "solution_basis", recording)
-    default, worst = grouprep._AVERAGE_ENTRIES, 0.0
+    default, worst = grouprep.RUN_ENTRIES, 0.0
     for table in group_tables:
         reps = table.irreps
         for a, b, c in product(range(len(reps)), repeat=3):
@@ -701,15 +710,16 @@ def test_intertwiner_constraint_matches_loop(group_tables, monkeypatch):
             ref = _constraint_loop(reps[c], prod)
             # runs of many group elements, and runs of one
             for budget in (default, 1):
-                monkeypatch.setattr(grouprep, "_AVERAGE_ENTRIES", budget)
+                monkeypatch.setattr(grouprep, "RUN_ENTRIES", budget)
                 seen.clear()
                 grouprep.intertwiner_basis(reps[c], prod)
                 assert len(seen) == 1
                 assert np.array_equal(seen[0], ref), (table.group.order, a, b, c, budget)
             worst = max(worst, max_residual(seen[0], _constraint_matmul_loop(reps[c], prod)))
     # one matmul pair per g rounds each term as that matmul does: numpy's own loop for 1 x 1
-    # factors, otherwise the BLAS kernel.  Measured on an AVX-512 CPU: 5.6e-17 away with the
-    # default OpenBLAS kernel (A4's complex characters), 2.2e-16 with OPENBLAS_CORETYPE=Haswell
+    # factors, which the outer products copy, otherwise the BLAS kernel.  Measured on an
+    # AVX-512 CPU: 2.8e-17 away with the default OpenBLAS kernel, 1.1e-16 with
+    # OPENBLAS_CORETYPE=Haswell, and 0 for every one-dimensional u with either kernel
     assert worst < 1e-15, worst
 
 

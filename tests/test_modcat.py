@@ -403,8 +403,8 @@ def test_triple_coherence_matches_chain_loop(s3_modules, z4_pointed_module, z4_c
         return successors(*args)
 
     monkeypatch.setattr(modcat, "successors", counted)
-    for budget in (modcat._TRIPLE_ENTRIES, 1, np.iinfo(np.int64).max):
-        monkeypatch.setattr(modcat, "_TRIPLE_ENTRIES", budget)
+    for budget in (modcat.RUN_ENTRIES, 1, np.iinfo(np.int64).max):
+        monkeypatch.setattr(modcat, "RUN_ENTRIES", budget)
         for f in (*s3_modules.values(), z4_pointed_module, z4_coset_module, flipped):
             joins.clear()
             assert abs(_triple_coherence_residual(f) - _triple_loop(f)) < 1e-14, (f.name, budget)
