@@ -13,7 +13,7 @@ and the disjoint union of two records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +53,10 @@ class BigradedFunctor:
       ``fuse`` = the group law and phase[g, h, r, k] = omega(g, h, t_r k).
     - ``subgroup`` and ``irrep_table`` (H and its irreducibles) are set for
       subgroup modules only.
+    - ``memo`` holds the read-only corner structure tensors, keyed by
+      (x, y, z), and star matrices, keyed by (x, y), that ``reconstruct``
+      has built from this record.  It starts empty, also in a copy made
+      with ``dataclasses.replace``.
     """
 
     cat: CategoryPresentation
@@ -66,6 +70,7 @@ class BigradedFunctor:
     phase: np.ndarray
     subgroup: Subgroup | None = None
     irrep_table: IrrepTable | None = None
+    memo: dict[tuple[int, ...], np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     @property
     def n_base(self) -> int:

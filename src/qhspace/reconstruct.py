@@ -23,6 +23,16 @@ starts:
   ``ModuleMorphism.col_offsets``.
 
 The kernels are einsums over these blocks reshaped to (multiplicity, fibre).
+
+``structure_tensor`` and ``star_matrix`` build each corner once per module:
+the result is stored in ``BigradedFunctor.memo``, under (x, y, z) or (x, y),
+with its ``writeable`` flag off, and every later call with the same labels
+returns that array.  Nothing is evicted.  With every triple built, the
+tensors hold sum_{x,y,z} n_xy n_yz n_xz complex entries, n_xy the dimension
+of the (x, y) spectral space; that is |G|^3 for a subgroup module of Rep(G)
+(n_xy = [G:H] d_x d_y) and for a coset module over a group G (n_xy = |K|):
+221 KB for S4, 27.6 MB for S5.  The star matrices hold sum_{x,y} n_xy n_yx.
+A copy made with ``dataclasses.replace`` starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -53,14 +63,33 @@ def spectral_offsets(f: BigradedFunctor, x: int, y: int) -> np.ndarray:
     return block_offsets(f.dims[:, x, y] * np.asarray(f.cat.obj_dim))
 
 
+def _memoised(f: BigradedFunctor, build, *key: int) -> np.ndarray:
+    """``build(f, *key)``, computed once per module and kept read-only in ``f.memo``."""
+    out = f.memo.get(key)
+    if out is None:
+        out = f.memo[key] = build(f, *key)
+        out.flags.writeable = False
+    return out
+
+
 def structure_tensor(f: BigradedFunctor, x: int, y: int, z: int) -> np.ndarray:
     """Structure constants of the composition map at (x,y) x (y,z) -> (x,z).
 
     Entry [p, q, r] is the coefficient of the r-th output basis element in
-    the product of the p-th and q-th inputs.  Products against the unit
-    label are written as exact identities rather than computed.  The block
-    of labels (a, b) in channel c contracts the (y, m, n) coherence columns
-    with the stacked fusion isometries.
+    the product of the p-th and q-th inputs.  The array is built once per
+    module and shared: it is read-only, and ``f.memo[(x, y, z)]`` keeps it.
+    Over every triple the tensors of a subgroup or coset module of a group G
+    hold |G|^3 complex entries.
+    """
+    return _memoised(f, _structure_tensor, x, y, z)
+
+
+def _structure_tensor(f: BigradedFunctor, x: int, y: int, z: int) -> np.ndarray:
+    """The uncached ``structure_tensor``.
+
+    Products against the unit label are written as exact identities rather
+    than computed.  The block of labels (a, b) in channel c contracts the
+    (y, m, n) coherence columns with the stacked fusion isometries.
     """
     cat = f.cat
     left, right, out = (spectral_offsets(f, *key) for key in ((x, y), (y, z), (x, z)))
@@ -92,10 +121,18 @@ def structure_tensor(f: BigradedFunctor, x: int, y: int, z: int) -> np.ndarray:
 def star_matrix(f: BigradedFunctor, x: int, y: int) -> np.ndarray:
     """Matrix of the conjugate-linear involution from the (x,y) to the (y,x) spectral space.
 
-    ``star(v) = S @ conj(v)``.  The block from label a to its dual is the
-    Frobenius block of a times the conjugated Rbar_a of the canonical pair,
-    solved from the fusion data so that user rescalings of the stored
-    conjugates never leak into the result.
+    ``star(v) = S @ conj(v)``.  Built once per module, read-only, and kept
+    in ``f.memo[(x, y)]``.
+    """
+    return _memoised(f, _star_matrix, x, y)
+
+
+def _star_matrix(f: BigradedFunctor, x: int, y: int) -> np.ndarray:
+    """The uncached ``star_matrix``.
+
+    The block from label a to its dual is the Frobenius block of a times the
+    conjugated Rbar_a of the canonical pair, solved from the fusion data so
+    that user rescalings of the stored conjugates never leak into the result.
     """
     cat = f.cat
     src, dst = spectral_offsets(f, x, y), spectral_offsets(f, y, x)

@@ -199,10 +199,25 @@ def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentat
     Fusion isometries are orthonormal intertwiner bases scaled by
     sqrt(dim) of the channel so each is an isometry; tensoring with the
     trivial label is represented by exact identity matrices.
+
+    The characters name the channels first: N_ab^c = (1/|G|) sum_g
+    chi_a(g) chi_b(g) conj(chi_c(g)), one einsum over the stacked
+    characters, and only the channels with N_ab^c > 0 are solved.  Raises
+    ``PresentationError`` if some N_ab^c lies off a nonnegative integer by
+    more than ``tol``, or if a solved intertwiner space has a dimension
+    other than N_ab^c.
     """
     reps = table.irreps
     n = len(reps)
     dims = tuple(r.dim for r in reps)
+    chars = np.stack([r.character for r in reps])
+    mult = np.einsum("ag,bg,cg->abc", chars, chars, np.conj(chars)) / table.group.order
+    counts = np.rint(mult.real)
+    bad = ~((np.abs(mult - counts) <= tol) & (counts >= 0))  # NaN is bad
+    if bad.any():
+        a, b, c = np.argwhere(bad)[0].tolist()
+        raise PresentationError(f"character inner product of ({a}, {b}, {c}) is {complex(mult[a, b, c]):.12g}, "
+                                f"not a nonnegative integer within {tol:g}")
     fusion: dict[tuple[int, int], dict[int, tuple[np.ndarray, ...]]] = {}
     for a in range(n):
         for b in range(n):
@@ -214,10 +229,12 @@ def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentat
                 continue
             prod = tensor_rep(reps[a], reps[b])
             by_channel: dict[int, tuple[np.ndarray, ...]] = {}
-            for c in range(n):
+            for c in np.flatnonzero(counts[a, b]).tolist():
                 basis = intertwiner_basis(reps[c], prod, tol)
-                if len(basis):
-                    by_channel[c] = tuple(np.sqrt(dims[c]) * basis)
+                if len(basis) != counts[a, b, c]:
+                    raise PresentationError(f"intertwiner space of ({a}, {b}, {c}) has dimension {len(basis)}, "
+                                            f"characters give {int(counts[a, b, c])}")
+                by_channel[c] = tuple(np.sqrt(dims[c]) * basis)
             fusion[(a, b)] = by_channel
     return CategoryPresentation(
         kind="group",

@@ -1,4 +1,7 @@
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +18,9 @@ from qhspace.reconstruct import (
     build_bimodule,
     classical_roundtrip,
     cp_certificate,
+    spectral_offsets,
+    star_matrix,
+    structure_tensor,
     verify_algebra,
     verify_bimodule,
 )
@@ -230,3 +236,75 @@ def test_block_consistency_memory_is_cubic(s4_over_s3):
         tracemalloc.stop()
     assert cert.passed, cert.to_text()
     assert peak < 10e6, peak
+
+
+# The memo: each corner structure tensor and star matrix is built once per module.
+
+
+def _corner_sweep(f):
+    """Every bimodule corner and every block algebra of f, as the ``corners`` benchmark checks them."""
+    for x, y in product(range(f.n_base), repeat=2):
+        cert = verify_bimodule(build_bimodule(f, x, y))
+        assert cert.passed, cert.to_text()
+        if x < y:
+            cert = block_consistency(f, x, y)
+            assert cert.passed, cert.to_text()
+
+
+def test_corner_sweep_builds_each_key_once(s4_over_s3, monkeypatch):
+    f = replace(s4_over_s3)  # a copy with an empty memo
+    built = Counter()
+    for name in ("_structure_tensor", "_star_matrix"):
+        def counting(g, *key, build=getattr(reconstruct, name)):
+            built[key] += 1
+            return build(g, *key)
+        monkeypatch.setattr(reconstruct, name, counting)
+    _corner_sweep(f)
+    assert set(built.values()) == {1}, built
+    assert set(built) == set(f.memo)
+    # base labels (0, 1, 2): every triple with at most two distinct labels, and every pair
+    assert sorted(len(key) for key in built) == [2] * 9 + [3] * 21
+
+
+def test_memo_arrays_are_read_only_and_exact(s4_over_s3):
+    f = replace(s4_over_s3)
+    for key in product(range(f.n_base), repeat=3):
+        t = structure_tensor(f, *key)
+        assert t is f.memo[key] and t is structure_tensor(f, *key)
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0, 0] = 1.0
+        ref = reconstruct._structure_tensor(f, *key)
+        assert ref.flags.writeable and ref.dtype == t.dtype and ref.shape == t.shape
+        assert ref.tobytes() == t.tobytes(), key
+    for key in product(range(f.n_base), repeat=2):
+        s = star_matrix(f, *key)
+        assert s is f.memo[key] and not s.flags.writeable
+        assert reconstruct._star_matrix(f, *key).tobytes() == s.tobytes(), key
+
+
+def test_replaced_copy_starts_empty_and_sees_its_own_fault(s3_cat, s3_modules):
+    f = s3_modules["order2"]
+    assert verify_algebra(build_algebra(f, 0)).passed
+    assert (0, 0, 0) in f.memo
+    g = replace(f, coherence=f.coherence.copy())
+    assert g.memo == {} and g.memo is not f.memo
+    # criterion 10's fault 4: a coherence entry the base-0 product reads
+    two = next(a for a in s3_cat.labels if s3_cat.dim(a) == 2)
+    g.coherence_channel(two, two, 0, 0, two)[0, 0, 0] += 1e-3
+    assert not verify_algebra(build_algebra(g, 0)).passed
+    assert verify_algebra(build_algebra(f, 0)).passed
+
+
+def test_memo_holds_cube_of_group_order(s4_over_s3, z4_coset_module):
+    # n_xy n_yz n_xz summed over all triples is |G|^3 for subgroup and coset modules
+    for f, order in ((s4_over_s3, 24), (z4_coset_module, 4)):
+        f = replace(f)
+        n = [[spectral_offsets(f, x, y)[-1] for y in range(f.n_base)] for x in range(f.n_base)]
+        _corner_sweep(f)
+        swept = [key for key in f.memo if len(key) == 3]
+        assert sum(f.memo[key].nbytes for key in swept) == sum(16 * n[x][y] * n[y][z] * n[x][z]
+                                                               for x, y, z in swept)
+        for key in product(range(f.n_base), repeat=3):
+            structure_tensor(f, *key)
+        assert sum(t.nbytes for key, t in f.memo.items() if len(key) == 3) == 16 * order**3

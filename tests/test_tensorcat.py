@@ -1,15 +1,22 @@
+import re
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
 from qhspace import tensorcat
-from qhspace.grouprep import cyclic_group
+from qhspace.grouprep import (IrrepTable, UnitaryRep, cyclic_group, dihedral_group, extract_irreps,
+                              group_from_permutations, intertwiner_basis, symmetric_group, tensor_rep)
 from qhspace.tensorcat import (
     UNIT_LABEL,
     CocycleError,
     PointedFusionData,
+    PresentationError,
     standard_cyclic_cocycle,
     verify_presentation,
 )
+
+from test_grouprep import _quaternion_group
 
 
 def test_s3_presentation_passes(s3_cat):
@@ -129,3 +136,56 @@ def test_nan_fusion_isometry_fails():
     cat.fusion[(1, 2)][3] = (np.full((1, 1), np.nan, dtype=np.complex128),)
     failed = {c.name: c.value for c in verify_presentation(cat).checks if not c.passed}
     assert np.isnan(failed["isometry_orthogonality"]) and np.isnan(failed["isometry_completeness"])
+
+
+# The character oracle of from_group: N_ab^c = <chi_a chi_b, chi_c> names the channels to solve.
+
+EVEN4 = [p for p in permutations(range(4))
+         if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+
+
+@pytest.mark.parametrize("group, solved", [
+    (symmetric_group(3), 6), (symmetric_group(4), 34), (group_from_permutations(EVEN4), 12),
+    (_quaternion_group(), 19), (dihedral_group(12), 99),
+], ids=["S3", "S4", "A4", "Q8", "D12"])
+def test_from_group_solves_exactly_the_nonempty_channels(group, solved, monkeypatch):
+    table = extract_irreps(group, seed=0)
+    reps = table.irreps
+    calls = []
+
+    def counting(u, v, tol):
+        calls.append((u, v))
+        return intertwiner_basis(u, v, tol)
+
+    monkeypatch.setattr(tensorcat, "intertwiner_basis", counting)
+    cat = tensorcat.from_group(table)
+    assert len(calls) == solved
+    # the channels and isometries of solving every triple (a, b, c), empty ones included
+    nonempty = 0
+    for a, b in product(range(1, len(reps)), repeat=2):
+        prod = tensor_rep(reps[a], reps[b])
+        bases = {c: basis for c in range(len(reps)) if len(basis := intertwiner_basis(reps[c], prod))}
+        assert cat.channels(a, b) == tuple(bases), (a, b)
+        nonempty += len(bases)
+        for c, basis in bases.items():
+            assert np.array_equal(np.stack(cat.isometries(a, b, c)), np.sqrt(reps[c].dim) * basis), (a, b, c)
+    assert nonempty == solved
+
+
+def test_from_group_refuses_a_short_intertwiner_space(s3_table, s3_cat, monkeypatch):
+    monkeypatch.setattr(tensorcat, "intertwiner_basis", lambda u, v, tol: intertwiner_basis(u, v, tol)[:-1])
+    c = s3_cat.channels(1, 1)[0]
+    with pytest.raises(PresentationError, match=re.escape(f"(1, 1, {c}) has dimension 0, characters give 1")):
+        tensorcat.from_group(s3_table)
+
+
+def test_from_group_refuses_characters_off_a_count(s3_table):
+    sign, two = (next(a for a in s3_table.labels if a != UNIT_LABEL and s3_table.dim(a) == d) for d in (1, 2))
+    # scaling the 2-dimensional irrep moves N_{0,2,2} to 1 + 2e-6; negating the sign
+    # representation keeps every N_ab^c an integer but makes N_{sign,2,2} = -1
+    for label, change, where in ((two, lambda m: (1 + 1e-6) * m, (0, two, two)),
+                                 (sign, np.negative, (sign, two, two))):
+        irreps = list(s3_table.irreps)
+        irreps[label] = UnitaryRep(s3_table.group, change(irreps[label].mats))
+        with pytest.raises(PresentationError, match=re.escape(f"{where} is ") + ".*not a nonnegative integer"):
+            tensorcat.from_group(IrrepTable(s3_table.group, tuple(irreps), s3_table.dual_map))

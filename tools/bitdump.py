@@ -18,7 +18,10 @@ saves, one key per array:
   dumps made when the record held one array per channel, so a dump of
   either record layout compares array for array with the other;
 - the structure tensor and star matrix of the algebra at every base;
-- the left and right tensors and star matrix of every bimodule corner;
+- the left and right tensors and star matrix of every bimodule corner,
+  the corner tensor ``structure_tensor(mod, x, y, z)`` of every triple of
+  distinct base labels, and the tensor of every block algebra
+  ``block_structure_tensor(mod, (x, y))``, x < y;
 - the exchange blocks ``psi`` of every restriction morphism;
 - the verdict of every named check of ``run_suite``, ``verify_bimodule``,
   ``block_consistency``, ``validate_morphism`` and ``verify_algebra_map``,
@@ -82,7 +85,8 @@ def _morphism(out: dict, tag: str, mor, seed: int) -> None:
 
 
 def _corners(out: dict, tag: str, mod, seed: int) -> None:
-    from qhspace.reconstruct import block_consistency, build_bimodule, verify_bimodule
+    from qhspace.reconstruct import (block_consistency, block_structure_tensor, build_bimodule,
+                                     structure_tensor, verify_bimodule)
 
     for x in range(mod.n_base):
         for y in range(mod.n_base):
@@ -92,7 +96,11 @@ def _corners(out: dict, tag: str, mod, seed: int) -> None:
             out[f"{tag}/bimodule{x, y}/star"] = bim.star_mat
             _verdicts(out, f"{tag}/bimodule{x, y}", verify_bimodule(bim))
             if x < y:
+                out[f"{tag}/block{x, y}/tensor"] = block_structure_tensor(mod, (x, y))[1]
                 _verdicts(out, f"{tag}/block{x, y}", block_consistency(mod, x, y))
+            for z in range(mod.n_base):
+                if len({x, y, z}) == 3:
+                    out[f"{tag}/corner{x, y, z}"] = structure_tensor(mod, x, y, z)
 
 
 def dump(path: str) -> None:
