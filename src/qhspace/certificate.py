@@ -79,12 +79,6 @@ class Certificate:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def worst(self) -> Check | None:
-        failing = [c for c in self.checks if not c.passed]
-        if failing:
-            return max(failing, key=lambda c: c.value)
-        return max(self.checks, key=lambda c: c.value) if self.checks else None
-
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,

@@ -2,9 +2,9 @@
 
 Subcommands operate on project files and print reports to standard output
 (or ``--out``); diagnostics go to standard error.  Exit code 0 means every
-check passed.  All computations are deterministic; ``--seed`` drives only the
-random draws of the sampled checks.  The irreducibles and module bases are
-built with the seeds stored in the project file.
+check passed.  Every check is deterministic; ``--seed`` only stamps the
+certificate.  The irreducibles and module bases are built with the seeds
+stored in the project file.
 """
 
 from __future__ import annotations

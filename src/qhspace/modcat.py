@@ -404,8 +404,7 @@ def _strongly_connected(adj: np.ndarray) -> bool:
     return len(adj) > 0 and bool(reach.all())
 
 
-def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
-                    require_connected: bool = True) -> Certificate:
+def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL) -> Certificate:
     """Check the structural axioms of the bi-graded presentation."""
     cert = Certificate(subject=f"module[{f.name}]", tolerance=tol)
     cat = f.cat
@@ -469,13 +468,8 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL,
         frob_rt.append(max_residual(back, t))
     cert.add("frobenius_roundtrip", "dual-label pairing composes to the identity", largest(frob_rt))
 
-    adj = (dims.sum(axis=0) > 0)
-    connected = _strongly_connected(np.asarray(adj))
-    if require_connected:
-        cert.add_flag("connectedness", "every base label reaches every other", connected)
-    else:
-        cert.add_flag("connectedness_waived", "connectedness recorded but not required", True,
-                      value=0.0 if connected else 1.0)
+    cert.add_flag("connectedness", "every base label reaches every other",
+                  _strongly_connected(dims.sum(axis=0) > 0))
     return cert
 
 

@@ -284,11 +284,9 @@ def _bilinear(t: np.ndarray, mu: np.ndarray, mv: np.ndarray) -> np.ndarray:
     return out.reshape(nj, ni, nr).transpose(1, 0, 2)
 
 
-def verify_algebra(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
-                   seed: int = 0) -> Certificate:
+def verify_algebra(alg: SpectralAlgebra, tol: float = DEFAULT_TOL) -> Certificate:
     """Check the *-algebra axioms on the structure constants."""
-    cert = Certificate(subject=f"algebra[{alg.functor.name}@{alg.base}]",
-                       tolerance=tol, seed=seed)
+    cert = Certificate(subject=f"algebra[{alg.functor.name}@{alg.base}]", tolerance=tol)
     n = alg.dim
     t = alg.tensor
     one = alg.unit
@@ -311,20 +309,12 @@ def verify_algebra(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
     # (fg)* = g* f* checked on all basis pairs
     cert.add("antimultiplicative", "(fg)* = g* f* on all basis pairs",
              max_residual(np.conj(t) @ s.T, _bilinear(t, s, s).transpose(1, 0, 2)))
-
-    rng = np.random.default_rng(seed)
-    vs = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    inter = largest([max_residual(alg.star(alg.multiply(va, vb)), alg.multiply(alg.star(vb), alg.star(va)))
-                     for va in vs for vb in vs])
-    cert.add("antimultiplicative_sampled", "(fg)* = g* f* on random elements", inter)
     return cert
 
 
-def cp_certificate(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
-                   seed: int = 0) -> Certificate:
+def cp_certificate(alg: SpectralAlgebra, tol: float = DEFAULT_TOL) -> Certificate:
     """Positivity of the invariant expectation, by two independent routes."""
-    cert = Certificate(subject=f"cp[{alg.functor.name}@{alg.base}]",
-                       tolerance=tol, seed=seed)
+    cert = Certificate(subject=f"cp[{alg.functor.name}@{alg.base}]", tolerance=tol)
     g1 = alg.gram_from_product()
     g2 = alg.gram_closed_form()
     cert.add("gram_routes", "product-route Gram equals closed-form Gram",
@@ -335,19 +325,6 @@ def cp_certificate(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
     cert.add_flag("gram_psd", "Gram matrix is positive semidefinite", ok, value=-lo)
     cert.add("state_unit", "E(1* 1) = 1",
              abs(g1[alg.index[(UNIT_LABEL, 0, 0)], alg.index[(UNIT_LABEL, 0, 0)]] - 1.0))
-
-    rng = np.random.default_rng(seed)
-    gh = (g1 + dagger(g1)) / 2.0
-    for size in (2, 3):
-        worst_lo = 0.0
-        for _ in range(4):
-            c = rng.standard_normal((alg.dim, size)) + 1j * rng.standard_normal((alg.dim, size))
-            m = dagger(c) @ gh @ c
-            _, lo = psd_check((m + dagger(m)) / 2.0, tol)
-            worst_lo = min(worst_lo, lo)
-        cert.add_flag(f"amplified_psd_{size}",
-                      f"size-{size} matrix amplification of E stays positive",
-                      worst_lo >= -tol, value=-worst_lo)
     return cert
 
 
@@ -695,37 +672,29 @@ def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
     return out
 
 
-def _hexagon_residual(mor: ModuleMorphism) -> dict[tuple[int, int, int, int], float]:
-    """Two ways of exchanging a double action through the morphism, row by row.
+def _hexagon_residual(mor: ModuleMorphism) -> float:
+    """Two ways of exchanging a double action through the morphism.
 
     Path one applies the exchange label by label and then fuses on the
     target side; path two fuses on the source side and exchanges the fused
-    channel.  Returns the worst |path one - path two| of each channel row
-    (a, b, c, k) that has a nonempty source, keyed in first-visit loop order.
+    channel.  Returns the worst |path one - path two| over every channel c
+    of every (a, b) and every source sub-block (p, r, s, t) that is nonempty.
     """
     fx = mor.source
     cat, jx = fx.cat, fx.n_base
-    rows: dict[tuple[int, int, int, int], list[float]] = {}
-    for a in cat.labels:
-        for b in cat.labels:
-            for p in range(mor.target.n_base):
-                for r in range(jx):
-                    subs = [(s, t) for s in range(jx) for t in range(jx)
-                            if mor.fdims[p, s] * fx.dims[a, s, t] * fx.dims[b, t, r]]
-                    if not subs:
-                        continue
-                    for c in cat.channels(a, b):
-                        kmax = cat.mult(a, b, c)
-                        diff = np.concatenate([_exchange_paths(mor, a, b, c, p, r, s, t).reshape(kmax, -1)
-                                               for s, t in subs], axis=1)
-                        for k, d in enumerate(np.max(np.abs(diff), axis=1, initial=0.0).tolist()):
-                            rows.setdefault((a, b, c, k), []).append(d)
-    return {key: largest(values) for key, values in rows.items()}
+    return largest([np.max(np.abs(_exchange_paths(mor, a, b, c, p, r, s, t)), initial=0.0)
+                    for a, b in product(cat.labels, repeat=2)
+                    for p, r, s, t in product(range(mor.target.n_base), range(jx), range(jx), range(jx))
+                    if mor.fdims[p, s] * fx.dims[a, s, t] * fx.dims[b, t, r]
+                    for c in cat.channels(a, b)])
 
 
 def validate_morphism(mor: ModuleMorphism, tol: float = DEFAULT_TOL,
                       seed: int = 0) -> Certificate:
-    """Diagrammatic checks for a module-category morphism in normal form."""
+    """Diagrammatic checks for a module-category morphism in normal form.
+
+    Every check is deterministic; ``seed`` only stamps the certificate.
+    """
     cert = Certificate(subject="morphism", tolerance=tol, seed=seed)
     fx, fy = mor.source, mor.target
     cat = fx.cat
@@ -747,14 +716,8 @@ def validate_morphism(mor: ModuleMorphism, tol: float = DEFAULT_TOL,
     cert.add_flag("blocks_square", "exchange blocks are square", square)
     cert.add("blocks_unitary", "exchange blocks are unitary", unitary)
 
-    rows = _hexagon_residual(mor)
     cert.add("hexagon", "label-wise exchange composed with fusion is path independent",
-             largest(list(rows.values())))
-    # one random complex weight per channel row, drawn in key order, scales that row's residual
-    rng = np.random.default_rng(seed)
-    cert.add("hexagon_sampled",
-             "path independence against a random fusion-channel combination",
-             largest([abs(complex(rng.standard_normal(), rng.standard_normal())) * d for d in rows.values()]))
+             _hexagon_residual(mor))
 
     eig = max(eigenvector_test(mor, a) for a in cat.labels)
     cert.add("multiplicity_intertwining",

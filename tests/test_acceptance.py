@@ -90,7 +90,7 @@ def test_criterion_05_complete_positivity(s3_modules, z4_pointed_module,
             ok = ok and cert.passed
             routes = max_residual(alg.gram_from_product(), alg.gram_closed_form())
             ok = ok and routes < 1e-9
-    verdict(5, "invariant state positive with amplifications, two Gram routes agree", ok)
+    verdict(5, "invariant state positive, two Gram routes agree", ok)
 
 
 def test_criterion_06_fixed_point_dimensions(s3_cat, s3_modules, z4_pointed_cat,

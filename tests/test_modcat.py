@@ -75,8 +75,6 @@ def test_disjoint_union_is_disconnected(z4_coset_module):
     strict = validate_module(fu)
     assert not strict.passed
     assert [c.name for c in strict.checks if not c.passed] == ["connectedness"]
-    waived = validate_module(fu, require_connected=False)
-    assert waived.passed
 
 
 def test_disjoint_union_is_block_diagonal(s3_modules, z4_pointed_module, z4_coset_module):

@@ -108,11 +108,11 @@ def test_identity_restriction_is_trivial(s3_modules):
 
 
 @pytest.mark.parametrize("case, key, failing", [
-    ("S4>S3>1", (1, 0, 0), {"blocks_unitary", "hexagon", "hexagon_sampled"}),
-    ("S4>S3>1", (0, 0, 0), {"unit_block", "blocks_unitary", "hexagon", "hexagon_sampled"}),
-    # each channel row this entry feeds has finite residuals from earlier (p, r) first:
-    # only a NaN-propagating fold within the row reports it
-    ("S3>Z2", (1, 1, 2), {"blocks_unitary", "hexagon", "hexagon_sampled"}),
+    ("S4>S3>1", (1, 0, 0), {"blocks_unitary", "hexagon"}),
+    ("S4>S3>1", (0, 0, 0), {"unit_block", "blocks_unitary", "hexagon"}),
+    # each hexagon residual this entry feeds comes after finite residuals from earlier
+    # (p, r): only a NaN-propagating fold reports it
+    ("S3>Z2", (1, 1, 2), {"blocks_unitary", "hexagon"}),
 ])
 def test_nan_exchange_entry_fails(s4_over_s3, s3_modules, case, key, failing):
     # Python's max(worst, x) keeps worst when x is NaN: each residual that reads the

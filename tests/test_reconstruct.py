@@ -175,6 +175,23 @@ def test_associativity_fault_caught(s3_modules):
                    ("right_unit", "involution", "unit_star"))
 
 
+def test_star_fault_caught_by_antimultiplicative(s3_modules):
+    # every basis pair is checked, so no sample of elements can see more
+    f = s3_modules["trivial"]
+    alg = build_algebra(f, 0)
+    alg.star_mat = _bumped(build_algebra(f, 0).star_mat, (0, 1))
+    _assert_caught(verify_algebra(build_algebra(f, 0)), verify_algebra(alg), "antimultiplicative",
+                   ("left_unit", "right_unit", "associativity", "unit_star"))
+
+
+def test_negated_star_caught_by_gram_psd(s3_modules):
+    # c^dagger G c is positive whenever G is, so the Gram matrix itself is the whole check
+    f = s3_modules["trivial"]
+    alg = build_algebra(f, 0)
+    alg.star_mat = -build_algebra(f, 0).star_mat
+    _assert_caught(cp_certificate(build_algebra(f, 0)), cp_certificate(alg), "gram_psd", ("gram_hermitian",))
+
+
 @pytest.mark.parametrize("check, corner, side, unchanged", [
     ("left_associativity", (0, 2), "left_tensor",
      ("right_unit", "right_associativity", "star_involutive")),
