@@ -109,4 +109,6 @@ class Certificate:
         return "\n".join(lines)
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+        """Hash of the JSON form without ``seed``, which no check reads."""
+        body = {k: v for k, v in self.to_dict().items() if k != "seed"}
+        return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]

@@ -44,8 +44,8 @@ class BigradedFunctor:
       against the fusion isometries (see ``_coherence_blocks``), block
       (a, b, r, t) after block, each a row-major matrix with rows (c, k, p),
       channels c ascending, and columns (s, m, n) at ``column_offsets``.
-      ``coherence_offsets`` says where each block starts, and
-      ``coherence_channel`` reads the rows of one channel.
+      ``coherence_offsets`` says where each block starts; ``coherence_block``
+      reads a block and ``coherence_channel`` the rows of one channel.
     - The module associator on u_a (x) u_b (x) X_r is diagonal, with entry
       ``phase[handle[a], handle[b], r, k]`` at fibre coordinate (i, j, k);
       ``fuse[h1, h2]`` is the handle of a fused pair.  A subgroup module has
@@ -99,6 +99,12 @@ class BigradedFunctor:
         """``coherence_offsets[a, b, r, t]``: where block (a, b, r, t) starts in ``coherence``."""
         sizes = _block_rows(self) * self.column_offsets[..., -1]
         return block_offsets(sizes.ravel())[:-1].reshape(sizes.shape)
+
+    def coherence_block(self, a: int, b: int, r: int, t: int) -> np.ndarray:
+        """Block (a, b, r, t), every channel, as a (rows, #columns) view."""
+        rows = sum([len(isos) * self.dims[c, r, t] for c, isos in self.cat.fusion[(a, b)].items()])
+        start, cols = self.coherence_offsets[a, b, r, t], self.column_offsets[a, b, r, t, -1]
+        return self.coherence[start:start + rows * cols].reshape(rows, cols)
 
     def coherence_channel(self, a: int, b: int, r: int, t: int, c: int) -> np.ndarray:
         """The (N_ab^c, dims[c, r, t], #columns) rows of channel c in block (a, b, r, t), a view."""
@@ -474,60 +480,54 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL) -> Certificate
 
 
 def _triple_coherence_residual(f: BigradedFunctor) -> float:
-    """Compare the two bracketings of acting by a, then b, then c.
+    """Compare the two bracketings of acting by a, then b, then c, on every composable chain.
 
-    Both sides are computed as concrete morphisms into the left-bracketed
-    triple tensor product; the right-bracketed path is pulled back through
-    the category associator.  Every composable chain of basis morphisms
-    (a,r,s,m) -> (b,s,t,n) -> (c,t,w,o) is checked.  The chains are built in
-    runs of about ``RUN_ENTRIES`` entries of their largest temporary,
-    da db dc dw dr per chain; within a run they are grouped by the shape
-    (da, db, dc, dr, ds, dt, dw) of their matrices, and each group is
-    evaluated with four batched einsums, reading the associator diagonals
-    straight from the phase table.
+    For t_a = (a,r,s,m), t_b = (b,s,t,n), t_c = (c,t,w,o), fusing a, b first
+    gives phi2 (id_ab (x) t_c) phi1 (id_a (x) t_b) t_a, and fusing b, c first,
+    pulled back through the associator, alpha phi4 (id_a (x) phi3 (id_b (x)
+    t_c) t_b) t_a.  The diagonal phi_i read only the X_t (phi1) or X_w
+    coordinate, so each side is sum_t t_c[C, w, t] (t_b t_a)[a, B, t, r] times
+    a phase per (w, t); left - right puts the phase defect F[w, t] = phi2[w]
+    phi1[t] - alpha phi3[w] phi4[w] on t_c: two products per chain.  Pairs
+    sorted by shape are cut into runs of about ``RUN_ENTRIES`` product
+    entries, da db dc dw dr per chain, then extended to chains and evaluated
+    once per shape.
     """
-    cat, handle, fuse = f.cat, f.handle, f.fuse
-    phase_conj = np.conj(f.phase)
-    alpha_conj = np.conj(cat.assoc_table())
+    handle, fuse, alpha_conj = f.handle, f.fuse, np.conj(f.cat.assoc_table())
+    nh, _, j, width = f.phase.shape
+    rows = np.conj(f.phase).reshape(-1, width)  # row (h1 * nh + h2) * j + x is phase[h1, h2, x]
     lab, src, dst, _, kind, pos, stacked = _edges(f)
-    ldim, bdim = np.asarray(cat.obj_dim), np.asarray(f.base_dims)
-
-    first, second = successors(dst, src, f.n_base)
-    # split the composable pairs into runs of about RUN_ENTRIES entries; a pair
-    # (a, r, s) -> (b, s, t) weighs da db dr times the sum of dc dw over the edges leaving t
-    leaving = np.bincount(src, weights=ldim[lab] * bdim[dst], minlength=f.n_base)
+    ldim, bdim, ns = np.asarray(f.cat.obj_dim), np.asarray(f.base_dims), len(stacked)
+    by_dst = [stack.transpose(0, 2, 1, 3).copy() for stack in stacked]  # [i, dst, lab, src]
+    # a composable pair (a, r, s) -> (b, s, t) weighs da db dr times the sum of dc dw over the edges leaving t
+    first, second = successors(dst, src, j)
+    by_shape = np.argsort(kind[first] * ns + kind[second], kind="stable")
+    first, second = first[by_shape], second[by_shape]
+    leaving = np.bincount(src, weights=ldim[lab] * bdim[dst], minlength=j)
     weight = ldim[lab[first]] * ldim[lab[second]] * bdim[src[first]] * leaving[dst[second]]
     run = (np.cumsum(weight) - weight) // RUN_ENTRIES
     cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
-    ns = len(stacked)
-
     worst = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        pair, e3 = successors(dst[second[lo:hi]], src, f.n_base)
-        e1, e2 = first[lo:hi][pair], second[lo:hi][pair]
+        e1, e3 = successors(dst[second[lo:hi]], src, j)  # e1 holds each chain's pair until the next line
+        e1, e2 = first[lo:hi][e1], second[lo:hi][e1]
         chain_kind = (kind[e1] * ns + kind[e2]) * ns + kind[e3]
-        for code in np.flatnonzero(np.bincount(chain_kind)).tolist():
-            k1, k2, k3 = code // ns**2, code // ns % ns, code % ns
-            i1, i2, i3 = (e[chain_kind == code] for e in (e1, e2, e3))
-            n = len(i1)
-            ta, tb, tc = stacked[k1][pos[i1]], stacked[k2][pos[i2]], stacked[k3][pos[i3]]
-            dt, dw = tb.shape[2], tc.shape[2]
-            a, b, c = lab[i1], lab[i2], lab[i3]
-            ha, hb, hc = handle[a], handle[b], handle[c]
-            t, w = dst[i2], dst[i3]
-            # the phases depend on the base coordinate only; they broadcast over the fibre
-            # fuse a,b first
-            two = np.einsum("nBts,nasr->naBtr", tb, ta)
-            two *= phase_conj[ha, hb, t, :dt].reshape(n, 1, 1, dt, 1)
-            left = np.einsum("nCwt,naBtr->naBCwr", tc, two)
-            left *= phase_conj[fuse[ha, hb], hc, w, :dw].reshape(n, 1, 1, 1, dw, 1)
-            # fuse b,c first, then pull through the associator
-            inner = np.einsum("nCwt,nBts->nBCws", tc, tb)
-            inner *= phase_conj[hb, hc, w, :dw].reshape(n, 1, 1, dw, 1)
-            right = np.einsum("nBCws,nasr->naBCwr", inner, ta)
-            right *= phase_conj[ha, fuse[hb, hc], w, :dw].reshape(n, 1, 1, 1, dw, 1)
-            right *= alpha_conj[a, b, c].reshape(n, 1, 1, 1, 1, 1)
-            worst.append(max_residual(left, right))
+        order = np.argsort(chain_kind, kind="stable")
+        e1, e2, e3, chain_kind = e1[order], e2[order], e3[order], chain_kind[order]
+        ha, hb, hc, w = handle[lab[e1]], handle[lab[e2]], handle[lab[e3]], dst[e3]
+        phi1 = rows.take((ha * nh + hb) * j + dst[e2], axis=0)
+        phi2 = rows.take((fuse[ha, hb] * nh + hc) * j + w, axis=0)
+        phi34 = rows.take((hb * nh + hc) * j + w, axis=0) * rows.take((ha * nh + fuse[hb, hc]) * j + w, axis=0)
+        phi34 *= alpha_conj[lab[e1], lab[e2], lab[e3], None]
+        ends = [0, *(np.flatnonzero(np.diff(chain_kind)) + 1).tolist(), len(chain_kind)]
+        for g, h in zip(ends[:-1], ends[1:]):
+            code = int(chain_kind[g])
+            ta, tb = by_dst[code // ns**2][pos[e1[g:h]]], by_dst[code // ns % ns][pos[e2[g:h]]]
+            tc = stacked[code % ns][pos[e3[g:h]]]
+            (n, ds, da, dr), (dt, db, _), (dc, dw, _) = ta.shape, tb.shape[1:], tc.shape[1:]
+            defect = phi2[g:h, :dw, None] * phi1[g:h, None, :dt] - phi34[g:h, :dw, None]
+            head = (tc * defect[:, None]).reshape(n, dc * dw, dt) @ tb.reshape(n, dt, db * ds)
+            worst.append(np.max(np.abs(head.reshape(n, -1, ds) @ ta.reshape(n, ds, da * dr))))
     return largest(worst)
 
 

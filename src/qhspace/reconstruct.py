@@ -22,7 +22,7 @@ starts:
   (fdims[p, s], source dims[a, s, r]) block per source base label s, at
   ``ModuleMorphism.col_offsets``.
 
-The kernels are einsums over these blocks reshaped to (multiplicity, fibre).
+The kernels contract these blocks, or whole row or column ranges of them.
 
 ``structure_tensor`` and ``star_matrix`` build each corner once per module:
 the result is stored in ``BigradedFunctor.memo``, under (x, y, z) or (x, y),
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -637,56 +637,50 @@ def gauge_transform(mor: ModuleMorphism,
     return ModuleMorphism(fx, fy, mor.fdims.copy(), new_psi, mor.x_base, mor.y_base)
 
 
-def _exchange_paths(mor: ModuleMorphism, a: int, b: int, c: int, p: int, r: int,
-                    s: int, t: int) -> np.ndarray:
-    """Path one minus path two of the hexagon on one source sub-block, into channel c.
-
-    The sub-block holds (alpha, m, n): alpha in the (p, s) multiplicity
-    space, m in Mor(X_s, u_a (x) X_t) and n in Mor(X_t, u_b (x) X_r).  The
-    result has shape (k, row of psi[(c, p, r)], alpha, m, n).
-    """
-    fx, fy, fd = mor.source, mor.target, mor.fdims
-    kmax = fx.cat.mult(a, b, c)
-    nal, nm, nn, nmc = int(fd[p, s]), int(fx.dims[a, s, t]), int(fx.dims[b, t, r]), int(fx.dims[c, s, r])
-    crows, ccols = mor.row_offsets[c, p, r], mor.col_offsets[c, p, r]
-    # path two: fuse on source, exchange the channel
-    xcols = fx.column_offsets[a, b, s, r]
-    xcoh = fx.coherence_channel(a, b, s, r, c)[:, :, xcols[t]:xcols[t + 1]].reshape(kmax, nmc, nm, nn)
-    psi_c = mor.psi[(c, p, r)][:, ccols[s]:ccols[s + 1]].reshape(crows[-1], nal, nmc)
-    out = -np.einsum("kumn,Tau->kTamn", xcoh, psi_c)
-    # path one: exchange a, exchange b, fuse on target; the a-exchange lands in q, the b-exchange in w
-    arows, acols = mor.row_offsets[a, p, t], mor.col_offsets[a, p, t]
-    for q in range(fy.n_base):
-        nq = int(fy.dims[a, p, q])
-        psi_a = mor.psi[(a, p, t)][arows[q]:arows[q + 1], acols[s]:acols[s + 1]]
-        psi_a = psi_a.reshape(nq, int(fd[q, t]), nal, nm)
-        brows, bcols = mor.row_offsets[b, q, r], mor.col_offsets[b, q, r]
-        for w in np.flatnonzero(nq * fy.dims[b, q]).tolist():
-            nw, npp = int(fy.dims[b, q, w]), int(fy.dims[c, p, w])
-            psi_b = mor.psi[(b, q, r)][brows[w]:brows[w + 1], bcols[t]:bcols[t + 1]]
-            psi_b = psi_b.reshape(nw, int(fd[w, r]), int(fd[q, t]), nn)
-            ycols = fy.column_offsets[a, b, p, w]
-            ycoh = fy.coherence_channel(a, b, p, w, c)[:, :, ycols[q]:ycols[q + 1]].reshape(kmax, npp, nq, nw)
-            path = np.einsum("xbam,ygbn,kpxy->kpgamn", psi_a, psi_b, ycoh)
-            out[:, crows[w]:crows[w + 1]] += path.reshape(kmax, crows[w + 1] - crows[w], nal, nm, nn)
-    return out
-
-
 def _hexagon_residual(mor: ModuleMorphism) -> float:
-    """Two ways of exchanging a double action through the morphism.
+    """Two ways of exchanging a double action through the morphism; the worst |path one - path two|.
 
-    Path one applies the exchange label by label and then fuses on the
-    target side; path two fuses on the source side and exchanges the fused
-    channel.  Returns the worst |path one - path two| over every channel c
-    of every (a, b) and every source sub-block (p, r, s, t) that is nonempty.
+    Path one exchanges a, then b, then fuses on the target; path two fuses on
+    the source, then exchanges the channel c.  Per (a, b, p, r) and target
+    label w, both are built on every channel's rows (c, k, pp, gamma) and the
+    whole domain (s, alpha, t, m, n): psi[(c, p, r)] against the source
+    coherence per (s, c); the target coherence against psi[(b, q, r)] per q,
+    then psi[(a, p, t)] per t, read through an index.
     """
-    fx = mor.source
-    cat, jx = fx.cat, fx.n_base
-    return largest([np.max(np.abs(_exchange_paths(mor, a, b, c, p, r, s, t)), initial=0.0)
-                    for a, b in product(cat.labels, repeat=2)
-                    for p, r, s, t in product(range(mor.target.n_base), range(jx), range(jx), range(jx))
-                    if mor.fdims[p, s] * fx.dims[a, s, t] * fx.dims[b, t, r]
-                    for c in cat.channels(a, b)])
+    fx, fy = mor.source, mor.target
+    cat, jx, jy = fx.cat, fx.n_base, fy.n_base
+    fd, dx, dy, rows, cols = (v.tolist() for v in (mor.fdims, fx.dims, fy.dims, mor.row_offsets, mor.col_offsets))
+    xoff, yoff = fx.column_offsets.tolist(), fy.column_offsets.tolist()
+    worst = []
+    for a, b, p, r, w in product(cat.labels, cat.labels, range(jy), range(jx), range(jy)):
+        xcols = [xoff[a][b][s][r] for s in range(jx)]  # [s][t]: columns (t, m, n) of source block (a, b, s, r)
+        dom = [0, *accumulate(fd[p][s] * xcols[s][-1] for s in range(jx))]
+        ycoh, g = fy.coherence_block(a, b, p, w), fd[w][r]
+        if not dom[-1] * (nr := len(ycoh)) * g:
+            continue
+        two = np.empty((nr, g, dom[-1]), dtype=np.complex128)
+        for s in [s for s in range(jx) if dom[s + 1] > dom[s]]:
+            xblk, up, left = fx.coherence_block(a, b, s, r), 0, 0
+            for c, isos in sorted(cat.fusion[(a, b)].items()):
+                k, u, pp, crows, ccols = len(isos), dx[c][s][r], dy[c][p][w], rows[c][p][r], cols[c][p][r]
+                psi_c = mor.psi[(c, p, r)][crows[w]:crows[w + 1], ccols[s]:ccols[s + 1]]
+                blk = psi_c.reshape(pp * g * fd[p][s], u) @ xblk[up:up + k * u].reshape(k, u, xcols[s][-1])
+                two[left:left + k * pp, :, dom[s]:dom[s + 1]] = blk.reshape(k * pp, g, dom[s + 1] - dom[s])
+                up, left = up + k * u, left + k * pp
+        # [q]: the target block against psi[(b, q, r)], (rows, x, gamma, columns (t, beta, n) of psi[(b, q, r)])
+        yb = [(ycoh[:, yoff[a][b][p][w][q]:yoff[a][b][p][w][q + 1]].reshape(nr * dy[a][p][q], dy[b][q][w])
+               @ mor.psi[(b, q, r)][rows[b][q][r][w]:rows[b][q][r][w + 1]].reshape(dy[b][q][w], g * cols[b][q][r][-1]))
+              .reshape(nr, dy[a][p][q], g, cols[b][q][r][-1]) for q in range(jy)]
+        one, at = [], []  # at[i]: where column i of path one sits in the domain
+        for t in [t for t in range(jx) if dx[b][t][r] * cols[a][p][t][-1]]:
+            n, bcols = dx[b][t][r], [cols[b][q][r][t:t + 2] for q in range(jy)]
+            lifted = np.concatenate([yb[q][..., bcols[q][0]:bcols[q][1]].reshape(nr, dy[a][p][q], g, fd[q][t], n)
+                                     .transpose(0, 2, 4, 1, 3).reshape(nr, g, n, -1) for q in range(jy)], axis=-1)
+            one.append((lifted @ mor.psi[(a, p, t)]).reshape(nr, g, -1))
+            at += [dom[s] + al * xcols[s][-1] + xcols[s][t] + m * n + i for i in range(n) for s in range(jx)
+                   for al in range(fd[p][s]) for m in range(dx[a][s][t])]
+        worst.append(np.abs(np.concatenate(one, axis=-1) - two[..., at]).max(initial=0.0))
+    return largest(worst)
 
 
 def validate_morphism(mor: ModuleMorphism, tol: float = DEFAULT_TOL,

@@ -46,6 +46,7 @@ from qhspace.reconstruct import (
     structure_tensor,
     verify_algebra,
     verify_algebra_map,
+    validate_morphism,
     verify_bimodule,
 )
 from qhspace.tensorcat import UNIT_LABEL
@@ -261,6 +262,26 @@ def test_hexagon_matches_loop(restrictions, monkeypatch):
                         lambda mor: calls.append(mor) or _hexagon_residual(mor))
     reconstruct.validate_morphism(restrictions[0])
     assert len(calls) == 1
+
+
+def test_hexagon_covers_every_sub_block(s3_modules):
+    # S3 full -> order2: the target has two base labels, so every exchange block has row blocks q and
+    # column blocks s; moving one entry of any nonempty (s, q) sub-block must fail the hexagon, with
+    # the value of the loop
+    mor = restriction_morphism(s3_modules["full"], s3_modules["order2"])
+    assert mor.target.n_base == 2
+    copies = 0
+    for (a, p, r), blk in mor.psi.items():
+        rows, cols = mor.row_offsets[a, p, r], mor.col_offsets[a, p, r]
+        for q, s in product(range(mor.target.n_base), range(mor.source.n_base)):
+            if rows[q + 1] > rows[q] and cols[s + 1] > cols[s]:
+                bad = blk.copy()
+                bad[rows[q], cols[s]] += 1e-3
+                m = replace(mor, psi={**mor.psi, (a, p, r): bad})
+                check = next(c for c in validate_morphism(m).checks if c.name == "hexagon")
+                assert not check.passed and abs(check.value - _hexagon_loop(m)) < 1e-14, (a, p, r, q, s)
+                copies += 1
+    assert copies > len(mor.psi)
 
 
 def _restriction_loop(fx, fy, tol=DEFAULT_TOL):

@@ -414,6 +414,27 @@ def test_triple_coherence_matches_chain_loop(s3_modules, z4_pointed_module, z4_c
                 assert len(joins) == 2, (f.name, len(joins))
 
 
+def test_triple_coherence_reads_fibre_dependent_phases():
+    # Z8 > Z2 = {0, 4} over the square of the standard cocycle (the standard cocycle itself is not a
+    # coboundary on Z2): phase[g, h, r, k] = omega(g, h, t_r k) depends on the fibre coordinate k
+    group = cyclic_group(8)
+    cat = tensorcat.from_pointed(tensorcat.PointedFusionData(group, tensorcat.standard_cyclic_cocycle(8).cocycle ** 2))
+    f = module_from_pointed(cat, Subgroup(group, (0, 4)))
+    assert validate_module(f).passed and f.phase[1, 2, 2, 1] != f.phase[1, 2, 2, 0]
+    # flip omega(1, 2, t_2 4), which only fibre coordinate k = 1 of X_2 reads; 1 + 2 is no
+    # dual pair, so the Frobenius checks never read it
+    for bad in (-f.phase[1, 2, 2, 1], np.nan):
+        phase = f.phase.copy()
+        phase[1, 2, 2, 1] = bad
+        g = replace(f, phase=phase)
+        failed = [(c.name, c.value) for c in validate_module(g).checks if not c.passed]
+        assert [name for name, _ in failed] == ["triple_coherence"], failed
+        if np.isnan(bad):
+            assert np.isnan(failed[0][1]) and np.isnan(_triple_coherence_residual(g))
+        else:
+            assert abs(failed[0][1] - _triple_loop(g)) < 1e-14 and failed[0][1] > 1.0
+
+
 def test_triple_coherence_memory_is_bounded():
     # Z10 > Z10: 1000 chains of 10 x 10 matrices; traced, runs of 512 chains peak at 7.9 to 8.3 MB,
     # runs of 2^14 entries at 2.8 MB

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qhspace import tensorcat
+from qhspace.certificate import Certificate
 from qhspace.cli import main
 from qhspace.grouprep import Subgroup, cyclic_group
 from qhspace.modcat import module_from_pointed, module_from_subgroup
@@ -72,6 +75,15 @@ def test_checks_do_not_depend_on_seed(deterministic_inputs):
     for cat, mod in suites:
         assert _bits(run_suite(cat, mod, seed=0)) == _bits(run_suite(cat, mod, seed=7)), mod.name
     assert _bits(validate_morphism(mor, seed=0)) == _bits(validate_morphism(mor, seed=7))
+
+
+def test_fingerprint_does_not_depend_on_seed(s3_cat, s3_modules):
+    certs = [run_suite(s3_cat, s3_modules["order2"], seed=seed) for seed in (0, 7)]
+    assert [c.seed for c in certs] == [0, 7] and '"seed": 7' in certs[1].to_json()
+    assert certs[0].fingerprint() == certs[1].fingerprint()
+    moved = Certificate.from_dict(certs[0].to_dict())
+    moved.checks[3] = replace(moved.checks[3], value=moved.checks[3].value + 1.0)
+    assert moved.fingerprint() != certs[0].fingerprint()
 
 
 def test_checks_draw_no_random_numbers(deterministic_inputs, monkeypatch):

@@ -32,7 +32,10 @@ saves, one key per array:
 printed any.  Check values are left out of that count and of the exit
 status: a refactor may round a residual differently.  A summary line gives
 the largest relative change of a check value, |a - b| / max(|a|, |b|), and
-its key.  Dump both sides at the same ``OPENBLAS_NUM_THREADS``.
+its key; one line per check name follows with the largest relative change
+of that name over every case, so a change that re-rounds one check on
+purpose shows every other check at 0.  Dump both sides at the same
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -147,16 +150,25 @@ def dump(path: str) -> None:
 
 
 def _value_change(a, b, keys: set[str]) -> None:
-    """Print the largest relative change of a check value present in both dumps."""
-    worst, where = 0.0, None
+    """Print the largest relative change of a check value present in both dumps, overall and per check name.
+
+    The check name is the last part of the key without the prefix that
+    ``run_suite`` puts before the checks it merges (``mod.``, ``alg0.``, ...).
+    """
+    worst: dict[str, tuple[float, str | None]] = {}
     for key in sorted(keys):
+        name = key.rsplit("/", 1)[1].rsplit(".", 1)[-1]
         va, vb = float(a[key]), float(b[key])
-        if va == vb or (np.isnan(va) and np.isnan(vb)):
-            continue
-        rel = abs(va - vb) / max(abs(va), abs(vb)) if np.isfinite(va) and np.isfinite(vb) else float("inf")
-        if where is None or rel > worst:
-            worst, where = rel, f"{key[len('value/'):]}: {va!r} vs {vb!r}, |difference| {abs(va - vb):.3e}"
-    print(f"{len(keys)} check values, largest relative change {worst:.3e}" + (f" at {where}" if where else ""))
+        rel, where = worst.get(name, (0.0, None))
+        if not (va == vb or (np.isnan(va) and np.isnan(vb))):
+            diff = abs(va - vb) / max(abs(va), abs(vb)) if np.isfinite(va) and np.isfinite(vb) else float("inf")
+            if where is None or diff > rel:
+                rel, where = diff, f"{key[len('value/'):]}: {va!r} vs {vb!r}, |difference| {abs(va - vb):.3e}"
+        worst[name] = (rel, where)
+    rel, where = max(worst.values(), key=lambda v: (v[1] is not None, v[0]), default=(0.0, None))
+    print(f"{len(keys)} check values, largest relative change {rel:.3e}" + (f" at {where}" if where else ""))
+    for name, (rel, where) in sorted(worst.items()):
+        print(f"  {name}: {rel:.3e}" + (f" at {where}" if where else ""))
 
 
 def compare(path_a: str, path_b: str) -> int:
