@@ -18,7 +18,7 @@ from .certificate import Certificate
 from .grouprep import GroupAxiomError, IrrepExtractionError
 from .modcat import ModuleDataError, validate_module
 from .numkit import DEFAULT_TOL, HermitianityError, NumericalRankError
-from .project_io import ProjectError, algebra_to_dict, load_project, save_project
+from .project_io import ProjectError, algebra_to_dict, load_project
 from .reconstruct import (
     ReconstructionError,
     algebra_map,

@@ -13,20 +13,22 @@ and the disjoint union of two records.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
 from .certificate import Certificate
 from .grouprep import IrrepTable, Subgroup, UnitaryRep, extract_irreps, intertwiner_basis, restrict, tensor_rep
-from .numkit import (DEFAULT_TOL, RUN_ENTRIES, NumericalRankError, block_offsets, largest, max_residual,
-                     stack_by_shape, successors)
+from .numkit import DEFAULT_TOL, RUN_ENTRIES, NumericalRankError, largest, max_residual, stack_by_shape, successors
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError, fusion_table
 
 
 class ModuleDataError(Exception):
     pass
+
+
+CoherenceIndex = namedtuple("CoherenceIndex", "code start rows cols ptr label col")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,9 +45,10 @@ class BigradedFunctor:
     - ``coherence`` is one 1-d buffer: the expansion of the iterated action
       against the fusion isometries (see ``_coherence_blocks``), block
       (a, b, r, t) after block, each a row-major matrix with rows (c, k, p),
-      channels c ascending, and columns (s, m, n) at ``column_offsets``.
-      ``coherence_offsets`` says where each block starts; ``coherence_block``
-      reads a block and ``coherence_channel`` the rows of one channel.
+      channels c ascending, and columns (s, m, n).
+    - ``index``: per block with a column, in (a, b, r, t) order, its code
+      ((a L + b) J + r) J + t, start, rows and cols; block i's labels s and
+      first columns are label[u], col[u], ptr[i] <= u < ptr[i + 1].
     - The module associator on u_a (x) u_b (x) X_r is diagonal, with entry
       ``phase[handle[a], handle[b], r, k]`` at fibre coordinate (i, j, k);
       ``fuse[h1, h2]`` is the handle of a fused pair.  A subgroup module has
@@ -65,6 +68,7 @@ class BigradedFunctor:
     dims: np.ndarray
     bases: dict[tuple[int, int, int], np.ndarray]
     coherence: np.ndarray
+    index: CoherenceIndex
     handle: np.ndarray
     fuse: np.ndarray
     phase: np.ndarray
@@ -83,35 +87,31 @@ class BigradedFunctor:
         shape = (0, self.cat.dim(a) * self.base_dims[s], self.base_dims[r])
         return np.zeros(shape, dtype=np.complex128)
 
-    @cached_property
-    def column_offsets(self) -> np.ndarray:
-        """``column_offsets[a, b, r, t]``: where each intermediate label s starts in the columns of
-        coherence block (a, b, r, t).
+    def _entry(self, a: int, b: int, r: int, t: int) -> tuple[int, ...]:
+        """(start, rows, cols, lo, hi) of block (a, b, r, t) in ``index``; zeros if absent."""
+        ix, (nl, j, _) = self.index, self.dims.shape
+        i = int(ix.code.searchsorted(key := ((a * nl + b) * j + r) * j + t))
+        return (*(v.item(i) for v in ix[1:5]), ix.ptr.item(i + 1)) if ix.code[i:i + 1].tolist() == [key] else (0,) * 5
 
-        The columns run over (s, m, n); the block of s is (dims[a, r, s], dims[b, s, t]),
-        m major.  The last entry is the column count.
-        """
-        sizes = self.dims[:, None, :, :, None] * self.dims[None, :, None, :, :]  # [a, b, r, s, t]
-        return block_offsets(sizes.transpose(0, 1, 2, 4, 3))
+    def coherence_block(self, a: int, b: int, r: int, t: int) -> tuple[np.ndarray, dict[int, int]]:
+        """Block (a, b, r, t) as a (rows, #columns) view and {s: its first column}; empty if absent."""
+        start, rows, cols, lo, hi = self._entry(a, b, r, t)
+        return (self.coherence[start:start + rows * cols].reshape(rows, cols),
+                dict(zip(self.index.label[lo:hi].tolist(), self.index.col[lo:hi].tolist())))
 
-    @cached_property
-    def coherence_offsets(self) -> np.ndarray:
-        """``coherence_offsets[a, b, r, t]``: where block (a, b, r, t) starts in ``coherence``."""
-        sizes = _block_rows(self) * self.column_offsets[..., -1]
-        return block_offsets(sizes.ravel())[:-1].reshape(sizes.shape)
-
-    def coherence_block(self, a: int, b: int, r: int, t: int) -> np.ndarray:
-        """Block (a, b, r, t), every channel, as a (rows, #columns) view."""
-        rows = sum([len(isos) * self.dims[c, r, t] for c, isos in self.cat.fusion[(a, b)].items()])
-        start, cols = self.coherence_offsets[a, b, r, t], self.column_offsets[a, b, r, t, -1]
-        return self.coherence[start:start + rows * cols].reshape(rows, cols)
+    def coherence_blocks(self) -> dict[tuple[int, int, int, int], tuple[np.ndarray, dict[int, int]]]:
+        """Every ``coherence_block`` with a column, keyed by (a, b, r, t)."""
+        ix, (nl, j, _) = self.index, self.dims.shape
+        keys = zip(*(v.tolist() for v in np.unravel_index(ix.code, (nl, nl, j, j))))
+        label, col, ptr = ix.label.tolist(), ix.col.tolist(), ix.ptr.tolist()
+        return {key: (self.coherence[at:at + nr * nc].reshape(nr, nc), dict(zip(label[u:v], col[u:v])))
+                for key, at, nr, nc, u, v in zip(keys, *(arr.tolist() for arr in ix[1:4]), ptr, ptr[1:])}
 
     def coherence_channel(self, a: int, b: int, r: int, t: int, c: int) -> np.ndarray:
         """The (N_ab^c, dims[c, r, t], #columns) rows of channel c in block (a, b, r, t), a view."""
-        chans, dims = self.cat.fusion[(a, b)], self.dims
-        above = sum([len(isos) * dims[e, r, t] for e, isos in chans.items() if e < c])
-        k, p, cols = len(chans.get(c, ())), dims[c, r, t], self.column_offsets[a, b, r, t, -1]
-        start = self.coherence_offsets[a, b, r, t] + above * cols
+        (start, _, cols, _, _), chans = self._entry(a, b, r, t), self.cat.fusion[(a, b)]
+        start += cols * sum([len(isos) * self.dims[e, r, t] for e, isos in chans.items() if e < c])
+        k, p = len(chans.get(c, ())), self.dims[c, r, t]
         return self.coherence[start:start + k * p * cols].reshape(k, p, cols)
 
     def frobenius_block(self, a: int, r: int, s: int) -> np.ndarray:
@@ -121,14 +121,6 @@ class BigradedFunctor:
         imgs = _frobenius_images(self, np.full(n, a), np.full(n, s), self.bases[(a, r, s)])
         traced = np.trace(np.conj(tbars).transpose(0, 2, 1)[:, None] @ imgs[None], axis1=-2, axis2=-1)
         return traced / self.base_dims[s]
-
-
-def _block_rows(f: BigradedFunctor) -> np.ndarray:
-    """``rows[a, b, r, t]`` = sum_c N_ab^c dims[c, r, t], the row count of coherence block (a, b, r, t)."""
-    mult = np.zeros((len(f.cat.obj_dim),) * 3, dtype=np.int64)
-    for (a, b), chans in f.cat.fusion.items():
-        mult[a, b, list(chans)] = [len(isos) for isos in chans.values()]
-    return np.einsum("abc,crt->abrt", mult, f.dims)
 
 
 def _conjugates(cat: CategoryPresentation, lab: np.ndarray, which: int) -> np.ndarray:
@@ -181,8 +173,8 @@ def _edges(f: BigradedFunctor) -> tuple:
     return lab, src, dst, m, kind, pos, stacks
 
 
-def _coherence_blocks(f: BigradedFunctor) -> np.ndarray:
-    """Coefficients of the iterated action against the fusion channels, as one buffer.
+def _coherence_blocks(f: BigradedFunctor) -> BigradedFunctor:
+    """``f`` with ``coherence`` and ``index``: the iterated action against the fusion channels, as one buffer.
 
     Column (s, m, n) of block (a, b, r, t) is the composable pair of basis
     morphisms t_a = (a, r, s, m) and t_b = (b, s, t, n); against the k-th
@@ -192,13 +184,11 @@ def _coherence_blocks(f: BigradedFunctor) -> np.ndarray:
         coherence_channel(a, b, r, t, c)[k, p, col]
             = tr(t_c^* (iota^* (x) id_t) phi^* (id_a (x) t_b) t_a) / d_r,
 
-    with phi the module associator on u_a (x) u_b (x) X_t.  The buffer holds
-    the blocks one after another in (a, b, r, t) order, each a row-major
-    matrix with rows (c, k, p).  Every coefficient is listed with index
-    arrays and evaluated in one stacked chain per shape of (t_a, t_b, t_c,
-    iota).  Each stacked product acts on the same matrices, with the same
-    memory layout, as a product of single matrices would, so the bits do not
-    depend on the grouping.
+    with phi the module associator on u_a (x) u_b (x) X_t.  Every
+    coefficient is listed with index arrays and evaluated in one stacked
+    chain per shape of (t_a, t_b, t_c, iota).  Each stacked product acts on
+    the same matrices, with the same memory layout, as a product of single
+    matrices would, so the bits do not depend on the grouping.
     """
     cat = f.cat
     lab, src, dst, m, kind, pos, stacks = _edges(f)
@@ -209,9 +199,10 @@ def _coherence_blocks(f: BigradedFunctor) -> np.ndarray:
     block_code = ((lab[e1] * nl + lab[e2]) * j + src[e1]) * j + dst[e2]
     order = np.lexsort((e2, e1, dst[e1], block_code))
     e1, e2 = e1[order], e2[order]
-    _, first, ncols = np.unique(block_code[order], return_index=True, return_counts=True)
+    code, first, ncols = np.unique(block_code[order], return_index=True, return_counts=True)
     block = np.repeat(np.arange(len(first)), ncols)
     col = np.arange(len(e1)) - first[block]
+    s_first = np.flatnonzero(np.diff(block * j + dst[e1], prepend=-1))  # first column of each s
     # coefficients: column x fusion isometry of (a, b) x basis morphism t_c of (c, r, t);
     # in (block, c, k, p, column) order they fill the blocks one after another
     ci, fi = successors(lab[e1] * nl + lab[e2], fa * nl + fb, nl * nl)
@@ -220,6 +211,9 @@ def _coherence_blocks(f: BigradedFunctor) -> np.ndarray:
     where = np.empty_like(ci)
     where[np.lexsort((col[ci], m[e3], fi, block[ci]))] = np.arange(len(ci))
 
+    size = np.bincount(block[ci], minlength=len(first))
+    index = CoherenceIndex(code, np.cumsum(size) - size, size // ncols, ncols,
+                           block[s_first].searchsorted(np.arange(len(first) + 1)), dst[e1[s_first]], col[s_first])
     buf = np.empty(len(ci), dtype=np.complex128)
     i1, i2 = e1[ci], e2[ci]
     ns = len(stacks)
@@ -239,7 +233,7 @@ def _coherence_blocks(f: BigradedFunctor) -> np.ndarray:
         tc_dag = np.conj(tc.reshape(n, -1, dr)).transpose(0, 2, 1)
         buf[where[sel]] = np.trace(tc_dag @ proj, axis1=-2, axis2=-1) / dr
 
-    return buf
+    return replace(f, coherence=buf, index=index)
 
 
 def _assemble(cat: CategoryPresentation, name: str, base_dims: tuple[int, ...],
@@ -251,9 +245,9 @@ def _assemble(cat: CategoryPresentation, name: str, base_dims: tuple[int, ...],
     dims = np.zeros((len(cat.obj_dim), j, j), dtype=np.int64)
     for key, stack in bases.items():
         dims[key] = len(stack)
-    f = BigradedFunctor(cat, name, tuple(base_dims), dims, bases, np.empty(0, dtype=np.complex128),
-                        handle, fuse, phase, subgroup, irrep_table)
-    return replace(f, coherence=_coherence_blocks(f))
+    f = BigradedFunctor(cat, name, tuple(base_dims), dims, bases, None, None, handle, fuse, phase, subgroup,
+                        irrep_table)
+    return _coherence_blocks(f)
 
 
 def module_from_subgroup(cat: CategoryPresentation, subgroup: Subgroup,
@@ -437,10 +431,7 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL) -> Certificate
     )
 
     # every block with a column, gathered from the buffer and multiplied once per matrix shape
-    coh = []
-    cols = f.column_offsets[..., -1].ravel()
-    live = np.flatnonzero(cols)
-    rows, cols, starts = _block_rows(f).ravel()[live], cols[live], f.coherence_offsets.ravel()[live]
+    coh, (starts, rows, cols) = [], f.index[1:4]
     width = int(cols.max(initial=0)) + 1
     shape = rows * width + cols
     for g in np.flatnonzero(np.bincount(shape)).tolist():

@@ -12,10 +12,9 @@ starts:
 
 - the (x, y) spectral space: one (dims[a, x, y], d_a) block of triples
   (m, i) per label a, at ``spectral_offsets(f, x, y)``;
-- the columns (s, m, n) of each channel c of coherence block (a, b, r, t),
-  as ``BigradedFunctor.coherence_channel(a, b, r, t, c)`` returns it: one
-  (dims[a, r, s], dims[b, s, t]) block per intermediate base label s, at
-  ``BigradedFunctor.column_offsets``;
+- the columns (s, m, n) of coherence block (a, b, r, t): one (dims[a, r, s],
+  dims[b, s, t]) block per intermediate base label s with a column, at
+  ``BigradedFunctor.coherence_block(a, b, r, t)[1][s]``;
 - the rows (q, n, beta) of ``psi[(a, p, r)]``: one (target dims[a, p, q],
   fdims[q, r]) block per target base label q, at
   ``ModuleMorphism.row_offsets``; its columns (s, alpha, m): one
@@ -102,13 +101,13 @@ def _structure_tensor(f: BigradedFunctor, x: int, y: int, z: int) -> np.ndarray:
         for b in np.flatnonzero(f.dims[:, y, z]).tolist():
             if UNIT_LABEL in (a, b):
                 continue
-            cols = f.column_offsets[a, b, x, z]
+            (coh, cols), up = f.coherence_block(a, b, x, z), 0
             nm, nn = int(f.dims[a, x, y]), int(f.dims[b, y, z])
             da, db = cat.dim(a), cat.dim(b)
-            for c in cat.channels(a, b):
-                arr = f.coherence_channel(a, b, x, z, c)
-                (k, npp, _), dc = arr.shape, cat.dim(c)
-                coeff = arr[:, :, cols[y]:cols[y + 1]].reshape(k, npp, nm, nn)
+            for c in cat.channels(a, b):  # rows (c, k, p)
+                k, npp, dc = cat.mult(a, b, c), int(f.dims[c, x, z]), cat.dim(c)
+                coeff = coh[up:up + k * npp, cols[y]:cols[y] + nm * nn].reshape(k, npp, nm, nn)
+                up += k * npp
                 # fiber vectors live in the conjugate Hilbert space,
                 # so the channel projection uses the conjugated isometry
                 iotas = np.stack(cat.isometries(a, b, c)).reshape(k, da, db, dc)
@@ -650,25 +649,26 @@ def _hexagon_residual(mor: ModuleMorphism) -> float:
     fx, fy = mor.source, mor.target
     cat, jx, jy = fx.cat, fx.n_base, fy.n_base
     fd, dx, dy, rows, cols = (v.tolist() for v in (mor.fdims, fx.dims, fy.dims, mor.row_offsets, mor.col_offsets))
-    xoff, yoff = fx.column_offsets.tolist(), fy.column_offsets.tolist()
-    worst = []
+    xblocks, yblocks, worst = fx.coherence_blocks(), fy.coherence_blocks(), []
+    dead = fx.coherence[:0].reshape(0, 0), {}
     for a, b, p, r, w in product(cat.labels, cat.labels, range(jy), range(jx), range(jy)):
-        xcols = [xoff[a][b][s][r] for s in range(jx)]  # [s][t]: columns (t, m, n) of source block (a, b, s, r)
-        dom = [0, *accumulate(fd[p][s] * xcols[s][-1] for s in range(jx))]
-        ycoh, g = fy.coherence_block(a, b, p, w), fd[w][r]
+        xblk, xcols = zip(*[xblocks.get((a, b, s, r), dead) for s in range(jx)])  # [s]: columns (t, m, n)
+        xn = [blk.shape[1] for blk in xblk]
+        dom = [0, *accumulate(fd[p][s] * xn[s] for s in range(jx))]
+        (ycoh, ycols), g = yblocks.get((a, b, p, w), dead), fd[w][r]
         if not dom[-1] * (nr := len(ycoh)) * g:
             continue
         two = np.empty((nr, g, dom[-1]), dtype=np.complex128)
         for s in [s for s in range(jx) if dom[s + 1] > dom[s]]:
-            xblk, up, left = fx.coherence_block(a, b, s, r), 0, 0
+            up, left = 0, 0
             for c, isos in sorted(cat.fusion[(a, b)].items()):
                 k, u, pp, crows, ccols = len(isos), dx[c][s][r], dy[c][p][w], rows[c][p][r], cols[c][p][r]
                 psi_c = mor.psi[(c, p, r)][crows[w]:crows[w + 1], ccols[s]:ccols[s + 1]]
-                blk = psi_c.reshape(pp * g * fd[p][s], u) @ xblk[up:up + k * u].reshape(k, u, xcols[s][-1])
+                blk = psi_c.reshape(pp * g * fd[p][s], u) @ xblk[s][up:up + k * u].reshape(k, u, xn[s])
                 two[left:left + k * pp, :, dom[s]:dom[s + 1]] = blk.reshape(k * pp, g, dom[s + 1] - dom[s])
                 up, left = up + k * u, left + k * pp
         # [q]: the target block against psi[(b, q, r)], (rows, x, gamma, columns (t, beta, n) of psi[(b, q, r)])
-        yb = [(ycoh[:, yoff[a][b][p][w][q]:yoff[a][b][p][w][q + 1]].reshape(nr * dy[a][p][q], dy[b][q][w])
+        yb = [(ycoh[:, (y0 := ycols.get(q, 0)):y0 + dy[a][p][q] * dy[b][q][w]].reshape(nr * dy[a][p][q], dy[b][q][w])
                @ mor.psi[(b, q, r)][rows[b][q][r][w]:rows[b][q][r][w + 1]].reshape(dy[b][q][w], g * cols[b][q][r][-1]))
               .reshape(nr, dy[a][p][q], g, cols[b][q][r][-1]) for q in range(jy)]
         one, at = [], []  # at[i]: where column i of path one sits in the domain
@@ -677,7 +677,7 @@ def _hexagon_residual(mor: ModuleMorphism) -> float:
             lifted = np.concatenate([yb[q][..., bcols[q][0]:bcols[q][1]].reshape(nr, dy[a][p][q], g, fd[q][t], n)
                                      .transpose(0, 2, 4, 1, 3).reshape(nr, g, n, -1) for q in range(jy)], axis=-1)
             one.append((lifted @ mor.psi[(a, p, t)]).reshape(nr, g, -1))
-            at += [dom[s] + al * xcols[s][-1] + xcols[s][t] + m * n + i for i in range(n) for s in range(jx)
+            at += [dom[s] + al * xn[s] + xcols[s][t] + m * n + i for i in range(n) for s in range(jx)
                    for al in range(fd[p][s]) for m in range(dx[a][s][t])]
         worst.append(np.abs(np.concatenate(one, axis=-1) - two[..., at]).max(initial=0.0))
     return largest(worst)

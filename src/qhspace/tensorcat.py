@@ -49,19 +49,15 @@ class PointedFusionData:
         if np.max(np.abs(np.abs(om) - 1.0)) > 1e-12:
             raise CocycleError("cocycle values must be unit modulus")
         e = self.group.identity
-        for g in range(n):
-            for h in range(n):
-                for sl in ((e, g, h), (g, e, h), (g, h, e)):
-                    if abs(om[sl] - 1.0) > 1e-12:
-                        raise CocycleError(f"cocycle not normalized at {sl}")
+        edges = np.stack([om[e], om[:, e], om[:, :, e]], axis=-1)
+        for g, h, i in np.argwhere(np.abs(edges - 1.0) > 1e-12)[:1].tolist():
+            raise CocycleError(f"cocycle not normalized at {((e, g, h), (g, e, h), (g, h, e))[i]}")
         mul = self.group.mult_table
-        g, h, k, l = np.ix_(*(np.arange(n),) * 4)
-        lhs = om[h, k, l] * om[g, mul[h, k], l] * om[g, h, k]
-        rhs = om[mul[g, h], k, l] * om[g, h, mul[k, l]]
-        bad = np.argwhere(np.abs(lhs - rhs) > 1e-10)
-        if bad.size:
-            g, h, k, l = bad[0].tolist()
-            raise CocycleError(f"cocycle identity fails at quadruple ({g},{h},{k},{l})")
+        h, k, l = np.ix_(*(np.arange(n),) * 3)
+        for g in range(n):  # n^3 at a time, in row-major order
+            lhs = om[h, k, l] * om[g, mul[h, k], l] * om[g, h, k]
+            for x, y, z in np.argwhere(np.abs(lhs - om[mul[g, h], k, l] * om[g, h, mul[k, l]]) > 1e-10)[:1].tolist():
+                raise CocycleError(f"cocycle identity fails at quadruple ({g},{x},{y},{z})")
 
 
 def standard_cyclic_cocycle(n: int) -> PointedFusionData:

@@ -9,8 +9,6 @@ certificate; a failure anywhere surfaces as a failed named check.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .certificate import Certificate
 from .modcat import BigradedFunctor, validate_module
 from .numkit import DEFAULT_TOL

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qhspace
-from qhspace.grouprep import Subgroup, cyclic_group, extract_irreps
+from qhspace.grouprep import Subgroup, cyclic_group, dihedral_group, extract_irreps
 from qhspace import tensorcat
 from qhspace.modcat import (
     CocycleError,
@@ -22,7 +22,7 @@ from qhspace.modcat import (
 )
 from qhspace import modcat
 from qhspace.modcat import _triple_coherence_residual
-from qhspace.numkit import DEFAULT_TOL, dagger, kron, max_residual, successors
+from qhspace.numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, successors
 from qhspace.reconstruct import ReconstructionError, restriction_morphism
 
 
@@ -140,14 +140,101 @@ def test_unit_basis_bitwise_identity(s3_modules, z4_coset_module):
 
 
 def _coherence_keys(f):
-    """The blocks (a, b, r, t) with at least one column (s, m, n)."""
-    return [tuple(key) for key in np.argwhere(f.column_offsets[..., -1]).tolist()]
+    """The blocks (a, b, r, t) with at least one column (s, m, n), decoded from the index."""
+    nl, j = len(f.cat.obj_dim), f.n_base
+    return list(zip(*(v.tolist() for v in np.unravel_index(f.index.code, (nl, nl, j, j)))))
 
 
 def _coherence_block(f, key):
     """Block ``key`` as one matrix, its channels stacked in ascending order."""
     chans = [f.coherence_channel(*key, c) for c in f.cat.channels(*key[:2])]
     return np.vstack([arr.reshape(-1, arr.shape[2]) for arr in chans])
+
+
+def _dense_column_offsets(f):
+    """The dense table the index replaced: [a, b, r, t, s] is where s starts in the columns of block (a, b, r, t).
+
+    The columns run over (s, m, n); the block of s is (dims[a, r, s], dims[b, s, t]), m major.  The last
+    entry is the column count.
+    """
+    sizes = f.dims[:, None, :, :, None] * f.dims[None, :, None, :, :]  # [a, b, r, s, t]
+    return block_offsets(sizes.transpose(0, 1, 2, 4, 3))
+
+
+def _dense_block_rows(f):
+    """rows[a, b, r, t] = sum_c N_ab^c dims[c, r, t], the row count of block (a, b, r, t)."""
+    mult = np.zeros((len(f.cat.obj_dim),) * 3, dtype=np.int64)
+    for (a, b), chans in f.cat.fusion.items():
+        mult[a, b, list(chans)] = [len(isos) for isos in chans.values()]
+    return np.einsum("abc,crt->abrt", mult, f.dims)
+
+
+def _dense_coherence_offsets(f):
+    """[a, b, r, t]: where block (a, b, r, t) starts in ``coherence``, dense over every block."""
+    sizes = _dense_block_rows(f) * _dense_column_offsets(f)[..., -1]
+    return block_offsets(sizes.ravel())[:-1].reshape(sizes.shape)
+
+
+@pytest.fixture(scope="module")
+def index_modules(s4_over_s3, s3_modules):
+    """S4 > S3, D12 > flip, Z12 (standard cocycle) over its trivial subgroup, Z8 > Z2, a disjoint union."""
+    d12, z8 = dihedral_group(12), cyclic_group(8)
+    z12 = tensorcat.standard_cyclic_cocycle(12)
+    z8_cat = tensorcat.from_pointed(tensorcat.PointedFusionData(z8, np.ones((8, 8, 8))))
+    return [s4_over_s3,
+            module_from_subgroup(tensorcat.from_group(extract_irreps(d12, seed=0)), Subgroup.generated(d12, [12])),
+            module_from_pointed(tensorcat.from_pointed(z12), Subgroup(z12.group, (0,))),
+            module_from_pointed(z8_cat, Subgroup(z8, (0, 4))),
+            disjoint_union_module(s3_modules["order2"], s3_modules["trivial"])]
+
+
+def test_index_matches_dense_tables(index_modules):
+    # every block, dead ones included: the accessors give the dense tables' start, rows and
+    # per-s column offsets, and the index holds the blocks with a column, in (a, b, r, t) order
+    for f in index_modules:
+        off, rows, start = _dense_column_offsets(f), _dense_block_rows(f), _dense_coherence_offsets(f)
+        live = np.argwhere(off[..., -1])
+        assert _coherence_keys(f) == [tuple(key) for key in live.tolist()], f.name
+        ix, at = f.index, tuple(live.T)
+        assert all(arr.dtype == np.int64 and arr.ndim == 1 for arr in ix)
+        assert np.array_equal(ix.start, start[at]) and np.array_equal(ix.rows, rows[at])
+        assert np.array_equal(ix.cols, off[..., -1][at])
+        assert ix.ptr[0] == 0 and ix.ptr[-1] == len(ix.label) == len(ix.col) and np.all(np.diff(ix.ptr) > 0)
+        assert 16 * (ix.start[-1] + ix.rows[-1] * ix.cols[-1]) == f.coherence.nbytes
+        # a dead block starts where the next block with a column does, as the dense table had it
+        after = ix.code.searchsorted(np.arange(rows.size))
+        assert np.array_equal(np.append(ix.start, f.coherence.size)[after], start.ravel()), f.name
+        base, every = f.coherence.__array_interface__["data"][0], f.coherence_blocks()
+        assert list(every) == _coherence_keys(f)
+        for key in np.ndindex(rows.shape):
+            blk, cols = f.coherence_block(*key)
+            assert blk.shape == (rows[key], off[key][-1]), (f.name, key)
+            if blk.size:
+                assert blk.__array_interface__["data"][0] - base == 16 * start[key], (f.name, key)
+            assert cols == {s: off[key][s] for s in range(f.n_base) if off[key][s + 1] > off[key][s]}, (f.name, key)
+            if key in every:
+                assert every[key][1] == cols and every[key][0].shape == blk.shape
+                assert every[key][0].__array_interface__ == blk.__array_interface__, (f.name, key)
+            for c in f.cat.channels(*key[:2]):
+                k, p = f.cat.mult(key[0], key[1], c), f.dims[c, key[2], key[3]]
+                assert f.coherence_channel(*key, c).shape == (k, p, off[key][-1]), (f.name, key, c)
+
+
+def test_index_is_sparse_and_module_memory_is_bounded():
+    # Z24 over its trivial subgroup: 13824 of the 331776 blocks have a column.  The dense tables took
+    # 66 MB, and build + validate peaked at 131 MB traced; with the index (0.77 MB) the peak is 7.3 MB
+    group = cyclic_group(24)
+    cat = tensorcat.from_pointed(tensorcat.PointedFusionData(group, np.ones((24, 24, 24))))
+    tracemalloc.start()
+    try:
+        f = module_from_pointed(cat, Subgroup(group, (0,)))
+        cert = validate_module(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.passed and len(f.index.code) == 24**3
+    assert sum(arr.nbytes for arr in f.index) < 1e6
+    assert peak < 16e6, peak
 
 
 def test_coherence_unitary(s3_modules):
@@ -216,12 +303,12 @@ def _assoc_diag(f, h1, h2, r, fibre):
 def _coherence_loop(f, a, b, r, t):
     """Column-by-column form of ``modcat._coherence_blocks`` at one block: the reference."""
     cat = f.cat
-    off = f.column_offsets[a, b, r, t]
+    off = f.coherence_block(a, b, r, t)[1]
     phi_conj = np.conj(_assoc_diag(f, f.handle[a], f.handle[b], t, cat.dim(a) * cat.dim(b)))
     eye_a = np.eye(cat.dim(a), dtype=np.complex128)
     eye_t = np.eye(f.base_dims[t], dtype=np.complex128)
     # column (s, m, n) sits at off[s] + m * dims[b, s, t] + n
-    composites = [None] * off[-1]
+    composites = [None] * int(f.dims[a, r] @ f.dims[b, :, t])
     for s in range(f.n_base):
         for m, ta in enumerate(f.mor_basis(a, r, s)):
             for n, tb in enumerate(f.mor_basis(b, s, t)):
@@ -363,7 +450,7 @@ def test_coherence_matches_column_loop(shape_modules):
     for f in shape_modules:
         labels, bases = f.cat.labels, range(f.n_base)
         linked = [(a, b, r, t) for a in labels for b in labels for r in bases for t in bases
-                  if f.column_offsets[a, b, r, t][-1]]
+                  if f.dims[a, r] @ f.dims[b, :, t]]
         assert _coherence_keys(f) == linked
         wants = {key: _coherence_loop(f, *key) for key in linked}
         assert f.coherence.dtype == np.complex128 and f.coherence.ndim == 1

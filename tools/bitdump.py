@@ -13,7 +13,8 @@ saves, one key per array:
   (``{tag}/irrep{a}``) and the stacked fusion isometries of every channel
   (``{tag}/fusion(a, b)/{c}``), for the projects and the group cases;
 - every module basis, and every channel of every coherence block with a
-  column, read through ``BigradedFunctor.coherence_channel`` under the key
+  column (the blocks ``BigradedFunctor.coherence_blocks`` walks, in the
+  index's (a, b, r, t) order), read through ``coherence_channel`` under the key
   ``{tag}/coherence(a, b, r, t)/{c}``; the keys and shapes are those of
   dumps made when the record held one array per channel, so a dump of
   either record layout compares array for array with the other;
@@ -69,7 +70,7 @@ def _module(out: dict, tag: str, mod) -> None:
 
     for key, basis in mod.bases.items():
         out[f"{tag}/basis{key}"] = basis
-    for key in map(tuple, np.argwhere(mod.column_offsets[..., -1]).tolist()):
+    for key in mod.coherence_blocks():
         for c in mod.cat.channels(*key[:2]):
             out[f"{tag}/coherence{key}/{c}"] = mod.coherence_channel(*key, c)
     for x in range(mod.n_base):
