@@ -3,8 +3,9 @@
 Subcommands operate on project files and print reports to standard output
 (or ``--out``); diagnostics go to standard error.  Exit code 0 means every
 check passed.  Every check is deterministic; ``--seed`` only stamps the
-certificate.  The irreducibles and module bases are built with the seeds
-stored in the project file.
+certificate.  The irreducibles are read from the project file; the module
+bases are built with its ``module.seed`` and ``morphism.seed``, and
+``irreps.seed`` only records how the stored irreducibles were extracted.
 """
 
 from __future__ import annotations

@@ -259,12 +259,15 @@ class IrrepTable:
         n = self.group.order
         if sum(r.dim**2 for r in self.irreps) != n:
             raise IrrepExtractionError("sum of squared dimensions does not match group order")
-        if self.irreps[0].dim != 1 or max_residual(self.irreps[0].character, np.ones(n)) > tol:
+        # each test refuses unless its residual is within tolerance, so a NaN is refused
+        if self.irreps[0].dim != 1 or not max_residual(self.irreps[0].character, np.ones(n)) <= tol:
             raise IrrepExtractionError("label 0 is not the trivial representation")
         for a, u in enumerate(self.irreps):
-            if u.validate() > tol:
+            if not u.validate() <= tol:
                 raise IrrepExtractionError(f"irrep {a} fails unitarity/multiplicativity")
-            for b, v in enumerate(self.irreps):
+            # unitary u, v have Hom(u, v) and Hom(v, u) of one dimension: solve each pair once,
+            # after both passed the test above
+            for b, v in enumerate(self.irreps[:a + 1]):
                 want = 1 if a == b else 0
                 if len(intertwiner_basis(u, v)) != want:
                     raise IrrepExtractionError(f"intertwiner dimension wrong for pair ({a},{b})")
@@ -273,7 +276,7 @@ class IrrepTable:
             if dm[dm[a]] != a:
                 raise IrrepExtractionError("dual map is not an involution")
             resid = max_residual(self.irreps[dm[a]].character, np.conj(self.irreps[a].character))
-            if resid > tol:
+            if not resid <= tol:
                 raise IrrepExtractionError(f"dual map wrong at label {a}")
         if dm[0] != 0:
             raise IrrepExtractionError("trivial label must be self-dual")

@@ -292,7 +292,7 @@ def _check_coboundary(om: np.ndarray, mul: np.ndarray, k_el: np.ndarray,
     jh = kpos[mul[k_el[j], k_el[h]]]
     ij = kpos[mul[k_el[i], k_el[j]]]
     dmu = mu[j, h] * mu[i, jh] / (mu[ij, h] * mu[i, j])
-    bad = np.argwhere(np.abs(dmu - om[k_el[i], k_el[j], k_el[h]]) > 1e-10)
+    bad = np.argwhere(~(np.abs(dmu - om[k_el[i], k_el[j], k_el[h]]) <= 1e-10))
     if bad.size:
         k, l, m = k_el[bad[0]].tolist()
         raise CocycleError(f"coboundary of the 2-cochain differs from the cocycle at ({k},{l},{m})")
@@ -333,7 +333,7 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
     mu = np.ones((nk, nk), dtype=np.complex128) if mu is None else np.asarray(mu, dtype=np.complex128)
     if mu.shape != (nk, nk):
         raise ModuleDataError("2-cochain shape does not match the subgroup order")
-    if np.max(np.abs(np.abs(mu) - 1.0)) > 1e-12:
+    if not np.max(np.abs(np.abs(mu) - 1.0)) <= 1e-12:  # NaN is refused
         raise ModuleDataError("2-cochain values must be unit modulus")
     kpos = np.full(group.order, -1, dtype=np.int64)
     kpos[k_el] = np.arange(nk)

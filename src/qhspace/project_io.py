@@ -1,15 +1,16 @@
 """Versioned JSON project files with content fingerprinting.
 
-A project is one self-describing container: the group or cocycle defining
-the category, an optional module section, and an optional morphism section.
-Module data is meaningless without the category it was built against, so
-module sections carry the category fingerprint and the loader refuses a
-stale reference.  Complex numbers are stored as [re, im] decimal pairs with
-17 significant digits, which round-trips doubles exactly.
+A project is one self-describing container: the group, the category data
+(the irreducible representations or a 3-cocycle), an optional module
+section, and an optional morphism section.  Each section carries a
+fingerprint of its JSON, and the loader refuses a section that does not
+match its fingerprint.  Complex numbers are stored as [re, im] decimal pairs
+with 17 significant digits, which round-trips doubles exactly.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .modcat import BigradedFunctor, module_from_pointed, module_from_subgroup
 from .numkit import DEFAULT_TOL
 from .reconstruct import ModuleMorphism, SpectralAlgebra, restriction_morphism
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class ProjectError(Exception):
@@ -47,9 +48,9 @@ def encode_array(arr: np.ndarray) -> list:
 
 def decode_array(data) -> np.ndarray:
     def walk(node):
-        if isinstance(node, list) and len(node) == 2 and all(
-            isinstance(v, (int, float)) for v in node
-        ):
+        if not isinstance(node, list):
+            raise ProjectError(f"an encoded array holds {node!r} where a list belongs")
+        if len(node) == 2 and all(isinstance(v, (int, float)) for v in node):
             return complex(node[0], node[1])
         return [walk(sub) for sub in node]
 
@@ -62,35 +63,32 @@ def fingerprint(obj) -> str:
     ).hexdigest()[:16]
 
 
-def category_fingerprint(cat: tensorcat.CategoryPresentation) -> str:
-    payload = {
-        "kind": cat.kind,
-        "obj_dim": list(cat.obj_dim),
-        "dual_map": list(cat.dual_map),
-        "qdim": [_f(q) for q in cat.qdim],
-        "fusion": {
-            f"{a},{b}": {
-                str(c): [encode_array(i) for i in isos]
-                for c, isos in sorted(cat.fusion[(a, b)].items())
-            }
-            for (a, b) in sorted(cat.fusion)
-        },
-    }
-    return fingerprint(payload)
-
-
 def irrep_table_to_dict(table: IrrepTable) -> dict:
     return {
-        "mult_table": np.asarray(table.group.mult_table).tolist(),
-        "irreps": [encode_array(r.mats) for r in table.irreps],
+        "matrices": [encode_array(r.mats) for r in table.irreps],
         "dual_map": list(table.dual_map),
     }
 
 
-def irrep_table_from_dict(d: dict) -> IrrepTable:
-    group = FiniteGroup(np.asarray(d["mult_table"], dtype=np.int64))
-    irreps = tuple(UnitaryRep(group, decode_array(mats)) for mats in d["irreps"])
-    return IrrepTable(group, irreps, tuple(d["dual_map"]))
+def irrep_table_from_dict(group: FiniteGroup, d: dict) -> IrrepTable:
+    """The table stored in ``d``, on ``group``; a malformed one raises ``ProjectError``.
+
+    Only the shapes and the range of ``dual_map`` are checked here;
+    ``IrrepTable.validate`` checks the rest.
+    """
+    for key in ("matrices", "dual_map"):
+        if not isinstance(d.get(key), list):
+            raise ProjectError(f"irrep table lacks the list {key!r}")
+    irreps = []
+    for a, mats in enumerate(d["matrices"]):
+        m = decode_array(mats)
+        if m.ndim != 3 or m.shape[0] != group.order or not 0 < m.shape[1] == m.shape[2]:
+            raise ProjectError(f"irrep {a} has matrices of shape {m.shape}, not ({group.order}, d, d)")
+        irreps.append(UnitaryRep(group, m))
+    dual, n = d["dual_map"], len(irreps)
+    if len(dual) != n or not all(isinstance(b, int) and 0 <= b < n for b in dual):
+        raise ProjectError(f"dual_map {dual} is not a list of {n} labels in 0..{n - 1}")
+    return IrrepTable(group, tuple(irreps), tuple(dual))
 
 
 def algebra_to_dict(alg: SpectralAlgebra) -> dict:
@@ -175,18 +173,13 @@ def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
         data = tensorcat.PointedFusionData(group, values)
         cat = tensorcat.from_pointed(data)
     else:
-        seed = int(sections.get("irreps", {}).get("seed", 0))
-        cat = tensorcat.from_group(extract_irreps(group, seed=seed, tol=tol), tol)
-    cat_fp = category_fingerprint(cat)
+        table = irrep_table_from_dict(group, sections.get("irreps", {}))
+        table.validate(tol)
+        cat = tensorcat.from_group(table, tol)
 
     module = None
     if "module" in sections:
         msec = sections["module"]
-        if msec.get("category_fingerprint") != cat_fp:
-            raise ProjectError(
-                f"{path}: module section was built against a different category "
-                f"(fingerprint {msec.get('category_fingerprint')!r}, current {cat_fp!r})"
-            )
         sub = Subgroup(group, tuple(field("module", "elements")))
         backend = field("module", "backend")
         if backend == "subgroup":
@@ -211,54 +204,27 @@ def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
     return LoadedProject(group, cat, module, morphism, sections)
 
 
-def example_projects(cat_tol: float = DEFAULT_TOL) -> dict[str, dict]:
+def example_projects() -> dict[str, dict]:
     """The three shipped example projects, as section dictionaries."""
     from .grouprep import cyclic_group, symmetric_group
 
     s3 = symmetric_group(3)
-    cat_s3 = tensorcat.from_group(extract_irreps(s3, seed=0, tol=cat_tol), cat_tol)
-    fp_s3 = category_fingerprint(cat_s3)
     order2 = sorted(g for g in range(6) if g != 0 and s3.mul(g, g) == 0)
     s3_sections = {
         "group": {"mult_table": np.asarray(s3.mult_table).tolist()},
-        "irreps": {"seed": 0},
-        "module": {
-            "backend": "subgroup",
-            "elements": [0, order2[0]],
-            "seed": 0,
-            "category_fingerprint": fp_s3,
-        },
+        # the loader reads the table; the seed records how it was extracted
+        "irreps": {"seed": 0, **irrep_table_to_dict(extract_irreps(s3, seed=0))},
+        "module": {"backend": "subgroup", "elements": [0, order2[0]], "seed": 0},
     }
-
     z4 = cyclic_group(4)
-    data = tensorcat.standard_cyclic_cocycle(4)
-    cat_z4 = tensorcat.from_pointed(data)
-    fp_z4 = category_fingerprint(cat_z4)
     z4_sections = {
         "group": {"mult_table": np.asarray(z4.mult_table).tolist()},
-        "cocycle": {"values": encode_array(data.cocycle)},
-        "module": {
-            "backend": "pointed",
-            "elements": [0],
-            "mu": None,
-            "category_fingerprint": fp_z4,
-        },
+        "cocycle": {"values": encode_array(tensorcat.standard_cyclic_cocycle(4).cocycle)},
+        "module": {"backend": "pointed", "elements": [0], "mu": None},
     }
-
     morphism_sections = {
-        "group": {"mult_table": np.asarray(s3.mult_table).tolist()},
-        "irreps": {"seed": 0},
-        "module": {
-            "backend": "subgroup",
-            "elements": [0, order2[0]],
-            "seed": 0,
-            "category_fingerprint": fp_s3,
-        },
-        "morphism": {
-            "backend": "restriction",
-            "target_elements": [0],
-            "seed": 0,
-        },
+        **copy.deepcopy(s3_sections),
+        "morphism": {"backend": "restriction", "target_elements": [0], "seed": 0},
     }
     return {
         "s3_subgroup": s3_sections,

@@ -46,17 +46,19 @@ class PointedFusionData:
         n = self.group.order
         if om.shape != (n, n, n):
             raise CocycleError(f"cocycle shape {om.shape} does not match group order {n}")
-        if np.max(np.abs(np.abs(om) - 1.0)) > 1e-12:
+        # each test refuses unless its residual is within tolerance, so a NaN is refused
+        if not np.max(np.abs(np.abs(om) - 1.0)) <= 1e-12:
             raise CocycleError("cocycle values must be unit modulus")
         e = self.group.identity
         edges = np.stack([om[e], om[:, e], om[:, :, e]], axis=-1)
-        for g, h, i in np.argwhere(np.abs(edges - 1.0) > 1e-12)[:1].tolist():
+        for g, h, i in np.argwhere(~(np.abs(edges - 1.0) <= 1e-12))[:1].tolist():
             raise CocycleError(f"cocycle not normalized at {((e, g, h), (g, e, h), (g, h, e))[i]}")
         mul = self.group.mult_table
         h, k, l = np.ix_(*(np.arange(n),) * 3)
         for g in range(n):  # n^3 at a time, in row-major order
             lhs = om[h, k, l] * om[g, mul[h, k], l] * om[g, h, k]
-            for x, y, z in np.argwhere(np.abs(lhs - om[mul[g, h], k, l] * om[g, h, mul[k, l]]) > 1e-10)[:1].tolist():
+            rhs = om[mul[g, h], k, l] * om[g, h, mul[k, l]]
+            for x, y, z in np.argwhere(~(np.abs(lhs - rhs) <= 1e-10))[:1].tolist():
                 raise CocycleError(f"cocycle identity fails at quadruple ({g},{x},{y},{z})")
 
 

@@ -1,12 +1,17 @@
 import json
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qhspace
+from qhspace import project_io
 from qhspace.certificate import Certificate
 from qhspace.cli import main
-from qhspace.grouprep import GroupAxiomError
+from qhspace.grouprep import GroupAxiomError, IrrepExtractionError
 from qhspace.project_io import (
     ProjectError,
     algebra_from_dict,
@@ -21,8 +26,10 @@ from qhspace.project_io import (
     write_example_projects,
 )
 from qhspace.reconstruct import build_algebra
+from qhspace.verify import run_suite
 
 PROJECTS = os.path.join(os.path.dirname(__file__), "..", "projects")
+SHIPPED = ("s3_subgroup", "z4_pointed", "s3_morphism")
 
 
 def project_path(name):
@@ -38,9 +45,10 @@ def test_array_roundtrip():
 
 
 def test_irrep_table_roundtrip(s3_table):
-    t2 = irrep_table_from_dict(irrep_table_to_dict(s3_table))
-    for a, b in zip(s3_table.irreps, t2.irreps):
-        assert np.array_equal(a.mats, b.mats)
+    t2 = irrep_table_from_dict(s3_table.group, json.loads(json.dumps(irrep_table_to_dict(s3_table))))
+    assert t2.group is s3_table.group and t2.dual_map == s3_table.dual_map
+    for a, b in zip(s3_table.irreps, t2.irreps, strict=True):
+        assert a.mats.tobytes() == b.mats.tobytes()
 
 
 def _algebra_dict_loop(alg):
@@ -62,10 +70,9 @@ def test_algebra_dict_roundtrip(s3_modules, tmp_path):
     assert d["basis"] == alg.triples
     assert np.array_equal(d["tensor"], alg.tensor)
     assert np.array_equal(d["star_matrix"], alg.star_mat)
-    # the ``qhs reconstruct`` file of every base of the example projects, byte
-    # for byte; they are written afresh, so that their fingerprints hold on any BLAS kernel
+    # the ``qhs reconstruct`` file of every base of the shipped projects, byte for byte
     out = str(tmp_path / "alg.json")
-    for path in write_example_projects(str(tmp_path)):
+    for path in map(project_path, SHIPPED):
         mod = load_project(path).module
         for base in range(mod.n_base):
             assert main(["reconstruct", path, "--base", str(base), "--out", out]) == 0
@@ -95,10 +102,19 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_shipped_projects_load():
-    for name in ("s3_subgroup", "z4_pointed", "s3_morphism"):
+    for name in SHIPPED:
         project = load_project(project_path(name))
         assert project.module is not None
     assert load_project(project_path("s3_morphism")).morphism is not None
+
+
+def test_loading_reads_the_stored_irreducibles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_project extracted the irreducibles")
+
+    monkeypatch.setattr(project_io, "extract_irreps", refuse)
+    for name in SHIPPED:
+        assert load_project(project_path(name)).module is not None, name
 
 
 def test_schema_version_gate(tmp_path):
@@ -106,7 +122,7 @@ def test_schema_version_gate(tmp_path):
     save_project(path, example_projects()["s3_subgroup"])
     with open(path) as fh:
         doc = json.load(fh)
-    doc["schema_version"] = "2"
+    doc["schema_version"] = "1"
     with open(path, "w") as fh:
         json.dump(doc, fh)
     with pytest.raises(ProjectError):
@@ -125,13 +141,15 @@ def test_fingerprint_tamper_detected(tmp_path):
         load_project(path)
 
 
-def test_stale_category_fingerprint_detected(tmp_path):
-    sections = example_projects()["s3_subgroup"]
-    sections["module"]["category_fingerprint"] = "0" * 16
-    path = str(tmp_path / "p.qhs.json")
-    save_project(path, sections)
-    with pytest.raises(ProjectError):
-        load_project(path)
+def test_tampered_irrep_matrix_refused_by_name(tmp_path):
+    # one entry of one stored matrix, written with a fresh fingerprint: the table check names the irrep
+    for a, value in ((1, 0.25), (2, 0.25), (2, float("nan"))):
+        sections = example_projects()["s3_subgroup"]
+        sections["irreps"]["matrices"][a][1][0][0][0] += value  # Re u_a(1)[0, 0]
+        path = str(tmp_path / f"p{a}.qhs.json")
+        save_project(path, sections)
+        with pytest.raises(IrrepExtractionError, match=f"^irrep {a} fails"):
+            load_project(path)
 
 
 def test_bad_mult_table_rejected(tmp_path):
@@ -142,13 +160,35 @@ def test_bad_mult_table_rejected(tmp_path):
         load_project(path)
 
 
+def _without_matrices(doc: dict) -> tuple[dict, list[np.ndarray]]:
+    """The document without the irrep matrices and the fingerprint they enter, and the characters."""
+    doc = json.loads(json.dumps(doc))
+    if "irreps" not in doc["sections"]:
+        return doc, []
+    del doc["fingerprints"]["irreps"]
+    return doc, [np.trace(decode_array(m), axis1=1, axis2=2) for m in doc["sections"]["irreps"].pop("matrices")]
+
+
+def _verdicts(path: str) -> list[tuple[str, bool]]:
+    project = load_project(path)
+    return [(c.name, c.passed) for c in run_suite(project.category, project.module).checks]
+
+
 def test_write_example_projects_matches_shipped(tmp_path):
+    # every field but the extracted matrices is exact.  Those depend on the BLAS kernel: another
+    # kernel's eigh picks another orthonormal basis of the S3 2-dimensional irrep's eigenspace
+    # (entries move by up to 1.36 under Haswell), so the irreps are compared by their characters
     for path in write_example_projects(str(tmp_path)):
+        shipped_path = os.path.join(PROJECTS, os.path.basename(path))
         with open(path) as fh:
-            fresh = json.load(fh)
-        with open(os.path.join(PROJECTS, os.path.basename(path))) as fh:
-            shipped = json.load(fh)
-        assert fresh == shipped
+            fresh, fresh_chars = _without_matrices(json.load(fh))
+        with open(shipped_path) as fh:
+            shipped, shipped_chars = _without_matrices(json.load(fh))
+        assert fresh == shipped, path
+        assert len(fresh_chars) == len(shipped_chars)
+        for a, (x, y) in enumerate(zip(fresh_chars, shipped_chars)):
+            assert x.shape == y.shape and np.max(np.abs(x - y)) <= 1e-12, (path, a)
+        assert _verdicts(path) == _verdicts(shipped_path), path
 
 
 def test_cli_validate_exit_codes(tmp_path, capsys):
@@ -179,6 +219,14 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     del no_property["checks"][0]["property"]
     no_elements = example_projects()["s3_subgroup"]
     del no_elements["module"]["elements"]
+    no_table = example_projects()["s3_subgroup"]
+    no_table["irreps"] = {"seed": 0}  # the form of schema version 1
+    short_irrep = example_projects()["s3_subgroup"]
+    short_irrep["irreps"]["matrices"][1] = short_irrep["irreps"]["matrices"][1][:5]
+    dual_out_of_range = example_projects()["s3_subgroup"]
+    dual_out_of_range["irreps"]["dual_map"][2] = 3
+    text_entry = example_projects()["s3_subgroup"]
+    text_entry["irreps"]["matrices"][0][0][0][0] = "x"
     cases = [
         ("report", project_path("s3_subgroup"), "certificate lacks key 'subject'"),
         ("report", no_property, "check lacks key 'property'"),
@@ -186,6 +234,10 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         ("validate", [1, 2], "a project is a JSON object, not a list"),
         ("validate", {"group": {}}, "section 'group' lacks key 'mult_table'"),
         ("validate", no_elements, "section 'module' lacks key 'elements'"),
+        ("validate", no_table, "irrep table lacks the list 'matrices'"),
+        ("validate", short_irrep, "irrep 1 has matrices of shape (5, 1, 1), not (6, d, d)"),
+        ("validate", dual_out_of_range, "dual_map [0, 1, 3] is not a list of 3 labels in 0..2"),
+        ("validate", text_entry, "an encoded array holds 'x' where a list belongs"),
     ]
     for i, (command, body, message) in enumerate(cases):
         path = body if isinstance(body, str) else str(tmp_path / f"case{i}.json")
@@ -242,3 +294,26 @@ def test_cli_morphism(tmp_path):
         th = decode_array(json.load(fh)["theta"])
     assert th.shape == (6, 3)
     assert main(["morphism", project_path("s3_subgroup")]) == 2
+
+
+def _openblas() -> bool:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return False
+    return "openblas" in json.dumps(config.get("Build Dependencies", {}).get("blas", {})).lower()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not _openblas(),
+                    reason="OPENBLAS_CORETYPE selects an x86-64 OpenBLAS kernel")
+def test_cli_passes_on_a_second_blas_kernel():
+    # Prescott runs on any x86-64 CPU; its SVD and eigh round unlike the kernel that wrote the shipped files
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.path.dirname(os.path.dirname(qhspace.__file__)))
+    for threads in ("1", "2"):
+        for name in SHIPPED:
+            for command in ("validate", "verify"):
+                proc = subprocess.run([sys.executable, "-m", "qhspace.cli", command, project_path(name)],
+                                      env={**env, "OPENBLAS_NUM_THREADS": threads},
+                                      capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, (threads, name, command, proc.stderr)

@@ -65,6 +65,13 @@ def test_pointed_cochain_coboundary_checked(z4_pointed_cat, z4):
         module_from_pointed(z8_cat, Subgroup.generated(cyclic_group(8), [2]))
 
 
+def test_pointed_cochain_with_a_nan_entry_is_refused(z4_trivial_pointed_cat, z4):
+    mu = np.ones((2, 2), dtype=np.complex128)
+    mu[1, 1] = np.nan
+    with pytest.raises(ModuleDataError, match="unit modulus"):
+        module_from_pointed(z4_trivial_pointed_cat, Subgroup.generated(z4, [2]), mu=mu)
+
+
 def test_mismatched_backend_rejected(s3_cat, z4):
     with pytest.raises(ModuleDataError):
         module_from_subgroup(s3_cat, Subgroup.generated(z4, []))

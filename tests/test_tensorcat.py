@@ -114,6 +114,13 @@ def test_cocycle_check_keeps_its_message_in_n_cubed_memory():
     assert peak < 2.5e6, peak
 
 
+def test_cocycle_with_a_nan_entry_is_refused():
+    om = standard_cyclic_cocycle(6).cocycle.copy()
+    om[1, 2, 3] = np.nan
+    with pytest.raises(CocycleError, match="unit modulus"):
+        PointedFusionData(cyclic_group(6), om)
+
+
 def test_standard_cocycle_nontrivial():
     data = standard_cyclic_cocycle(4)
     assert abs(data.cocycle[2, 2, 2] + 1.0) < 1e-12  # equals -1
