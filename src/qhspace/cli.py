@@ -3,9 +3,10 @@
 Subcommands operate on project files and print reports to standard output
 (or ``--out``); diagnostics go to standard error.  Exit code 0 means every
 check passed.  Every check is deterministic; ``--seed`` only stamps the
-certificate.  The irreducibles are read from the project file; the module
-bases are built with its ``module.seed`` and ``morphism.seed``, and
-``irreps.seed`` only records how the stored irreducibles were extracted.
+certificate.  The irreducibles of the group and of every subgroup are read
+from the project file, so no command draws a random number;
+``irreps.seed`` and ``module.seed`` only record how the stored tables were
+extracted.
 """
 
 from __future__ import annotations

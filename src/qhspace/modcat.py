@@ -251,10 +251,13 @@ def _assemble(cat: CategoryPresentation, name: str, base_dims: tuple[int, ...],
 
 
 def module_from_subgroup(cat: CategoryPresentation, subgroup: Subgroup,
-                         seed: int = 0, tol: float = DEFAULT_TOL) -> BigradedFunctor:
+                         irreps: IrrepTable | None = None, tol: float = DEFAULT_TOL) -> BigradedFunctor:
     """Representations of a subgroup H as a module over Rep(G).
 
-    Simple module objects are the irreducibles of H; the category acts by
+    Simple module objects are the irreducibles of H: the table ``irreps``,
+    which must be on ``subgroup.as_group`` and which the caller has
+    validated (a project's stored table), or, when it is None, the table
+    ``extract_irreps`` gives with seed 0.  The category acts by
     restricting a representation of G to H and tensoring.  All associators
     are identities because everything lives on concrete tensor products.
     """
@@ -262,7 +265,10 @@ def module_from_subgroup(cat: CategoryPresentation, subgroup: Subgroup,
         raise ModuleDataError("subgroup module needs a group-backed category")
     if not np.array_equal(subgroup.parent.mult_table, cat.reps[0].group.mult_table):
         raise ModuleDataError("subgroup does not belong to the category's group")
-    table = extract_irreps(subgroup.as_group, seed=seed, tol=tol)
+    h = subgroup.as_group
+    table = extract_irreps(h, seed=0, tol=tol) if irreps is None else irreps
+    if table.group is not h and not np.array_equal(table.group.mult_table, h.mult_table):
+        raise ModuleDataError("irrep table is not on the subgroup's group")
     base_dims = tuple(x.dim for x in table.irreps)
     bases = {(UNIT_LABEL, r, r): np.eye(d, dtype=np.complex128)[None]
              for r, d in enumerate(base_dims)}

@@ -2,10 +2,14 @@
 
 A project is one self-describing container: the group, the category data
 (the irreducible representations or a 3-cocycle), an optional module
-section, and an optional morphism section.  Each section carries a
-fingerprint of its JSON, and the loader refuses a section that does not
-match its fingerprint.  Complex numbers are stored as [re, im] decimal pairs
-with 17 significant digits, which round-trips doubles exactly.
+section, and an optional morphism section.  A subgroup module stores the
+irreducibles of its subgroup (``module.irreps``), and a restriction
+morphism those of its target subgroup (``morphism.target_irreps``); the
+loader validates every table and builds from it, and extracts none.  Each
+section carries a fingerprint of its JSON, and the loader refuses a section
+that does not match its fingerprint.  Complex numbers are stored as
+[re, im] decimal pairs with 17 significant digits, which round-trips
+doubles exactly.
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorcat
-from .grouprep import FiniteGroup, IrrepTable, Subgroup, UnitaryRep, extract_irreps
+from .grouprep import FiniteGroup, IrrepExtractionError, IrrepTable, Subgroup, UnitaryRep, extract_irreps
 from .modcat import BigradedFunctor, module_from_pointed, module_from_subgroup
 from .numkit import DEFAULT_TOL
 from .reconstruct import ModuleMorphism, SpectralAlgebra, restriction_morphism
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 class ProjectError(Exception):
@@ -77,7 +81,7 @@ def irrep_table_from_dict(group: FiniteGroup, d: dict) -> IrrepTable:
     ``IrrepTable.validate`` checks the rest.
     """
     for key in ("matrices", "dual_map"):
-        if not isinstance(d.get(key), list):
+        if not (isinstance(d, dict) and isinstance(d.get(key), list)):
             raise ProjectError(f"irrep table lacks the list {key!r}")
     irreps = []
     for a, mats in enumerate(d["matrices"]):
@@ -177,13 +181,28 @@ def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
         table.validate(tol)
         cat = tensorcat.from_group(table, tol)
 
+    def subgroup(section: str, key: str) -> Subgroup:
+        elements = field(section, key)
+        if not (isinstance(elements, list) and all(type(g) is int and 0 <= g < group.order for g in elements)):
+            raise ProjectError(f"{path}: {section}.{key} = {elements!r} is not a list of elements in 0..{group.order - 1}")
+        return Subgroup(group, tuple(elements))
+
+    def subgroup_module(section: str, sub: Subgroup, key: str) -> BigradedFunctor:
+        d = field(section, key)
+        try:
+            table = irrep_table_from_dict(sub.as_group, d)
+            table.validate(tol)
+        except (ProjectError, IrrepExtractionError) as err:
+            raise type(err)(f"{path}: {section}.{key}: {err}") from None
+        return module_from_subgroup(cat, sub, table, tol)
+
     module = None
     if "module" in sections:
         msec = sections["module"]
-        sub = Subgroup(group, tuple(field("module", "elements")))
+        sub = subgroup("module", "elements")
         backend = field("module", "backend")
         if backend == "subgroup":
-            module = module_from_subgroup(cat, sub, seed=int(msec.get("seed", 0)), tol=tol)
+            module = subgroup_module("module", sub, "irreps")
         elif backend == "pointed":
             mu = decode_array(msec["mu"]) if msec.get("mu") is not None else None
             module = module_from_pointed(cat, sub, mu=mu, tol=tol)
@@ -197,8 +216,7 @@ def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
         wsec = sections["morphism"]
         if wsec.get("backend") != "restriction":
             raise ProjectError(f"{path}: unknown morphism backend {wsec.get('backend')!r}")
-        tsub = Subgroup(group, tuple(field("morphism", "target_elements")))
-        target = module_from_subgroup(cat, tsub, seed=int(wsec.get("seed", 0)), tol=tol)
+        target = subgroup_module("morphism", subgroup("morphism", "target_elements"), "target_irreps")
         morphism = restriction_morphism(module, target, tol)
 
     return LoadedProject(group, cat, module, morphism, sections)
@@ -208,13 +226,18 @@ def example_projects() -> dict[str, dict]:
     """The three shipped example projects, as section dictionaries."""
     from .grouprep import cyclic_group, symmetric_group
 
+    def stored_irreps(group: FiniteGroup) -> dict:
+        return irrep_table_to_dict(extract_irreps(group, seed=0))
+
     s3 = symmetric_group(3)
     order2 = sorted(g for g in range(6) if g != 0 and s3.mul(g, g) == 0)
+    z2, trivial = Subgroup(s3, (0, order2[0])), Subgroup(s3, (0,))
     s3_sections = {
         "group": {"mult_table": np.asarray(s3.mult_table).tolist()},
-        # the loader reads the table; the seed records how it was extracted
-        "irreps": {"seed": 0, **irrep_table_to_dict(extract_irreps(s3, seed=0))},
-        "module": {"backend": "subgroup", "elements": [0, order2[0]], "seed": 0},
+        # the loader reads the tables; each seed records how its table was extracted
+        "irreps": {"seed": 0, **stored_irreps(s3)},
+        "module": {"backend": "subgroup", "elements": list(z2.elements), "seed": 0,
+                   "irreps": stored_irreps(z2.as_group)},
     }
     z4 = cyclic_group(4)
     z4_sections = {
@@ -224,7 +247,8 @@ def example_projects() -> dict[str, dict]:
     }
     morphism_sections = {
         **copy.deepcopy(s3_sections),
-        "morphism": {"backend": "restriction", "target_elements": [0], "seed": 0},
+        "morphism": {"backend": "restriction", "target_elements": list(trivial.elements),
+                     "target_irreps": stored_irreps(trivial.as_group)},
     }
     return {
         "s3_subgroup": s3_sections,

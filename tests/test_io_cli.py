@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qhspace
-from qhspace import project_io
+from qhspace import modcat, project_io
 from qhspace.certificate import Certificate
 from qhspace.cli import main
 from qhspace.grouprep import GroupAxiomError, IrrepExtractionError
@@ -113,8 +113,57 @@ def test_loading_reads_the_stored_irreducibles(monkeypatch):
         raise AssertionError("load_project extracted the irreducibles")
 
     monkeypatch.setattr(project_io, "extract_irreps", refuse)
+    monkeypatch.setattr(modcat, "extract_irreps", refuse)
     for name in SHIPPED:
         assert load_project(project_path(name)).module is not None, name
+
+
+def test_cli_leaves_numpy_random_unimported(tmp_path):
+    # the stored tables replace the seeded extraction, whose draw imports numpy.random
+    script = ("import sys\nfrom qhspace.cli import main\nstatus = main(sys.argv[1:])\n"
+              "print('numpy.random' in sys.modules)\nsys.exit(status)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qhspace.__file__))}
+    runs = [(command, name) for name in ("s3_subgroup", "s3_morphism") for command in ("validate", "verify")]
+    for command, name in runs + [("morphism", "s3_morphism")]:
+        proc = subprocess.run([sys.executable, "-c", script, command, project_path(name),
+                               "--out", str(tmp_path / "report.txt")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), (command, name, proc.stderr)
+
+
+def test_tampered_subgroup_irrep_refused_by_name(tmp_path, capsys):
+    # one entry of a stored subgroup table, written with a fresh fingerprint: exit 2, naming the table and irrep
+    module_table = example_projects()["s3_subgroup"]
+    module_table["module"]["irreps"]["matrices"][1][1][0][0][0] += 0.25  # Re u_1(1)[0, 0] of Z2
+    target_table = example_projects()["s3_morphism"]
+    target_table["morphism"]["target_irreps"]["matrices"][0][0][0][0][0] = float("nan")
+    cases = [(module_table, "module.irreps: irrep 1 fails unitarity/multiplicativity"),
+             (target_table, "morphism.target_irreps: label 0 is not the trivial representation")]
+    for i, (sections, message) in enumerate(cases):
+        path = str(tmp_path / f"p{i}.qhs.json")
+        save_project(path, sections)
+        capsys.readouterr()
+        assert main(["validate", path]) == 2, message
+        err = capsys.readouterr().err
+        assert err.startswith("error: IrrepExtractionError: ") and message in err, (message, err)
+
+
+def test_stored_subgroup_table_of_wrong_shape_is_a_project_error(tmp_path):
+    short = example_projects()["s3_subgroup"]
+    short["module"]["irreps"]["matrices"][1] = short["module"]["irreps"]["matrices"][1][:1]
+    not_a_table = example_projects()["s3_morphism"]
+    not_a_table["morphism"]["target_irreps"] = [1]
+    missing = example_projects()["s3_subgroup"]
+    del missing["module"]["irreps"]
+    cases = [(short, "module.irreps: irrep 1 has matrices of shape (1, 1, 1), not (2, d, d)"),
+             (not_a_table, "morphism.target_irreps: irrep table lacks the list 'matrices'"),
+             (missing, "section 'module' lacks key 'irreps'")]
+    for i, (sections, message) in enumerate(cases):
+        path = str(tmp_path / f"p{i}.qhs.json")
+        save_project(path, sections)
+        with pytest.raises(ProjectError) as err:
+            load_project(path)
+        assert message in str(err.value), (message, str(err.value))
 
 
 def test_schema_version_gate(tmp_path):
@@ -161,12 +210,16 @@ def test_bad_mult_table_rejected(tmp_path):
 
 
 def _without_matrices(doc: dict) -> tuple[dict, list[np.ndarray]]:
-    """The document without the irrep matrices and the fingerprint they enter, and the characters."""
+    """The document without the matrices of its irrep tables and the fingerprints they enter, and the characters."""
     doc = json.loads(json.dumps(doc))
-    if "irreps" not in doc["sections"]:
-        return doc, []
-    del doc["fingerprints"]["irreps"]
-    return doc, [np.trace(decode_array(m), axis1=1, axis2=2) for m in doc["sections"]["irreps"].pop("matrices")]
+    chars = []
+    for section, key in (("irreps", None), ("module", "irreps"), ("morphism", "target_irreps")):
+        body = doc["sections"].get(section, {})
+        table = body.get(key) if key else body
+        if table:
+            del doc["fingerprints"][section]
+            chars += [np.trace(decode_array(m), axis1=1, axis2=2) for m in table.pop("matrices")]
+    return doc, chars
 
 
 def _verdicts(path: str) -> list[tuple[str, bool]]:
@@ -177,7 +230,8 @@ def _verdicts(path: str) -> list[tuple[str, bool]]:
 def test_write_example_projects_matches_shipped(tmp_path):
     # every field but the extracted matrices is exact.  Those depend on the BLAS kernel: another
     # kernel's eigh picks another orthonormal basis of the S3 2-dimensional irrep's eigenspace
-    # (entries move by up to 1.36 under Haswell), so the irreps are compared by their characters
+    # (entries move by up to 1.36 under Haswell), so every stored table, the subgroups' too, is
+    # compared by its characters.  Even a 1-dimensional entry is not exact: Z2's is 0.9999999999999998
     for path in write_example_projects(str(tmp_path)):
         shipped_path = os.path.join(PROJECTS, os.path.basename(path))
         with open(path) as fh:
@@ -227,6 +281,16 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     dual_out_of_range["irreps"]["dual_map"][2] = 3
     text_entry = example_projects()["s3_subgroup"]
     text_entry["irreps"]["matrices"][0][0][0][0] = "x"
+    bad_elements = []
+    for name, section, key, elements in (("s3_subgroup", "module", "elements", [0, 9]),
+                                         ("s3_morphism", "morphism", "target_elements", 3),
+                                         ("s3_subgroup", "module", "elements", [0, True]),
+                                         ("s3_morphism", "morphism", "target_elements", [0, 1.0]),
+                                         ("s3_subgroup", "module", "elements", [0, -1])):
+        sections = example_projects()[name]
+        sections[section][key] = elements
+        message = f"{section}.{key} = {elements!r} is not a list of elements in 0..5"
+        bad_elements.append(("validate", sections, message))
     cases = [
         ("report", project_path("s3_subgroup"), "certificate lacks key 'subject'"),
         ("report", no_property, "check lacks key 'property'"),
@@ -238,6 +302,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         ("validate", short_irrep, "irrep 1 has matrices of shape (5, 1, 1), not (6, d, d)"),
         ("validate", dual_out_of_range, "dual_map [0, 1, 3] is not a list of 3 labels in 0..2"),
         ("validate", text_entry, "an encoded array holds 'x' where a list belongs"),
+        *bad_elements,
     ]
     for i, (command, body, message) in enumerate(cases):
         path = body if isinstance(body, str) else str(tmp_path / f"case{i}.json")

@@ -77,6 +77,17 @@ def test_mismatched_backend_rejected(s3_cat, z4):
         module_from_subgroup(s3_cat, Subgroup.generated(z4, []))
 
 
+def test_irrep_table_of_another_group_rejected(s3_cat, s3_subgroups):
+    order2, order3 = s3_subgroups["order2"], s3_subgroups["order3"]
+    with pytest.raises(ModuleDataError, match="irrep table is not on the subgroup's group"):
+        module_from_subgroup(s3_cat, order2, extract_irreps(order3.as_group, seed=0))
+    # an equal table built afresh on the subgroup's group is taken, and gives the default module's bases
+    given = module_from_subgroup(s3_cat, order2, extract_irreps(Subgroup(order2.parent, order2.elements).as_group))
+    default = module_from_subgroup(s3_cat, order2)
+    assert given.bases.keys() == default.bases.keys()
+    assert all(given.bases[k].tobytes() == default.bases[k].tobytes() for k in default.bases)
+
+
 def test_disjoint_union_is_disconnected(z4_coset_module):
     fu = disjoint_union_module(z4_coset_module, z4_coset_module)
     strict = validate_module(fu)

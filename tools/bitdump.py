@@ -12,6 +12,9 @@ saves, one key per array:
 - the matrices of every irreducible representation of a group category
   (``{tag}/irrep{a}``) and the stacked fusion isometries of every channel
   (``{tag}/fusion(a, b)/{c}``), for the projects and the group cases;
+- the irreducibles of each project's subgroups, as the loader reads them
+  from the file: the module's (``{tag}/module_irrep{a}``) and the morphism
+  target's (``{tag}/target_irrep{a}``);
 - every module basis, and every channel of every coherence block with a
   column (the blocks ``BigradedFunctor.coherence_blocks`` walks, in the
   index's (a, b, r, t) order), read through ``coherence_channel`` under the key
@@ -63,6 +66,11 @@ def _category(out: dict, tag: str, cat) -> None:
     for (a, b), channels in cat.fusion.items():
         for c, isometries in channels.items():
             out[f"{tag}/fusion{a, b}/{c}"] = np.stack(isometries)
+
+
+def _subgroup_irreps(out: dict, tag: str, mod) -> None:
+    for a, rep in enumerate(mod.irrep_table.irreps if mod.irrep_table else ()):
+        out[f"{tag}{a}"] = rep.mats
 
 
 def _module(out: dict, tag: str, mod) -> None:
@@ -122,9 +130,11 @@ def dump(path: str) -> None:
         project = load_project(os.path.join(ROOT, "projects", f"{name}.qhs.json"))
         _category(out, name, project.category)
         if project.module is not None:
+            _subgroup_irreps(out, f"{name}/module_irrep", project.module)
             _module(out, name, project.module)
             _verdicts(out, f"{name}/run_suite", run_suite(project.category, project.module))
         if project.morphism is not None:
+            _subgroup_irreps(out, f"{name}/target_irrep", project.morphism.target)
             _module(out, f"{name}/target", project.morphism.target)
             _morphism(out, name, project.morphism, 0)
     for case in make_inputs("pointed_ladder", 0, ROOT):
