@@ -20,7 +20,7 @@ from .certificate import Certificate
 from .grouprep import GroupAxiomError, IrrepExtractionError
 from .modcat import ModuleDataError, validate_module
 from .numkit import DEFAULT_TOL, HermitianityError, NumericalRankError
-from .project_io import ProjectError, algebra_to_dict, load_project
+from .project_io import ProjectError, algebra_to_dict, encode_array, load_project
 from .reconstruct import (
     ReconstructionError,
     algebra_map,
@@ -95,8 +95,6 @@ def cmd_morphism(args) -> int:
         cert.add("eigenvector", "multiplicity eigenvector identity over all labels",
                  worst, threshold=0.0)
     if args.theta_out:
-        from .project_io import encode_array
-
         with open(args.theta_out, "w") as fh:
             json.dump({"theta": encode_array(algebra_map(mor))}, fh, indent=2)
             fh.write("\n")
@@ -106,8 +104,7 @@ def cmd_morphism(args) -> int:
 def cmd_report(args) -> int:
     with open(args.certificate) as fh:
         cert = Certificate.from_dict(json.load(fh))
-    _emit(report(cert, args.format), args.out)
-    return 0 if cert.passed else 1
+    return _finish(cert, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

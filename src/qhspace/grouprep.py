@@ -26,10 +26,11 @@ class IrrepExtractionError(Exception):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as a Cayley table on element indices 0..order-1."""
+    """A finite group as a Cayley table on element indices 0..order-1, the identity at 0."""
 
     mult_table: np.ndarray  # order x order, int
-    identity: int = 0
+
+    identity = 0
 
     def __post_init__(self):
         table = np.asarray(self.mult_table, dtype=np.int64)
@@ -78,9 +79,8 @@ class FiniteGroup:
         classes.sort(key=lambda c: c[0])
         return tuple(classes)
 
-    def close_subset(self, generators, cap: int | None = None) -> tuple[int, ...]:
+    def close_subset(self, generators) -> tuple[int, ...]:
         """Subgroup generated by the given element indices."""
-        cap = cap or self.order
         elems = {self.identity}
         frontier = list(set(generators) | {self.identity})
         while frontier:
@@ -92,7 +92,7 @@ class FiniteGroup:
                         frontier.append(prod)
             if g not in elems:
                 elems.add(g)
-            if len(elems) > cap:
+            if len(elems) > self.order:
                 raise GroupAxiomError("subgroup closure exceeded parent order")
         return tuple(sorted(elems))
 
@@ -103,7 +103,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def group_from_permutations(perms: list[tuple[int, ...]]) -> FiniteGroup:
-    """Group of the given permutation list (must be closed); element order as given."""
+    """Group of the given permutation list (closed, the identity first); element order as given."""
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)
     table = np.empty((n, n), dtype=np.int64)
@@ -113,9 +113,6 @@ def group_from_permutations(perms: list[tuple[int, ...]]) -> FiniteGroup:
             if comp not in index:
                 raise GroupAxiomError("permutation list is not closed under composition")
             table[i, j] = index[comp]
-    ident = index[tuple(range(len(perms[0])))]
-    if ident != 0:
-        raise GroupAxiomError("identity permutation must come first")
     return FiniteGroup(table)
 
 
@@ -165,10 +162,6 @@ class UnitaryRep:
                                    for g in range(self.group.order))])
 
 
-def trivial_rep(group: FiniteGroup) -> UnitaryRep:
-    return UnitaryRep(group, np.ones((group.order, 1, 1), dtype=np.complex128))
-
-
 def tensor_rep(u: UnitaryRep, v: UnitaryRep) -> UnitaryRep:
     if u.group is not v.group and not np.array_equal(u.group.mult_table, v.group.mult_table):
         raise ValueError("tensor product needs a common group")
@@ -176,14 +169,6 @@ def tensor_rep(u: UnitaryRep, v: UnitaryRep) -> UnitaryRep:
     prod = u.mats[:, :, None, :, None] * v.mats[:, None, :, None, :]
     d = u.dim * v.dim
     return UnitaryRep(u.group, prod.reshape(u.group.order, d, d))
-
-
-def regular_rep(group: FiniteGroup) -> UnitaryRep:
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    idx = np.arange(n)
-    mats[idx[:, None], group.mult_table, idx[None, :]] = 1.0  # g sends h to gh
-    return UnitaryRep(group, mats)
 
 
 def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -282,12 +267,12 @@ class IrrepTable:
             raise IrrepExtractionError("trivial label must be self-dual")
 
 
-def _character_key(group: FiniteGroup, rep: UnitaryRep, digits: int = 6):
+def _character_key(group: FiniteGroup, rep: UnitaryRep):
     chars = rep.character
     key = []
     for cls in group.conjugacy_classes:
         val = chars[cls[0]]
-        key.append((round(val.real, digits), round(val.imag, digits)))
+        key.append((round(val.real, 6), round(val.imag, 6)))
     return (rep.dim, tuple(key))
 
 
@@ -395,7 +380,7 @@ class Subgroup:
         for i, g in enumerate(self.elements):
             for j, h in enumerate(self.elements):
                 table[i, j] = pos[self.parent.mul(g, h)]
-        return FiniteGroup(table, identity=pos[self.parent.identity])
+        return FiniteGroup(table)
 
     @property
     def order(self) -> int:

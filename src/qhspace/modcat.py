@@ -7,8 +7,7 @@ a stacked isometry basis of every nonzero multiplicity space, the coherence
 blocks of every iterated action against the fusion isometries of the
 category, and the module associator as three phase tables.  Builders fill it
 once: restriction to a subgroup (module = Rep(H) over Rep(G)), twisted coset
-modules over a pointed category (Ostrik's (K, mu) data over Vec_G^omega),
-and the disjoint union of two records.
+modules over a pointed category (Ostrik's (K, mu) data over Vec_G^omega).
 """
 
 from __future__ import annotations
@@ -380,26 +379,6 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
                 bases[(a, r, s)] = t
     return _assemble(cat, f"coset[{nk}]", (nk,) * len(cosets), bases,
                      handle=np.arange(group.order), fuse=mul, phase=om[:, :, grade])
-
-
-def disjoint_union_module(f1: BigradedFunctor, f2: BigradedFunctor) -> BigradedFunctor:
-    """Disjoint union of two modules over the same category.
-
-    Legal module data whose base graph is disconnected; used to exercise the
-    connectedness diagnostic.  The base labels of ``f2`` follow those of
-    ``f1``, so every table is the block-diagonal concatenation of the two.
-    """
-    if f1.cat is not f2.cat:
-        raise ModuleDataError("disjoint union needs modules over the same category")
-    cut = f1.n_base
-    bases = dict(f1.bases)
-    bases.update({(a, r + cut, s + cut): v for (a, r, s), v in f2.bases.items()})
-    width = max(f1.phase.shape[3], f2.phase.shape[3])
-    phase = np.ones((*f1.phase.shape[:2], cut + f2.n_base, width), dtype=np.complex128)
-    phase[:, :, :cut, : f1.phase.shape[3]] = f1.phase
-    phase[:, :, cut:, : f2.phase.shape[3]] = f2.phase
-    return _assemble(f1.cat, f"{f1.name}+{f2.name}", f1.base_dims + f2.base_dims, bases,
-                     f1.handle, f1.fuse, phase)
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:

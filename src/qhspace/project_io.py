@@ -8,8 +8,8 @@ morphism those of its target subgroup (``morphism.target_irreps``); the
 loader validates every table and builds from it, and extracts none.  Each
 section carries a fingerprint of its JSON, and the loader refuses a section
 that does not match its fingerprint.  Complex numbers are stored as
-[re, im] decimal pairs with 17 significant digits, which round-trips
-doubles exactly.
+[re, im] pairs of JSON numbers, in the shortest decimal form that reads back
+to the same double.
 """
 
 from __future__ import annotations
@@ -34,27 +34,16 @@ class ProjectError(Exception):
     pass
 
 
-def _f(x: float) -> float:
-    return float(f"{float(x):.17g}")
-
-
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [_f(z.real), _f(z.imag)]
-
-
 def encode_array(arr: np.ndarray) -> list:
     a = np.asarray(arr, dtype=np.complex128)
-    if a.ndim == 0:
-        return _pair(complex(a))
-    return [encode_array(sub) for sub in a]
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def decode_array(data) -> np.ndarray:
     def walk(node):
         if not isinstance(node, list):
             raise ProjectError(f"an encoded array holds {node!r} where a list belongs")
-        if len(node) == 2 and all(isinstance(v, (int, float)) for v in node):
+        if len(node) == 2 and all(type(v) in (int, float) for v in node):
             return complex(node[0], node[1])
         return [walk(sub) for sub in node]
 
@@ -96,29 +85,15 @@ def irrep_table_from_dict(group: FiniteGroup, d: dict) -> IrrepTable:
 
 
 def algebra_to_dict(alg: SpectralAlgebra) -> dict:
-    t = alg.tensor
+    t, nonzero = alg.tensor, alg.tensor != 0.0
     # the nonzero structure constants, in C order of (p, q, r)
-    triplets = [[p, q, r, _pair(t[p, q, r])] for p, q, r in np.argwhere(t != 0.0).tolist()]
+    triplets = [[*pqr, z] for pqr, z in zip(np.argwhere(nonzero).tolist(), encode_array(t[nonzero]))]
     return {
         "basis": [list(tr) for tr in alg.triples],
         "grading": [tr[0] for tr in alg.triples],
         "unit_index": alg.index[(tensorcat.UNIT_LABEL, 0, 0)],
         "structure_constants": triplets,
         "star_matrix": encode_array(alg.star_mat),
-    }
-
-
-def algebra_from_dict(d: dict) -> dict:
-    n = len(d["basis"])
-    t = np.zeros((n, n, n), dtype=np.complex128)
-    for p, q, r, pair in d["structure_constants"]:
-        t[p, q, r] = complex(pair[0], pair[1])
-    return {
-        "basis": [tuple(b) for b in d["basis"]],
-        "grading": list(d["grading"]),
-        "unit_index": int(d["unit_index"]),
-        "tensor": t,
-        "star_matrix": decode_array(d["star_matrix"]),
     }
 
 

@@ -184,10 +184,6 @@ class SpectralAlgebra:
     def star(self, v: np.ndarray) -> np.ndarray:
         return self.star_mat @ np.conj(v)
 
-    def expectation(self, v: np.ndarray) -> complex:
-        """Coefficient of the unit-label component: the invariant state."""
-        return complex(v[self.index[(UNIT_LABEL, 0, 0)]])
-
     def left_multiplication(self, v: np.ndarray) -> np.ndarray:
         return np.einsum("p,pqr->rq", v, self.tensor)
 
@@ -591,49 +587,6 @@ def eigenvector_test(mor: ModuleMorphism, a: int) -> float:
     my = np.asarray(mor.target.dims[a], dtype=np.float64)
     fd = np.asarray(mor.fdims, dtype=np.float64)
     return float(np.max(np.abs(fd @ mx - my @ fd)))
-
-
-def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
-    off = block_offsets([len(blk) for blk in blocks])
-    out = np.zeros((off[-1], off[-1]), dtype=np.complex128)
-    for blk, lo, hi in zip(blocks, off[:-1], off[1:]):
-        out[lo:hi, lo:hi] = blk
-    return out
-
-
-def gauge_transform(mor: ModuleMorphism,
-                    unitaries: dict[tuple[int, int], np.ndarray]) -> ModuleMorphism:
-    """Change the multiplicity-space bases by block unitaries.
-
-    ``unitaries[(p, r)]`` rotates the (p, r) multiplicity space and must be a
-    (fdims[p, r], fdims[p, r]) unitary; missing blocks default to the
-    identity.  The block at the two distinguished bases must stay the
-    identity so the normalization vector is preserved.  Each exchange block
-    psi[(a, p, r)] becomes R^dagger psi C, with R block-diagonal over the
-    target labels q (blocks I (x) U[(q, r)]) and C over the source labels s
-    (blocks U[(p, s)] (x) I).
-    """
-    for key, u in unitaries.items():
-        d = int(mor.fdims[key])
-        if np.shape(u) != (d, d):
-            raise ReconstructionError(f"gauge block {key} has shape {np.shape(u)}, not ({d}, {d})")
-        if max_residual(dagger(u) @ u, np.eye(d)) > DEFAULT_TOL:
-            raise ReconstructionError(f"gauge block {key} is not unitary")
-    key0 = (mor.y_base, mor.x_base)
-    if key0 in unitaries and max_residual(unitaries[key0], np.eye(int(mor.fdims[key0]))) > 0:
-        raise ReconstructionError("gauge must fix the distinguished multiplicity vector")
-
-    def u(p, r):
-        d = int(mor.fdims[p, r])
-        return np.asarray(unitaries.get((p, r), np.eye(d)), dtype=np.complex128)
-
-    fx, fy = mor.source, mor.target
-    new_psi = {}
-    for (a, p, r), blk in mor.psi.items():
-        row_t = _block_diag([np.kron(np.eye(fy.dims[a, p, q]), u(q, r)) for q in range(fy.n_base)])
-        col_t = _block_diag([np.kron(u(p, s), np.eye(fx.dims[a, s, r])) for s in range(fx.n_base)])
-        new_psi[(a, p, r)] = dagger(row_t) @ blk @ col_t
-    return ModuleMorphism(fx, fy, mor.fdims.copy(), new_psi, mor.x_base, mor.y_base)
 
 
 def _hexagon_residual(mor: ModuleMorphism) -> float:

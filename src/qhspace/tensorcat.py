@@ -10,7 +10,7 @@ data over a finite group with a 3-cocycle (scalar associator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -180,16 +180,6 @@ class CategoryPresentation:
         )
         return max_residual(s1, eye_a), max_residual(s2, eye_bar)
 
-    def with_rescaled_conjugates(self, scale: complex) -> "CategoryPresentation":
-        """Copy with every conjugate pair (R, Rbar) -> (s R, conj(s)^-1 Rbar)."""
-        s = complex(scale)
-        if s == 0:
-            raise ValueError("conjugate rescaling must be nonzero")
-        new_conj = {
-            a: (s * r, (1.0 / np.conj(s)) * rbar) for a, (r, rbar) in self.conj_solutions.items()
-        }
-        return replace(self, conj_solutions=new_conj)
-
 
 def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentation:
     """Representation category of a finite group as a presentation.
@@ -247,8 +237,6 @@ def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentat
 def from_pointed(data: PointedFusionData) -> CategoryPresentation:
     """Pointed category: labels are group elements, fusion follows the group law."""
     group = data.group
-    if group.identity != UNIT_LABEL:
-        raise PresentationError("pointed backend expects the identity at index 0")
     n = group.order
     one = np.ones((1, 1), dtype=np.complex128)
     fusion = {(g, h): {group.mul(g, h): (one.copy(),)} for g in range(n) for h in range(n)}

@@ -7,13 +7,11 @@ a failed assertion leaves the criterion marked FAIL.
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from qhspace import tensorcat
 from qhspace.grouprep import Subgroup, cyclic_group, extract_irreps, symmetric_group
-from qhspace.modcat import module_from_pointed, module_from_subgroup, validate_module
+from qhspace.modcat import module_from_subgroup, validate_module
 from qhspace.numkit import max_residual
-from qhspace.project_io import example_projects
 from qhspace.reconstruct import (
     algebra_map,
     basis_triples,
@@ -21,15 +19,14 @@ from qhspace.reconstruct import (
     classical_roundtrip,
     cp_certificate,
     eigenvector_test,
-    gauge_transform,
     restriction_morphism,
     validate_morphism,
     verify_algebra,
     verify_algebra_map,
 )
-from qhspace.tensorcat import UNIT_LABEL, standard_cyclic_cocycle, verify_presentation
-from qhspace.verify import run_suite
+from qhspace.tensorcat import UNIT_LABEL, verify_presentation
 
+from support import gauge_transform, random_gauge, with_rescaled_conjugates
 from test_oracles import invariant_dimension_by_characters
 
 
@@ -113,17 +110,7 @@ def test_criterion_07_restriction_algebra_map(s3_modules):
     ok = ok and verify_algebra_map(mor, tol=1e-9).passed
     th = algebra_map(mor)
     ok = ok and th.shape == (6, 3) and np.linalg.matrix_rank(th) == 3
-    rng = np.random.default_rng(3)
-    unitaries = {}
-    for p in range(mor.fdims.shape[0]):
-        for r in range(mor.fdims.shape[1]):
-            d = int(mor.fdims[p, r])
-            if (p, r) == (mor.y_base, mor.x_base) or d == 0:
-                continue
-            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            q, _ = np.linalg.qr(z)
-            unitaries[(p, r)] = q
-    th2 = algebra_map(gauge_transform(mor, unitaries))
+    th2 = algebra_map(gauge_transform(mor, random_gauge(mor, 3)))
     ok = ok and np.array_equal(th, th2)
     verdict(7, "restriction induces a gauge-independent unital *-embedding", ok)
 
@@ -144,7 +131,7 @@ def test_criterion_09_gauge_independence_of_duality(s3_table, s3_subgroups):
     ref = build_algebra(module_from_subgroup(cat, sub), 0)
     ok = True
     for lam in (2.0, 1j, 0.5 + 0.5j):
-        alg = build_algebra(module_from_subgroup(cat.with_rescaled_conjugates(lam), sub), 0)
+        alg = build_algebra(module_from_subgroup(with_rescaled_conjugates(cat, lam), sub), 0)
         ok = ok and np.array_equal(ref.tensor, alg.tensor)
         ok = ok and np.array_equal(ref.star_mat, alg.star_mat)
     verdict(9, "structure constants bit-identical under conjugate rescaling", ok)

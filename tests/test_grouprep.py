@@ -18,18 +18,20 @@ from qhspace.grouprep import (
     extract_irreps,
     group_from_permutations,
     intertwiner_basis,
-    regular_rep,
     restrict,
     symmetric_group,
     tensor_rep,
-    trivial_rep,
 )
 from qhspace.numkit import max_residual
+
+from support import regular_rep, trivial_rep
 
 
 def test_group_axioms_reject_bad_table():
     with pytest.raises(GroupAxiomError):
         FiniteGroup(np.array([[0, 0], [0, 0]]))
+    with pytest.raises(GroupAxiomError, match="identity law fails at element 0"):
+        FiniteGroup(np.array([[1, 0], [0, 1]]))  # Z2 with its identity at element 1
 
 
 def test_group_axioms_reject_nonassociative_loop_of_order_260():

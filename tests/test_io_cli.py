@@ -12,9 +12,9 @@ from qhspace import modcat, project_io
 from qhspace.certificate import Certificate
 from qhspace.cli import main
 from qhspace.grouprep import GroupAxiomError, IrrepExtractionError
+from qhspace.modcat import validate_module
 from qhspace.project_io import (
     ProjectError,
-    algebra_from_dict,
     algebra_to_dict,
     decode_array,
     encode_array,
@@ -27,6 +27,8 @@ from qhspace.project_io import (
 )
 from qhspace.reconstruct import build_algebra
 from qhspace.verify import run_suite
+
+from support import algebra_from_dict
 
 PROJECTS = os.path.join(os.path.dirname(__file__), "..", "projects")
 SHIPPED = ("s3_subgroup", "z4_pointed", "s3_morphism")
@@ -42,6 +44,33 @@ def test_array_roundtrip():
     assert np.array_equal(decode_array(encode_array(a)), a)
     v = np.array([1.0, -2.5])
     assert np.array_equal(decode_array(encode_array(v)), v)
+
+
+def test_array_codec_keeps_every_bit():
+    # the sign of zero, subnormals, the largest double and the stored trivial entry, through JSON text
+    x = np.array([-0.0, 5e-324, 1e-310, -2.2250738585072014e-308, np.finfo(float).max, 1.0000000000000002])
+    a = np.zeros(len(x), dtype=np.complex128)
+    a.real, a.imag = x, x[::-1]
+    assert decode_array(json.loads(json.dumps(encode_array(a)))).tobytes() == a.tobytes()
+    assert json.dumps(encode_array(-0.0)) == "[-0.0, 0.0]"
+    # every array stored in the shipped projects decodes and re-encodes to the same JSON
+    stored = []
+    for name in SHIPPED:
+        with open(project_path(name)) as fh:
+            sections = json.load(fh)["sections"]
+        tables = [sections.get("irreps"), sections.get("module", {}).get("irreps"),
+                  sections.get("morphism", {}).get("target_irreps")]
+        stored += [m for table in tables if table for m in table["matrices"]]
+        stored += [sections["cocycle"]["values"]] if "cocycle" in sections else []
+    assert len(stored) == 12
+    for data in stored:
+        assert json.dumps(encode_array(decode_array(data))) == json.dumps(data)
+
+
+def test_decode_array_refuses_booleans():
+    with pytest.raises(ProjectError, match="holds True where a list belongs"):
+        decode_array([True, 0.5])
+    assert decode_array([1, 0.5]) == 1 + 0.5j
 
 
 def test_irrep_table_roundtrip(s3_table):
@@ -82,8 +111,6 @@ def test_algebra_dict_roundtrip(s3_modules, tmp_path):
 
 
 def test_certificate_roundtrip(s3_modules):
-    from qhspace.modcat import validate_module
-
     cert = validate_module(s3_modules["order2"])
     cert2 = Certificate.from_dict(json.loads(cert.to_json()))
     assert cert2.passed == cert.passed
@@ -281,6 +308,8 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     dual_out_of_range["irreps"]["dual_map"][2] = 3
     text_entry = example_projects()["s3_subgroup"]
     text_entry["irreps"]["matrices"][0][0][0][0] = "x"
+    bool_entry = example_projects()["s3_subgroup"]
+    bool_entry["irreps"]["matrices"][0][0][0][0] = [True, False]
     bad_elements = []
     for name, section, key, elements in (("s3_subgroup", "module", "elements", [0, 9]),
                                          ("s3_morphism", "morphism", "target_elements", 3),
@@ -302,6 +331,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         ("validate", short_irrep, "irrep 1 has matrices of shape (5, 1, 1), not (6, d, d)"),
         ("validate", dual_out_of_range, "dual_map [0, 1, 3] is not a list of 3 labels in 0..2"),
         ("validate", text_entry, "an encoded array holds 'x' where a list belongs"),
+        ("validate", bool_entry, "an encoded array holds True where a list belongs"),
         *bad_elements,
     ]
     for i, (command, body, message) in enumerate(cases):

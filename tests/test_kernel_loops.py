@@ -51,6 +51,8 @@ from qhspace.reconstruct import (
 )
 from qhspace.tensorcat import UNIT_LABEL
 
+from support import regular_rep
+
 
 def _columns(f, a, b, r, t):
     """Coherence columns (s, m, n) of F_{rs}(a) (x) F_{st}(b), in order."""
@@ -734,4 +736,4 @@ def test_regular_average_matches_loop(group_tables):
                 c += reg[g] @ h @ reg[group.inv(g)]
             ref = (c + np.conj(c).T) / (2.0 * n)
             assert np.array_equal(_regular_average(group, h), ref), (n, seed)
-        assert np.array_equal(grouprep.regular_rep(group).mats, np.stack(reg))
+        assert np.array_equal(regular_rep(group).mats, np.stack(reg))

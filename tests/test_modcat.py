@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 import qhspace
-from qhspace.grouprep import Subgroup, cyclic_group, dihedral_group, extract_irreps
+from qhspace.grouprep import Subgroup, cyclic_group, dihedral_group, extract_irreps, restrict
 from qhspace import tensorcat
 from qhspace.modcat import (
     CocycleError,
     ModuleDataError,
-    disjoint_union_module,
     equivalence_check,
     functor_dimension_matrix,
     module_from_pointed,
@@ -24,6 +23,8 @@ from qhspace import modcat
 from qhspace.modcat import _triple_coherence_residual
 from qhspace.numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, successors
 from qhspace.reconstruct import ReconstructionError, restriction_morphism
+
+from support import disjoint_union_module
 
 
 def test_all_s3_modules_validate(s3_modules):
@@ -269,8 +270,6 @@ def test_functor_dimension_matrix_identity(s3_table):
 
 
 def test_functor_dimension_matrix_restriction(s3_table, s3_subgroups):
-    from qhspace.grouprep import UnitaryRep, restrict
-
     sub = s3_subgroups["order2"]
     h_table = extract_irreps(sub.as_group, seed=0)
     images = [restrict(r, sub) for r in s3_table.irreps]

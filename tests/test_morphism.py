@@ -5,16 +5,16 @@ import pytest
 
 from qhspace.grouprep import Subgroup
 from qhspace.modcat import module_from_subgroup
-from qhspace.numkit import max_residual
 from qhspace.reconstruct import (
     ReconstructionError,
     algebra_map,
     eigenvector_test,
-    gauge_transform,
     restriction_morphism,
     validate_morphism,
     verify_algebra_map,
 )
+
+from support import gauge_transform, random_gauge
 
 
 @pytest.fixture(scope="module")
@@ -58,20 +58,7 @@ def test_perron_eigenvector_of_action_matrix(s3_restriction, s3_cat):
 
 
 def test_gauge_transform_preserves_algebra_map(s3_restriction):
-    rng = np.random.default_rng(3)
-    unitaries = {}
-    jy, jx = s3_restriction.fdims.shape
-    for p in range(jy):
-        for r in range(jx):
-            if (p, r) == (s3_restriction.y_base, s3_restriction.x_base):
-                continue
-            d = int(s3_restriction.fdims[p, r])
-            if d == 0:
-                continue
-            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            q, _ = np.linalg.qr(z)
-            unitaries[(p, r)] = q
-    mor2 = gauge_transform(s3_restriction, unitaries)
+    mor2 = gauge_transform(s3_restriction, random_gauge(s3_restriction, 3))
     assert validate_morphism(mor2).passed
     assert np.array_equal(algebra_map(s3_restriction), algebra_map(mor2))
 

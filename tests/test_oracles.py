@@ -7,7 +7,7 @@ touches the category or reconstruction machinery.
 
 import numpy as np
 
-from qhspace.grouprep import Subgroup, intertwiner_basis, restrict, symmetric_group
+from qhspace.grouprep import Subgroup, cyclic_group, extract_irreps, intertwiner_basis, restrict
 
 
 def invariant_dimension_by_characters(table, sub):
@@ -41,8 +41,6 @@ def test_coset_counts(s3, s3_subgroups):
 def test_branching_by_characters(s3_table, s3_subgroups):
     """Restriction multiplicities from character inner products match
     explicitly computed intertwiner spaces."""
-    from qhspace.grouprep import extract_irreps
-
     sub = s3_subgroups["order2"]
     h_table = extract_irreps(sub.as_group, seed=0)
     for rep in s3_table.irreps:
@@ -69,8 +67,6 @@ def test_character_orthogonality(s3_table):
 def test_coset_stabilizer_counts():
     """For pointed coset modules the algebra dimension oracle is the number
     of group elements stabilizing the base coset."""
-    from qhspace.grouprep import cyclic_group
-
     z4 = cyclic_group(4)
     k = Subgroup.generated(z4, [2])
     base = k.left_cosets()[0]
@@ -81,8 +77,6 @@ def test_coset_stabilizer_counts():
 def test_s3_multiplicity_matrix_oracle(s3_table, s3_subgroups):
     """The 2-dim irrep of S3 restricted to Z2 contains each Z2-character
     once: the action matrix of the module is the all-ones 2x2 matrix."""
-    from qhspace.grouprep import extract_irreps
-
     sub = s3_subgroups["order2"]
     h_table = extract_irreps(sub.as_group, seed=0)
     two = [r for r in s3_table.irreps if r.dim == 2][0]

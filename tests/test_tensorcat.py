@@ -17,6 +17,7 @@ from qhspace.tensorcat import (
     verify_presentation,
 )
 
+from support import with_rescaled_conjugates
 from test_grouprep import _quaternion_group
 
 
@@ -63,7 +64,7 @@ def test_unit_fusion_is_exact_identity(s3_cat):
 
 def test_rescaling_preserves_snakes(s3_cat):
     for lam in (2.0, 1j, 0.5 + 0.5j):
-        cat2 = s3_cat.with_rescaled_conjugates(lam)
+        cat2 = with_rescaled_conjugates(s3_cat, lam)
         for a in cat2.labels:
             s1, s2 = cat2.snake_residuals(a)
             assert s1 < 1e-9 and s2 < 1e-9
@@ -71,7 +72,7 @@ def test_rescaling_preserves_snakes(s3_cat):
 
 def test_rescaling_zero_rejected(s3_cat):
     with pytest.raises(ValueError):
-        s3_cat.with_rescaled_conjugates(0.0)
+        with_rescaled_conjugates(s3_cat, 0.0)
 
 
 def test_cocycle_identity_enforced():
@@ -135,7 +136,7 @@ def test_canonical_conjugates_deterministic(s3_cat):
 
 def test_canonical_conjugates_read_only_and_kept_by_rescaled_copies(s3_cat, z4_pointed_cat):
     for cat in (s3_cat, z4_pointed_cat):
-        copy = cat.with_rescaled_conjugates(2.0 + 1j)
+        copy = with_rescaled_conjugates(cat, 2.0 + 1j)
         for a in cat.labels:
             r, rb = cat.canonical_conjugates(a)
             with pytest.raises(ValueError):
