@@ -16,11 +16,11 @@ import numpy as np
 from .numkit import DEFAULT_TOL, RUN_ENTRIES, dagger, largest, max_residual, solution_basis
 
 
-class GroupAxiomError(Exception):
+class GroupAxiomError(ValueError):
     pass
 
 
-class IrrepExtractionError(Exception):
+class IrrepExtractionError(ValueError):
     pass
 
 
@@ -79,10 +79,17 @@ class FiniteGroup:
         classes.sort(key=lambda c: c[0])
         return tuple(classes)
 
+    def check_elements(self, elements) -> None:
+        """Refuse, by name, an element index outside 0..order-1 (numpy would wrap a negative one)."""
+        for g in elements:
+            if not 0 <= g < self.order:
+                raise GroupAxiomError(f"element {g} is not in 0..{self.order - 1}")
+
     def close_subset(self, generators) -> tuple[int, ...]:
         """Subgroup generated by the given element indices."""
         elems = {self.identity}
         frontier = list(set(generators) | {self.identity})
+        self.check_elements(frontier)
         while frontier:
             g = frontier.pop()
             for h in list(elems):
@@ -359,6 +366,7 @@ class Subgroup:
 
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
+        self.parent.check_elements(elems)
         object.__setattr__(self, "elements", elems)
         index = set(elems)
         if self.parent.identity not in index:

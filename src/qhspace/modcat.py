@@ -23,7 +23,7 @@ from .numkit import DEFAULT_TOL, RUN_ENTRIES, NumericalRankError, largest, max_r
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError, fusion_table
 
 
-class ModuleDataError(Exception):
+class ModuleDataError(ValueError):
     pass
 
 

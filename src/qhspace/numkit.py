@@ -19,11 +19,11 @@ DEFAULT_TOL = 1e-9
 RUN_ENTRIES = 1 << 14
 
 
-class NumericalRankError(Exception):
+class NumericalRankError(ValueError):
     """Singular values cluster at the rank-decision threshold."""
 
 
-class HermitianityError(Exception):
+class HermitianityError(ValueError):
     """Matrix expected Hermitian is not, beyond tolerance."""
 
 

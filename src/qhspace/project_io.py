@@ -25,12 +25,12 @@ from . import tensorcat
 from .grouprep import FiniteGroup, IrrepExtractionError, IrrepTable, Subgroup, UnitaryRep, extract_irreps
 from .modcat import BigradedFunctor, module_from_pointed, module_from_subgroup
 from .numkit import DEFAULT_TOL
-from .reconstruct import ModuleMorphism, SpectralAlgebra, restriction_morphism
+from .reconstruct import ModuleMorphism, SpectralAlgebra, basis_triples, restriction_morphism
 
 SCHEMA_VERSION = "3"
 
 
-class ProjectError(Exception):
+class ProjectError(ValueError):
     pass
 
 
@@ -88,10 +88,11 @@ def algebra_to_dict(alg: SpectralAlgebra) -> dict:
     t, nonzero = alg.tensor, alg.tensor != 0.0
     # the nonzero structure constants, in C order of (p, q, r)
     triplets = [[*pqr, z] for pqr, z in zip(np.argwhere(nonzero).tolist(), encode_array(t[nonzero]))]
+    basis = basis_triples(alg.functor, alg.base, alg.base)
     return {
-        "basis": [list(tr) for tr in alg.triples],
-        "grading": [tr[0] for tr in alg.triples],
-        "unit_index": alg.index[(tensorcat.UNIT_LABEL, 0, 0)],
+        "basis": [list(tr) for tr in basis],
+        "grading": [tr[0] for tr in basis],
+        "unit_index": 0,
         "structure_constants": triplets,
         "star_matrix": encode_array(alg.star_mat),
     }

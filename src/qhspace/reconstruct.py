@@ -11,7 +11,10 @@ cumulative-offset vector (``numkit.block_offsets``) says where each block
 starts:
 
 - the (x, y) spectral space: one (dims[a, x, y], d_a) block of triples
-  (m, i) per label a, at ``spectral_offsets(f, x, y)``;
+  (m, i) per label a, at ``spectral_offsets(f, x, y)``, whose last entry is
+  the ``dim`` of the algebra or bimodule.  The unit label's block comes
+  first, and ``build_algebra`` requires it to be 1 x 1 at the base, so the
+  unit of an algebra is element 0;
 - the columns (s, m, n) of coherence block (a, b, r, t): one (dims[a, r, s],
   dims[b, s, t]) block per intermediate base label s with a column, at
   ``BigradedFunctor.coherence_block(a, b, r, t)[1][s]``;
@@ -48,7 +51,7 @@ from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, largest, max_resid
 from .tensorcat import UNIT_LABEL
 
 
-class ReconstructionError(Exception):
+class ReconstructionError(ValueError):
     pass
 
 
@@ -152,17 +155,9 @@ class SpectralAlgebra:
     functor: BigradedFunctor
     base: int = 0
 
-    @cached_property
-    def triples(self) -> list[tuple[int, int, int]]:
-        return basis_triples(self.functor, self.base, self.base)
-
     @property
     def dim(self) -> int:
-        return len(self.triples)
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int, int], int]:
-        return {t: i for i, t in enumerate(self.triples)}
+        return int(spectral_offsets(self.functor, self.base, self.base)[-1])
 
     @cached_property
     def tensor(self) -> np.ndarray:
@@ -175,7 +170,7 @@ class SpectralAlgebra:
     @cached_property
     def unit(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.complex128)
-        v[self.index[(UNIT_LABEL, 0, 0)]] = 1.0
+        v[0] = 1.0
         return v
 
     def multiply(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -189,7 +184,7 @@ class SpectralAlgebra:
 
     def gram_from_product(self) -> np.ndarray:
         """Gram matrix E(e_p^* e_q) computed through star and multiplication."""
-        return self.star_mat.T @ self.tensor[:, :, self.index[(UNIT_LABEL, 0, 0)]]
+        return self.star_mat.T @ self.tensor[:, :, 0]
 
     def gram_closed_form(self) -> np.ndarray:
         """Gram matrix from the duality data alone, bypassing the product.
@@ -318,8 +313,7 @@ def cp_certificate(alg: SpectralAlgebra, tol: float = DEFAULT_TOL) -> Certificat
              max_residual(g1, dagger(g1)))
     ok, lo = psd_check((g1 + dagger(g1)) / 2.0, tol)
     cert.add_flag("gram_psd", "Gram matrix is positive semidefinite", ok, value=-lo)
-    cert.add("state_unit", "E(1* 1) = 1",
-             abs(g1[alg.index[(UNIT_LABEL, 0, 0)], alg.index[(UNIT_LABEL, 0, 0)]] - 1.0))
+    cert.add("state_unit", "E(1* 1) = 1", abs(g1[0, 0] - 1.0))
     return cert
 
 
@@ -388,13 +382,9 @@ class SpectralBimodule:
     x: int
     y: int
 
-    @cached_property
-    def triples(self) -> list[tuple[int, int, int]]:
-        return basis_triples(self.functor, self.x, self.y)
-
     @property
     def dim(self) -> int:
-        return len(self.triples)
+        return int(spectral_offsets(self.functor, self.x, self.y)[-1])
 
     @cached_property
     def left_tensor(self) -> np.ndarray:

@@ -21,11 +21,11 @@ from .numkit import DEFAULT_TOL, dagger, kron, largest, max_residual, stack_by_s
 UNIT_LABEL = 0
 
 
-class CocycleError(Exception):
+class CocycleError(ValueError):
     """3-cocycle data violates the cocycle identity or normalization."""
 
 
-class PresentationError(Exception):
+class PresentationError(ValueError):
     pass
 
 
@@ -120,14 +120,8 @@ class CategoryPresentation:
     def isometries(self, a: int, b: int, c: int) -> tuple[np.ndarray, ...]:
         return self.fusion[(a, b)].get(c, ())
 
-    def assoc_scalar(self, a: int, b: int, c: int) -> complex:
-        """Scalar of the associator (a x b) x c -> a x (b x c)."""
-        if self.pointed is not None:
-            return complex(self.pointed.cocycle[a, b, c])
-        return 1.0
-
     def assoc_table(self) -> np.ndarray:
-        """``assoc_scalar`` of every label triple, as one (L, L, L) array."""
+        """Entry [a, b, c] is the scalar of the associator (a x b) x c -> a x (b x c)."""
         if self.pointed is not None:
             return self.pointed.cocycle
         return np.ones((len(self.obj_dim),) * 3, dtype=np.complex128)
@@ -151,7 +145,7 @@ class CategoryPresentation:
         r = np.sqrt(self.qdim[a]) * iotas[0].reshape(dbar * da, 1)
         # first snake: (Rbar^* x id_a) assoc(a,abar,a)^-1 (id_a x R) = id_a,
         # linear in conj(Rbar) with a unique solution
-        assoc_inv = np.conj(self.assoc_scalar(a, abar, a)) * np.eye(
+        assoc_inv = np.conj(self.assoc_table()[a, abar, a]) * np.eye(
             da * dbar * da, dtype=np.complex128
         )
         b = assoc_inv @ kron(np.eye(da), r)  # (da*dbar*da) x da, index (k,m,j) x i
@@ -170,14 +164,9 @@ class CategoryPresentation:
         r, rbar = self.conj_solutions[a]
         eye_a = np.eye(da, dtype=np.complex128)
         eye_bar = np.eye(dbar, dtype=np.complex128)
-        s1 = (
-            kron(dagger(rbar), eye_a)
-            @ (np.conj(self.assoc_scalar(a, abar, a)) * kron(eye_a, r))
-        )
-        s2 = (
-            kron(dagger(r), eye_bar)
-            @ (np.conj(self.assoc_scalar(abar, a, abar)) * kron(eye_bar, rbar))
-        )
+        assoc = self.assoc_table()
+        s1 = kron(dagger(rbar), eye_a) @ (np.conj(assoc[a, abar, a]) * kron(eye_a, r))
+        s2 = kron(dagger(r), eye_bar) @ (np.conj(assoc[abar, a, abar]) * kron(eye_bar, rbar))
         return max_residual(s1, eye_a), max_residual(s2, eye_bar)
 
 

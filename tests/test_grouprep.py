@@ -133,6 +133,18 @@ def test_subgroup_generated_closure(s3):
     assert sub.order == 2 and 0 in sub.elements
 
 
+def test_subgroup_refuses_elements_outside_the_group(s3):
+    # numpy would wrap -1 to element 5, and index 6 would be an IndexError
+    for elements in ((0, -1), (0, 6)):
+        with pytest.raises(GroupAxiomError, match=f"element {elements[1]} is not in 0..5"):
+            Subgroup(s3, elements)
+    for generators in ([-1], [1, 6]):
+        with pytest.raises(GroupAxiomError, match=f"element {generators[-1]} is not in 0..5"):
+            Subgroup.generated(s3, generators)
+        with pytest.raises(GroupAxiomError, match=f"element {generators[-1]} is not in 0..5"):
+            s3.close_subset(generators)
+
+
 def test_restriction_dimension(s3, s3_table, s3_subgroups):
     sub = s3_subgroups["order2"]
     for r in s3_table.irreps:

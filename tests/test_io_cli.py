@@ -1,5 +1,8 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import platform
 import subprocess
 import sys
@@ -25,7 +28,7 @@ from qhspace.project_io import (
     save_project,
     write_example_projects,
 )
-from qhspace.reconstruct import build_algebra
+from qhspace.reconstruct import basis_triples, build_algebra
 from qhspace.verify import run_suite
 
 from support import algebra_from_dict
@@ -96,7 +99,7 @@ def _algebra_dict_loop(alg):
 def test_algebra_dict_roundtrip(s3_modules, tmp_path):
     alg = build_algebra(s3_modules["order2"], 0)
     d = algebra_from_dict(json.loads(json.dumps(algebra_to_dict(alg))))
-    assert d["basis"] == alg.triples
+    assert d["basis"] == basis_triples(alg.functor, 0, 0)
     assert np.array_equal(d["tensor"], alg.tensor)
     assert np.array_equal(d["star_matrix"], alg.star_mat)
     # the ``qhs reconstruct`` file of every base of the shipped projects, byte for byte
@@ -310,6 +313,13 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     text_entry["irreps"]["matrices"][0][0][0][0] = "x"
     bool_entry = example_projects()["s3_subgroup"]
     bool_entry["irreps"]["matrices"][0][0][0][0] = [True, False]
+    cocycle_off_the_unit_circle = example_projects()["z4_pointed"]
+    cocycle_off_the_unit_circle["cocycle"]["values"][1][1][1] = [2.0, 0.0]
+    cochain_of_wrong_shape = example_projects()["z4_pointed"]
+    cochain_of_wrong_shape["module"]["mu"] = encode_array(np.ones((2, 2)))
+    target_outside_source = example_projects()["s3_morphism"]  # source {0, 1}, target {0, 2}
+    target_outside_source["morphism"].update(target_elements=[0, 2],
+                                             target_irreps=target_outside_source["module"]["irreps"])
     bad_elements = []
     for name, section, key, elements in (("s3_subgroup", "module", "elements", [0, 9]),
                                          ("s3_morphism", "morphism", "target_elements", 3),
@@ -332,6 +342,10 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         ("validate", dual_out_of_range, "dual_map [0, 1, 3] is not a list of 3 labels in 0..2"),
         ("validate", text_entry, "an encoded array holds 'x' where a list belongs"),
         ("validate", bool_entry, "an encoded array holds True where a list belongs"),
+        ("validate", cocycle_off_the_unit_circle, "CocycleError: cocycle values must be unit modulus"),
+        ("validate", cochain_of_wrong_shape, "ModuleDataError: 2-cochain shape does not match the subgroup order"),
+        ("validate", target_outside_source,
+         "ReconstructionError: target subgroup must be contained in the source subgroup"),
         *bad_elements,
     ]
     for i, (command, body, message) in enumerate(cases):
@@ -345,6 +359,15 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         assert main([command, path]) == 2, message
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err, (message, err)
+
+
+def test_every_library_error_is_a_value_error():
+    # the CLI turns a ValueError into exit 2, so a refusal class on another base would end in a traceback
+    errors = {cls for info in pkgutil.iter_modules(qhspace.__path__)
+              for _, cls in inspect.getmembers(importlib.import_module(f"qhspace.{info.name}"), inspect.isclass)
+              if issubclass(cls, BaseException) and cls.__module__.startswith("qhspace.")}
+    assert len(errors) >= 9
+    assert [cls.__name__ for cls in errors if not issubclass(cls, ValueError)] == []
 
 
 def test_cli_verify_and_report(tmp_path):

@@ -359,7 +359,7 @@ def _multiplicative_loop(th, tx, ty):
 
 def _gram_loop(alg):
     """Row-by-row form of ``gram_from_product``."""
-    o = alg.index[(UNIT_LABEL, 0, 0)]
+    o = basis_triples(alg.functor, alg.base, alg.base).index((UNIT_LABEL, 0, 0))
     g = np.zeros((alg.dim, alg.dim), dtype=np.complex128)
     for p in range(alg.dim):
         g[p, :] = np.einsum("u,uqr->qr", alg.star_mat[:, p], alg.tensor)[:, o]
@@ -459,7 +459,7 @@ def _recoupling_loop(cat, a, b, c):
     dims = cat.obj_dim
     eye_c = np.eye(dims[c], dtype=np.complex128)
     eye_a = np.eye(dims[a], dtype=np.complex128)
-    alpha_inv = np.conj(cat.assoc_scalar(a, b, c))
+    alpha_inv = np.conj(cat.assoc_table()[a, b, c])
     totals = set()
     for d in cat.channels(a, b):
         totals.update(cat.channels(d, c))

@@ -438,7 +438,7 @@ def _triple_loop(f):
                                                 kron(eye_b, tc) @ tb)
                                             right = np.conj(_assoc_diag(f, ha, hbc, w, da * db * dc))[:, None] * (
                                                 kron(eye_a, inner) @ ta)
-                                            right = np.conj(cat.assoc_scalar(a, b, c)) * right
+                                            right = np.conj(cat.assoc_table()[a, b, c]) * right
                                             worst = max(worst, max_residual(left, right))
     return worst
 

@@ -13,6 +13,7 @@ from qhspace.numkit import max_residual
 from qhspace.reconstruct import (
     ReconstructionError,
     _assoc_residual,
+    basis_triples,
     block_consistency,
     block_structure_tensor,
     build_algebra,
@@ -52,7 +53,7 @@ def test_pointed_algebra_dim_is_stabilizer_order(z4_pointed_module, z4_coset_mod
 
 def test_unit_structure_constants_exact(s3_modules):
     alg = build_algebra(s3_modules["order2"], 0)
-    o = alg.index[(UNIT_LABEL, 0, 0)]
+    o = basis_triples(alg.functor, 0, 0).index((UNIT_LABEL, 0, 0))
     eye = np.eye(alg.dim)
     assert np.array_equal(alg.tensor[o, :, :], eye)
     assert np.array_equal(alg.tensor[:, o, :], eye)
@@ -122,10 +123,10 @@ def test_build_algebra_rejects_bad_base(s3_modules):
 
 def test_invariant_state_is_unital(s3_modules):
     alg = build_algebra(s3_modules["order2"], 0)
-    unit = alg.index[(UNIT_LABEL, 0, 0)]
+    unit = basis_triples(alg.functor, 0, 0).index((UNIT_LABEL, 0, 0))
     assert alg.unit[unit] == pytest.approx(1.0)
     # the state kills every nonunit basis element
-    for p, t in enumerate(alg.triples):
+    for p, t in enumerate(basis_triples(alg.functor, 0, 0)):
         want = 1.0 if t == (UNIT_LABEL, 0, 0) else 0.0
         e = np.zeros(alg.dim, dtype=np.complex128)
         e[p] = 1.0
