@@ -23,7 +23,8 @@ def _field(d, key: str, kind, where: str):
         raise ValueError(f"{where} must be a JSON object, not {type(d).__name__}")
     if key not in d:
         raise ValueError(f"{where} lacks key {key!r}")
-    if not isinstance(d[key], kind):
+    # a bool is an int to Python but not a number to JSON
+    if not isinstance(d[key], kind) or (isinstance(d[key], bool) and kind is not bool):
         raise ValueError(f"{where} key {key!r} holds a {type(d[key]).__name__}")
     return d[key]
 
@@ -92,7 +93,7 @@ class Certificate:
     @classmethod
     def from_dict(cls, d: dict) -> "Certificate":
         cert = cls(_field(d, "subject", str, "certificate"), _field(d, "tolerance", _NUMBER, "certificate"),
-                   d.get("seed", 0))
+                   _field(d, "seed", int, "certificate") if "seed" in d else 0)
         cert.checks = [Check.from_dict(c) for c in _field(d, "checks", list, "certificate")]
         return cert
 

@@ -97,10 +97,7 @@ class FiniteGroup:
                     if prod not in elems:
                         elems.add(prod)
                         frontier.append(prod)
-            if g not in elems:
-                elems.add(g)
-            if len(elems) > self.order:
-                raise GroupAxiomError("subgroup closure exceeded parent order")
+            elems.add(g)
         return tuple(sorted(elems))
 
 

@@ -1,10 +1,13 @@
 """Dense complex linear-algebra kernel shared by every other module.
 
-All morphisms are plain ``numpy`` arrays of ``complex128``.  Two pieces of
+All morphisms are plain ``numpy`` arrays of ``complex128``.  Three pieces of
 policy live here.  One is the deterministic phase convention for computed
 bases: every downstream structure constant depends on the basis choice, so it
-has to be canonical and reproducible bit-for-bit.  The other is the entry
-budget ``RUN_ENTRIES`` of the kernels that work in runs.
+has to be canonical and reproducible bit-for-bit.  Another is the entry
+budget ``RUN_ENTRIES`` of the kernels that work in runs.  The third is the
+rule for NaN and inf: a residual carries them (``largest`` and
+``max_residual`` keep a NaN that ``max`` would drop), so the check that
+reads one fails with the value NaN rather than raising.
 """
 
 from __future__ import annotations
@@ -23,22 +26,9 @@ class NumericalRankError(ValueError):
     """Singular values cluster at the rank-decision threshold."""
 
 
-class HermitianityError(ValueError):
-    """Matrix expected Hermitian is not, beyond tolerance."""
-
-
-def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    return m
-
-
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with the (i, j) -> i*dim(b)+j index convention."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product of two complex matrices, with the (i, j) -> i*dim(b)+j index convention."""
+    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
 def dagger(a) -> np.ndarray:
@@ -147,26 +137,6 @@ def solution_basis(constraint, tol: float = DEFAULT_TOL) -> np.ndarray:
     rank = int(np.sum(svals > cutoff)) if svals.size else 0
     kernel = vh[rank:, :].conj()  # rows span the kernel
     return np.array([phase_fix(row) for row in kernel], dtype=np.complex128).reshape(len(kernel), dim)
-
-
-def psd_check(g, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Check positive semidefiniteness of a Hermitian matrix.
-
-    Returns ``(is_psd, min_eigenvalue)``; raises if ``g`` is not Hermitian
-    within ``tol`` (relative to its largest entry).
-    """
-    m = as_matrix(g)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("psd_check expects a square matrix")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    asym = float(np.max(np.abs(m - dagger(m)))) if m.size else 0.0
-    if asym > tol * scale:
-        raise HermitianityError(f"max asymmetry {asym:.3e} exceeds tolerance")
-    if m.size == 0:
-        return True, 0.0
-    evals = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-    lo = float(evals[0])
-    return lo >= -tol * scale, lo
 
 
 def largest(values) -> float:

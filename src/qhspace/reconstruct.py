@@ -35,6 +35,11 @@ of the (x, y) spectral space; that is |G|^3 for a subgroup module of Rep(G)
 (n_xy = [G:H] d_x d_y) and for a coset module over a group G (n_xy = |K|):
 221 KB for S4, 27.6 MB for S5.  The star matrices hold sum_{x,y} n_xy n_yx.
 A copy made with ``dataclasses.replace`` starts with an empty memo.
+
+Every certificate follows ``numkit``'s rule for NaN and inf: a check that
+reads one fails with the value NaN.  The LAPACK calls that would raise on
+one (``cp_certificate``'s eigenvalues, ``classical_roundtrip``'s spectrum,
+``verify_algebra_map``'s rank) test their matrix for finiteness first.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .modcat import BigradedFunctor
-from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, largest, max_residual, psd_check
+from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, largest, max_residual
 from .tensorcat import UNIT_LABEL
 
 
@@ -311,8 +316,11 @@ def cp_certificate(alg: SpectralAlgebra, tol: float = DEFAULT_TOL) -> Certificat
              max_residual(g1, g2))
     cert.add("gram_hermitian", "Gram matrix is Hermitian",
              max_residual(g1, dagger(g1)))
-    ok, lo = psd_check((g1 + dagger(g1)) / 2.0, tol)
-    cert.add_flag("gram_psd", "Gram matrix is positive semidefinite", ok, value=-lo)
+    # h is Hermitian to the last bit; a NaN may reach only some eigenvalues
+    h = (g1 + dagger(g1)) / 2.0
+    lo = float(np.linalg.eigvalsh(h)[0]) if np.isfinite(h).all() else float("nan")
+    cert.add_flag("gram_psd", "Gram matrix is positive semidefinite",
+                  lo >= -tol * max(1.0, float(np.max(np.abs(h)))), value=-lo)
     cert.add("state_unit", "E(1* 1) = 1", abs(g1[0, 0] - 1.0))
     return cert
 
@@ -337,6 +345,9 @@ def classical_roundtrip(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = (v + alg.star(v)) / 2.0
     lm = alg.left_multiplication(v)
+    if not np.isfinite(lm).all():
+        cert.add_flag("spectrum_simple", "generic element separates the characters", False, value=float("nan"))
+        return cert
     evals, vecs = np.linalg.eig(lm)
     order = np.argsort(evals.real)
     evals, vecs = evals[order], vecs[:, order]
@@ -695,7 +706,6 @@ def verify_algebra_map(mor: ModuleMorphism, tol: float = DEFAULT_TOL) -> Certifi
              max_residual(ax.tensor @ th.T, _bilinear(ay.tensor, th, th)))
     star_res = max_residual(th @ ax.star_mat, ay.star_mat @ np.conj(th))
     cert.add("star_compatible", "the involution is preserved", star_res)
-    rank = int(np.linalg.matrix_rank(th, tol=1e-9))
-    cert.add_flag("injective", "the induced map is injective",
-                  rank == ax.dim, value=float(rank))
+    rank = float(np.linalg.matrix_rank(th, tol=1e-9)) if np.isfinite(th).all() else float("nan")
+    cert.add_flag("injective", "the induced map is injective", rank == ax.dim, value=rank)
     return cert

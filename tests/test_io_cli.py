@@ -301,6 +301,11 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     cert.add("c", "a property", 0.0)
     no_property = cert.to_dict()
     del no_property["checks"][0]["property"]
+    # a JSON true is an int to Python, and a seed is an int
+    bool_tolerance = {**cert.to_dict(), "tolerance": True}
+    bool_value = cert.to_dict()
+    bool_value["checks"][0]["value"] = False
+    list_seed = {**cert.to_dict(), "seed": [1, 2]}
     no_elements = example_projects()["s3_subgroup"]
     del no_elements["module"]["elements"]
     no_table = example_projects()["s3_subgroup"]
@@ -313,6 +318,12 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     text_entry["irreps"]["matrices"][0][0][0][0] = "x"
     bool_entry = example_projects()["s3_subgroup"]
     bool_entry["irreps"]["matrices"][0][0][0][0] = [True, False]
+    # unitary tables with the right sum of squared dimensions: one reducible, one repeating an irrep
+    sign = decode_array(example_projects()["s3_subgroup"]["irreps"]["matrices"][1])[:, 0, 0]
+    reducible = example_projects()["s3_subgroup"]
+    reducible["irreps"]["matrices"][2] = encode_array(np.stack([np.diag([1.0, s]) for s in sign]))
+    repeated = example_projects()["s3_subgroup"]
+    repeated["irreps"]["matrices"][1] = repeated["irreps"]["matrices"][0]
     cocycle_off_the_unit_circle = example_projects()["z4_pointed"]
     cocycle_off_the_unit_circle["cocycle"]["values"][1][1][1] = [2.0, 0.0]
     cochain_of_wrong_shape = example_projects()["z4_pointed"]
@@ -334,6 +345,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         ("report", project_path("s3_subgroup"), "certificate lacks key 'subject'"),
         ("report", no_property, "check lacks key 'property'"),
         ("report", [1, 2], "certificate must be a JSON object, not list"),
+        ("report", bool_tolerance, "certificate key 'tolerance' holds a bool"),
+        ("report", bool_value, "check key 'value' holds a bool"),
+        ("report", list_seed, "certificate key 'seed' holds a list"),
         ("validate", [1, 2], "a project is a JSON object, not a list"),
         ("validate", {"group": {}}, "section 'group' lacks key 'mult_table'"),
         ("validate", no_elements, "section 'module' lacks key 'elements'"),
@@ -342,6 +356,8 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         ("validate", dual_out_of_range, "dual_map [0, 1, 3] is not a list of 3 labels in 0..2"),
         ("validate", text_entry, "an encoded array holds 'x' where a list belongs"),
         ("validate", bool_entry, "an encoded array holds True where a list belongs"),
+        ("validate", reducible, "IrrepExtractionError: intertwiner dimension wrong for pair (2,0)"),
+        ("validate", repeated, "IrrepExtractionError: intertwiner dimension wrong for pair (1,0)"),
         ("validate", cocycle_off_the_unit_circle, "CocycleError: cocycle values must be unit modulus"),
         ("validate", cochain_of_wrong_shape, "ModuleDataError: 2-cochain shape does not match the subgroup order"),
         ("validate", target_outside_source,
@@ -366,7 +382,7 @@ def test_every_library_error_is_a_value_error():
     errors = {cls for info in pkgutil.iter_modules(qhspace.__path__)
               for _, cls in inspect.getmembers(importlib.import_module(f"qhspace.{info.name}"), inspect.isclass)
               if issubclass(cls, BaseException) and cls.__module__.startswith("qhspace.")}
-    assert len(errors) >= 9
+    assert len(errors) >= 8
     assert [cls.__name__ for cls in errors if not issubclass(cls, ValueError)] == []
 
 

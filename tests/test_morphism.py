@@ -95,15 +95,19 @@ def test_identity_restriction_is_trivial(s3_modules):
 
 
 @pytest.mark.parametrize("case, key, failing", [
+    # theta reads psi[(a, 0, 0)] only for the labels a with a channel at base 0;
+    # S4 > S3 has none for label 1, the sign
     ("S4>S3>1", (1, 0, 0), {"blocks_unitary", "hexagon"}),
-    ("S4>S3>1", (0, 0, 0), {"unit_block", "blocks_unitary", "hexagon"}),
+    ("S4>S3>1", (0, 0, 0), {"unit_block", "blocks_unitary", "hexagon",
+                            "map.unital", "map.multiplicative", "map.star_compatible", "map.injective"}),
     # each hexagon residual this entry feeds comes after finite residuals from earlier
     # (p, r): only a NaN-propagating fold reports it
     ("S3>Z2", (1, 1, 2), {"blocks_unitary", "hexagon"}),
 ])
 def test_nan_exchange_entry_fails(s4_over_s3, s3_modules, case, key, failing):
     # Python's max(worst, x) keeps worst when x is NaN: each residual that reads the
-    # NaN entry must report it, or the certificate passes
+    # NaN entry must report it, or the certificate passes.  The rank of a NaN theta
+    # fails injectivity instead of raising out of the SVD
     if case == "S3>Z2":
         mor = restriction_morphism(s3_modules["full"], s3_modules["order2"])
     else:
@@ -112,6 +116,8 @@ def test_nan_exchange_entry_fails(s4_over_s3, s3_modules, case, key, failing):
     assert validate_morphism(mor).passed
     blk = mor.psi[key].copy()
     blk[0, 0] = np.nan
-    cert = validate_morphism(replace(mor, psi={**mor.psi, key: blk}))
+    faulted = replace(mor, psi={**mor.psi, key: blk})
+    cert = validate_morphism(faulted)
+    cert.merge(verify_algebra_map(faulted), prefix="map.")
     assert {c.name for c in cert.checks if not c.passed} == failing, cert.to_text()
     assert all(np.isnan(c.value) for c in cert.checks if c.name in failing)

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from qhspace.grouprep import intertwiner_basis
 from qhspace.numkit import (
-    HermitianityError,
     NumericalRankError,
     dagger,
     kron,
     max_residual,
     phase_fix,
-    psd_check,
     solution_basis,
 )
 
@@ -89,15 +87,6 @@ def test_solution_basis_tall_threshold_cluster_raises():
     a = np.vstack([np.diag([1.0, 5e-9, 1e-15]), np.zeros((5, 3))])
     with pytest.raises(NumericalRankError):
         solution_basis(a, tol=1e-9)
-
-
-def test_psd_check():
-    ok, lo = psd_check(np.array([[2.0, 0], [0, 1.0]]))
-    assert ok and lo == pytest.approx(1.0)
-    ok, lo = psd_check(np.array([[1.0, 0], [0, -1.0]]))
-    assert not ok and lo == pytest.approx(-1.0)
-    with pytest.raises(HermitianityError):
-        psd_check(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_kron_index_convention():

@@ -191,6 +191,19 @@ def test_negated_star_caught_by_gram_psd(s3_modules):
     _assert_caught(cp_certificate(build_algebra(f, 0)), cp_certificate(alg), "gram_psd", ("gram_hermitian",))
 
 
+def test_nan_tensor_entry_fails_positivity_and_roundtrip(s3_modules):
+    # eigvalsh may raise on a NaN or leave it out of the smallest eigenvalue, and eig
+    # refuses one: each check that reads the entry fails with the value NaN instead
+    alg = build_algebra(s3_modules["order2"], 0)
+    t = alg.tensor.copy()
+    t[1, 1, 0] = np.nan
+    alg.tensor = t
+    for cert, failing in ((cp_certificate(alg), {"gram_routes", "gram_hermitian", "gram_psd"}),
+                          (classical_roundtrip(alg), {"commutativity", "spectrum_simple"})):
+        assert {c.name for c in cert.checks if not c.passed} == failing, cert.to_text()
+        assert all(np.isnan(c.value) for c in cert.checks if c.name in failing)
+
+
 @pytest.mark.parametrize("check, corner, side, unchanged", [
     ("left_associativity", (0, 2), "left_tensor",
      ("right_unit", "right_associativity", "star_involutive")),

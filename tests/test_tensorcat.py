@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import permutations, product
 
 import numpy as np
@@ -173,6 +174,18 @@ def test_nan_fusion_isometry_fails():
     cat.fusion[(1, 2)][3] = (np.full((1, 1), np.nan, dtype=np.complex128),)
     failed = {c.name: c.value for c in verify_presentation(cat).checks if not c.passed}
     assert np.isnan(failed["isometry_orthogonality"]) and np.isnan(failed["isometry_completeness"])
+
+
+def test_nan_conjugate_entry_fails(s3_cat):
+    # kron carries the NaN into the snake residuals: the certificate fails, it does not raise
+    two = next(a for a in s3_cat.labels if s3_cat.dim(a) == 2)
+    r, rbar = s3_cat.conj_solutions[two]
+    r = r.copy()
+    r[1, 0] = np.nan
+    cert = verify_presentation(replace(s3_cat, conj_solutions={**s3_cat.conj_solutions, two: (r, rbar)}))
+    failing = {"conjugate_snakes", "conjugate_normalization", "conjugate_membership"}
+    assert {c.name for c in cert.checks if not c.passed} == failing, cert.to_text()
+    assert all(np.isnan(c.value) for c in cert.checks if c.name in failing)
 
 
 # The character oracle of from_group: N_ab^c = <chi_a chi_b, chi_c> names the channels to solve.
