@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
@@ -48,7 +49,12 @@ class Check:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Check":
-        return cls(*(_field(d, key, kind, "check") for key, kind in _CHECK_FIELDS))
+        """The check stored in d; a finite threshold must give the stored verdict (a flag's is NaN)."""
+        check = cls(*(_field(d, key, kind, "check") for key, kind in _CHECK_FIELDS))
+        if math.isfinite(check.threshold) and check.passed != (check.value <= check.threshold):
+            raise ValueError(f"check {check.name!r} is stored as passed = {check.passed}, "
+                             f"but its value {check.value:g} against {check.threshold:g} says otherwise")
+        return check
 
 
 @dataclass

@@ -223,6 +223,28 @@ def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) ->
     return basis.reshape(len(basis), dv, du)
 
 
+def decompose(irreps, v: UnitaryRep, tol: float = DEFAULT_TOL) -> dict[int, np.ndarray]:
+    """The intertwiner basis from irreps[c] into v of each c that occurs in v, keyed by ascending c.
+
+    The one multiplicity rule: m_c = (1/|G|) sum_g conj(chi_c(g)) chi_v(g),
+    one product of the stacked characters, names the c to solve.  Refuses,
+    with ``IrrepExtractionError`` naming c, an m_c off a nonnegative integer
+    by more than ``tol`` (a NaN is) and a solved space of another dimension.
+    """
+    chars = np.array([x.character for x in irreps]).reshape(len(irreps), v.group.order)
+    mult = np.conj(chars) @ v.character / v.group.order
+    counts = np.rint(mult.real)
+    for c in np.flatnonzero(~((np.abs(mult - counts) <= tol) & (counts >= 0)))[:1].tolist():
+        raise IrrepExtractionError(f"multiplicity of irreducible {c} is {complex(mult[c]):.12g}, "
+                                   f"not a nonnegative integer within {tol:g}")
+    found = {c: intertwiner_basis(irreps[c], v, tol) for c in np.flatnonzero(counts).tolist()}
+    for c, basis in found.items():
+        if len(basis) != counts[c]:
+            raise IrrepExtractionError(f"intertwiner space of irreducible {c} has dimension {len(basis)}, "
+                                       f"characters give {int(counts[c])}")
+    return found
+
+
 @dataclass(frozen=True)
 class IrrepTable:
     """A complete set of pairwise non-isomorphic irreducibles.
@@ -245,6 +267,12 @@ class IrrepTable:
         return self.irreps[a].dim
 
     def validate(self, tol: float = 1e-8) -> None:
+        """Refuse, with ``IrrepExtractionError``, a table that is not a complete set of irreducibles.
+
+        Irrep a must ``decompose`` over the labels 0..a as itself, once (Hom(u, v)
+        and Hom(v, u) of unitary u, v have one dimension, so each pair is
+        decided once); the first pair (a, b) that disagrees is named.
+        """
         n = self.group.order
         if sum(r.dim**2 for r in self.irreps) != n:
             raise IrrepExtractionError("sum of squared dimensions does not match group order")
@@ -254,11 +282,9 @@ class IrrepTable:
         for a, u in enumerate(self.irreps):
             if not u.validate() <= tol:
                 raise IrrepExtractionError(f"irrep {a} fails unitarity/multiplicativity")
-            # unitary u, v have Hom(u, v) and Hom(v, u) of one dimension: solve each pair once,
-            # after both passed the test above
-            for b, v in enumerate(self.irreps[:a + 1]):
-                want = 1 if a == b else 0
-                if len(intertwiner_basis(u, v)) != want:
+            found = decompose(self.irreps[:a + 1], u)
+            for b in range(a + 1):
+                if len(found.get(b, ())) != (a == b):
                     raise IrrepExtractionError(f"intertwiner dimension wrong for pair ({a},{b})")
         dm = self.dual_map
         for a in self.labels:
@@ -272,12 +298,8 @@ class IrrepTable:
 
 
 def _character_key(group: FiniteGroup, rep: UnitaryRep):
-    chars = rep.character
-    key = []
-    for cls in group.conjugacy_classes:
-        val = chars[cls[0]]
-        key.append((round(val.real, 6), round(val.imag, 6)))
-    return (rep.dim, tuple(key))
+    vals = [rep.character[cls[0]] for cls in group.conjugacy_classes]
+    return (rep.dim, tuple((round(val.real, 6), round(val.imag, 6)) for val in vals))
 
 
 def _regular_average(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
@@ -298,7 +320,8 @@ def extract_irreps(group: FiniteGroup, seed: int = 0, tol: float = DEFAULT_TOL) 
 
     A seeded random Hermitian matrix is averaged over the group action to
     give a commutant element; its eigenspaces are invariant, generically
-    irreducible, subspaces.  Degenerate seeds are retried up to 8 times.
+    irreducible, subspaces, each tested by ``decompose`` for irreducibility
+    and against those kept.  A refusal retries the next seed, up to 8 seeds.
     """
     n = group.order
     last_err = None
@@ -321,36 +344,29 @@ def extract_irreps(group: FiniteGroup, seed: int = 0, tol: float = DEFAULT_TOL) 
                 cand = UnitaryRep(group, dagger(basis)[:, group.mult_table].transpose(1, 0, 2) @ basis)
                 if cand.validate() > 1e-8:
                     raise IrrepExtractionError("eigenspace is not invariant")
-                if len(intertwiner_basis(cand, cand, tol)) != 1:
+                if len(decompose([cand], cand, tol).get(0, ())) != 1:
                     raise IrrepExtractionError("eigenspace is not irreducible")
                 candidates.append(cand)
             reps: list[UnitaryRep] = []
             for cand in candidates:
-                if not any(len(intertwiner_basis(cand, r, tol)) > 0 for r in reps):
+                if not decompose(reps, cand, tol):
                     reps.append(cand)
             if sum(r.dim**2 for r in reps) != n:
                 raise IrrepExtractionError("incomplete set of irreducibles")
             reps.sort(key=lambda r: _character_key(group, r))
-            # move the trivial rep to label 0 (it sorts first among dim-1 anyway,
-            # but be explicit)
-            triv = next(
-                i for i, r in enumerate(reps) if r.dim == 1 and max_residual(r.character, np.ones(n)) < 1e-8
-            )
+            # the trivial rep takes label 0 (the sign of S3 sorts before it)
+            triv = next(i for i, r in enumerate(reps) if r.dim == 1 and max_residual(r.character, np.ones(n)) < 1e-8)
             reps.insert(0, reps.pop(triv))
             dual = []
             for a, r in enumerate(reps):
-                matches = [
-                    b
-                    for b, s in enumerate(reps)
-                    if s.dim == r.dim and max_residual(s.character, np.conj(r.character)) < 1e-8
-                ]
+                matches = [b for b, s in enumerate(reps)
+                           if s.dim == r.dim and max_residual(s.character, np.conj(r.character)) < 1e-8]
                 if len(matches) != 1:
                     raise IrrepExtractionError(f"dual of irrep {a} not unique")
                 dual.append(matches[0])
             return IrrepTable(group, tuple(reps), tuple(dual))
         except IrrepExtractionError as err:
             last_err = err
-            continue
     raise IrrepExtractionError(f"irrep extraction failed after 8 seeds: {last_err}")
 
 

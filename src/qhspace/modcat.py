@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .certificate import Certificate
-from .grouprep import IrrepTable, Subgroup, UnitaryRep, extract_irreps, intertwiner_basis, restrict, tensor_rep
+from .grouprep import IrrepExtractionError, IrrepTable, Subgroup, decompose, extract_irreps, restrict, tensor_rep
 from .numkit import DEFAULT_TOL, RUN_ENTRIES, NumericalRankError, largest, max_residual, stack_by_shape, successors
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError, fusion_table
 
@@ -257,8 +257,10 @@ def module_from_subgroup(cat: CategoryPresentation, subgroup: Subgroup,
     which must be on ``subgroup.as_group`` and which the caller has
     validated (a project's stored table), or, when it is None, the table
     ``extract_irreps`` gives with seed 0.  The category acts by
-    restricting a representation of G to H and tensoring.  All associators
-    are identities because everything lives on concrete tensor products.
+    restricting a representation of G to H and tensoring; the blocks
+    (a, ., s) are ``grouprep.decompose`` of a (x) X_s, whose refusals are
+    raised as ``ModuleDataError``.  All associators are identities because
+    everything lives on concrete tensor products.
     """
     if cat.kind != "group" or cat.reps is None:
         raise ModuleDataError("subgroup module needs a group-backed category")
@@ -276,11 +278,12 @@ def module_from_subgroup(cat: CategoryPresentation, subgroup: Subgroup,
             continue
         restricted = restrict(cat.reps[a], subgroup)
         for s, xs in enumerate(table.irreps):
-            acting = tensor_rep(restricted, xs)
-            for r, xr in enumerate(table.irreps):
-                basis = intertwiner_basis(xr, acting, tol)
-                if len(basis):
-                    bases[(a, r, s)] = np.sqrt(base_dims[r]) * basis
+            try:
+                found = decompose(table.irreps, tensor_rep(restricted, xs), tol)
+            except IrrepExtractionError as err:
+                raise ModuleDataError(f"block ({a}, r, {s}): {err}") from err
+            for r, basis in found.items():
+                bases[(a, r, s)] = np.sqrt(base_dims[r]) * basis
     n_labels, j = len(cat.obj_dim), len(base_dims)
     return _assemble(
         cat, f"subgroup[{len(subgroup.elements)}]", base_dims, bases,
@@ -506,33 +509,3 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
             worst.append(np.max(np.abs(head.reshape(n, -1, ds) @ ta.reshape(n, ds, da * dr))))
     return largest(worst)
 
-
-def functor_dimension_matrix(target: IrrepTable, images: list[UnitaryRep],
-                             tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Multiplicity matrix of a functor given by the images of the simple objects.
-
-    Entry (p, r) is the multiplicity of the p-th target irreducible inside
-    the image of the r-th source simple object.
-    """
-    out = np.zeros((len(target.irreps), len(images)), dtype=np.int64)
-    for r, img in enumerate(images):
-        total = 0
-        for p, irr in enumerate(target.irreps):
-            mult = len(intertwiner_basis(irr, img, tol))
-            out[p, r] = mult
-            total += mult * irr.dim
-        if total != img.dim:
-            raise ModuleDataError(f"image {r} does not decompose into the target irreducibles")
-    return out
-
-
-def equivalence_check(m: np.ndarray) -> bool:
-    """True iff the dimension matrix is a permutation matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(
-        np.all((m == 0) | (m == 1))
-        and np.all(m.sum(axis=0) == 1)
-        and np.all(m.sum(axis=1) == 1)
-    )

@@ -533,10 +533,12 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
 
     Both modules must be subgroup-backed over the same category, with the
     target subgroup contained in the source subgroup.  The multiplicity
-    spaces are intertwiner spaces over the smaller subgroup; the exchange
-    blocks are computed by expanding honest morphism composites.
+    spaces are ``grouprep.decompose`` of each source irreducible restricted
+    to the smaller subgroup, whose refusals are raised as
+    ``ReconstructionError``; the exchange blocks are computed by expanding
+    honest morphism composites.
     """
-    from .grouprep import Subgroup, intertwiner_basis, restrict
+    from .grouprep import IrrepExtractionError, Subgroup, decompose, restrict
 
     if fx.irrep_table is None or fy.irrep_table is None:
         raise ReconstructionError("restriction morphism needs subgroup-backed modules")
@@ -553,10 +555,12 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
     jx, jy = fx.n_base, fy.n_base
     fbases: dict[tuple[int, int], np.ndarray] = {}
     fdims = np.zeros((jy, jx), dtype=np.int64)
-    for p in range(jy):
-        for r in range(jx):
-            basis = intertwiner_basis(fy.irrep_table.irreps[p],
-                                      restrict(fx.irrep_table.irreps[r], hy_in_hx), tol)
+    for r in range(jx):
+        try:
+            found = decompose(fy.irrep_table.irreps, restrict(fx.irrep_table.irreps[r], hy_in_hx), tol)
+        except IrrepExtractionError as err:
+            raise ReconstructionError(f"block (p, {r}): {err}") from err
+        for p, basis in found.items():
             fbases[(p, r)] = np.sqrt(fy.base_dims[p]) * basis
             fdims[p, r] = len(basis)
 
@@ -568,10 +572,10 @@ def restriction_morphism(fx: BigradedFunctor, fy: BigradedFunctor,
             for r in range(jx):
                 # columns (s, alpha, m) and rows (q, n, beta), in block order
                 shape = (cat.dim(a) * fx.base_dims[r], fy.base_dims[p])
-                comps = np.array([tx @ fa for s in range(jx) for fa in fbases[(p, s)]
+                comps = np.array([tx @ fa for s in range(jx) for fa in fbases.get((p, s), ())
                                   for tx in fx.mor_basis(a, s, r)], dtype=np.complex128).reshape(-1, *shape)
                 targets = np.array([kron(eye_a, fb) @ ty for q in range(jy) for ty in fy.mor_basis(a, p, q)
-                                    for fb in fbases[(q, r)]], dtype=np.complex128).reshape(-1, *shape)
+                                    for fb in fbases.get((q, r), ())], dtype=np.complex128).reshape(-1, *shape)
                 overlaps = np.conj(targets).transpose(0, 2, 1)[:, None] @ comps[None]
                 mor.psi[(a, p, r)] = np.trace(overlaps, axis1=-2, axis2=-1) / fy.base_dims[p]
     return mor

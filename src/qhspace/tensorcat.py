@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificate import Certificate
-from .grouprep import FiniteGroup, IrrepTable, UnitaryRep, intertwiner_basis, tensor_rep
+from .grouprep import FiniteGroup, IrrepExtractionError, IrrepTable, UnitaryRep, decompose, tensor_rep
 from .numkit import DEFAULT_TOL, dagger, kron, largest, max_residual, stack_by_shape, successors
 
 UNIT_LABEL = 0
@@ -175,44 +175,27 @@ def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentat
 
     Fusion isometries are orthonormal intertwiner bases scaled by
     sqrt(dim) of the channel so each is an isometry; tensoring with the
-    trivial label is represented by exact identity matrices.
-
-    The characters name the channels first: N_ab^c = (1/|G|) sum_g
-    chi_a(g) chi_b(g) conj(chi_c(g)), one einsum over the stacked
-    characters, and only the channels with N_ab^c > 0 are solved.  Raises
-    ``PresentationError`` if some N_ab^c lies off a nonnegative integer by
-    more than ``tol``, or if a solved intertwiner space has a dimension
-    other than N_ab^c.
+    trivial label is represented by exact identity matrices.  The channels
+    of every other product a (x) b and their bases come from
+    ``grouprep.decompose``, which names them by characters and solves only
+    those.  Its refusals (a count off a nonnegative integer by more than
+    ``tol``, a solved space of another dimension) are raised as
+    ``PresentationError``, naming a, b and the channel.
     """
     reps = table.irreps
-    n = len(reps)
     dims = tuple(r.dim for r in reps)
-    chars = np.stack([r.character for r in reps])
-    mult = np.einsum("ag,bg,cg->abc", chars, chars, np.conj(chars)) / table.group.order
-    counts = np.rint(mult.real)
-    bad = ~((np.abs(mult - counts) <= tol) & (counts >= 0))  # NaN is bad
-    if bad.any():
-        a, b, c = np.argwhere(bad)[0].tolist()
-        raise PresentationError(f"character inner product of ({a}, {b}, {c}) is {complex(mult[a, b, c]):.12g}, "
-                                f"not a nonnegative integer within {tol:g}")
     fusion: dict[tuple[int, int], dict[int, tuple[np.ndarray, ...]]] = {}
-    for a in range(n):
-        for b in range(n):
-            if a == UNIT_LABEL:
-                fusion[(a, b)] = {b: (np.eye(dims[b], dtype=np.complex128),)}
+    for a in table.labels:
+        for b in table.labels:
+            if UNIT_LABEL in (a, b):  # the other label, by an exact identity
+                other = a if b == UNIT_LABEL else b
+                fusion[(a, b)] = {other: (np.eye(dims[other], dtype=np.complex128),)}
                 continue
-            if b == UNIT_LABEL:
-                fusion[(a, b)] = {a: (np.eye(dims[a], dtype=np.complex128),)}
-                continue
-            prod = tensor_rep(reps[a], reps[b])
-            by_channel: dict[int, tuple[np.ndarray, ...]] = {}
-            for c in np.flatnonzero(counts[a, b]).tolist():
-                basis = intertwiner_basis(reps[c], prod, tol)
-                if len(basis) != counts[a, b, c]:
-                    raise PresentationError(f"intertwiner space of ({a}, {b}, {c}) has dimension {len(basis)}, "
-                                            f"characters give {int(counts[a, b, c])}")
-                by_channel[c] = tuple(np.sqrt(dims[c]) * basis)
-            fusion[(a, b)] = by_channel
+            try:
+                found = decompose(reps, tensor_rep(reps[a], reps[b]), tol)
+            except IrrepExtractionError as err:
+                raise PresentationError(f"in {a} (x) {b}: {err}") from err
+            fusion[(a, b)] = {c: tuple(np.sqrt(dims[c]) * basis) for c, basis in found.items()}
     return CategoryPresentation(
         kind="group",
         obj_dim=dims,

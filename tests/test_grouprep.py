@@ -14,6 +14,7 @@ from qhspace.grouprep import (
     Subgroup,
     UnitaryRep,
     cyclic_group,
+    decompose,
     dihedral_group,
     extract_irreps,
     group_from_permutations,
@@ -118,6 +119,21 @@ def test_regular_rep_decomposition(s3, s3_table):
     reg = regular_rep(s3)
     for r in s3_table.irreps:
         assert len(intertwiner_basis(r, reg)) == r.dim
+
+
+def test_decompose_each_irrep_as_itself_once(s3_table):
+    for a, u in enumerate(s3_table.irreps):
+        found = decompose(s3_table.irreps, u)
+        assert list(found) == [a] and len(found[a]) == 1
+
+
+def test_decompose_restriction_to_z2(s3_table, s3_subgroups):
+    sub = s3_subgroups["order2"]
+    h_table = extract_irreps(sub.as_group, seed=0)
+    # each S3 irrep decomposes over the two Z2 characters
+    counts = [sum(len(basis) for basis in decompose(h_table.irreps, restrict(r, sub)).values())
+              for r in s3_table.irreps]
+    assert counts == [1, 1, 2]
 
 
 def test_extraction_deterministic(s3):

@@ -119,6 +119,15 @@ def test_certificate_roundtrip(s3_modules):
     assert cert2.passed == cert.passed
     assert [c.name for c in cert2.checks] == [c.name for c in cert.checks]
     assert cert2.fingerprint() == cert.fingerprint()
+    # every kind of check that a certificate writes reads back unchanged, NaN and inf included
+    cert = Certificate(subject="s", tolerance=1e-9)
+    for value in (0.0, 1e-9, 2e-9, float("nan"), float("inf")):
+        cert.add(f"r{value}", "a residual", value)
+    cert.add("nan_threshold", "a residual", 0.0, float("nan"))
+    cert.add("inf_threshold", "a residual", 1.0, float("inf"))
+    cert.add_flag("up", "a flag", True)
+    cert.add_flag("down", "a flag", False, float("nan"))
+    assert Certificate.from_dict(json.loads(cert.to_json())).to_json() == cert.to_json()
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -306,6 +315,9 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     bool_value = cert.to_dict()
     bool_value["checks"][0]["value"] = False
     list_seed = {**cert.to_dict(), "seed": [1, 2]}
+    # a residual check's verdict follows from its value and finite threshold
+    false_pass = cert.to_dict()
+    false_pass["checks"][0].update(value=5.0, passed=True)
     no_elements = example_projects()["s3_subgroup"]
     del no_elements["module"]["elements"]
     no_table = example_projects()["s3_subgroup"]
@@ -348,6 +360,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         ("report", bool_tolerance, "certificate key 'tolerance' holds a bool"),
         ("report", bool_value, "check key 'value' holds a bool"),
         ("report", list_seed, "certificate key 'seed' holds a list"),
+        ("report", false_pass, "check 'c' is stored as passed = True, but its value 5 against 1e-09 says otherwise"),
         ("validate", [1, 2], "a project is a JSON object, not a list"),
         ("validate", {"group": {}}, "section 'group' lacks key 'mult_table'"),
         ("validate", no_elements, "section 'module' lacks key 'elements'"),

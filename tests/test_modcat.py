@@ -1,20 +1,21 @@
+import re
 import os
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 
 import qhspace
-from qhspace.grouprep import Subgroup, cyclic_group, dihedral_group, extract_irreps, restrict
-from qhspace import tensorcat
+from qhspace.grouprep import (Subgroup, cyclic_group, dihedral_group, extract_irreps, group_from_permutations,
+                              symmetric_group)
+from qhspace import grouprep, tensorcat
 from qhspace.modcat import (
     CocycleError,
     ModuleDataError,
-    equivalence_check,
-    functor_dimension_matrix,
     module_from_pointed,
     module_from_subgroup,
     validate_module,
@@ -22,9 +23,10 @@ from qhspace.modcat import (
 from qhspace import modcat
 from qhspace.modcat import _triple_coherence_residual
 from qhspace.numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, successors
-from qhspace.reconstruct import ReconstructionError, restriction_morphism
+from qhspace.reconstruct import ReconstructionError, build_algebra, build_bimodule, restriction_morphism
 
 from support import disjoint_union_module
+from test_grouprep import _quaternion_group
 
 
 def test_all_s3_modules_validate(s3_modules):
@@ -53,7 +55,8 @@ def test_pointed_module_validates(z4_pointed_module, z4_coset_module):
 def test_pointed_module_dims_are_permutations(z4_pointed_module):
     for a in range(4):
         m = z4_pointed_module.dims[a]
-        assert equivalence_check(m)
+        assert m.shape == (4, 4) and set(m.ravel().tolist()) <= {0, 1}
+        assert m.sum(axis=0).tolist() == m.sum(axis=1).tolist() == [1] * 4
 
 
 def test_pointed_cochain_coboundary_checked(z4_pointed_cat, z4):
@@ -87,6 +90,82 @@ def test_irrep_table_of_another_group_rejected(s3_cat, s3_subgroups):
     default = module_from_subgroup(s3_cat, order2)
     assert given.bases.keys() == default.bases.keys()
     assert all(given.bases[k].tobytes() == default.bases[k].tobytes() for k in default.bases)
+
+
+def _count_solves(monkeypatch, drop: int = 0) -> list:
+    """Record every call of ``grouprep.intertwiner_basis``, which each returns short of its last ``drop`` vectors."""
+    calls, solve = [], grouprep.intertwiner_basis
+
+    def counting(u, v, tol):
+        calls.append((u, v))
+        basis = solve(u, v, tol)
+        return basis[:len(basis) - drop]
+
+    monkeypatch.setattr(grouprep, "intertwiner_basis", counting)
+    return calls
+
+
+def test_subgroup_module_solves_only_the_nonzero_blocks(s4_over_s3, monkeypatch):
+    # given the subgroup's table, no extraction runs: one solve per nonzero block, where solving
+    # every (a, r, s) with a != 0 would take 36 and 32
+    d24 = dihedral_group(12)
+    flip = Subgroup.generated(d24, [12])
+    cases = [(s4_over_s3.cat, s4_over_s3.subgroup, s4_over_s3.irrep_table, 22),
+             (tensorcat.from_group(extract_irreps(d24, seed=0)), flip, extract_irreps(flip.as_group, seed=0), 26)]
+    calls = _count_solves(monkeypatch)
+    for cat, sub, table, solved in cases:
+        calls.clear()
+        mod = module_from_subgroup(cat, sub, table)
+        assert len(calls) == np.count_nonzero(mod.dims[1:]) == solved
+
+
+def test_restriction_morphism_solves_only_the_nonzero_pairs(s3_modules, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    mor = restriction_morphism(s3_modules["full"], s3_modules["order2"])
+    assert len(calls) == np.count_nonzero(mor.fdims) == 4 < mor.fdims.size
+
+
+def test_a_short_solved_space_is_refused_by_block(s3_cat, s3_subgroups, s3_modules, monkeypatch):
+    # one vector dropped from each solved basis: both builders refuse and name the first block
+    mod, mor = s3_modules["order2"], restriction_morphism(s3_modules["full"], s3_modules["order2"])
+    r, p = int(np.flatnonzero(mod.dims[1, :, 0])[0]), int(np.flatnonzero(mor.fdims[:, 0])[0])
+    _count_solves(monkeypatch, drop=1)
+    message = f"block (1, r, 0): intertwiner space of irreducible {r} has dimension 0, characters give 1"
+    with pytest.raises(ModuleDataError, match=re.escape(message)):
+        module_from_subgroup(s3_cat, s3_subgroups["order2"], mod.irrep_table)
+    message = f"block (p, 0): intertwiner space of irreducible {p} has dimension 0, characters give 1"
+    with pytest.raises(ReconstructionError, match=re.escape(message)):
+        restriction_morphism(s3_modules["full"], s3_modules["order2"])
+
+
+def _subgroup_classes(group) -> list:
+    """One subgroup of each conjugacy class, found as the closures of element pairs."""
+    subs = {group.close_subset(pair) for pair in combinations_with_replacement(range(group.order), 2)}
+    conj = group.mult_table[group.mult_table, group.inverse[:, None]]  # conj[x, e] = x e x^-1
+    classes = {min(tuple(sorted(row)) for row in conj[:, list(sub)]): sub for sub in sorted(subs)}
+    return [Subgroup(group, sub) for sub in classes.values()]
+
+
+def test_every_subgroup_class_meets_the_index_oracles():
+    # the dihedral groups of order 8 and 12, Q8, A4 and S4, every subgroup class (40 modules):
+    # algebra dimension [G:H] d_x^2 and corner dimension [G:H] d_x d_y
+    even4 = [p for p in permutations(range(4))
+             if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    groups = [dihedral_group(4), _quaternion_group(), group_from_permutations(even4),
+              symmetric_group(4), dihedral_group(6)]
+    counts = []
+    for group in groups:
+        cat = tensorcat.from_group(extract_irreps(group, seed=0))
+        classes = _subgroup_classes(group)
+        counts.append(len(classes))
+        for sub in classes:
+            mod = module_from_subgroup(cat, sub)
+            assert validate_module(mod).passed, (group.order, sub.elements)
+            index, d = group.order // sub.order, mod.base_dims
+            for x, y in np.ndindex(mod.n_base, mod.n_base):
+                assert build_algebra(mod, x).dim == index * d[x] ** 2
+                assert build_bimodule(mod, x, y).dim == index * d[x] * d[y], (sub.elements, x, y)
+    assert counts == [8, 6, 5, 11, 10]
 
 
 def test_disjoint_union_is_disconnected(z4_coset_module):
@@ -261,22 +340,6 @@ def test_coherence_unitary(s3_modules):
     for key in _coherence_keys(f):
         u = _coherence_block(f, key)
         assert u.shape[1] and max_residual(dagger(u) @ u, np.eye(u.shape[1])) < 1e-12
-
-
-def test_functor_dimension_matrix_identity(s3_table):
-    m = functor_dimension_matrix(s3_table, list(s3_table.irreps))
-    assert equivalence_check(m)
-    assert np.array_equal(m, np.eye(3, dtype=np.int64))
-
-
-def test_functor_dimension_matrix_restriction(s3_table, s3_subgroups):
-    sub = s3_subgroups["order2"]
-    h_table = extract_irreps(sub.as_group, seed=0)
-    images = [restrict(r, sub) for r in s3_table.irreps]
-    m = functor_dimension_matrix(h_table, images)
-    # each column decomposes an S3 irrep over the two Z2 characters
-    assert m.sum(axis=0).tolist() == [1, 1, 2]
-    assert not equivalence_check(m)
 
 
 def test_frobenius_dims_symmetry(s3_modules, z4_pointed_module):

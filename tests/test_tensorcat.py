@@ -6,7 +6,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from qhspace import tensorcat
+from qhspace import grouprep, tensorcat
 from qhspace.grouprep import (IrrepTable, UnitaryRep, cyclic_group, dihedral_group, extract_irreps,
                               group_from_permutations, intertwiner_basis, symmetric_group, tensor_rep)
 from qhspace.tensorcat import (
@@ -188,7 +188,8 @@ def test_nan_conjugate_entry_fails(s3_cat):
     assert all(np.isnan(c.value) for c in cert.checks if c.name in failing)
 
 
-# The character oracle of from_group: N_ab^c = <chi_a chi_b, chi_c> names the channels to solve.
+# The character oracle of from_group: N_ab^c = <chi_a chi_b, chi_c> names the channels to solve
+# (grouprep.decompose decides it, and its solves are counted at grouprep.intertwiner_basis).
 
 EVEN4 = [p for p in permutations(range(4))
          if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
@@ -207,7 +208,7 @@ def test_from_group_solves_exactly_the_nonempty_channels(group, solved, monkeypa
         calls.append((u, v))
         return intertwiner_basis(u, v, tol)
 
-    monkeypatch.setattr(tensorcat, "intertwiner_basis", counting)
+    monkeypatch.setattr(grouprep, "intertwiner_basis", counting)
     cat = tensorcat.from_group(table)
     assert len(calls) == solved
     # the channels and isometries of solving every triple (a, b, c), empty ones included
@@ -223,19 +224,21 @@ def test_from_group_solves_exactly_the_nonempty_channels(group, solved, monkeypa
 
 
 def test_from_group_refuses_a_short_intertwiner_space(s3_table, s3_cat, monkeypatch):
-    monkeypatch.setattr(tensorcat, "intertwiner_basis", lambda u, v, tol: intertwiner_basis(u, v, tol)[:-1])
+    monkeypatch.setattr(grouprep, "intertwiner_basis", lambda u, v, tol: intertwiner_basis(u, v, tol)[:-1])
     c = s3_cat.channels(1, 1)[0]
-    with pytest.raises(PresentationError, match=re.escape(f"(1, 1, {c}) has dimension 0, characters give 1")):
+    message = f"in 1 (x) 1: intertwiner space of irreducible {c} has dimension 0, characters give 1"
+    with pytest.raises(PresentationError, match=re.escape(message)):
         tensorcat.from_group(s3_table)
 
 
 def test_from_group_refuses_characters_off_a_count(s3_table):
     sign, two = (next(a for a in s3_table.labels if a != UNIT_LABEL and s3_table.dim(a) == d) for d in (1, 2))
-    # scaling the 2-dimensional irrep moves N_{0,2,2} to 1 + 2e-6; negating the sign
+    # scaling the 2-dimensional irrep moves N_{sign,2,2} to 1 + 2e-6 (the unit rows keep exact
+    # identities; the first product that holds the label refuses); negating the sign
     # representation keeps every N_ab^c an integer but makes N_{sign,2,2} = -1
-    for label, change, where in ((two, lambda m: (1 + 1e-6) * m, (0, two, two)),
-                                 (sign, np.negative, (sign, two, two))):
+    for label, change in ((two, lambda m: (1 + 1e-6) * m), (sign, np.negative)):
         irreps = list(s3_table.irreps)
         irreps[label] = UnitaryRep(s3_table.group, change(irreps[label].mats))
-        with pytest.raises(PresentationError, match=re.escape(f"{where} is ") + ".*not a nonnegative integer"):
+        message = re.escape(f"in {sign} (x) {two}: multiplicity of irreducible {two} is ")
+        with pytest.raises(PresentationError, match=message + ".*not a nonnegative integer"):
             tensorcat.from_group(IrrepTable(s3_table.group, tuple(irreps), s3_table.dual_map))
