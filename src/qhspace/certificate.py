@@ -7,12 +7,14 @@ held to.  Residuals are max-norms over all checked instances, never averages.
 
 from __future__ import annotations
 
-import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = "1"
+# SHA-256 from the builtin module (_sha2 from Python 3.12, _sha256 before): hashlib maps OpenSSL's libcrypto
+sha256 = __import__(next(m for m in ("_sha2", "_sha256", "hashlib") if importlib.util.find_spec(m))).sha256
 
 _NUMBER = (int, float)
 _CHECK_FIELDS = (("name", str), ("property", str), ("value", _NUMBER), ("threshold", _NUMBER), ("passed", bool))
@@ -118,4 +120,4 @@ class Certificate:
     def fingerprint(self) -> str:
         """Hash of the JSON form without ``seed``, which no check reads."""
         body = {k: v for k, v in self.to_dict().items() if k != "seed"}
-        return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]
+        return sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:16]

@@ -181,11 +181,11 @@ def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) ->
     Computed by the averaging projector P: T -> (1/|G|) sum_g v(g) T u(g)^-1,
     applied to all matrix units at once, followed by kernel extraction of
     (P - id).  The term v(g) E_ij u(g)^-1 is the outer product of column i
-    of v(g) with row j of u(g)^-1, one broadcast product per run of about
-    ``RUN_ENTRIES`` entries; the terms are added in g order, starting from
-    zero.  No matrix product enters the sum, so its bits do not depend on
-    the BLAS kernel.  For a u of dimension above one they depend on numpy's
-    complex multiply, which fuses a multiply-add on CPUs that have one.
+    of v(g) with row j of u(g)^-1, one broadcast product per run, whose
+    terms and the real products forming them stay within ``RUN_ENTRIES``.
+    The terms are added in g order from zero without a matrix product, so
+    the bits do not depend on the BLAS kernel; for dim u > 1 they depend on
+    numpy's complex multiply, which fuses a multiply-add on CPUs with one.
     """
     group = u.group
     du, dv = u.dim, v.dim
@@ -193,7 +193,7 @@ def intertwiner_basis(u: UnitaryRep, v: UnitaryRep, tol: float = DEFAULT_TOL) ->
     units = np.eye(n, dtype=np.complex128).reshape(n, dv, du)
     acc = np.zeros_like(units)
     cols = v.mats.transpose(0, 2, 1)
-    step = max(1, RUN_ENTRIES // (n * n))
+    step = max(1, RUN_ENTRIES // (2 * n * n))
     for lo in range(0, group.order, step):
         col, row = cols[lo:lo + step, :, None, :, None], u.mats[group.inverse[lo:lo + step]][:, None, :, None, :]
         if du > 1:

@@ -184,10 +184,13 @@ def _coherence_blocks(f: BigradedFunctor) -> BigradedFunctor:
             = tr(t_c^* (iota^* (x) id_t) phi^* (id_a (x) t_b) t_a) / d_r,
 
     with phi the module associator on u_a (x) u_b (x) X_t.  Every
-    coefficient is listed with index arrays and evaluated in one stacked
-    chain per shape of (t_a, t_b, t_c, iota).  Each stacked product acts on
-    the same matrices, with the same memory layout, as a product of single
-    matrices would, so the bits do not depend on the grouping.
+    coefficient is listed with index arrays and evaluated in stacked chains,
+    one per run of the coefficients of one shape of (t_a, t_b, t_c, iota).  A
+    run's live entries together stay within ``RUN_ENTRIES``: per coefficient,
+    t_a, t_b, t_c, iota, its phases, lift, comp, the product before the
+    phases, the lifted iota^*, proj, tc_dag and tc_dag proj.  Each stacked
+    product acts on the same matrices, with the same memory layout, as a
+    product of single matrices would, so the bits do not depend on the runs.
     """
     cat = f.cat
     lab, src, dst, m, kind, pos, stacks = _edges(f)
@@ -220,17 +223,20 @@ def _coherence_blocks(f: BigradedFunctor) -> BigradedFunctor:
     # distinct codes from bincount: np.unique without return_index or return_counts
     # costs 0.25 to 1 MB of RSS (it touches numpy.ma or more numpy code)
     for g in np.flatnonzero(np.bincount(code)).tolist():
-        sel = np.flatnonzero(code == g)
-        ta, tb, tc = (stacks[kind[e[sel[0]]]][pos[e[sel]]] for e in (i1, i2, e3))
-        iota = fstacks[fkind[fi[sel[0]]]][fpos[fi[sel]]]
-        n, (da, ds, dr), (db, dt, _) = len(sel), ta.shape[1:], tb.shape[1:]
-        phi_conj = np.conj(np.tile(f.phase[f.handle[lab[i1[sel]]], f.handle[lab[i2[sel]]], dst[i2[sel]], :dt],
-                                   (1, da * db)))
-        lift = np.kron(np.eye(da, dtype=np.complex128), tb.reshape(n, db * dt, ds))
-        comp = phi_conj[:, :, None] * (lift @ ta.reshape(n, da * ds, dr))
-        proj = np.kron(np.conj(iota).transpose(0, 2, 1), np.eye(dt, dtype=np.complex128)) @ comp
-        tc_dag = np.conj(tc.reshape(n, -1, dr)).transpose(0, 2, 1)
-        buf[where[sel]] = np.trace(tc_dag @ proj, axis1=-2, axis2=-1) / dr
+        every = np.flatnonzero(code == g)
+        (da, ds, dr), (db, dt, _), (dc, _, _) = (stacks[kind[e[every[0]]]].shape[1:] for e in (i1, i2, e3))
+        step = max(1, RUN_ENTRIES // (da * ds * dr + db * dt * ds + (3 * dc * dt + dr) * dr
+                                      + da * db * (dc + dt * (1 + da * ds + 2 * dr + dc * dt))))
+        for sel in (every[lo:lo + step] for lo in range(0, len(every), step)):
+            ta, tb, tc = (stacks[kind[e[sel[0]]]][pos[e[sel]]] for e in (i1, i2, e3))
+            iota, n = fstacks[fkind[fi[sel[0]]]][fpos[fi[sel]]], len(sel)
+            phi_conj = np.conj(np.tile(f.phase[f.handle[lab[i1[sel]]], f.handle[lab[i2[sel]]], dst[i2[sel]], :dt],
+                                       (1, da * db)))
+            lift = np.kron(np.eye(da, dtype=np.complex128), tb.reshape(n, db * dt, ds))
+            comp = phi_conj[:, :, None] * (lift @ ta.reshape(n, da * ds, dr))
+            proj = np.kron(np.conj(iota).transpose(0, 2, 1), np.eye(dt, dtype=np.complex128)) @ comp
+            tc_dag = np.conj(tc.reshape(n, -1, dr)).transpose(0, 2, 1)
+            buf[where[sel]] = np.trace(tc_dag @ proj, axis1=-2, axis2=-1) / dr
 
     return replace(f, coherence=buf, index=index)
 
@@ -468,9 +474,10 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     coordinate, so each side is sum_t t_c[C, w, t] (t_b t_a)[a, B, t, r] times
     a phase per (w, t); left - right puts the phase defect F[w, t] = phi2[w]
     phi1[t] - alpha phi3[w] phi4[w] on t_c: two products per chain.  Pairs
-    sorted by shape are cut into runs of about ``RUN_ENTRIES`` product
-    entries, da db dc dw dr per chain, then extended to chains and evaluated
-    once per shape.
+    sorted by shape are cut into runs, extended to chains and evaluated once
+    per shape.  A run's live entries together stay within ``RUN_ENTRIES``:
+    per chain, t_a, t_b, t_c, three phase rows, the defect, both products,
+    the float modulus of the second and about 16 int64 index entries.
     """
     handle, fuse, alpha_conj = f.handle, f.fuse, np.conj(f.cat.assoc_table())
     nh, _, j, width = f.phase.shape
@@ -478,12 +485,13 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     lab, src, dst, _, kind, pos, stacked = _edges(f)
     ldim, bdim, ns = np.asarray(f.cat.obj_dim), np.asarray(f.base_dims), len(stacked)
     by_dst = [stack.transpose(0, 2, 1, 3).copy() for stack in stacked]  # [i, dst, lab, src]
-    # a composable pair (a, r, s) -> (b, s, t) weighs da db dr times the sum of dc dw over the edges leaving t
     first, second = successors(dst, src, j)
     by_shape = np.argsort(kind[first] * ns + kind[second], kind="stable")
     first, second = first[by_shape], second[by_shape]
-    leaving = np.bincount(src, weights=ldim[lab] * bdim[dst], minlength=j)
-    weight = ldim[lab[first]] * ldim[lab[second]] * bdim[src[first]] * leaving[dst[second]]
+    # a pair keeps the live entries of its chains, one per (c, t, w) leaving t; an int64 or a float counts half
+    da, db, dr, ds, dt = ldim[lab[first]], ldim[lab[second]], bdim[src[first]], bdim[src[second]], bdim[dst[second]]
+    n3, cw, w3 = (np.bincount(src, x, j)[dst[second]] for x in (None, ldim[lab] * bdim[dst], bdim[dst]))
+    weight = n3 * (ds * da * dr + dt * db * ds + 3 * width + 8) + cw * (dt + db * ds + 1.5 * db * da * dr) + w3 * dt
     run = (np.cumsum(weight) - weight) // RUN_ENTRIES
     cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
     worst = []
@@ -491,14 +499,14 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
         e1, e3 = successors(dst[second[lo:hi]], src, j)  # e1 holds each chain's pair until the next line
         e1, e2 = first[lo:hi][e1], second[lo:hi][e1]
         chain_kind = (kind[e1] * ns + kind[e2]) * ns + kind[e3]
-        order = np.argsort(chain_kind, kind="stable")
+        order = chain_kind.argsort(kind="stable")
         e1, e2, e3, chain_kind = e1[order], e2[order], e3[order], chain_kind[order]
         ha, hb, hc, w = handle[lab[e1]], handle[lab[e2]], handle[lab[e3]], dst[e3]
         phi1 = rows.take((ha * nh + hb) * j + dst[e2], axis=0)
         phi2 = rows.take((fuse[ha, hb] * nh + hc) * j + w, axis=0)
         phi34 = rows.take((hb * nh + hc) * j + w, axis=0) * rows.take((ha * nh + fuse[hb, hc]) * j + w, axis=0)
         phi34 *= alpha_conj[lab[e1], lab[e2], lab[e3], None]
-        ends = [0, *(np.flatnonzero(np.diff(chain_kind)) + 1).tolist(), len(chain_kind)]
+        ends = [0, *((chain_kind[1:] != chain_kind[:-1]).nonzero()[0] + 1).tolist(), len(chain_kind)]
         for g, h in zip(ends[:-1], ends[1:]):
             code = int(chain_kind[g])
             ta, tb = by_dst[code // ns**2][pos[e1[g:h]]], by_dst[code // ns % ns][pos[e2[g:h]]]
@@ -506,6 +514,6 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
             (n, ds, da, dr), (dt, db, _), (dc, dw, _) = ta.shape, tb.shape[1:], tc.shape[1:]
             defect = phi2[g:h, :dw, None] * phi1[g:h, None, :dt] - phi34[g:h, :dw, None]
             head = (tc * defect[:, None]).reshape(n, dc * dw, dt) @ tb.reshape(n, dt, db * ds)
-            worst.append(np.max(np.abs(head.reshape(n, -1, ds) @ ta.reshape(n, ds, da * dr))))
+            worst.append(np.abs(head.reshape(n, -1, ds) @ ta.reshape(n, ds, da * dr)).max())
     return largest(worst)
 

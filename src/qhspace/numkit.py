@@ -3,11 +3,11 @@
 All morphisms are plain ``numpy`` arrays of ``complex128``.  Three pieces of
 policy live here.  One is the deterministic phase convention for computed
 bases: every downstream structure constant depends on the basis choice, so it
-has to be canonical and reproducible bit-for-bit.  Another is the entry
-budget ``RUN_ENTRIES`` of the kernels that work in runs.  The third is the
-rule for NaN and inf: a residual carries them (``largest`` and
-``max_residual`` keep a NaN that ``max`` would drop), so the check that
-reads one fails with the value NaN rather than raising.
+has to be canonical and reproducible bit-for-bit.  Another is the budget
+``RUN_ENTRIES`` of the kernels that work in runs: a run's live entries
+together stay within it.  The third is the rule for NaN and inf: a residual
+carries them (``largest`` and ``max_residual`` keep a NaN that ``max`` would
+drop), so the check that reads one fails with the value NaN, not an error.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# entries per run of stacked temporaries: the triple coherence check and the
-# intertwiner average split their work into runs of about this many entries,
-# which bounds their memory
-RUN_ENTRIES = 1 << 14
+# the module build, the triple coherence check and the intertwiner average work
+# in runs: a run's live entries together stay within this budget, which bounds
+# their memory.  It counts complex entries; an int64 or a float64 counts half
+RUN_ENTRIES = 1 << 15
 
 
 class NumericalRankError(ValueError):
@@ -53,12 +53,12 @@ def successors(ends: np.ndarray, src: np.ndarray, n_nodes: int) -> tuple[np.ndar
     Edges are given by their source nodes ``src``.  Returns (path index,
     edge index) arrays, grouped by path in edge order.
     """
-    order = np.argsort(src, kind="stable")
+    order = src.argsort(kind="stable")
     count = np.bincount(src, minlength=n_nodes)
-    start = np.cumsum(count) - count
+    start = count.cumsum() - count
     per_path = count[ends]
-    path = np.repeat(np.arange(len(ends)), per_path)
-    offset = np.arange(len(path)) - np.repeat(np.cumsum(per_path) - per_path, per_path)
+    path = np.arange(len(ends)).repeat(per_path)
+    offset = np.arange(len(path)) - (per_path.cumsum() - per_path).repeat(per_path)
     return path, order[start[ends][path] + offset]
 
 

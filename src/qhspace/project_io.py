@@ -15,13 +15,13 @@ to the same double.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensorcat
+from .certificate import sha256
 from .grouprep import FiniteGroup, IrrepExtractionError, IrrepTable, Subgroup, UnitaryRep, extract_irreps
 from .modcat import BigradedFunctor, module_from_pointed, module_from_subgroup
 from .numkit import DEFAULT_TOL
@@ -51,7 +51,7 @@ def decode_array(data) -> np.ndarray:
 
 
 def fingerprint(obj) -> str:
-    return hashlib.sha256(
+    return sha256(
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()[:16]
 

@@ -1,5 +1,6 @@
-"""Builders, transforms and readers that only the tests use; no pipeline stage calls them."""
+"""Builders, transforms, readers and assertions that only the tests use; no pipeline stage calls them."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -121,3 +122,34 @@ def algebra_from_dict(d: dict) -> dict:
         "tensor": t,
         "star_matrix": decode_array(d["star_matrix"]),
     }
+
+
+# the size of the faults the tests inject, and the least residual that catches one
+EPS = 1e-3
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the tracemalloc peak, in bytes, reached while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_caught(clean, bad, check, unchanged=(), failing=None):
+    """``clean`` passes and ``bad`` fails ``check``, a residual check by at least ``EPS``.
+
+    Each check named in ``unchanged`` keeps its clean verdict and value.  When
+    ``failing`` is given, it is the exact set of checks that ``bad`` fails.
+    """
+    before = {c.name: c for c in clean.checks}
+    after = {c.name: c for c in bad.checks}
+    assert clean.passed, clean.to_text()
+    assert not after[check].passed, after[check]
+    if after[check].threshold == after[check].threshold:  # a flag has a NaN threshold and no residual
+        assert after[check].value >= EPS, after[check]
+    for name in unchanged:
+        assert after[name] == before[name], name
+    if failing is not None:
+        assert {c.name for c in bad.checks if not c.passed} == set(failing), bad.to_text()

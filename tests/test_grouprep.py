@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -25,7 +24,7 @@ from qhspace.grouprep import (
 )
 from qhspace.numkit import max_residual
 
-from support import regular_rep, trivial_rep
+from support import regular_rep, traced_peak, trivial_rep
 
 
 def test_group_axioms_reject_bad_table():
@@ -253,11 +252,6 @@ def test_intertwiner_basis_memory_is_bounded():
     three = extract_irreps(s4).irreps[3]
     assert three.dim == 3
     u, v = regular_rep(s4), tensor_rep(three, three)
-    tracemalloc.start()
-    try:
-        basis = intertwiner_basis(u, v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    basis, peak = traced_peak(intertwiner_basis, u, v)
     assert basis.shape == (9, 9, 24)
     assert peak < 4.6e6, peak

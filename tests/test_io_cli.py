@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import qhspace
-from qhspace import modcat, project_io
+from qhspace import certificate, modcat, project_io
 from qhspace.certificate import Certificate
 from qhspace.cli import main
 from qhspace.grouprep import GroupAxiomError, IrrepExtractionError
@@ -168,6 +169,21 @@ def test_cli_leaves_numpy_random_unimported(tmp_path):
                                "--out", str(tmp_path / "report.txt")],
                               env=env, capture_output=True, text=True, timeout=300)
         assert (proc.returncode, proc.stdout) == (0, "False\n"), (command, name, proc.stderr)
+
+
+def test_fingerprints_leave_openssl_unloaded():
+    # hashlib maps OpenSSL's libcrypto (+3.5 MB per qhs process); the builtin SHA-256 gives the same
+    # digest, so every stored fingerprint of the shipped projects still matches its section
+    script = ("import json, sys\nimport qhspace.cli\nfrom qhspace.project_io import fingerprint\n"
+              "for path in sys.argv[1:]:\n    doc = json.load(open(path))\n"
+              "    assert {k: fingerprint(v) for k, v in doc['sections'].items()} == doc['fingerprints'], path\n"
+              "print('_hashlib' in sys.modules, 'hashlib' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(qhspace.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script, *map(project_path, SHIPPED)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
+    body = json.dumps(example_projects()["z4_pointed"], sort_keys=True).encode()
+    assert certificate.sha256(body).hexdigest() == hashlib.sha256(body).hexdigest()
 
 
 def test_tampered_subgroup_irrep_refused_by_name(tmp_path, capsys):

@@ -2,7 +2,6 @@ import re
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement, permutations
 
@@ -21,11 +20,11 @@ from qhspace.modcat import (
     validate_module,
 )
 from qhspace import modcat
-from qhspace.modcat import _triple_coherence_residual
+from qhspace.modcat import _assemble, _triple_coherence_residual
 from qhspace.numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, successors
 from qhspace.reconstruct import ReconstructionError, build_algebra, build_bimodule, restriction_morphism
 
-from support import disjoint_union_module
+from support import EPS, assert_caught, disjoint_union_module, traced_peak
 from test_grouprep import _quaternion_group
 
 
@@ -323,13 +322,12 @@ def test_index_is_sparse_and_module_memory_is_bounded():
     # 66 MB, and build + validate peaked at 131 MB traced; with the index (0.77 MB) the peak is 7.3 MB
     group = cyclic_group(24)
     cat = tensorcat.from_pointed(tensorcat.PointedFusionData(group, np.ones((24, 24, 24))))
-    tracemalloc.start()
-    try:
+
+    def build_and_validate():
         f = module_from_pointed(cat, Subgroup(group, (0,)))
-        cert = validate_module(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return f, validate_module(f)
+
+    (f, cert), peak = traced_peak(build_and_validate)
     assert cert.passed and len(f.index.code) == 24**3
     assert sum(arr.nbytes for arr in f.index) < 1e6
     assert peak < 16e6, peak
@@ -602,20 +600,79 @@ def test_triple_coherence_reads_fibre_dependent_phases():
             assert abs(failed[0][1] - _triple_loop(g)) < 1e-14 and failed[0][1] > 1.0
 
 
-def test_triple_coherence_memory_is_bounded():
-    # Z10 > Z10: 1000 chains of 10 x 10 matrices; traced, runs of 512 chains peak at 7.9 to 8.3 MB,
-    # runs of 2^14 entries at 2.8 MB
+def _z10_over_z10():
     group = cyclic_group(10)
     cat = tensorcat.from_pointed(tensorcat.PointedFusionData(group, np.ones((10, 10, 10))))
-    f = module_from_pointed(cat, Subgroup(group, tuple(range(10))))
-    tracemalloc.start()
-    try:
-        value = _triple_coherence_residual(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert value < 1e-12
-    assert peak < 4e6, peak
+    return module_from_pointed(cat, Subgroup(group, tuple(range(10))))
+
+
+def test_triple_coherence_memory_is_bounded():
+    # Z10 > Z10 (trivial cocycle): 1000 chains of 10 x 10 matrices; Z12 over its trivial subgroup
+    # (standard cocycle): 20736 chains of 1 x 1 matrices.  Traced, runs of 512 chains peaked at 7.9 to
+    # 8.3 MB on Z10 > Z10; runs of 2^14 product entries at 2.1 and 3.8 MB; runs of 2^15 live entries
+    # peak at 0.75 and 0.65 MB
+    z12 = module_from_pointed(tensorcat.from_pointed(tensorcat.standard_cyclic_cocycle(12)),
+                              Subgroup(cyclic_group(12), (0,)))
+    for f in (_z10_over_z10(), z12):
+        value, peak = traced_peak(_triple_coherence_residual, f)
+        assert value < 1e-12, f.name
+        assert peak < 1e6, (f.name, peak)
+
+
+def test_coherence_blocks_keep_every_bit_in_runs(s3_modules, z4_coset_module, monkeypatch):
+    # Z10 > Z10 has 100 coefficients of one shape, each with 10 x 10 factors.  Traced, one run per shape
+    # peaked at 1.35 MB; runs of 2^15 live entries peak at 0.58 MB
+    z10 = _z10_over_z10()
+    assert traced_peak(modcat._coherence_blocks, z10)[1] < 1e6
+    # only the run boundaries depend on the budget: one run per coefficient, the shipped budget and one
+    # run per shape give the same buffer, bit for bit
+    runs = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def trace(self, *args, **kwargs):
+            runs.append(None)
+            return np.trace(*args, **kwargs)
+
+    monkeypatch.setattr(modcat, "np", CountingNumpy())
+    for f in (*s3_modules.values(), z4_coset_module, z10):
+        counts = []
+        for budget in (1, modcat.RUN_ENTRIES, np.iinfo(np.int64).max):
+            monkeypatch.setattr(modcat, "RUN_ENTRIES", budget)
+            runs.clear()
+            g = modcat._coherence_blocks(f)
+            assert g.coherence.tobytes() == f.coherence.tobytes(), (f.name, budget)
+            assert all(np.array_equal(x, y) for x, y in zip(g.index, f.index, strict=True)), (f.name, budget)
+            counts.append(len(runs))
+        assert f.coherence.size == counts[0] >= counts[1] >= counts[2], (f.name, counts)
+
+
+def _rebuilt(f, bases):
+    """``f`` with other module bases, coherence and index computed anew from them."""
+    return _assemble(f.cat, f.name, f.base_dims, bases, f.handle, f.fuse, f.phase, f.subgroup, f.irrep_table)
+
+
+def test_unit_grading_and_morphism_isometry_catch_their_faults(s3_modules, z4_pointed_module):
+    for f in (s3_modules["full"], z4_pointed_module):
+        clean = validate_module(f)
+        # a second unit morphism on X_0.  Any unit block off the identity that keeps every diagonal block
+        # adds to a column of dims[0], so decomposition_count fails with it; a missing diagonal block
+        # makes unit_basis raise instead of failing
+        doubled = {**f.bases, (0, 0, 0): np.concatenate([f.bases[(0, 0, 0)]] * 2)}
+        assert_caught(clean, validate_module(_rebuilt(f, doubled)), "unit_grading",
+                      failing=("unit_grading", "decomposition_count", "coherence_unitarity"))
+        # one entry of the first non-unit basis morphism bumped by EPS: in the module data, which also
+        # moves the coherence blocks, and in the record alone, which keeps the clean coherence blocks
+        key = min(k for k in f.bases if k[0] != 0)
+        bumped = f.bases[key].copy()
+        bumped[0].flat[np.flatnonzero(bumped[0])[0]] += EPS
+        bases = {**f.bases, key: bumped}
+        assert_caught(clean, validate_module(_rebuilt(f, bases)), "morphism_isometry",
+                      failing=("morphism_isometry", "coherence_unitarity"))
+        assert_caught(clean, validate_module(replace(f, bases=bases)), "morphism_isometry",
+                      failing=("morphism_isometry",))
 
 
 def test_nan_entry_fails_module_checks(s3_modules):

@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -28,7 +27,7 @@ from qhspace.reconstruct import (
 )
 from qhspace.tensorcat import UNIT_LABEL
 
-from support import with_rescaled_conjugates
+from support import EPS, assert_caught, traced_peak, with_rescaled_conjugates
 from test_oracles import invariant_dimension_by_characters
 
 
@@ -147,9 +146,6 @@ def test_star_is_involutive_on_random_elements(s3_modules):
 # exactly the fault, and in the right-unit column of an off-diagonal corner
 # for commuting_actions.  Checks that do not read the copied tensor keep
 # their values.
-EPS = 1e-3
-
-
 def _bumped(t, idx):
     bad = t.copy()
     assert bad[idx] == 0.0
@@ -157,20 +153,11 @@ def _bumped(t, idx):
     return bad
 
 
-def _assert_caught(clean, bad, check, unchanged):
-    before = {c.name: c for c in clean.checks}
-    after = {c.name: c for c in bad.checks}
-    assert clean.passed, clean.to_text()
-    assert not after[check].passed and after[check].value >= EPS, after[check]
-    for name in unchanged:
-        assert after[name] == before[name], name
-
-
 def test_associativity_fault_caught(s3_modules):
     f = s3_modules["full"]  # base dims (1, 1, 2): the algebra at base 2 has dimension 4
     alg = build_algebra(f, 2)
     alg.tensor = _bumped(build_algebra(f, 2).tensor, (0, 1, 2))
-    _assert_caught(verify_algebra(build_algebra(f, 2)), verify_algebra(alg), "associativity",
+    assert_caught(verify_algebra(build_algebra(f, 2)), verify_algebra(alg), "associativity",
                    ("right_unit", "involution", "unit_star"))
 
 
@@ -179,7 +166,7 @@ def test_star_fault_caught_by_antimultiplicative(s3_modules):
     f = s3_modules["trivial"]
     alg = build_algebra(f, 0)
     alg.star_mat = _bumped(build_algebra(f, 0).star_mat, (0, 1))
-    _assert_caught(verify_algebra(build_algebra(f, 0)), verify_algebra(alg), "antimultiplicative",
+    assert_caught(verify_algebra(build_algebra(f, 0)), verify_algebra(alg), "antimultiplicative",
                    ("left_unit", "right_unit", "associativity", "unit_star"))
 
 
@@ -188,7 +175,7 @@ def test_negated_star_caught_by_gram_psd(s3_modules):
     f = s3_modules["trivial"]
     alg = build_algebra(f, 0)
     alg.star_mat = -build_algebra(f, 0).star_mat
-    _assert_caught(cp_certificate(build_algebra(f, 0)), cp_certificate(alg), "gram_psd", ("gram_hermitian",))
+    assert_caught(cp_certificate(build_algebra(f, 0)), cp_certificate(alg), "gram_psd", ("gram_hermitian",))
 
 
 def test_nan_tensor_entry_fails_positivity_and_roundtrip(s3_modules):
@@ -219,7 +206,7 @@ def test_bimodule_associativity_fault_caught(s3_modules, check, corner, side, un
     f = s3_modules["full"]
     bim = build_bimodule(f, *corner)
     setattr(bim, side, _bumped(getattr(build_bimodule(f, *corner), side), (0, 0, 1)))
-    _assert_caught(verify_bimodule(build_bimodule(f, *corner)), verify_bimodule(bim), check, unchanged)
+    assert_caught(verify_bimodule(build_bimodule(f, *corner)), verify_bimodule(bim), check, unchanged)
 
 
 def test_block_associativity_fault_caught(s3_modules, monkeypatch):
@@ -229,7 +216,7 @@ def test_block_associativity_fault_caught(s3_modules, monkeypatch):
     # index 0 is the unit of corner (0, 0), indices 1 and 2 span corner (0, 2)
     bad = _bumped(tensor, (0, 1, 2))
     monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, bad))
-    _assert_caught(clean, block_consistency(f, 0, 2), "block_associativity", ("block_right_unit",))
+    assert_caught(clean, block_consistency(f, 0, 2), "block_associativity", ("block_right_unit",))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -257,12 +244,7 @@ def test_block_consistency_memory_is_cubic(s4_over_s3):
     # so an n^4 tensor of it takes 27 MB
     f = s4_over_s3
     assert len(block_structure_tensor(f, (0, 2))[0]) == 36
-    tracemalloc.start()
-    try:
-        cert = block_consistency(f, 0, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cert, peak = traced_peak(block_consistency, f, 0, 2)
     assert cert.passed, cert.to_text()
     assert peak < 10e6, peak
 

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -18,7 +17,7 @@ from qhspace.tensorcat import (
     verify_presentation,
 )
 
-from support import with_rescaled_conjugates
+from support import traced_peak, with_rescaled_conjugates
 from test_grouprep import _quaternion_group
 
 
@@ -107,12 +106,7 @@ def test_cocycle_check_keeps_its_message_in_n_cubed_memory():
         assert str(err.value) == f"cocycle not normalized at {entry}"
     # Z24: the check holds a few n^3 slices (0.9 MB traced); all n^4 quadruples at once peaked at 18.6 MB
     om, z24 = standard_cyclic_cocycle(24).cocycle, cyclic_group(24)
-    tracemalloc.start()
-    try:
-        PointedFusionData(z24, om)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(PointedFusionData, z24, om)
     assert peak < 2.5e6, peak
 
 
