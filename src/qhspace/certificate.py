@@ -7,14 +7,18 @@ held to.  Residuals are max-norms over all checked instances, never averages.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
 from dataclasses import dataclass, field
+try:  # the builtin SHA-256, since hashlib maps OpenSSL's libcrypto
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA_VERSION = "1"
-# SHA-256 from the builtin module (_sha2 from Python 3.12, _sha256 before): hashlib maps OpenSSL's libcrypto
-sha256 = __import__(next(m for m in ("_sha2", "_sha256", "hashlib") if importlib.util.find_spec(m))).sha256
 
 _NUMBER = (int, float)
 _CHECK_FIELDS = (("name", str), ("property", str), ("value", _NUMBER), ("threshold", _NUMBER), ("passed", bool))

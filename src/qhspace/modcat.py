@@ -183,21 +183,18 @@ def _coherence_blocks(f: BigradedFunctor) -> BigradedFunctor:
         coherence_channel(a, b, r, t, c)[k, p, col]
             = tr(t_c^* (iota^* (x) id_t) phi^* (id_a (x) t_b) t_a) / d_r,
 
-    with phi the module associator on u_a (x) u_b (x) X_t.  Every
-    coefficient is listed with index arrays and evaluated in stacked chains,
-    one per run of the coefficients of one shape of (t_a, t_b, t_c, iota).  A
-    run's live entries together stay within ``RUN_ENTRIES``: per coefficient,
-    t_a, t_b, t_c, iota, its phases, lift, comp, the product before the
-    phases, the lifted iota^*, proj, tc_dag and tc_dag proj.  Each stacked
-    product acts on the same matrices, with the same memory layout, as a
-    product of single matrices would, so the bits do not depend on the runs.
+    with phi the module associator on u_a (x) u_b (x) X_t.  Every coefficient
+    is listed with index arrays and evaluated in stacked chains, one per run of
+    one shape of (t_a, t_b, t_c, iota) whose live entries together stay within
+    ``RUN_ENTRIES``.  Each stacked product acts on the same matrices, with the
+    same memory layout, as a single product would, so no bit depends on the runs.
     """
     cat = f.cat
     lab, src, dst, m, kind, pos, stacks = _edges(f)
     (fa, fb, fc, _), fkind, fpos, fstacks = fusion_table(cat)
     nl, j = len(cat.obj_dim), f.n_base
     # columns, sorted by block and then by (s, m, n)
-    e1, e2 = successors(dst, src, j)
+    e1, e2 = successors(src, j)(dst)
     block_code = ((lab[e1] * nl + lab[e2]) * j + src[e1]) * j + dst[e2]
     order = np.lexsort((e2, e1, dst[e1], block_code))
     e1, e2 = e1[order], e2[order]
@@ -207,8 +204,8 @@ def _coherence_blocks(f: BigradedFunctor) -> BigradedFunctor:
     s_first = np.flatnonzero(np.diff(block * j + dst[e1], prepend=-1))  # first column of each s
     # coefficients: column x fusion isometry of (a, b) x basis morphism t_c of (c, r, t);
     # in (block, c, k, p, column) order they fill the blocks one after another
-    ci, fi = successors(lab[e1] * nl + lab[e2], fa * nl + fb, nl * nl)
-    xi, e3 = successors((fc[fi] * j + src[e1[ci]]) * j + dst[e2[ci]], (lab * j + src) * j + dst, nl * j * j)
+    ci, fi = successors(fa * nl + fb, nl * nl)(lab[e1] * nl + lab[e2])
+    xi, e3 = successors((lab * j + src) * j + dst, nl * j * j)((fc[fi] * j + src[e1[ci]]) * j + dst[e2[ci]])
     ci, fi = ci[xi], fi[xi]
     where = np.empty_like(ci)
     where[np.lexsort((col[ci], m[e3], fi, block[ci]))] = np.arange(len(ci))
@@ -474,10 +471,8 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     coordinate, so each side is sum_t t_c[C, w, t] (t_b t_a)[a, B, t, r] times
     a phase per (w, t); left - right puts the phase defect F[w, t] = phi2[w]
     phi1[t] - alpha phi3[w] phi4[w] on t_c: two products per chain.  Pairs
-    sorted by shape are cut into runs, extended to chains and evaluated once
-    per shape.  A run's live entries together stay within ``RUN_ENTRIES``:
-    per chain, t_a, t_b, t_c, three phase rows, the defect, both products,
-    the float modulus of the second and about 16 int64 index entries.
+    sorted by shape are cut into runs whose live entries together stay within
+    ``RUN_ENTRIES``, extended to chains and evaluated once per shape.
     """
     handle, fuse, alpha_conj = f.handle, f.fuse, np.conj(f.cat.assoc_table())
     nh, _, j, width = f.phase.shape
@@ -485,7 +480,8 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     lab, src, dst, _, kind, pos, stacked = _edges(f)
     ldim, bdim, ns = np.asarray(f.cat.obj_dim), np.asarray(f.base_dims), len(stacked)
     by_dst = [stack.transpose(0, 2, 1, 3).copy() for stack in stacked]  # [i, dst, lab, src]
-    first, second = successors(dst, src, j)
+    chains = successors(src, j)  # the edges leaving each node, sorted once for every run
+    first, second = chains(dst)
     by_shape = np.argsort(kind[first] * ns + kind[second], kind="stable")
     first, second = first[by_shape], second[by_shape]
     # a pair keeps the live entries of its chains, one per (c, t, w) leaving t; an int64 or a float counts half
@@ -496,17 +492,17 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
     worst = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        e1, e3 = successors(dst[second[lo:hi]], src, j)  # e1 holds each chain's pair until the next line
+        e1, e3 = chains(dst[second[lo:hi]])  # e1 holds each chain's pair until the next line
         e1, e2 = first[lo:hi][e1], second[lo:hi][e1]
         chain_kind = (kind[e1] * ns + kind[e2]) * ns + kind[e3]
-        order = chain_kind.argsort(kind="stable")
+        order = np.argsort(chain_kind, kind="stable")
         e1, e2, e3, chain_kind = e1[order], e2[order], e3[order], chain_kind[order]
         ha, hb, hc, w = handle[lab[e1]], handle[lab[e2]], handle[lab[e3]], dst[e3]
         phi1 = rows.take((ha * nh + hb) * j + dst[e2], axis=0)
         phi2 = rows.take((fuse[ha, hb] * nh + hc) * j + w, axis=0)
         phi34 = rows.take((hb * nh + hc) * j + w, axis=0) * rows.take((ha * nh + fuse[hb, hc]) * j + w, axis=0)
         phi34 *= alpha_conj[lab[e1], lab[e2], lab[e3], None]
-        ends = [0, *((chain_kind[1:] != chain_kind[:-1]).nonzero()[0] + 1).tolist(), len(chain_kind)]
+        ends = [0, *(np.flatnonzero(np.diff(chain_kind)) + 1).tolist(), len(chain_kind)]
         for g, h in zip(ends[:-1], ends[1:]):
             code = int(chain_kind[g])
             ta, tb = by_dst[code // ns**2][pos[e1[g:h]]], by_dst[code // ns % ns][pos[e2[g:h]]]
@@ -514,6 +510,6 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
             (n, ds, da, dr), (dt, db, _), (dc, dw, _) = ta.shape, tb.shape[1:], tc.shape[1:]
             defect = phi2[g:h, :dw, None] * phi1[g:h, None, :dt] - phi34[g:h, :dw, None]
             head = (tc * defect[:, None]).reshape(n, dc * dw, dt) @ tb.reshape(n, dt, db * ds)
-            worst.append(np.abs(head.reshape(n, -1, ds) @ ta.reshape(n, ds, da * dr)).max())
+            worst.append(np.max(np.abs(head.reshape(n, -1, ds) @ ta.reshape(n, ds, da * dr))))
     return largest(worst)
 

@@ -16,9 +16,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# the module build, the triple coherence check and the intertwiner average work
-# in runs: a run's live entries together stay within this budget, which bounds
-# their memory.  It counts complex entries; an int64 or a float64 counts half
+# the module build, the triple coherence check and the intertwiner average work in runs: a run's live
+# entries together stay within this many complex entries (an int64 or a float64 counts half)
 RUN_ENTRIES = 1 << 15
 
 
@@ -47,19 +46,21 @@ def block_offsets(sizes) -> np.ndarray:
     return out
 
 
-def successors(ends: np.ndarray, src: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair each path ending at node ends[i] with every edge leaving it.
+def successors(src: np.ndarray, n_nodes: int):
+    """The join of paths with the edges leaving their end, for edges given by their source nodes ``src``.
 
-    Edges are given by their source nodes ``src``.  Returns (path index,
-    edge index) arrays, grouped by path in edge order.
+    ``successors(src, n_nodes)(ends)`` pairs each path ending at node ends[i] with every edge leaving
+    it: (path index, edge index) arrays, grouped by path in edge order.  The edges are sorted once.
     """
-    order = src.argsort(kind="stable")
+    order = np.argsort(src, kind="stable")
     count = np.bincount(src, minlength=n_nodes)
-    start = count.cumsum() - count
-    per_path = count[ends]
-    path = np.arange(len(ends)).repeat(per_path)
-    offset = np.arange(len(path)) - (per_path.cumsum() - per_path).repeat(per_path)
-    return path, order[start[ends][path] + offset]
+    start = np.cumsum(count) - count
+    def join(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        per_path = count[ends]
+        path = np.repeat(np.arange(len(ends)), per_path)
+        offset = np.arange(len(path)) - np.repeat(np.cumsum(per_path) - per_path, per_path)
+        return path, order[start[ends][path] + offset]
+    return join
 
 
 def stack_by_shape(blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:

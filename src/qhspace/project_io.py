@@ -51,9 +51,8 @@ def decode_array(data) -> np.ndarray:
 
 
 def fingerprint(obj) -> str:
-    return sha256(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()[:16]
+    body = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return sha256(body.encode()).hexdigest()[:16]
 
 
 def irrep_table_to_dict(table: IrrepTable) -> dict:

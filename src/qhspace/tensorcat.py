@@ -256,8 +256,8 @@ def _recoupling_residual(cat: CategoryPresentation) -> float:
     dims = np.asarray(cat.obj_dim)
     # each path is an isometry into d followed by one out of (d, c), resp. (a, d);
     # sorted by case, then by the two isometries: the order (d, k, l) of each side
-    l1, l2 = successors(fc, fa, n)
-    r1, r2 = successors(fc, fb, n)
+    l1, l2 = successors(fa, n)(fc)
+    r1, r2 = successors(fb, n)(fc)
     case_l = ((fa[l1] * n + fb[l1]) * n + fb[l2]) * n + fc[l2]
     case_r = ((fa[r2] * n + fa[r1]) * n + fb[r1]) * n + fc[r2]
     lo, ro = np.lexsort((l2, l1, case_l)), np.lexsort((r2, r1, case_r))

@@ -158,7 +158,7 @@ def test_associativity_fault_caught(s3_modules):
     alg = build_algebra(f, 2)
     alg.tensor = _bumped(build_algebra(f, 2).tensor, (0, 1, 2))
     assert_caught(verify_algebra(build_algebra(f, 2)), verify_algebra(alg), "associativity",
-                   ("right_unit", "involution", "unit_star"))
+                  ("right_unit", "involution", "unit_star"))
 
 
 def test_star_fault_caught_by_antimultiplicative(s3_modules):
@@ -167,7 +167,7 @@ def test_star_fault_caught_by_antimultiplicative(s3_modules):
     alg = build_algebra(f, 0)
     alg.star_mat = _bumped(build_algebra(f, 0).star_mat, (0, 1))
     assert_caught(verify_algebra(build_algebra(f, 0)), verify_algebra(alg), "antimultiplicative",
-                   ("left_unit", "right_unit", "associativity", "unit_star"))
+                  ("left_unit", "right_unit", "associativity", "unit_star"))
 
 
 def test_negated_star_caught_by_gram_psd(s3_modules):
