@@ -19,8 +19,8 @@ from .modcat import (
     validate_module,
 )
 from .reconstruct import (
-    SpectralAlgebra,
     SpectralBimodule,
+    StarAlgebra,
     build_algebra,
     build_bimodule,
     cp_certificate,
@@ -40,8 +40,8 @@ __all__ = [
     "Check",
     "FiniteGroup",
     "IrrepTable",
-    "SpectralAlgebra",
     "SpectralBimodule",
+    "StarAlgebra",
     "Subgroup",
     "UnitaryRep",
     "build_algebra",

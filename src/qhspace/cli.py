@@ -24,7 +24,8 @@ from .certificate import Certificate
 from .modcat import validate_module
 from .numkit import DEFAULT_TOL
 from .project_io import algebra_to_dict, encode_array, load_project
-from .reconstruct import algebra_map, build_algebra, eigenvector_test, validate_morphism, verify_algebra_map
+from .reconstruct import (algebra_map, basis_triples, build_algebra, eigenvector_test, validate_morphism,
+                          verify_algebra_map)
 from .tensorcat import verify_presentation
 from .verify import ALL_SUITES, report, run_suite
 
@@ -64,7 +65,8 @@ def cmd_reconstruct(args) -> int:
         print(f"error: base label {args.base} not in {valid}", file=sys.stderr)
         return 2
     alg = build_algebra(project.module, args.base)
-    _emit(json.dumps(algebra_to_dict(alg), indent=2, sort_keys=True), args.out)
+    basis = basis_triples(project.module, args.base, args.base)
+    _emit(json.dumps(algebra_to_dict(alg, basis), indent=2, sort_keys=True), args.out)
     return 0
 
 

@@ -404,8 +404,8 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL) -> Certificate
 
     cert.add_flag("unit_grading", "unit label acts as the identity grading",
                   np.array_equal(dims[UNIT_LABEL], np.eye(f.n_base, dtype=np.int64)))
-    exact_unit = largest([max_residual(f.mor_basis(UNIT_LABEL, r, r)[0], np.eye(f.base_dims[r]))
-                          for r in range(f.n_base)])
+    exact_unit = largest([max_residual(u[0], np.eye(f.base_dims[r])) if len(u := f.mor_basis(UNIT_LABEL, r, r))
+                          else np.inf for r in range(f.n_base)])
     cert.add("unit_basis", "unit morphism basis is the identity matrix", exact_unit)
 
     lab, src, dst, _, kind, pos, stacks = _edges(f)

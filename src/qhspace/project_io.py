@@ -25,7 +25,7 @@ from .certificate import sha256
 from .grouprep import FiniteGroup, IrrepExtractionError, IrrepTable, Subgroup, UnitaryRep, extract_irreps
 from .modcat import BigradedFunctor, module_from_pointed, module_from_subgroup
 from .numkit import DEFAULT_TOL
-from .reconstruct import ModuleMorphism, SpectralAlgebra, basis_triples, restriction_morphism
+from .reconstruct import ModuleMorphism, StarAlgebra, restriction_morphism
 
 SCHEMA_VERSION = "3"
 
@@ -83,11 +83,11 @@ def irrep_table_from_dict(group: FiniteGroup, d: dict) -> IrrepTable:
     return IrrepTable(group, tuple(irreps), tuple(dual))
 
 
-def algebra_to_dict(alg: SpectralAlgebra) -> dict:
+def algebra_to_dict(alg: StarAlgebra, basis: list[tuple[int, int, int]]) -> dict:
+    """The algebra as JSON, its elements labelled by ``basis`` (``basis_triples`` at its base)."""
     t, nonzero = alg.tensor, alg.tensor != 0.0
     # the nonzero structure constants, in C order of (p, q, r)
     triplets = [[*pqr, z] for pqr, z in zip(np.argwhere(nonzero).tolist(), encode_array(t[nonzero]))]
-    basis = basis_triples(alg.functor, alg.base, alg.base)
     return {
         "basis": [list(tr) for tr in basis],
         "grading": [tr[0] for tr in basis],

@@ -153,30 +153,24 @@ def _star_matrix(f: BigradedFunctor, x: int, y: int) -> np.ndarray:
     return s
 
 
-@dataclass
-class SpectralAlgebra:
-    """The reconstructed *-algebra at a distinguished base label."""
+@dataclass(frozen=True, eq=False)
+class StarAlgebra:
+    """A finite-dimensional *-algebra, as arrays only: ``build_algebra`` and ``block_algebra`` fill it.
 
-    functor: BigradedFunctor
-    base: int = 0
+    e_p e_q = sum_r tensor[p, q, r] e_r, star(v) = star_mat @ conj(v), and
+    ``unit`` is the unit's coefficients.  ``offsets`` cut the basis into
+    corners (``numkit.block_offsets``); an algebra at one base label is one corner.
+    """
+
+    name: str
+    tensor: np.ndarray
+    star_mat: np.ndarray
+    unit: np.ndarray
+    offsets: np.ndarray
 
     @property
     def dim(self) -> int:
-        return int(spectral_offsets(self.functor, self.base, self.base)[-1])
-
-    @cached_property
-    def tensor(self) -> np.ndarray:
-        return structure_tensor(self.functor, self.base, self.base, self.base)
-
-    @cached_property
-    def star_mat(self) -> np.ndarray:
-        return star_matrix(self.functor, self.base, self.base)
-
-    @cached_property
-    def unit(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.complex128)
-        v[0] = 1.0
-        return v
+        return len(self.unit)
 
     def multiply(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.einsum("p,q,pqr->r", v, w, self.tensor)
@@ -184,42 +178,42 @@ class SpectralAlgebra:
     def star(self, v: np.ndarray) -> np.ndarray:
         return self.star_mat @ np.conj(v)
 
-    def left_multiplication(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("p,pqr->rq", v, self.tensor)
-
     def gram_from_product(self) -> np.ndarray:
-        """Gram matrix E(e_p^* e_q) computed through star and multiplication."""
+        """Gram matrix E(e_p^* e_q) through star and product, E the coefficient of e_0 (the unit at a base)."""
         return self.star_mat.T @ self.tensor[:, :, 0]
 
-    def gram_closed_form(self) -> np.ndarray:
-        """Gram matrix from the duality data alone, bypassing the product.
 
-        Block for label a: E(e_{(a,m,i)}^* e_{(a,n,j)}) =
-        (B^t B-bar)[m, n] * V[i, j] / qdim(a) where B is the dual-label
-        expansion of the Frobenius images and V pairs the conjugate vectors.
-        """
-        f, base = self.functor, self.base
-        cat = f.cat
-        off = spectral_offsets(f, base, base)
-        g = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for a in np.flatnonzero(f.dims[:, base, base]).tolist():
-            da = cat.dim(a)
-            dbar = cat.dim(cat.dual_map[a])
-            r, rbar = cat.canonical_conjugates(a)
-            b = f.frobenius_block(a, base, base)
-            bb = dagger(b) @ b
-            # V[i, j] = sum_l conj(Rbar[i, l]) R[l, j]
-            v = np.conj(rbar).reshape(da, dbar) @ r.reshape(dbar, da)
-            g[off[a]:off[a + 1], off[a]:off[a + 1]] = np.kron(bb.T, v) / cat.qdim[a]
-        return g
+def gram_closed_form(f: BigradedFunctor, base: int) -> np.ndarray:
+    """Gram matrix of the algebra at ``base`` from the duality data alone, bypassing the product.
+
+    Block for label a: E(e_{(a,m,i)}^* e_{(a,n,j)}) =
+    (B^t B-bar)[m, n] * V[i, j] / qdim(a) where B is the dual-label
+    expansion of the Frobenius images and V pairs the conjugate vectors.
+    """
+    cat = f.cat
+    off = spectral_offsets(f, base, base)
+    g = np.zeros((off[-1], off[-1]), dtype=np.complex128)
+    for a in np.flatnonzero(f.dims[:, base, base]).tolist():
+        da = cat.dim(a)
+        dbar = cat.dim(cat.dual_map[a])
+        r, rbar = cat.canonical_conjugates(a)
+        b = f.frobenius_block(a, base, base)
+        bb = dagger(b) @ b
+        # V[i, j] = sum_l conj(Rbar[i, l]) R[l, j]
+        v = np.conj(rbar).reshape(da, dbar) @ r.reshape(dbar, da)
+        g[off[a]:off[a + 1], off[a]:off[a + 1]] = np.kron(bb.T, v) / cat.qdim[a]
+    return g
 
 
-def build_algebra(f: BigradedFunctor, base: int = 0) -> SpectralAlgebra:
+def build_algebra(f: BigradedFunctor, base: int = 0) -> StarAlgebra:
+    """The algebra at ``base``, from the memoised structure tensor and star matrix; its unit is e_0."""
     if not (0 <= base < f.n_base):
         raise ReconstructionError("base label out of range")
     if f.dims[UNIT_LABEL, base, base] != 1:
         raise ReconstructionError("unit label must act trivially at the base")
-    return SpectralAlgebra(f, base)
+    t = structure_tensor(f, base, base, base)
+    unit = (np.arange(len(t)) == 0).astype(np.complex128)
+    return StarAlgebra(f"{f.name}@{base}", t, star_matrix(f, base, base), unit, np.array([0, len(t)]))
 
 
 def _support(t: np.ndarray, cuts: list[list[slice]]) -> set[tuple[int, int, int]]:
@@ -279,41 +273,52 @@ def _bilinear(t: np.ndarray, mu: np.ndarray, mv: np.ndarray) -> np.ndarray:
     return out.reshape(nj, ni, nr).transpose(1, 0, 2)
 
 
-def verify_algebra(alg: SpectralAlgebra, tol: float = DEFAULT_TOL) -> Certificate:
-    """Check the *-algebra axioms on the structure constants."""
-    cert = Certificate(subject=f"algebra[{alg.functor.name}@{alg.base}]", tolerance=tol)
-    n = alg.dim
-    t = alg.tensor
-    one = alg.unit
+def _antimultiplicative_residual(t: np.ndarray, s: np.ndarray, off: np.ndarray) -> float:
+    """max |(e_p e_q)* - e_q* e_p*| over basis pairs, for the star v -> s conj(v) and blocks ``off``.
 
-    eye = np.eye(n)
-    left_unit = np.einsum("p,pqr->qr", one, t).T
-    right_unit = np.einsum("q,pqr->pr", one, t).T
+    As in ``_assoc_residual``, output block (P, Q, R) sums only the products
+    conj(t[P, Q, W]) s[R, W]^T and s[U, Q] s[V, P] t[U, V, R] whose factor
+    blocks all have a nonzero entry; with one block this is the dense check.
+    """
+    B = [slice(lo, hi) for lo, hi in zip(off[:-1].tolist(), off[1:].tolist())]
+    k = range(len(B))
+    s_t, s_s = _support(t, [B, B, B]), {(i, j) for i, j in product(k, k) if s[B[i], B[j]].any()}
+    values = []
+    for p, q, r in product(k, k, k):
+        one = [np.conj(t[B[p], B[q], B[w]]) @ s[B[r], B[w]].T for w in k if (p, q, w) in s_t and (r, w) in s_s]
+        two = [_bilinear(t[B[u], B[v], B[r]], s[B[u], B[q]], s[B[v], B[p]]).transpose(1, 0, 2)
+               for u, v in product(k, k) if (u, v, r) in s_t and (u, q) in s_s and (v, p) in s_s]
+        if one or two:
+            values.append(max_residual(sum(one[1:], one[0]) if one else 0.0, sum(two[1:], two[0]) if two else 0.0))
+    return largest(values)
+
+
+def verify_algebra(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> Certificate:
+    """Check the *-algebra axioms of the record; products of all-zero corner blocks are skipped."""
+    cert = Certificate(subject=f"algebra[{alg.name}]", tolerance=tol)
+    t, s, one, off = alg.tensor, alg.star_mat, alg.unit, alg.offsets
+
+    eye = np.eye(alg.dim)
     cert.add("left_unit", "1 * f = f exactly on every basis element",
-             max_residual(left_unit, eye))
+             max_residual(np.einsum("p,pqr->qr", one, t).T, eye))
     cert.add("right_unit", "f * 1 = f exactly on every basis element",
-             max_residual(right_unit, eye))
+             max_residual(np.einsum("q,pqr->pr", one, t).T, eye))
 
-    cert.add("associativity", "(fg)h = f(gh) on all basis triples", _assoc_residual(t, t, t, t))
+    cert.add("associativity", "(fg)h = f(gh) on all basis triples", _assoc_residual(t, t, t, t, off))
 
-    s = alg.star_mat
     cert.add("involution", "f** = f on every basis element",
              max_residual(s @ np.conj(s), eye))
     cert.add("unit_star", "1* = 1", max_residual(alg.star(one), one))
-
-    # (fg)* = g* f* checked on all basis pairs
-    cert.add("antimultiplicative", "(fg)* = g* f* on all basis pairs",
-             max_residual(np.conj(t) @ s.T, _bilinear(t, s, s).transpose(1, 0, 2)))
+    cert.add("antimultiplicative", "(fg)* = g* f* on all basis pairs", _antimultiplicative_residual(t, s, off))
     return cert
 
 
-def cp_certificate(alg: SpectralAlgebra, tol: float = DEFAULT_TOL) -> Certificate:
-    """Positivity of the invariant expectation, by two independent routes."""
-    cert = Certificate(subject=f"cp[{alg.functor.name}@{alg.base}]", tolerance=tol)
+def cp_certificate(alg: StarAlgebra, gram: np.ndarray, tol: float = DEFAULT_TOL) -> Certificate:
+    """Positivity of the invariant expectation: ``gram`` (``gram_closed_form``) against the product route."""
+    cert = Certificate(subject=f"cp[{alg.name}]", tolerance=tol)
     g1 = alg.gram_from_product()
-    g2 = alg.gram_closed_form()
     cert.add("gram_routes", "product-route Gram equals closed-form Gram",
-             max_residual(g1, g2))
+             max_residual(g1, gram))
     cert.add("gram_hermitian", "Gram matrix is Hermitian",
              max_residual(g1, dagger(g1)))
     # h is Hermitian to the last bit; a NaN may reach only some eigenvalues
@@ -333,7 +338,7 @@ def classical_roundtrip(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
     multiplication matrix; the resulting eigenprojections must form a full
     system of self-adjoint orthogonal idempotents summing to the unit.
     """
-    cert = Certificate(subject=f"classical[{alg.functor.name}@{alg.base}]",
+    cert = Certificate(subject=f"classical[{alg.name}]",
                        tolerance=tol, seed=seed)
     n = alg.dim
     t = alg.tensor
@@ -344,7 +349,7 @@ def classical_roundtrip(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = (v + alg.star(v)) / 2.0
-    lm = alg.left_multiplication(v)
+    lm = np.einsum("p,pqr->rq", v, t)  # left multiplication by v
     if not np.isfinite(lm).all():
         cert.add_flag("spectrum_simple", "generic element separates the characters", False, value=float("nan"))
         return cert
@@ -387,7 +392,7 @@ def classical_roundtrip(alg: SpectralAlgebra, tol: float = DEFAULT_TOL,
 
 @dataclass
 class SpectralBimodule:
-    """The (x, y) corner with its outer multiplications."""
+    """The (x, y) corner with its outer multiplications, each read from the module's memo."""
 
     functor: BigradedFunctor
     x: int
@@ -397,15 +402,15 @@ class SpectralBimodule:
     def dim(self) -> int:
         return int(spectral_offsets(self.functor, self.x, self.y)[-1])
 
-    @cached_property
+    @property
     def left_tensor(self) -> np.ndarray:
         return structure_tensor(self.functor, self.x, self.x, self.y)
 
-    @cached_property
+    @property
     def right_tensor(self) -> np.ndarray:
         return structure_tensor(self.functor, self.x, self.y, self.y)
 
-    @cached_property
+    @property
     def star_mat(self) -> np.ndarray:
         return star_matrix(self.functor, self.x, self.y)
 
@@ -420,12 +425,10 @@ def verify_bimodule(bim: SpectralBimodule, tol: float = DEFAULT_TOL) -> Certific
     """Module axioms of the corner over its two corner algebras."""
     f, x, y = bim.functor, bim.x, bim.y
     cert = Certificate(subject=f"bimodule[{f.name}@({x},{y})]", tolerance=tol)
-    ax = build_algebra(f, x)
-    ay = build_algebra(f, y)
-    nb = bim.dim
+    ax, ay = build_algebra(f, x), build_algebra(f, y)
     lt, rt = bim.left_tensor, bim.right_tensor
 
-    eye = np.eye(nb)
+    eye = np.eye(bim.dim)
     cert.add("left_unit", "1_x acts as the identity",
              max_residual(np.einsum("p,pqr->qr", ax.unit, lt).T, eye))
     cert.add("right_unit", "1_y acts as the identity",
@@ -470,28 +473,25 @@ def block_structure_tensor(f: BigradedFunctor, blocks: tuple[int, ...]) -> tuple
     return basis, tensor
 
 
+def block_algebra(f: BigradedFunctor, x: int, y: int) -> StarAlgebra:
+    """The algebra at x (+) y: ``block_structure_tensor``, and the star of corner (u, v) onto (v, u).
+
+    Its unit is the sum of the corner units, and its offsets are the four corners'.
+    """
+    basis, tensor = block_structure_tensor(f, (x, y))
+    off = block_offsets(np.bincount([2 * u + v for u, v, *_ in basis], minlength=4))
+    corner = [slice(lo, hi) for lo, hi in zip(off[:-1].tolist(), off[1:].tolist())]
+    star = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    for u, v in product(range(2), repeat=2):
+        star[corner[2 * v + u], corner[2 * u + v]] = star_matrix(f, (x, y)[u], (x, y)[v])
+    unit = np.array([u == v and a == UNIT_LABEL for u, v, a, *_ in basis], dtype=np.complex128)
+    return StarAlgebra(f"{f.name}@({x},{y})", tensor, star, unit, off)
+
+
 def block_consistency(f: BigradedFunctor, x: int, y: int,
                       tol: float = DEFAULT_TOL) -> Certificate:
-    """The block algebra at x (+) y is an associative unital *-compatible sum.
-
-    Verifies that the four corners assembled from the simple-base structure
-    tensors close under multiplication: associativity and the two-sided unit
-    (sum of the corner units) hold for the assembled block algebra.
-    """
-    cert = Certificate(subject=f"blocks[{f.name}@({x},{y})]", tolerance=tol)
-    basis, tensor = block_structure_tensor(f, (x, y))
-    n = len(basis)
-    unit = np.array([u == v and a == UNIT_LABEL for u, v, a, *_ in basis], dtype=np.complex128)
-    eye = np.eye(n)
-    cert.add("block_left_unit", "sum of corner units is a left unit",
-             max_residual(np.einsum("p,pqr->qr", unit, tensor).T, eye))
-    cert.add("block_right_unit", "sum of corner units is a right unit",
-             max_residual(np.einsum("q,pqr->pr", unit, tensor).T, eye))
-    # corner (u, v) times corner (v', w) is zero unless v = v': the residual skips those products
-    corners = block_offsets(np.bincount([2 * u + v for u, v, *_ in basis], minlength=4))
-    cert.add("block_associativity", "corner products assemble associatively",
-             _assoc_residual(tensor, tensor, tensor, tensor, corners))
-    return cert
+    """``verify_algebra`` on ``block_algebra(f, x, y)``: corners from simple bases form a *-algebra."""
+    return verify_algebra(block_algebra(f, x, y), tol)
 
 
 @dataclass
@@ -668,8 +668,10 @@ def validate_morphism(mor: ModuleMorphism, tol: float = DEFAULT_TOL,
     cert.add_flag("blocks_square", "exchange blocks are square", square)
     cert.add("blocks_unitary", "exchange blocks are unitary", unitary)
 
+    # the hexagon reads each block at the shape its offsets give; a block of another shape fails it with inf
+    shaped = all(blk.shape == (mor.row_offsets[key][-1], mor.col_offsets[key][-1]) for key, blk in mor.psi.items())
     cert.add("hexagon", "label-wise exchange composed with fusion is path independent",
-             _hexagon_residual(mor))
+             _hexagon_residual(mor) if shaped else np.inf)
 
     eig = max(eigenvector_test(mor, a) for a in cat.labels)
     cert.add("multiplicity_intertwining",
@@ -700,8 +702,7 @@ def algebra_map(mor: ModuleMorphism) -> np.ndarray:
 def verify_algebra_map(mor: ModuleMorphism, tol: float = DEFAULT_TOL) -> Certificate:
     """The induced map is an injective unital *-homomorphism."""
     cert = Certificate(subject="algebra-map", tolerance=tol)
-    ax = build_algebra(mor.source, mor.x_base)
-    ay = build_algebra(mor.target, mor.y_base)
+    ax, ay = build_algebra(mor.source, mor.x_base), build_algebra(mor.target, mor.y_base)
     th = algebra_map(mor)
 
     cert.add("unital", "the unit maps to the unit",

@@ -12,12 +12,7 @@ from __future__ import annotations
 from .certificate import Certificate
 from .modcat import BigradedFunctor, validate_module
 from .numkit import DEFAULT_TOL
-from .reconstruct import (
-    basis_triples,
-    build_algebra,
-    cp_certificate,
-    verify_algebra,
-)
+from .reconstruct import basis_triples, build_algebra, cp_certificate, gram_closed_form, verify_algebra
 from .tensorcat import UNIT_LABEL, CategoryPresentation, verify_presentation
 
 ALL_SUITES = ("presentation", "module", "algebra", "positivity", "fixedpoint", "roundtrip")
@@ -47,7 +42,7 @@ def run_suite(cat: CategoryPresentation, mod: BigradedFunctor | None,
             if "algebra" in suites:
                 cert.merge(verify_algebra(alg, tol), prefix=f"alg{r}.")
             if "positivity" in suites:
-                cert.merge(cp_certificate(alg, tol), prefix=f"cp{r}.")
+                cert.merge(cp_certificate(alg, gram_closed_form(mod, r), tol), prefix=f"cp{r}.")
     if "fixedpoint" in suites:
         # the invariant part of each corner is exactly the morphism space
         # between its base objects: one-dimensional on the diagonal, zero off

@@ -84,7 +84,7 @@ def test_irrep_table_roundtrip(s3_table):
         assert a.mats.tobytes() == b.mats.tobytes()
 
 
-def _algebra_dict_loop(alg):
+def _algebra_dict_loop(alg, basis):
     """``algebra_to_dict`` with the entry-by-entry scan of the structure tensor: the reference."""
     t = alg.tensor
     triplets = []
@@ -94,13 +94,14 @@ def _algebra_dict_loop(alg):
                 if t[p, q, r] != 0.0:
                     z = t[p, q, r]
                     triplets.append([p, q, r, [float(f"{x:.17g}") for x in (z.real, z.imag)]])
-    return {**algebra_to_dict(alg), "structure_constants": triplets}
+    return {**algebra_to_dict(alg, basis), "structure_constants": triplets}
 
 
 def test_algebra_dict_roundtrip(s3_modules, tmp_path):
     alg = build_algebra(s3_modules["order2"], 0)
-    d = algebra_from_dict(json.loads(json.dumps(algebra_to_dict(alg))))
-    assert d["basis"] == basis_triples(alg.functor, 0, 0)
+    basis = basis_triples(s3_modules["order2"], 0, 0)
+    d = algebra_from_dict(json.loads(json.dumps(algebra_to_dict(alg, basis))))
+    assert d["basis"] == basis
     assert np.array_equal(d["tensor"], alg.tensor)
     assert np.array_equal(d["star_matrix"], alg.star_mat)
     # the ``qhs reconstruct`` file of every base of the shipped projects, byte for byte
@@ -109,7 +110,8 @@ def test_algebra_dict_roundtrip(s3_modules, tmp_path):
         mod = load_project(path).module
         for base in range(mod.n_base):
             assert main(["reconstruct", path, "--base", str(base), "--out", out]) == 0
-            ref = json.dumps(_algebra_dict_loop(build_algebra(mod, base)), indent=2, sort_keys=True) + "\n"
+            alg, basis = build_algebra(mod, base), basis_triples(mod, base, base)
+            ref = json.dumps(_algebra_dict_loop(alg, basis), indent=2, sort_keys=True) + "\n"
             with open(out) as fh:
                 assert fh.read() == ref, (path, base)
 

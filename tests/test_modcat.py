@@ -23,6 +23,7 @@ from qhspace import modcat
 from qhspace.modcat import _assemble, _triple_coherence_residual
 from qhspace.numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, successors
 from qhspace.reconstruct import ReconstructionError, build_algebra, build_bimodule, restriction_morphism
+from qhspace.verify import run_suite
 
 from support import EPS, assert_caught, disjoint_union_module, traced_peak
 from test_grouprep import _quaternion_group
@@ -655,8 +656,8 @@ def test_unit_grading_and_morphism_isometry_catch_their_faults(s3_modules, z4_po
         assert clean.passed, clean.to_text()
         # a second unit morphism on X_0.  Any unit block off the identity that keeps every diagonal block
         # adds to a column of dims[0], so decomposition_count fails with it; a missing diagonal block
-        # makes unit_basis raise instead of failing.  unit_grading is a flag without a measured value,
-        # so it is read by its verdict alone
+        # fails unit_basis too (the next test).  unit_grading is a flag without a measured value, so it
+        # is read by its verdict alone
         doubled = validate_module(_rebuilt(f, {**f.bases, (0, 0, 0): np.concatenate([f.bases[(0, 0, 0)]] * 2)}))
         failed = {c.name for c in doubled.checks if not c.passed}
         assert failed == {"unit_grading", "decomposition_count", "coherence_unitarity"}, doubled.to_text()
@@ -670,6 +671,20 @@ def test_unit_grading_and_morphism_isometry_catch_their_faults(s3_modules, z4_po
                       failing=("morphism_isometry", "coherence_unitarity"))
         assert_caught(clean, validate_module(replace(f, bases=bases)), "morphism_isometry",
                       failing=("morphism_isometry",))
+
+
+def test_missing_unit_block_fails_unit_basis(z4_pointed_module):
+    # pointed Z4 over its trivial subgroup without its one unit block (0, 0, 0): unit_basis reads
+    # the first morphism of an empty stack, and fails with the value inf instead of raising
+    f = z4_pointed_module
+    dropped = _rebuilt(f, {key: basis for key, basis in f.bases.items() if key != (0, 0, 0)})
+    bad = validate_module(dropped)
+    assert_caught(validate_module(f), bad, "unit_basis",
+                  failing=("unit_grading", "unit_basis", "decomposition_count", "coherence_unitarity"))
+    assert next(c.value for c in bad.checks if c.name == "unit_basis") == np.inf
+    # the algebra at base 0 needs the unit block: run_suite stops at build_algebra's refusal
+    with pytest.raises(ReconstructionError, match="unit label"):
+        run_suite(f.cat, dropped)
 
 
 def test_nan_entry_fails_module_checks(s3_modules):

@@ -121,3 +121,21 @@ def test_nan_exchange_entry_fails(s4_over_s3, s3_modules, case, key, failing):
     cert.merge(verify_algebra_map(faulted), prefix="map.")
     assert {c.name for c in cert.checks if not c.passed} == failing, cert.to_text()
     assert all(np.isnan(c.value) for c in cert.checks if c.name in failing)
+
+
+def test_base_normalization_and_blocks_square_catch_their_faults(s3_modules):
+    # S3 > Z2: fdims [[1, 0, 1], [0, 1, 1]], and psi[(1, 0, 0)] is the empty block of an empty pair
+    mor = restriction_morphism(s3_modules["full"], s3_modules["order2"])
+    clean = validate_morphism(mor)
+    assert clean.passed, clean.to_text()
+    # the target's other base label: X_0 maps to it with multiplicity 0.  No other check reads the bases
+    moved = validate_morphism(replace(mor, y_base=1))
+    assert {c.name for c in moved.checks if not c.passed} == {"base_normalization"}, moved.to_text()
+    assert [(c.name, c.value) for c in moved.checks[1:]] == [(c.name, c.value) for c in clean.checks[1:]]
+    # a zero row on the empty block, and on a 2 x 2 one: the hexagon reads each block at the shape its
+    # offsets give, so it fails with inf instead of raising out of a product of mismatched shapes
+    for key in ((1, 0, 0), (2, 0, 2)):
+        blk = mor.psi[key]
+        bad = validate_morphism(replace(mor, psi={**mor.psi, key: np.vstack([blk, np.zeros((1, blk.shape[1]))])}))
+        failed = {c.name: c.value for c in bad.checks if not c.passed}
+        assert failed == {"blocks_square": 0.0, "hexagon": np.inf}, (key, bad.to_text())

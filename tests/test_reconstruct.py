@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhspace import reconstruct, tensorcat
-from qhspace.grouprep import Subgroup, cyclic_group, extract_irreps
+from qhspace.grouprep import Subgroup, cyclic_group, dihedral_group, extract_irreps
 from qhspace.modcat import module_from_subgroup
 from qhspace.numkit import max_residual
 from qhspace.reconstruct import (
@@ -19,6 +19,7 @@ from qhspace.reconstruct import (
     build_bimodule,
     classical_roundtrip,
     cp_certificate,
+    gram_closed_form,
     spectral_offsets,
     star_matrix,
     structure_tensor,
@@ -52,7 +53,7 @@ def test_pointed_algebra_dim_is_stabilizer_order(z4_pointed_module, z4_coset_mod
 
 def test_unit_structure_constants_exact(s3_modules):
     alg = build_algebra(s3_modules["order2"], 0)
-    o = basis_triples(alg.functor, 0, 0).index((UNIT_LABEL, 0, 0))
+    o = basis_triples(s3_modules["order2"], 0, 0).index((UNIT_LABEL, 0, 0))
     eye = np.eye(alg.dim)
     assert np.array_equal(alg.tensor[o, :, :], eye)
     assert np.array_equal(alg.tensor[:, o, :], eye)
@@ -60,14 +61,13 @@ def test_unit_structure_constants_exact(s3_modules):
 
 def test_gram_routes_agree(s3_modules, z4_coset_module):
     for f in (s3_modules["order2"], s3_modules["trivial"], z4_coset_module):
-        alg = build_algebra(f, 0)
-        assert max_residual(alg.gram_from_product(), alg.gram_closed_form()) < 1e-12
+        assert max_residual(build_algebra(f, 0).gram_from_product(), gram_closed_form(f, 0)) < 1e-12
 
 
 def test_cp_certificates(s3_modules, z4_pointed_module, z4_coset_module):
     mods = list(s3_modules.values()) + [z4_pointed_module, z4_coset_module]
     for f in mods:
-        cert = cp_certificate(build_algebra(f, 0))
+        cert = cp_certificate(build_algebra(f, 0), gram_closed_form(f, 0))
         assert cert.passed, cert.to_text()
 
 
@@ -122,10 +122,10 @@ def test_build_algebra_rejects_bad_base(s3_modules):
 
 def test_invariant_state_is_unital(s3_modules):
     alg = build_algebra(s3_modules["order2"], 0)
-    unit = basis_triples(alg.functor, 0, 0).index((UNIT_LABEL, 0, 0))
+    unit = basis_triples(s3_modules["order2"], 0, 0).index((UNIT_LABEL, 0, 0))
     assert alg.unit[unit] == pytest.approx(1.0)
     # the state kills every nonunit basis element
-    for p, t in enumerate(basis_triples(alg.functor, 0, 0)):
+    for p, t in enumerate(basis_triples(s3_modules["order2"], 0, 0)):
         want = 1.0 if t == (UNIT_LABEL, 0, 0) else 0.0
         e = np.zeros(alg.dim, dtype=np.complex128)
         e[p] = 1.0
@@ -153,10 +153,17 @@ def _bumped(t, idx):
     return bad
 
 
+def _with_memo(f, key, value):
+    """A copy of f whose memo holds ``value`` at ``key`` and nothing else."""
+    g = replace(f)
+    g.memo[key] = value
+    return g
+
+
 def test_associativity_fault_caught(s3_modules):
     f = s3_modules["full"]  # base dims (1, 1, 2): the algebra at base 2 has dimension 4
     alg = build_algebra(f, 2)
-    alg.tensor = _bumped(build_algebra(f, 2).tensor, (0, 1, 2))
+    alg = replace(alg, tensor=_bumped(alg.tensor, (0, 1, 2)))
     assert_caught(verify_algebra(build_algebra(f, 2)), verify_algebra(alg), "associativity",
                   ("right_unit", "involution", "unit_star"))
 
@@ -165,7 +172,7 @@ def test_star_fault_caught_by_antimultiplicative(s3_modules):
     # every basis pair is checked, so no sample of elements can see more
     f = s3_modules["trivial"]
     alg = build_algebra(f, 0)
-    alg.star_mat = _bumped(build_algebra(f, 0).star_mat, (0, 1))
+    alg = replace(alg, star_mat=_bumped(alg.star_mat, (0, 1)))
     assert_caught(verify_algebra(build_algebra(f, 0)), verify_algebra(alg), "antimultiplicative",
                   ("left_unit", "right_unit", "associativity", "unit_star"))
 
@@ -173,9 +180,20 @@ def test_star_fault_caught_by_antimultiplicative(s3_modules):
 def test_negated_star_caught_by_gram_psd(s3_modules):
     # c^dagger G c is positive whenever G is, so the Gram matrix itself is the whole check
     f = s3_modules["trivial"]
-    alg = build_algebra(f, 0)
-    alg.star_mat = -build_algebra(f, 0).star_mat
-    assert_caught(cp_certificate(build_algebra(f, 0)), cp_certificate(alg), "gram_psd", ("gram_hermitian",))
+    clean, gram = build_algebra(f, 0), gram_closed_form(f, 0)
+    alg = replace(clean, star_mat=-clean.star_mat)
+    assert_caught(cp_certificate(clean, gram), cp_certificate(alg, gram), "gram_psd", ("gram_hermitian",))
+
+
+def test_unit_state_fault_caught_by_state_unit(s3_modules):
+    # 1* scaled by 1 - EPS: E(1* 1), the Gram entry [0, 0], moves by EPS, so the product route leaves the
+    # closed form there too; the Gram matrix stays Hermitian and positive
+    f = s3_modules["order2"]
+    clean, gram = build_algebra(f, 0), gram_closed_form(f, 0)
+    star = clean.star_mat.copy()
+    star[0, 0] -= EPS
+    assert_caught(cp_certificate(clean, gram), cp_certificate(replace(clean, star_mat=star), gram), "state_unit",
+                  ("gram_hermitian",), failing=("gram_routes", "state_unit"))
 
 
 def test_nan_tensor_entry_fails_positivity_and_roundtrip(s3_modules):
@@ -184,8 +202,8 @@ def test_nan_tensor_entry_fails_positivity_and_roundtrip(s3_modules):
     alg = build_algebra(s3_modules["order2"], 0)
     t = alg.tensor.copy()
     t[1, 1, 0] = np.nan
-    alg.tensor = t
-    for cert, failing in ((cp_certificate(alg), {"gram_routes", "gram_hermitian", "gram_psd"}),
+    alg, gram = replace(alg, tensor=t), gram_closed_form(s3_modules["order2"], 0)
+    for cert, failing in ((cp_certificate(alg, gram), {"gram_routes", "gram_hermitian", "gram_psd"}),
                           (classical_roundtrip(alg), {"commutativity", "spectrum_simple"})):
         assert {c.name for c in cert.checks if not c.passed} == failing, cert.to_text()
         assert all(np.isnan(c.value) for c in cert.checks if c.name in failing)
@@ -203,10 +221,10 @@ def test_bimodule_associativity_fault_caught(s3_modules, check, corner, side, un
     # corners between a one-dimensional and a four-dimensional algebra, so
     # that index (0, 0, 1) sits in the unit row of the left action or the
     # unit column of the right action
-    f = s3_modules["full"]
-    bim = build_bimodule(f, *corner)
-    setattr(bim, side, _bumped(getattr(build_bimodule(f, *corner), side), (0, 0, 1)))
-    assert_caught(verify_bimodule(build_bimodule(f, *corner)), verify_bimodule(bim), check, unchanged)
+    f, (x, y) = s3_modules["full"], corner
+    key = {"left_tensor": (x, x, y), "right_tensor": (x, y, y)}[side]
+    bad = build_bimodule(_with_memo(f, key, _bumped(getattr(build_bimodule(f, x, y), side), (0, 0, 1))), x, y)
+    assert_caught(verify_bimodule(build_bimodule(f, x, y)), verify_bimodule(bad), check, unchanged)
 
 
 def test_block_associativity_fault_caught(s3_modules, monkeypatch):
@@ -216,7 +234,7 @@ def test_block_associativity_fault_caught(s3_modules, monkeypatch):
     # index 0 is the unit of corner (0, 0), indices 1 and 2 span corner (0, 2)
     bad = _bumped(tensor, (0, 1, 2))
     monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, bad))
-    assert_caught(clean, block_consistency(f, 0, 2), "block_associativity", ("block_right_unit",))
+    assert_caught(clean, block_consistency(f, 0, 2), "associativity", ("right_unit",))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -234,19 +252,39 @@ def test_non_finite_entry_fails_associativity(s3_modules, monkeypatch, bad):
     # inf - inf and 0 * inf raise numpy's invalid-value warning, which the library leaves alone
     with np.errstate(invalid="ignore"):
         plain = _assoc_residual(t, t, t, t)
-        check = next(c for c in block_consistency(f, 0, 2).checks if c.name == "block_associativity")
+        check = next(c for c in block_consistency(f, 0, 2).checks if c.name == "associativity")
     assert not np.isfinite(plain)
     assert not np.isfinite(check.value) and not check.passed
 
 
 def test_block_consistency_memory_is_cubic(s4_over_s3):
-    # the block algebra of S4 > S3 at base labels (0, 2) has dimension 36,
-    # so an n^4 tensor of it takes 27 MB
-    f = s4_over_s3
-    assert len(block_structure_tensor(f, (0, 2))[0]) == 36
-    cert, peak = traced_peak(block_consistency, f, 0, 2)
-    assert cert.passed, cert.to_text()
-    assert peak < 10e6, peak
+    # the block algebras of S4 > S3 at base labels (0, 2) and of D12 > <flip> at (0, 1) have dimension
+    # 36 and 48: their tensors take 0.75 and 1.77 MB, an n^4 tensor 27 and 85 MB.  The memo is filled
+    # first, so the peak is block_consistency's own.  A star check formed densely reaches 3.77 and 8.91 MB
+    d12 = dihedral_group(12)
+    flip = module_from_subgroup(tensorcat.from_group(extract_irreps(d12, seed=0)), Subgroup.generated(d12, [12]))
+    for f, blocks, n, bound in ((s4_over_s3, (0, 2), 36, 1.5e6), (flip, (0, 1), 48, 2.6e6)):
+        assert len(block_structure_tensor(f, blocks)[0]) == n
+        block_consistency(f, *blocks)
+        cert, peak = traced_peak(block_consistency, f, *blocks)
+        assert cert.passed, cert.to_text()
+        assert peak < bound, (f.name, peak)
+
+
+def test_block_star_fault_caught_by_antimultiplicative(s3_modules):
+    # one entry of the star of off-diagonal corner (0, 2), which maps it onto corner (2, 0)
+    f = s3_modules["full"]
+    star = star_matrix(f, 0, 2).copy()
+    star[0, 1] += EPS
+    assert_caught(block_consistency(f, 0, 2), block_consistency(_with_memo(f, (0, 2), star), 0, 2),
+                  "antimultiplicative", ("left_unit", "right_unit", "associativity", "unit_star"),
+                  failing=("involution", "antimultiplicative"))
+    # a NaN reaches every check that multiplies by the star, 1* = S conj(1) too
+    star[0, 1] = np.nan
+    cert = block_consistency(_with_memo(f, (0, 2), star), 0, 2)
+    failed = {c.name: c.value for c in cert.checks if not c.passed}
+    assert set(failed) == {"involution", "unit_star", "antimultiplicative"}, failed
+    assert all(map(np.isnan, failed.values())), failed
 
 
 # The memo: each corner structure tensor and star matrix is built once per module.

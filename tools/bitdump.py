@@ -24,8 +24,9 @@ saves, one key per array:
 - the structure tensor and star matrix of the algebra at every base;
 - the left and right tensors and star matrix of every bimodule corner,
   the corner tensor ``structure_tensor(mod, x, y, z)`` of every triple of
-  distinct base labels, and the tensor of every block algebra
-  ``block_structure_tensor(mod, (x, y))``, x < y;
+  distinct base labels, and the tensor and assembled star of every block
+  algebra (``block_structure_tensor(mod, (x, y))`` and
+  ``block_algebra(mod, x, y).star_mat``), x < y;
 - the exchange blocks ``psi`` of every restriction morphism;
 - the verdict of every named check of ``run_suite``, ``verify_bimodule``,
   ``block_consistency``, ``validate_morphism`` and ``verify_algebra_map``,
@@ -40,6 +41,12 @@ its key; one line per check name follows with the largest relative change
 of that name over every case, so a change that re-rounds one check on
 purpose shows every other check at 0.  Dump both sides at the same
 ``OPENBLAS_NUM_THREADS``.
+
+A dump made before block algebras went through ``verify_algebra`` has no
+``block{x, y}/star`` arrays, and names the block verdicts ``block_left_unit``,
+``block_right_unit`` and ``block_associativity`` where later dumps have
+``left_unit``, ``right_unit``, ``associativity`` and three star checks: a
+compare of the two lists those keys as present on one side only.
 """
 
 from __future__ import annotations
@@ -97,7 +104,7 @@ def _morphism(out: dict, tag: str, mor, seed: int) -> None:
 
 
 def _corners(out: dict, tag: str, mod, seed: int) -> None:
-    from qhspace.reconstruct import (block_consistency, block_structure_tensor, build_bimodule,
+    from qhspace.reconstruct import (block_algebra, block_consistency, block_structure_tensor, build_bimodule,
                                      structure_tensor, verify_bimodule)
 
     for x in range(mod.n_base):
@@ -109,6 +116,7 @@ def _corners(out: dict, tag: str, mod, seed: int) -> None:
             _verdicts(out, f"{tag}/bimodule{x, y}", verify_bimodule(bim))
             if x < y:
                 out[f"{tag}/block{x, y}/tensor"] = block_structure_tensor(mod, (x, y))[1]
+                out[f"{tag}/block{x, y}/star"] = block_algebra(mod, x, y).star_mat
                 _verdicts(out, f"{tag}/block{x, y}", block_consistency(mod, x, y))
             for z in range(mod.n_base):
                 if len({x, y, z}) == 3:
