@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 
@@ -122,6 +123,26 @@ def algebra_from_dict(d: dict) -> dict:
         "tensor": t,
         "star_matrix": decode_array(d["star_matrix"]),
     }
+
+
+def _cuts(off) -> list[slice]:
+    return [slice(lo, hi) for lo, hi in zip(off[:-1].tolist(), off[1:].tolist())]
+
+
+def dense_tensor(blocks: dict, off: np.ndarray) -> np.ndarray:
+    """The (n, n, n) tensor whose blocks, cut at ``off`` on every axis, are ``blocks``, and zero elsewhere."""
+    cut, n = _cuts(off), int(off[-1])
+    t = np.zeros((n, n, n), dtype=np.complex128)
+    for (i, j, k), blk in blocks.items():
+        t[cut[i], cut[j], cut[k]] = blk
+    return t
+
+
+def corner_blocks(t: np.ndarray, off: np.ndarray) -> dict:
+    """The blocks of t, cut at ``off`` on every axis, that have a nonzero entry; NaN and inf count as nonzero."""
+    cut = _cuts(off)
+    blocks = {(i, j, k): t[cut[i], cut[j], cut[k]] for i, j, k in product(range(len(cut)), repeat=3)}
+    return {key: blk for key, blk in blocks.items() if blk.any()}
 
 
 # the size of the faults the tests inject, and the least residual that catches one

@@ -37,6 +37,7 @@ from qhspace.reconstruct import (
     _hexagon_residual,
     algebra_map,
     basis_triples,
+    block_algebra,
     block_consistency,
     block_structure_tensor,
     build_algebra,
@@ -51,7 +52,7 @@ from qhspace.reconstruct import (
 )
 from qhspace.tensorcat import UNIT_LABEL
 
-from support import regular_rep
+from support import corner_blocks, dense_tensor, regular_rep
 
 
 def _columns(f, a, b, r, t):
@@ -230,9 +231,12 @@ def test_block_structure_tensor_places_corners(modules):
     for f in modules:
         for x in range(f.n_base):
             for y in range(x + 1, f.n_base):
-                basis, tensor = block_structure_tensor(f, (x, y))
+                basis, corners = block_structure_tensor(f, (x, y))
                 ref_basis, ref = _block_loop(f, (x, y))
-                assert basis == ref_basis and np.array_equal(tensor, ref), (f.name, x, y)
+                off = block_algebra(f, x, y).offsets
+                assert basis == ref_basis and np.array_equal(dense_tensor(corners, off), ref), (f.name, x, y)
+                # the kept blocks are exactly the nonzero ones
+                assert list(corners) == list(corner_blocks(ref, off)), (f.name, x, y)
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +386,7 @@ def test_algebra_checks_match_loops(modules):
             clean = build_algebra(f, x)
             # the star matrices of these algebras are symmetric; the noisy one is not
             for t, s in ((clean.tensor, clean.star_mat), (_noisy(clean.tensor), _noisy(clean.star_mat, 1))):
-                alg = replace(clean, tensor=t, star_mat=s)
+                alg = replace(clean, blocks={(0, 0, 0): t}, star_mat=s)
                 got = _values(verify_algebra(alg))
                 assert abs(got["associativity"] - _assoc_einsum(t, t, t, t)) < 1e-14, (f.name, x)
                 # one block per axis: the dense GEMMs, bit for bit
@@ -429,10 +433,12 @@ def test_block_associativity_matches_einsum(modules, s4_over_s3, monkeypatch):
     pairs = [(f, x, y) for f in modules for x in range(f.n_base) for y in range(x + 1, f.n_base)]
     pairs.append((s4_over_s3, 0, 2))
     assert len(pairs) >= 10
-    for f, x, y in pairs:
-        basis, tensor = block_structure_tensor(f, (x, y))
+    # read before any patch below: block_algebra calls block_structure_tensor
+    cases = [(f, x, y, *block_structure_tensor(f, (x, y)), block_algebra(f, x, y).offsets) for f, x, y in pairs]
+    for f, x, y, basis, corners, off in cases:
+        tensor = dense_tensor(corners, off)
         for t in (tensor, _noisy(tensor), _uncomposable_bump(basis, tensor)):
-            monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, t))
+            monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, corner_blocks(t, off)))
             got = next(c for c in block_consistency(f, x, y).checks if c.name == "associativity")
             ref = _assoc_einsum(t, t, t, t)
             assert abs(got.value - ref) < 1e-14, (f.name, x, y)

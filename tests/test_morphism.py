@@ -14,7 +14,7 @@ from qhspace.reconstruct import (
     verify_algebra_map,
 )
 
-from support import gauge_transform, random_gauge
+from support import assert_caught, gauge_transform, random_gauge
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +139,32 @@ def test_base_normalization_and_blocks_square_catch_their_faults(s3_modules):
         bad = validate_morphism(replace(mor, psi={**mor.psi, key: np.vstack([blk, np.zeros((1, blk.shape[1]))])}))
         failed = {c.name: c.value for c in bad.checks if not c.passed}
         assert failed == {"blocks_square": 0.0, "hexagon": np.inf}, (key, bad.to_text())
+
+
+def _with_zero_row(mor, key):
+    blk = mor.psi[key]
+    return replace(mor, psi={**mor.psi, key: np.vstack([blk, np.zeros((1, blk.shape[1]))])})
+
+
+@pytest.mark.parametrize("key", [(0, 0, 2), (0, 0, 0)])
+def test_unit_block_of_another_shape_fails_with_inf(s3_modules, key):
+    # S3 > 1: fdims [[1, 1, 2]].  A zero row on the 2 x 2 unit block raised out of a broadcast of (3, 2)
+    # against (2, 2), and one on the 1 x 1 block broadcast to the value 1.0; both now fail with inf
+    mor = restriction_morphism(s3_modules["full"], s3_modules["trivial"])
+    bad = validate_morphism(_with_zero_row(mor, key))
+    assert_caught(validate_morphism(mor), bad, "unit_block", failing=("unit_block", "blocks_square", "hexagon"))
+    assert {c.name: c.value for c in bad.checks if not c.passed} == \
+        {"unit_block": np.inf, "blocks_square": 0.0, "hexagon": np.inf}
+
+
+def test_multiplicity_intertwining_catches_a_changed_dimension(s3_modules):
+    # S3 > 1 with fdims[0, 1] raised from 1 to 2: F M_a != M'_a F for the sign, by 2.  Every block of
+    # the exchange data keeps its shape, so the unit block and the hexagon fail with inf
+    mor = restriction_morphism(s3_modules["full"], s3_modules["trivial"])
+    fdims = mor.fdims.copy()
+    fdims[0, 1] += 1
+    bad = validate_morphism(replace(mor, fdims=fdims))
+    assert_caught(validate_morphism(mor), bad, "multiplicity_intertwining",
+                  ("blocks_unitary",),
+                  failing=("unit_block", "hexagon", "multiplicity_intertwining"))
+    assert next(c.value for c in bad.checks if c.name == "multiplicity_intertwining") == 2.0

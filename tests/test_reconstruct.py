@@ -13,6 +13,7 @@ from qhspace.reconstruct import (
     ReconstructionError,
     _assoc_residual,
     basis_triples,
+    block_algebra,
     block_consistency,
     block_structure_tensor,
     build_algebra,
@@ -28,7 +29,7 @@ from qhspace.reconstruct import (
 )
 from qhspace.tensorcat import UNIT_LABEL
 
-from support import EPS, assert_caught, traced_peak, with_rescaled_conjugates
+from support import EPS, assert_caught, corner_blocks, dense_tensor, traced_peak, with_rescaled_conjugates
 from test_oracles import invariant_dimension_by_characters
 
 
@@ -163,7 +164,7 @@ def _with_memo(f, key, value):
 def test_associativity_fault_caught(s3_modules):
     f = s3_modules["full"]  # base dims (1, 1, 2): the algebra at base 2 has dimension 4
     alg = build_algebra(f, 2)
-    alg = replace(alg, tensor=_bumped(alg.tensor, (0, 1, 2)))
+    alg = replace(alg, blocks={(0, 0, 0): _bumped(alg.tensor, (0, 1, 2))})
     assert_caught(verify_algebra(build_algebra(f, 2)), verify_algebra(alg), "associativity",
                   ("right_unit", "involution", "unit_star"))
 
@@ -202,7 +203,7 @@ def test_nan_tensor_entry_fails_positivity_and_roundtrip(s3_modules):
     alg = build_algebra(s3_modules["order2"], 0)
     t = alg.tensor.copy()
     t[1, 1, 0] = np.nan
-    alg, gram = replace(alg, tensor=t), gram_closed_form(s3_modules["order2"], 0)
+    alg, gram = replace(alg, blocks={(0, 0, 0): t}), gram_closed_form(s3_modules["order2"], 0)
     for cert, failing in ((cp_certificate(alg, gram), {"gram_routes", "gram_hermitian", "gram_psd"}),
                           (classical_roundtrip(alg), {"commutativity", "spectrum_simple"})):
         assert {c.name for c in cert.checks if not c.passed} == failing, cert.to_text()
@@ -230,9 +231,9 @@ def test_bimodule_associativity_fault_caught(s3_modules, check, corner, side, un
 def test_block_associativity_fault_caught(s3_modules, monkeypatch):
     f = s3_modules["full"]
     clean = block_consistency(f, 0, 2)
-    basis, tensor = block_structure_tensor(f, (0, 2))
+    (basis, corners), off = block_structure_tensor(f, (0, 2)), block_algebra(f, 0, 2).offsets
     # index 0 is the unit of corner (0, 0), indices 1 and 2 span corner (0, 2)
-    bad = _bumped(tensor, (0, 1, 2))
+    bad = corner_blocks(_bumped(dense_tensor(corners, off), (0, 1, 2)), off)
     monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, bad))
     assert_caught(clean, block_consistency(f, 0, 2), "associativity", ("right_unit",))
 
@@ -243,15 +244,17 @@ def test_non_finite_entry_fails_associativity(s3_modules, monkeypatch, bad):
     f = s3_modules["full"]
     t = build_algebra(f, 2).tensor.copy()
     t[0, 1, 2] = bad
-    basis, tensor = block_structure_tensor(f, (0, 2))
-    block_t = tensor.copy()
+    (basis, corners), off = block_structure_tensor(f, (0, 2)), block_algebra(f, 0, 2).offsets
+    block_t = dense_tensor(corners, off)
     # p in corner (0, 0), q in corner (1, 1): the block algebra never forms this product
     assert basis[0][:2] == (0, 0) and basis[-1][:2] == (1, 1)
     block_t[0, -1, 0] = bad
-    monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, block_t))
+    faulted = corner_blocks(block_t, off)
+    assert set(faulted) - set(corners) == {(0, 3, 0)}
+    monkeypatch.setattr(reconstruct, "block_structure_tensor", lambda f, blocks: (basis, faulted))
     # inf - inf and 0 * inf raise numpy's invalid-value warning, which the library leaves alone
     with np.errstate(invalid="ignore"):
-        plain = _assoc_residual(t, t, t, t)
+        plain = _assoc_residual(*[{(0, 0, 0): t}] * 4)
         check = next(c for c in block_consistency(f, 0, 2).checks if c.name == "associativity")
     assert not np.isfinite(plain)
     assert not np.isfinite(check.value) and not check.passed
@@ -259,16 +262,33 @@ def test_non_finite_entry_fails_associativity(s3_modules, monkeypatch, bad):
 
 def test_block_consistency_memory_is_cubic(s4_over_s3):
     # the block algebras of S4 > S3 at base labels (0, 2) and of D12 > <flip> at (0, 1) have dimension
-    # 36 and 48: their tensors take 0.75 and 1.77 MB, an n^4 tensor 27 and 85 MB.  The memo is filled
-    # first, so the peak is block_consistency's own.  A star check formed densely reaches 3.77 and 8.91 MB
+    # 36 and 48: a dense block tensor would take 0.75 and 1.77 MB, an n^4 tensor 27 and 85 MB.  The
+    # record keeps the memo's corner tensors, and the memo is filled first, so the peak is
+    # block_consistency's own: 0.34 and 0.26 MB.  A star check formed densely reaches 3.77 and 8.91 MB
     d12 = dihedral_group(12)
     flip = module_from_subgroup(tensorcat.from_group(extract_irreps(d12, seed=0)), Subgroup.generated(d12, [12]))
-    for f, blocks, n, bound in ((s4_over_s3, (0, 2), 36, 1.5e6), (flip, (0, 1), 48, 2.6e6)):
+    for f, blocks, n, bound in ((s4_over_s3, (0, 2), 36, 0.6e6), (flip, (0, 1), 48, 0.6e6)):
         assert len(block_structure_tensor(f, blocks)[0]) == n
         block_consistency(f, *blocks)
         cert, peak = traced_peak(block_consistency, f, *blocks)
         assert cert.passed, cert.to_text()
         assert peak < bound, (f.name, peak)
+
+
+def test_records_keep_the_memo_arrays(s3_modules, s4_over_s3):
+    # a block algebra holds the memo's corner tensors themselves, and a base algebra its one tensor
+    for f, x, y in ((s3_modules["full"], 0, 2), (s4_over_s3, 0, 2), (s4_over_s3, 1, 2)):
+        _, corners = block_structure_tensor(f, (x, y))
+        labels = (x, y)
+        assert len(corners) == 8
+        for (i, j, k), t in corners.items():
+            assert t is structure_tensor(f, labels[i // 2], labels[j // 2], labels[k % 2]), (i, j, k)
+        assert all(a is b for a, b in zip(block_algebra(f, x, y).blocks.values(), corners.values()))
+        for base in (x, y):
+            alg = build_algebra(f, base)
+            assert alg.tensor is structure_tensor(f, base, base, base) and list(alg.blocks) == [(0, 0, 0)]
+    with pytest.raises(ReconstructionError):
+        block_algebra(s4_over_s3, 0, 2).tensor
 
 
 def test_block_star_fault_caught_by_antimultiplicative(s3_modules):

@@ -17,7 +17,7 @@ from qhspace.tensorcat import (
     verify_presentation,
 )
 
-from support import traced_peak, with_rescaled_conjugates
+from support import EPS, assert_caught, traced_peak, with_rescaled_conjugates
 from test_grouprep import _quaternion_group
 
 
@@ -168,6 +168,15 @@ def test_nan_fusion_isometry_fails():
     cat.fusion[(1, 2)][3] = (np.full((1, 1), np.nan, dtype=np.complex128),)
     failed = {c.name: c.value for c in verify_presentation(cat).checks if not c.passed}
     assert np.isnan(failed["isometry_orthogonality"]) and np.isnan(failed["isometry_completeness"])
+
+
+def test_recoupling_unitarity_catches_a_scaled_associator():
+    # the modulus of one cocycle value of Z4 moved by EPS: the recoupling matrix of the cases that read
+    # it is no longer unitary (w^dagger w = (1 + EPS)^2), and no other check reads the associator there
+    clean, cat = (tensorcat.from_pointed(standard_cyclic_cocycle(4)) for _ in range(2))
+    cat.pointed.cocycle[1, 2, 3] *= 1 + EPS
+    assert_caught(verify_presentation(clean), verify_presentation(cat), "recoupling_unitarity",
+                  failing=("recoupling_unitarity",))
 
 
 def test_nan_conjugate_entry_fails(s3_cat):

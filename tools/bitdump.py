@@ -25,8 +25,9 @@ saves, one key per array:
 - the left and right tensors and star matrix of every bimodule corner,
   the corner tensor ``structure_tensor(mod, x, y, z)`` of every triple of
   distinct base labels, and the tensor and assembled star of every block
-  algebra (``block_structure_tensor(mod, (x, y))`` and
-  ``block_algebra(mod, x, y).star_mat``), x < y;
+  algebra ``block_algebra(mod, x, y)``, x < y: the record keeps only its
+  nonzero corner blocks, and the dump places them in a dense (n, n, n)
+  array, as dumps made when the record held that array;
 - the exchange blocks ``psi`` of every restriction morphism;
 - the verdict of every named check of ``run_suite``, ``verify_bimodule``,
   ``block_consistency``, ``validate_morphism`` and ``verify_algebra_map``,
@@ -103,9 +104,17 @@ def _morphism(out: dict, tag: str, mor, seed: int) -> None:
     _verdicts(out, f"{tag}/verify_algebra_map", verify_algebra_map(mor))
 
 
+def _dense_tensor(alg) -> np.ndarray:
+    """The structure tensor of a block algebra as one array: its corner blocks, and zero elsewhere."""
+    cut = [slice(lo, hi) for lo, hi in zip(alg.offsets[:-1].tolist(), alg.offsets[1:].tolist())]
+    t = np.zeros((alg.dim,) * 3, dtype=np.complex128)
+    for (i, j, k), blk in alg.blocks.items():
+        t[cut[i], cut[j], cut[k]] = blk
+    return t
+
+
 def _corners(out: dict, tag: str, mod, seed: int) -> None:
-    from qhspace.reconstruct import (block_algebra, block_consistency, block_structure_tensor, build_bimodule,
-                                     structure_tensor, verify_bimodule)
+    from qhspace.reconstruct import block_algebra, block_consistency, build_bimodule, structure_tensor, verify_bimodule
 
     for x in range(mod.n_base):
         for y in range(mod.n_base):
@@ -115,8 +124,9 @@ def _corners(out: dict, tag: str, mod, seed: int) -> None:
             out[f"{tag}/bimodule{x, y}/star"] = bim.star_mat
             _verdicts(out, f"{tag}/bimodule{x, y}", verify_bimodule(bim))
             if x < y:
-                out[f"{tag}/block{x, y}/tensor"] = block_structure_tensor(mod, (x, y))[1]
-                out[f"{tag}/block{x, y}/star"] = block_algebra(mod, x, y).star_mat
+                alg = block_algebra(mod, x, y)
+                out[f"{tag}/block{x, y}/tensor"] = _dense_tensor(alg)
+                out[f"{tag}/block{x, y}/star"] = alg.star_mat
                 _verdicts(out, f"{tag}/block{x, y}", block_consistency(mod, x, y))
             for z in range(mod.n_base):
                 if len({x, y, z}) == 3:
