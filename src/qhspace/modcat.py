@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .grouprep import IrrepExtractionError, IrrepTable, Subgroup, decompose, extract_irreps, restrict, tensor_rep
-from .numkit import DEFAULT_TOL, RUN_ENTRIES, NumericalRankError, largest, max_residual, stack_by_shape, successors
+from .numkit import DEFAULT_TOL, RUN_ENTRIES, above, largest, max_residual, stack_by_shape, successors
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError, fusion_table
 
 
@@ -331,7 +331,7 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
     (pi(e), e) is exactly 1; then c_l = rho_s(g, l) / rho_r(e, l).  All |K|^2
     equations are checked at once: a residual above ``tol`` means the space is
     zero and the block is dropped, and a residual within a factor 10 of
-    ``tol`` raises ``NumericalRankError``, the rule of ``solution_basis``.
+    ``tol`` raises ``NumericalRankError`` (``numkit.above``).
     """
     if cat.kind != "pointed" or cat.pointed is None:
         raise ModuleDataError("coset module needs a pointed category")
@@ -375,11 +375,7 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
             c = rho_s[perm[e]] / rho[r, e]
             c[e] = 1.0
             res = max_residual(c[prod] * rho[r], c[:, None] * rho_s[perm])
-            if tol / 10.0 < res < tol * 10.0:
-                raise NumericalRankError(
-                    f"module-map residual {res:.3e} of block {(a, r, s)} is near the threshold {tol:.3e}"
-                )
-            if res <= tol:
+            if not above(res, tol, f"module-map residual of block {(a, r, s)}"):
                 t = np.zeros((1, nk, nk), dtype=np.complex128)
                 t[0, perm, np.arange(nk)] = c
                 bases[(a, r, s)] = t

@@ -22,7 +22,7 @@ RUN_ENTRIES = 1 << 15
 
 
 class NumericalRankError(ValueError):
-    """Singular values cluster at the rank-decision threshold."""
+    """A singular value, residual or eigenvalue gap lies within a factor 10 of its cut (``above``)."""
 
 
 def kron(a, b) -> np.ndarray:
@@ -107,15 +107,22 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     return w
 
 
+def above(values, cut: float, what: str) -> np.ndarray:
+    """``values > cut``; a value within a factor 10 of ``cut`` raises ``NumericalRankError`` naming ``what``."""
+    values = np.asarray(values)
+    near = values[(values > cut / 10.0) & (values < cut * 10.0)]
+    if near.size:
+        raise NumericalRankError(f"{what} {near} cluster at threshold {cut:.3e}")
+    return ~(values <= cut)  # a NaN is above every cut, so it is never taken for zero
+
+
 def solution_basis(constraint, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the kernel of a constraint matrix, as the rows of a (k, dim) array.
 
     ``constraint`` is an (m, dim) matrix whose rows are the linear
     constraints on C^dim; stack several constraint sets with ``np.vstack``.
     A matrix with no rows yields the standard basis.  Rank is decided by
-    singular values above ``tol`` times the largest one; a cluster of
-    singular values within a factor 10 of the threshold is reported as
-    ill-conditioned input.
+    ``above`` at ``tol`` times the largest singular value.
     """
     stacked = np.asarray(constraint, dtype=np.complex128)
     dim = stacked.shape[1]
@@ -128,14 +135,7 @@ def solution_basis(constraint, tol: float = DEFAULT_TOL) -> np.ndarray:
     _, svals, vh = np.linalg.svd(stacked)
     # floor the cutoff at tol itself so an all-zero constraint matrix is
     # recognized as rank 0 instead of rank decided by roundoff noise
-    cutoff = tol * max(1.0, svals[0]) if svals.size else 0.0
-    if svals.size:
-        near = svals[(svals > cutoff / 10.0) & (svals < cutoff * 10.0)]
-        if near.size:
-            raise NumericalRankError(
-                f"singular values {near} cluster at threshold {cutoff:.3e}"
-            )
-    rank = int(np.sum(svals > cutoff)) if svals.size else 0
+    rank = int(np.sum(above(svals, tol * max(1.0, svals[0]), "singular values"))) if svals.size else 0
     kernel = vh[rank:, :].conj()  # rows span the kernel
     return np.array([phase_fix(row) for row in kernel], dtype=np.complex128).reshape(len(kernel), dim)
 

@@ -38,8 +38,9 @@ A copy made with ``dataclasses.replace`` starts with an empty memo.
 
 Every certificate follows ``numkit``'s rule for NaN and inf: a check that
 reads one fails with the value NaN.  The LAPACK calls that would raise on
-one (``cp_certificate``'s eigenvalues, ``classical_roundtrip``'s spectrum,
-``verify_algebra_map``'s rank) test their matrix for finiteness first.
+one (``cp_certificate``'s and ``joint_projections``' eigenvalues,
+``verify_algebra_map``'s rank) test their matrix for finiteness first, and
+every rank or eigenvalue-gap decision is ``numkit.above``'s.
 """
 
 from __future__ import annotations
@@ -52,12 +53,16 @@ import numpy as np
 
 from .certificate import Certificate
 from .modcat import BigradedFunctor
-from .numkit import DEFAULT_TOL, block_offsets, dagger, kron, largest, max_residual
+from .numkit import DEFAULT_TOL, above, block_offsets, dagger, kron, largest, max_residual
 from .tensorcat import UNIT_LABEL
 
 
 class ReconstructionError(ValueError):
     pass
+
+
+# the relative eigenvalue gap at which ``joint_projections`` splits a space
+SPLIT_GAP = 1e-6
 
 
 # the nonzero blocks of a structure tensor cut into corners, keyed by the corners (i, j, k) they sit at
@@ -183,9 +188,6 @@ class StarAlgebra:
         if len(self.offsets) != 2:
             raise ReconstructionError("only a one-corner algebra has a single structure tensor")
         return self.blocks[0, 0, 0]
-
-    def multiply(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.einsum("p,q,pqr->r", v, w, self.tensor)
 
     def star(self, v: np.ndarray) -> np.ndarray:
         return self.star_mat @ np.conj(v)
@@ -329,63 +331,62 @@ def cp_certificate(alg: StarAlgebra, gram: np.ndarray, tol: float = DEFAULT_TOL)
     return cert
 
 
-def classical_roundtrip(alg: StarAlgebra, tol: float = DEFAULT_TOL,
-                        seed: int = 0) -> Certificate:
-    """Diagonalize a commutative algebra into pointwise multiplication.
+def joint_projections(alg: StarAlgebra, elements: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Projections onto the joint eigenspaces of left multiplication by ``elements``, as coefficient rows.
 
-    A random self-adjoint element is diagonalized through its left-
-    multiplication matrix; the resulting eigenprojections must form a full
-    system of self-adjoint orthogonal idempotents summing to the unit.
+    The space is whitened by ``eigh`` of the product-route Gram matrix, keeping the eigenvalues that
+    ``numkit.above`` puts above ``tol`` times the largest (at least 1).  It is split by the self-adjoint
+    parts (v + v*)/2 and (v - v*)/2i of each element v in turn, wherever ``above`` puts an eigenvalue gap
+    above ``SPLIT_GAP`` times the largest modulus (at least 1), until it has one space per dimension.  A
+    space is a left ideal qA, so the unit projected onto it is the projection q.  A non-finite tensor or
+    star gives n all-NaN rows and solves no eigenvalue problem.
     """
-    cert = Certificate(subject=f"classical[{alg.name}]",
-                       tolerance=tol, seed=seed)
-    n = alg.dim
-    t = alg.tensor
-    comm = t - t.transpose(1, 0, 2)
-    cert.add("commutativity", "fg = gf on all basis pairs",
-             float(np.max(np.abs(comm))) if comm.size else 0.0)
+    t, s, n = alg.tensor, alg.star_mat, alg.dim
+    if not (np.isfinite(t).all() and np.isfinite(s).all()):
+        return np.full((n, n), np.nan, dtype=np.complex128)
+    g = alg.gram_from_product()
+    g = (g + dagger(g)) / 2.0
+    lam, u = np.linalg.eigh(g)
+    keep = above(lam, tol * max(1.0, lam[-1]), "Gram eigenvalues")
+    w = u[:, keep] / np.sqrt(lam[keep])  # from whitened coordinates to coefficients
+    back = dagger(w) @ g  # from coefficients to whitened coordinates
+    m = w.shape[1]
+    spaces = [np.eye(m, dtype=np.complex128)] if m else []
+    for v in elements:
+        if len(spaces) >= m:
+            break
+        v_star = s @ np.conj(v)
+        for part in ((v + v_star) / 2.0, (v - v_star) / 2j):
+            op = back @ np.einsum("p,pqr->rq", part, t) @ w
+            op = (op + dagger(op)) / 2.0
+            split = []
+            for q in spaces:
+                vals, vecs = np.linalg.eigh(dagger(q) @ op @ q)
+                gaps = above(np.diff(vals), SPLIT_GAP * max(1.0, np.abs(vals).max()), "eigenvalue gaps")
+                split += np.split(q @ vecs, np.flatnonzero(gaps) + 1, axis=1)
+            spaces = split
+    one = back @ alg.unit
+    return np.array([w @ (q @ (dagger(q) @ one)) for q in spaces], dtype=np.complex128).reshape(len(spaces), n)
 
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = (v + alg.star(v)) / 2.0
-    lm = np.einsum("p,pqr->rq", v, t)  # left multiplication by v
-    if not np.isfinite(lm).all():
-        cert.add_flag("spectrum_simple", "generic element separates the characters", False, value=float("nan"))
-        return cert
-    evals, vecs = np.linalg.eig(lm)
-    order = np.argsort(evals.real)
-    evals, vecs = evals[order], vecs[:, order]
-    gaps = np.diff(evals.real)
-    if n > 1 and float(np.min(np.abs(gaps))) < 1e-6:
-        cert.add_flag("spectrum_simple", "generic element separates the characters", False)
-        return cert
-    cert.add_flag("spectrum_simple", "generic element separates the characters", True)
 
-    idems = []
-    worst = []
-    for k in range(n):
-        w = vecs[:, k]
-        sq = alg.multiply(w, w)
-        # rescale the eigenvector so it becomes idempotent: w^2 = c w
-        ratios = sq[np.abs(w) > 1e-8] / w[np.abs(w) > 1e-8]
-        c = ratios[np.argmax(np.abs(w[np.abs(w) > 1e-8]))]
-        if abs(c) < 1e-10:
-            cert.add_flag("idempotent_scale", "eigenvector squares to a multiple of itself", False)
-            return cert
-        e = w / c
-        worst.append(max_residual(alg.multiply(e, e), e))
-        idems.append(e)
-    cert.add("idempotents", "rescaled eigenvectors are idempotent", largest(worst))
+def classical_roundtrip(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> Certificate:
+    """Diagonalize a commutative algebra into pointwise multiplication, with no random element.
 
-    ortho = largest([np.max(np.abs(alg.multiply(ei, ek)))
-                     for i, ei in enumerate(idems) for k, ek in enumerate(idems) if i != k])
-    cert.add("orthogonality", "distinct idempotents multiply to zero", ortho)
-    cert.add("partition_of_unit", "idempotents sum to the unit",
-             max_residual(sum(idems), alg.unit))
-    selfadj = largest([max_residual(alg.star(e), e) for e in idems])
-    cert.add("self_adjoint", "each idempotent is self-adjoint", selfadj)
-    cert.add_flag("point_count", "number of characters equals the dimension",
-                  len(idems) == n, value=float(len(idems)))
+    ``joint_projections`` by the basis elements must give one self-adjoint idempotent per basis element,
+    orthogonal and summing to the unit: the characters of a function algebra.
+    """
+    cert = Certificate(subject=f"classical[{alg.name}]", tolerance=tol)
+    t, n = alg.tensor, alg.dim
+    cert.add("commutativity", "fg = gf on all basis pairs", max_residual(t, t.transpose(1, 0, 2)))
+    e = joint_projections(alg, np.eye(n), tol)
+    prod = np.einsum("ip,kq,pqr->ikr", e, e, t)
+    diag = np.arange(len(e))
+    cert.add("idempotents", "each projection is idempotent", max_residual(prod[diag, diag], e))
+    cert.add("orthogonality", "distinct projections multiply to zero", largest(np.abs(prod[diag[:, None] != diag])))
+    cert.add("partition_of_unit", "the projections sum to the unit", max_residual(e.sum(axis=0), alg.unit))
+    cert.add("self_adjoint", "each projection is self-adjoint", max_residual(np.conj(e) @ alg.star_mat.T, e))
+    count = float(len(e)) if np.isfinite(e).all() else float("nan")
+    cert.add_flag("point_count", "number of characters equals the dimension", count == n, value=count)
     return cert
 
 
@@ -710,6 +711,7 @@ def verify_algebra_map(mor: ModuleMorphism, tol: float = DEFAULT_TOL) -> Certifi
              max_residual(ax.tensor @ th.T, _bilinear(ay.tensor, th, th)))
     star_res = max_residual(th @ ax.star_mat, ay.star_mat @ np.conj(th))
     cert.add("star_compatible", "the involution is preserved", star_res)
-    rank = float(np.linalg.matrix_rank(th, tol=1e-9)) if np.isfinite(th).all() else float("nan")
+    rank = (float(np.sum(above(np.linalg.svd(th, compute_uv=False), 1e-9, "singular values of the algebra map")))
+            if np.isfinite(th).all() else float("nan"))
     cert.add_flag("injective", "the induced map is injective", rank == ax.dim, value=rank)
     return cert

@@ -22,7 +22,8 @@ from qhspace.modcat import (
 from qhspace import modcat
 from qhspace.modcat import _assemble, _triple_coherence_residual
 from qhspace.numkit import DEFAULT_TOL, block_offsets, dagger, kron, max_residual, successors
-from qhspace.reconstruct import ReconstructionError, build_algebra, build_bimodule, restriction_morphism
+from qhspace.reconstruct import (ReconstructionError, build_algebra, build_bimodule, classical_roundtrip,
+                                 restriction_morphism)
 from qhspace.verify import run_suite
 
 from support import EPS, assert_caught, disjoint_union_module, traced_peak
@@ -147,8 +148,10 @@ def _subgroup_classes(group) -> list:
 
 
 def test_every_subgroup_class_meets_the_index_oracles():
-    # the dihedral groups of order 8 and 12, Q8, A4 and S4, every subgroup class (40 modules):
-    # algebra dimension [G:H] d_x^2 and corner dimension [G:H] d_x d_y
+    # the dihedral groups of order 8 and 12, Q8, A4 and S4, every subgroup class (40 modules, 127 bases):
+    # algebra dimension [G:H] d_x^2 and corner dimension [G:H] d_x d_y; the classical round trip passes
+    # exactly at the one-dimensional bases, where A_x is C(G/H), and elsewhere fails only the two checks
+    # that need a commutative algebra
     even4 = [p for p in permutations(range(4))
              if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
     groups = [dihedral_group(4), _quaternion_group(), group_from_permutations(even4),
@@ -162,6 +165,10 @@ def test_every_subgroup_class_meets_the_index_oracles():
             mod = module_from_subgroup(cat, sub)
             assert validate_module(mod).passed, (group.order, sub.elements)
             index, d = group.order // sub.order, mod.base_dims
+            for x in range(mod.n_base):
+                cert = classical_roundtrip(build_algebra(mod, x))
+                failing = set() if d[x] == 1 else {"commutativity", "point_count"}
+                assert {c.name for c in cert.checks if not c.passed} == failing, (sub.elements, x, cert.to_text())
             for x, y in np.ndindex(mod.n_base, mod.n_base):
                 assert build_algebra(mod, x).dim == index * d[x] ** 2
                 assert build_bimodule(mod, x, y).dim == index * d[x] * d[y], (sub.elements, x, y)

@@ -8,9 +8,10 @@ import pytest
 from qhspace import reconstruct, tensorcat
 from qhspace.grouprep import Subgroup, cyclic_group, dihedral_group, extract_irreps
 from qhspace.modcat import module_from_subgroup
-from qhspace.numkit import max_residual
+from qhspace.numkit import NumericalRankError, max_residual
 from qhspace.reconstruct import (
     ReconstructionError,
+    StarAlgebra,
     _assoc_residual,
     basis_triples,
     block_algebra,
@@ -198,16 +199,64 @@ def test_unit_state_fault_caught_by_state_unit(s3_modules):
 
 
 def test_nan_tensor_entry_fails_positivity_and_roundtrip(s3_modules):
-    # eigvalsh may raise on a NaN or leave it out of the smallest eigenvalue, and eig
-    # refuses one: each check that reads the entry fails with the value NaN instead
+    # eigvalsh may raise on a NaN or leave it out of the smallest eigenvalue, and so may the eigh calls of
+    # joint_projections: each check that reads the entry fails with the value NaN instead
     alg = build_algebra(s3_modules["order2"], 0)
     t = alg.tensor.copy()
     t[1, 1, 0] = np.nan
     alg, gram = replace(alg, blocks={(0, 0, 0): t}), gram_closed_form(s3_modules["order2"], 0)
+    classical = {"commutativity", "idempotents", "orthogonality", "partition_of_unit", "self_adjoint", "point_count"}
     for cert, failing in ((cp_certificate(alg, gram), {"gram_routes", "gram_hermitian", "gram_psd"}),
-                          (classical_roundtrip(alg), {"commutativity", "spectrum_simple"})):
+                          (classical_roundtrip(alg), classical)):
         assert {c.name for c in cert.checks if not c.passed} == failing, cert.to_text()
         assert all(np.isnan(c.value) for c in cert.checks if c.name in failing)
+
+
+def _function_algebra(n: int) -> StarAlgebra:
+    g = cyclic_group(n)
+    cat = tensorcat.from_group(extract_irreps(g, seed=0))
+    return build_algebra(module_from_subgroup(cat, Subgroup.generated(g, [])), 0)
+
+
+@pytest.mark.parametrize("check, algebra, entry, delta, failing", [
+    # the one projection of a one-dimensional algebra is its unit: 1 * 1 = 1 - EPS breaks only its square
+    ("idempotents", "point", ("tensor", (0, 0, 0)), -EPS, {"idempotents"}),
+    ("self_adjoint", "point", ("star", (0, 0)), -EPS, {"self_adjoint"}),
+    # e_1 e_1 = 0 in C(Z2): C[x]/x^2 has one character, and the Gram matrix loses e_1
+    ("point_count", 2, ("tensor", (1, 1, 0)), -1.0, {"point_count"}),
+    # 1 * 1 = 0 in C(Z2): the state no longer sees the unit, so the one projection left is zero
+    ("partition_of_unit", 2, ("tensor", (0, 0, 0)), -1.0, {"partition_of_unit", "point_count"}),
+    # e_2 e_3 = e_3 e_2 = (1 + 10 EPS) 1 in C(Z4) breaks associativity; a fault of EPS moves the residuals by EPS / 8
+    ("orthogonality", 4, ("tensor", (2, 3, 0), (3, 2, 0)), 10 * EPS, {"idempotents", "orthogonality"}),
+])
+def test_classical_fault_caught(s3_modules, check, algebra, entry, delta, failing):
+    # orthogonality cannot fail alone: self-adjoint idempotents that sum to the unit of a C*-algebra are
+    # orthogonal, and partition_of_unit fails only where the Gram matrix loses a dimension, and then so does
+    # point_count
+    clean = build_algebra(s3_modules["full"], 0) if algebra == "point" else _function_algebra(algebra)
+    field, *keys = entry
+    arr = (clean.tensor if field == "tensor" else clean.star_mat).copy()
+    for key in keys:
+        arr[key] += delta
+    bad = replace(clean, blocks={(0, 0, 0): arr}) if field == "tensor" else replace(clean, star_mat=arr)
+    assert_caught(classical_roundtrip(clean), classical_roundtrip(bad), check, failing=failing)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-2, 1e-6])
+def test_classical_roundtrip_refuses_a_gap_at_the_cut(gap):
+    # C^3 with the unit, f = (1, 1 + gap, -2 - gap) and a third function orthogonal to both: values of f
+    # that coincide or stand 1e-2 apart are split by the next element or by f; 1e-6 apart is at the cut
+    f = np.array([1.0, 1.0 + gap, -2.0 - gap])
+    values = np.stack([np.ones(3), f, np.cross(np.ones(3), f)], axis=1)  # values[x, p] = e_p(x)
+    products = (values[:, :, None] * values[:, None, :]).reshape(3, 9)  # [x, (p, q)]
+    t = np.linalg.solve(values, products).reshape(3, 3, 3).transpose(1, 2, 0)
+    alg = StarAlgebra("three points", {(0, 0, 0): t.astype(np.complex128)}, np.eye(3, dtype=np.complex128),
+                      np.eye(3, dtype=np.complex128)[0], np.array([0, 3]))
+    if gap == 1e-6:
+        with pytest.raises(NumericalRankError):
+            classical_roundtrip(alg)
+    else:
+        assert classical_roundtrip(alg).passed, classical_roundtrip(alg).to_text()
 
 
 @pytest.mark.parametrize("check, corner, side, unchanged", [

@@ -179,6 +179,26 @@ def test_recoupling_unitarity_catches_a_scaled_associator():
                   failing=("recoupling_unitarity",))
 
 
+def test_qdim_integer_catches_one_ulp(s3_cat):
+    # the check compares each quantum dimension with its space dimension exactly, so one ulp above 2 fails
+    # it; the conjugate pairs' norms differ from it by 4e-16, far below the tolerance of every other check
+    a = s3_cat.obj_dim.index(2)
+    qdim = tuple(float(np.nextafter(q, np.inf)) if b == a else q for b, q in enumerate(s3_cat.qdim))
+    assert verify_presentation(s3_cat).passed
+    cert = verify_presentation(replace(s3_cat, qdim=qdim))
+    assert {c.name for c in cert.checks if not c.passed} == {"qdim_integer"}, cert.to_text()
+
+
+def test_pointed_group_law_catches_another_group(z4_trivial_pointed_cat):
+    # Z4's fusion rules read against the group law of Z2 x Z2 on the same labels; with the trivial
+    # cocycle no other check reads the group
+    v4 = grouprep.group_from_permutations([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
+    cat = replace(z4_trivial_pointed_cat, pointed=PointedFusionData(v4, z4_trivial_pointed_cat.pointed.cocycle))
+    assert verify_presentation(z4_trivial_pointed_cat).passed
+    cert = verify_presentation(cat)
+    assert {c.name for c in cert.checks if not c.passed} == {"pointed_group_law"}, cert.to_text()
+
+
 def test_nan_conjugate_entry_fails(s3_cat):
     # kron carries the NaN into the snake residuals: the certificate fails, it does not raise
     two = next(a for a in s3_cat.labels if s3_cat.dim(a) == 2)

@@ -31,7 +31,10 @@ saves, one key per array:
 - the exchange blocks ``psi`` of every restriction morphism;
 - the verdict of every named check of ``run_suite``, ``verify_bimodule``,
   ``block_consistency``, ``validate_morphism`` and ``verify_algebra_map``,
-  and, under the same name prefixed with ``value/``, the value it measured.
+  and, under the same name prefixed with ``value/``, the value it measured;
+- the same for ``classical_roundtrip`` at base 0 of the function algebras
+  built here, each corners case's ``trivial`` module and the
+  ``s3_morphism`` target (``{tag}/classical``).
 
 ``compare`` prints every key whose array differs in dtype, shape or bytes
 (so signed zeros count), or that only one dump has, and exits with 1 if it
@@ -41,7 +44,8 @@ the largest relative change of a check value, |a - b| / max(|a|, |b|), and
 its key; one line per check name follows with the largest relative change
 of that name over every case, so a change that re-rounds one check on
 purpose shows every other check at 0.  Dump both sides at the same
-``OPENBLAS_NUM_THREADS``.
+``OPENBLAS_NUM_THREADS``.  A reader that closes the pipe early (``| head``)
+ends the output quietly; the exit status is still compare's own.
 
 A dump made before block algebras went through ``verify_algebra`` has no
 ``block{x, y}/star`` arrays, and names the block verdicts ``block_left_unit``,
@@ -60,6 +64,14 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROJECTS = ("s3_subgroup", "s3_morphism", "z4_pointed")
 CORNER_SEEDS = (1, 7)
+
+
+def _print(line: str) -> None:
+    """Print a line; once the reader has closed the pipe, send the rest to the null device and go on."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _verdicts(out: dict, tag: str, cert) -> None:
@@ -102,6 +114,12 @@ def _morphism(out: dict, tag: str, mor, seed: int) -> None:
         out[f"{tag}/psi{key}"] = block
     _verdicts(out, f"{tag}/validate_morphism", validate_morphism(mor, seed=seed))
     _verdicts(out, f"{tag}/verify_algebra_map", verify_algebra_map(mor))
+
+
+def _classical(out: dict, tag: str, mod) -> None:
+    from qhspace.reconstruct import build_algebra, classical_roundtrip
+
+    _verdicts(out, f"{tag}/classical", classical_roundtrip(build_algebra(mod, 0)))
 
 
 def _dense_tensor(alg) -> np.ndarray:
@@ -154,6 +172,7 @@ def dump(path: str) -> None:
         if project.morphism is not None:
             _subgroup_irreps(out, f"{name}/target_irrep", project.morphism.target)
             _module(out, f"{name}/target", project.morphism.target)
+            _classical(out, f"{name}/target", project.morphism.target)
             _morphism(out, name, project.morphism, 0)
     for case in make_inputs("pointed_ladder", 0, ROOT):
         cat = from_pointed(PointedFusionData(case.group, case.cocycle))
@@ -173,6 +192,7 @@ def dump(path: str) -> None:
             _corners(out, tag, mod, seed)
             triv = subgroup_module(cat, case.group, (case.group.identity,))
             _module(out, f"{tag}/trivial", triv)
+            _classical(out, f"{tag}/trivial", triv)
             _morphism(out, tag, restriction_morphism(mod, triv), seed)
     np.savez(path, **out)
     print(f"{len(out)} arrays written to {path}")
@@ -195,9 +215,9 @@ def _value_change(a, b, keys: set[str]) -> None:
                 rel, where = diff, f"{key[len('value/'):]}: {va!r} vs {vb!r}, |difference| {abs(va - vb):.3e}"
         worst[name] = (rel, where)
     rel, where = max(worst.values(), key=lambda v: (v[1] is not None, v[0]), default=(0.0, None))
-    print(f"{len(keys)} check values, largest relative change {rel:.3e}" + (f" at {where}" if where else ""))
+    _print(f"{len(keys)} check values, largest relative change {rel:.3e}" + (f" at {where}" if where else ""))
     for name, (rel, where) in sorted(worst.items()):
-        print(f"  {name}: {rel:.3e}" + (f" at {where}" if where else ""))
+        _print(f"  {name}: {rel:.3e}" + (f" at {where}" if where else ""))
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -208,16 +228,16 @@ def compare(path_a: str, path_b: str) -> int:
     differ = 0
     for key in sorted(keys_a | keys_b):
         if key not in keys_a or key not in keys_b:
-            print(f"only in {path_a if key in keys_a else path_b}: {key}")
+            _print(f"only in {path_a if key in keys_a else path_b}: {key}")
         elif a[key].dtype != b[key].dtype or a[key].shape != b[key].shape:
-            print(f"dtype or shape: {key}: {a[key].dtype}{a[key].shape} vs {b[key].dtype}{b[key].shape}")
+            _print(f"dtype or shape: {key}: {a[key].dtype}{a[key].shape} vs {b[key].dtype}{b[key].shape}")
         elif a[key].tobytes() != b[key].tobytes():
             diff = np.abs(a[key].astype(np.complex128) - b[key].astype(np.complex128))
-            print(f"bytes: {key} (max |difference| {np.max(diff):.3e})")
+            _print(f"bytes: {key} (max |difference| {np.max(diff):.3e})")
         else:
             continue
         differ += 1
-    print(f"{differ} of {len(keys_a | keys_b)} arrays differ")
+    _print(f"{differ} of {len(keys_a | keys_b)} arrays differ")
     _value_change(a, b, values)
     return 1 if differ else 0
 
