@@ -13,8 +13,8 @@ starts:
 - the (x, y) spectral space: one (dims[a, x, y], d_a) block of triples
   (m, i) per label a, at ``spectral_offsets(f, x, y)``, whose last entry is
   the ``dim`` of the algebra or bimodule.  The unit label's block comes
-  first, and ``build_algebra`` requires it to be 1 x 1 at the base, so the
-  unit of an algebra is element 0;
+  first, and ``block_algebra`` requires it to be 1 x 1 at each base label,
+  so the unit of an algebra at one base is element 0;
 - the columns (s, m, n) of coherence block (a, b, r, t): one (dims[a, r, s],
   dims[b, s, t]) block per intermediate base label s with a column, at
   ``BigradedFunctor.coherence_block(a, b, r, t)[1][s]``;
@@ -34,7 +34,9 @@ tensors hold sum_{x,y,z} n_xy n_yz n_xz complex entries, n_xy the dimension
 of the (x, y) spectral space; that is |G|^3 for a subgroup module of Rep(G)
 (n_xy = [G:H] d_x d_y) and for a coset module over a group G (n_xy = |K|):
 221 KB for S4, 27.6 MB for S5.  The star matrices hold sum_{x,y} n_xy n_yx.
-A copy made with ``dataclasses.replace`` starts with an empty memo.
+A copy made with ``dataclasses.replace`` starts with an empty memo.  Every
+``StarAlgebra`` is ``block_algebra``'s, at one base label or more (all J: the
+linking algebra), and holds these corner arrays themselves, no dense sum.
 
 Every certificate follows ``numkit``'s rule for NaN and inf: a check that
 reads one fails with the value NaN.  The LAPACK calls that would raise on
@@ -164,17 +166,17 @@ def _star_matrix(f: BigradedFunctor, x: int, y: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StarAlgebra:
-    """A finite-dimensional *-algebra, as arrays only: ``build_algebra`` and ``block_algebra`` fill it.
+    """A finite-dimensional *-algebra, as arrays only: ``block_algebra`` fills it.
 
-    ``offsets`` cut the basis into corners (``numkit.block_offsets``); an algebra at one base label is
-    one corner.  ``blocks[i, j, k]`` is the block of the structure tensor at corners (i, j, k), e_p e_q =
-    sum_r t[p, q, r] e_r; only blocks with a nonzero entry (NaN and inf count) are kept.
-    star(v) = star_mat @ conj(v), and ``unit`` is the unit's coefficients.
+    ``offsets`` cut the basis into corners (``numkit.block_offsets``), the J^2 corners (u, v) = u J + v of
+    J base labels.  ``blocks[i, j, k]`` is the block of the structure tensor at corners (i, j, k), e_p e_q =
+    sum_r t[p, q, r] e_r; only blocks with a nonzero entry (NaN and inf count) are kept.  ``star[i]`` maps
+    corner i = (u, v) onto (v, u), v -> star[i] @ conj(v), and ``unit`` is the unit's coefficients.
     """
 
     name: str
     blocks: Blocks
-    star_mat: np.ndarray
+    star: list[np.ndarray]
     unit: np.ndarray
     offsets: np.ndarray
 
@@ -189,8 +191,12 @@ class StarAlgebra:
             raise ReconstructionError("only a one-corner algebra has a single structure tensor")
         return self.blocks[0, 0, 0]
 
-    def star(self, v: np.ndarray) -> np.ndarray:
-        return self.star_mat @ np.conj(v)
+    @property
+    def star_mat(self) -> np.ndarray:
+        """The star matrix of a one-corner record: its one star block itself, not a copy."""
+        if len(self.offsets) != 2:
+            raise ReconstructionError("only a one-corner algebra has a single star matrix")
+        return self.star[0]
 
     def gram_from_product(self) -> np.ndarray:
         """Gram matrix E(e_p^* e_q) through star and product, E the coefficient of e_0 (the unit at a base)."""
@@ -220,14 +226,8 @@ def gram_closed_form(f: BigradedFunctor, base: int) -> np.ndarray:
 
 
 def build_algebra(f: BigradedFunctor, base: int = 0) -> StarAlgebra:
-    """The algebra at ``base``, from the memoised structure tensor and star matrix; its unit is e_0."""
-    if not (0 <= base < f.n_base):
-        raise ReconstructionError("base label out of range")
-    if f.dims[UNIT_LABEL, base, base] != 1:
-        raise ReconstructionError("unit label must act trivially at the base")
-    t = structure_tensor(f, base, base, base)
-    unit = (np.arange(len(t)) == 0).astype(np.complex128)
-    return StarAlgebra(f"{f.name}@{base}", {(0, 0, 0): t}, star_matrix(f, base, base), unit, np.array([0, len(t)]))
+    """The algebra at ``base``: ``block_algebra`` at that one label, whose block and star are the memo's."""
+    return block_algebra(f, base)
 
 
 def _assoc_residual(ab: Blocks, bc: Blocks, left: Blocks, right: Blocks) -> float:
@@ -270,30 +270,25 @@ def _bilinear(t: np.ndarray, mu: np.ndarray, mv: np.ndarray) -> np.ndarray:
     return out.reshape(nj, ni, nr).transpose(1, 0, 2)
 
 
-def _antimultiplicative_residual(t: Blocks, s: np.ndarray, off: np.ndarray) -> float:
-    """max |(e_p e_q)* - e_q* e_p*| over basis pairs, for the blocks ``t`` and the star v -> s conj(v).
+def _antimultiplicative_residual(t: Blocks, star: list[np.ndarray], op: list[int]) -> float:
+    """max |(e_p e_q)* - e_q* e_p*| over basis pairs, for the blocks ``t`` and the corner stars ``star``.
 
-    ``off`` cuts s into the corners of t.  As in ``_assoc_residual``, output block (P, Q, R) sums only the
-    products conj(t[P, Q, W]) s[R, W]^T and s[U, Q] s[V, P] t[U, V, R] whose factor blocks all have a
-    nonzero entry; with one block this is the dense check.
+    Block (P, Q, W) is compared with its swapped partner (Q', P', W'), i' = op[i] the transposed corner:
+    conj(t[P, Q, W]) star[W]^T against star[Q] star[P] t[Q', P', W'], one product or zero on each side.
     """
-    B = [slice(lo, hi) for lo, hi in zip(off[:-1].tolist(), off[1:].tolist())]
-    k = range(len(B))
-    s_s = {(i, j) for i, j in product(k, k) if s[B[i], B[j]].any()}
     values = []
-    for p, q, r in product(k, k, k):
-        one = [np.conj(t[p, q, w]) @ s[B[r], B[w]].T for w in k if (p, q, w) in t and (r, w) in s_s]
-        two = [_bilinear(t[u, v, r], s[B[u], B[q]], s[B[v], B[p]]).transpose(1, 0, 2)
-               for u, v in product(k, k) if (u, v, r) in t and (u, q) in s_s and (v, p) in s_s]
-        if one or two:
-            values.append(max_residual(sum(one[1:], one[0]) if one else 0.0, sum(two[1:], two[0]) if two else 0.0))
+    for p, q, w in sorted(set(t) | {(op[q], op[p], op[w]) for p, q, w in t}):
+        partner = op[q], op[p], op[w]
+        one = np.conj(t[p, q, w]) @ star[w].T if (p, q, w) in t else 0.0
+        two = _bilinear(t[partner], star[q], star[p]).transpose(1, 0, 2) if partner in t else 0.0
+        values.append(max_residual(one, two))
     return largest(values)
 
 
 def verify_algebra(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> Certificate:
     """Check the *-algebra axioms of the record; products of all-zero corner blocks are skipped."""
     cert = Certificate(subject=f"algebra[{alg.name}]", tolerance=tol)
-    t, s, one, off = alg.blocks, alg.star_mat, alg.unit, alg.offsets
+    t, star, one, off = alg.blocks, alg.star, alg.unit, alg.offsets
 
     # 1 * e_q and e_p * 1, summed corner block by corner block
     B = [slice(lo, hi) for lo, hi in zip(off[:-1].tolist(), off[1:].tolist())]
@@ -307,10 +302,13 @@ def verify_algebra(alg: StarAlgebra, tol: float = DEFAULT_TOL) -> Certificate:
 
     cert.add("associativity", "(fg)h = f(gh) on all basis triples", _assoc_residual(t, t, t, t))
 
+    j = round(len(star) ** 0.5)
+    op = [(i % j) * j + i // j for i in range(len(star))]  # the corner (v, u) of each corner (u, v)
     cert.add("involution", "f** = f on every basis element",
-             max_residual(s @ np.conj(s), eye))
-    cert.add("unit_star", "1* = 1", max_residual(alg.star(one), one))
-    cert.add("antimultiplicative", "(fg)* = g* f* on all basis pairs", _antimultiplicative_residual(t, s, off))
+             largest([max_residual(star[op[i]] @ np.conj(s), np.eye(len(s))) for i, s in enumerate(star)]))
+    cert.add("unit_star", "1* = 1",
+             largest([max_residual(s @ np.conj(one[B[i]]), one[B[op[i]]]) for i, s in enumerate(star)]))
+    cert.add("antimultiplicative", "(fg)* = g* f* on all basis pairs", _antimultiplicative_residual(t, star, op))
     return cert
 
 
@@ -453,13 +451,10 @@ def verify_bimodule(bim: SpectralBimodule, tol: float = DEFAULT_TOL) -> Certific
 def block_structure_tensor(f: BigradedFunctor, blocks: tuple[int, ...]) -> tuple[list, Blocks]:
     """Structure constants of the algebra at a direct sum of base labels, as nonzero corner blocks.
 
-    The basis is indexed by (u, v, a, m, i): a corner (u, v) of the block
-    decomposition and a spectral triple of that corner, corners in (u, v)
-    order.  The product of corners (u, v) and (v, w) is the memo's structure
-    tensor of (blocks[u], blocks[v], blocks[w]) itself, keyed by the corner
-    indices (u k + v, v k + w, u k + w); no other product is nonzero, and no
-    n^3 array is built.  Used to confirm that corner data assembled from
-    simple bases matches the direct sum.
+    The basis is indexed by (u, v, a, m, i): a corner (u, v) and a spectral triple of it, corners in
+    (u, v) order.  The product of corners (u, v) and (v, w) is the memo's structure tensor of (blocks[u],
+    blocks[v], blocks[w]) itself, keyed (u k + v, v k + w, u k + w); no other product is nonzero, and no
+    n^3 array is built.  ``block_algebra`` builds every record from it.
     """
     k = len(blocks)
     basis = [(u, v) + t for u in range(k) for v in range(k) for t in basis_triples(f, blocks[u], blocks[v])]
@@ -471,23 +466,27 @@ def block_structure_tensor(f: BigradedFunctor, blocks: tuple[int, ...]) -> tuple
     return basis, corners
 
 
-def block_algebra(f: BigradedFunctor, x: int, y: int) -> StarAlgebra:
-    """The algebra at x (+) y: ``block_structure_tensor``, and the star of corner (u, v) onto (v, u).
+def block_algebra(f: BigradedFunctor, *labels: int) -> StarAlgebra:
+    """The algebra at the direct sum of the base labels: ``block_structure_tensor``'s blocks, corner stars.
 
-    Its unit is the sum of the corner units, and its offsets are the four corners'.
+    One label gives the algebra at that base, all J the linking algebra: every corner B_xy, which carries
+    the Morita equivalences (Brown, Green and Rieffel, Pacific J. Math. 71, 1977).  The unit is the sum of
+    the corner units, the first element of each corner (u, u).
     """
-    basis, blocks = block_structure_tensor(f, (x, y))
-    off = block_offsets(np.bincount([2 * u + v for u, v, *_ in basis], minlength=4))
-    corner = [slice(lo, hi) for lo, hi in zip(off[:-1].tolist(), off[1:].tolist())]
-    star = np.zeros((len(basis), len(basis)), dtype=np.complex128)
-    for u, v in product(range(2), repeat=2):
-        star[corner[2 * v + u], corner[2 * u + v]] = star_matrix(f, (x, y)[u], (x, y)[v])
-    unit = np.array([u == v and a == UNIT_LABEL for u, v, a, *_ in basis], dtype=np.complex128)
-    return StarAlgebra(f"{f.name}@({x},{y})", blocks, star, unit, off)
+    for x in labels:
+        if not 0 <= x < f.n_base:
+            raise ReconstructionError(f"base label {x} out of range 0..{f.n_base - 1}")
+        if f.dims[UNIT_LABEL, x, x] != 1:
+            raise ReconstructionError(f"unit label must act trivially at base label {x}")
+    _, blocks = block_structure_tensor(f, labels)
+    star = [star_matrix(f, x, y) for x, y in product(labels, repeat=2)]
+    off = block_offsets([s.shape[1] for s in star])  # the star of a corner has a column per element
+    unit = np.bincount(off[:-1:len(labels) + 1], minlength=off[-1]).astype(np.complex128)
+    at = labels[0] if len(labels) == 1 else f"({','.join(map(str, labels))})"
+    return StarAlgebra(f"{f.name}@{at}", blocks, star, unit, off)
 
 
-def block_consistency(f: BigradedFunctor, x: int, y: int,
-                      tol: float = DEFAULT_TOL) -> Certificate:
+def block_consistency(f: BigradedFunctor, x: int, y: int, tol: float = DEFAULT_TOL) -> Certificate:
     """``verify_algebra`` on ``block_algebra(f, x, y)``: corners from simple bases form a *-algebra."""
     return verify_algebra(block_algebra(f, x, y), tol)
 

@@ -386,7 +386,7 @@ def test_algebra_checks_match_loops(modules):
             clean = build_algebra(f, x)
             # the star matrices of these algebras are symmetric; the noisy one is not
             for t, s in ((clean.tensor, clean.star_mat), (_noisy(clean.tensor), _noisy(clean.star_mat, 1))):
-                alg = replace(clean, blocks={(0, 0, 0): t}, star_mat=s)
+                alg = replace(clean, blocks={(0, 0, 0): t}, star=[s])
                 got = _values(verify_algebra(alg))
                 assert abs(got["associativity"] - _assoc_einsum(t, t, t, t)) < 1e-14, (f.name, x)
                 # one block per axis: the dense GEMMs, bit for bit

@@ -7,7 +7,7 @@ import pytest
 
 from qhspace import reconstruct, tensorcat
 from qhspace.grouprep import Subgroup, cyclic_group, dihedral_group, extract_irreps
-from qhspace.modcat import module_from_subgroup
+from qhspace.modcat import module_from_pointed, module_from_subgroup
 from qhspace.numkit import NumericalRankError, max_residual
 from qhspace.reconstruct import (
     ReconstructionError,
@@ -139,7 +139,8 @@ def test_star_is_involutive_on_random_elements(s3_modules):
     for f in s3_modules.values():
         alg = build_algebra(f, 0)
         v = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-        assert max_residual(alg.star(alg.star(v)), v) < 1e-9
+        star = alg.star[0]
+        assert max_residual(star @ np.conj(star @ np.conj(v)), v) < 1e-9
 
 
 # Fault injection on the associativity checks.  Each fault adds 1e-3 to one
@@ -174,7 +175,7 @@ def test_star_fault_caught_by_antimultiplicative(s3_modules):
     # every basis pair is checked, so no sample of elements can see more
     f = s3_modules["trivial"]
     alg = build_algebra(f, 0)
-    alg = replace(alg, star_mat=_bumped(alg.star_mat, (0, 1)))
+    alg = replace(alg, star=[_bumped(alg.star_mat, (0, 1))])
     assert_caught(verify_algebra(build_algebra(f, 0)), verify_algebra(alg), "antimultiplicative",
                   ("left_unit", "right_unit", "associativity", "unit_star"))
 
@@ -183,7 +184,7 @@ def test_negated_star_caught_by_gram_psd(s3_modules):
     # c^dagger G c is positive whenever G is, so the Gram matrix itself is the whole check
     f = s3_modules["trivial"]
     clean, gram = build_algebra(f, 0), gram_closed_form(f, 0)
-    alg = replace(clean, star_mat=-clean.star_mat)
+    alg = replace(clean, star=[-clean.star_mat])
     assert_caught(cp_certificate(clean, gram), cp_certificate(alg, gram), "gram_psd", ("gram_hermitian",))
 
 
@@ -194,7 +195,7 @@ def test_unit_state_fault_caught_by_state_unit(s3_modules):
     clean, gram = build_algebra(f, 0), gram_closed_form(f, 0)
     star = clean.star_mat.copy()
     star[0, 0] -= EPS
-    assert_caught(cp_certificate(clean, gram), cp_certificate(replace(clean, star_mat=star), gram), "state_unit",
+    assert_caught(cp_certificate(clean, gram), cp_certificate(replace(clean, star=[star]), gram), "state_unit",
                   ("gram_hermitian",), failing=("gram_routes", "state_unit"))
 
 
@@ -238,7 +239,7 @@ def test_classical_fault_caught(s3_modules, check, algebra, entry, delta, failin
     arr = (clean.tensor if field == "tensor" else clean.star_mat).copy()
     for key in keys:
         arr[key] += delta
-    bad = replace(clean, blocks={(0, 0, 0): arr}) if field == "tensor" else replace(clean, star_mat=arr)
+    bad = replace(clean, blocks={(0, 0, 0): arr}) if field == "tensor" else replace(clean, star=[arr])
     assert_caught(classical_roundtrip(clean), classical_roundtrip(bad), check, failing=failing)
 
 
@@ -250,7 +251,7 @@ def test_classical_roundtrip_refuses_a_gap_at_the_cut(gap):
     values = np.stack([np.ones(3), f, np.cross(np.ones(3), f)], axis=1)  # values[x, p] = e_p(x)
     products = (values[:, :, None] * values[:, None, :]).reshape(3, 9)  # [x, (p, q)]
     t = np.linalg.solve(values, products).reshape(3, 3, 3).transpose(1, 2, 0)
-    alg = StarAlgebra("three points", {(0, 0, 0): t.astype(np.complex128)}, np.eye(3, dtype=np.complex128),
+    alg = StarAlgebra("three points", {(0, 0, 0): t.astype(np.complex128)}, [np.eye(3, dtype=np.complex128)],
                       np.eye(3, dtype=np.complex128)[0], np.array([0, 3]))
     if gap == 1e-6:
         with pytest.raises(NumericalRankError):
@@ -325,7 +326,7 @@ def test_block_consistency_memory_is_cubic(s4_over_s3):
 
 
 def test_records_keep_the_memo_arrays(s3_modules, s4_over_s3):
-    # a block algebra holds the memo's corner tensors themselves, and a base algebra its one tensor
+    # a block algebra holds the memo's corner tensors and stars themselves, and a base algebra its one of each
     for f, x, y in ((s3_modules["full"], 0, 2), (s4_over_s3, 0, 2), (s4_over_s3, 1, 2)):
         _, corners = block_structure_tensor(f, (x, y))
         labels = (x, y)
@@ -336,8 +337,52 @@ def test_records_keep_the_memo_arrays(s3_modules, s4_over_s3):
         for base in (x, y):
             alg = build_algebra(f, base)
             assert alg.tensor is structure_tensor(f, base, base, base) and list(alg.blocks) == [(0, 0, 0)]
+            assert alg.star_mat is star_matrix(f, base, base)
+            one = block_algebra(f, base)
+            assert list(one.blocks) == list(alg.blocks) and one.tensor is alg.tensor
+            assert len(one.star) == 1 and one.star_mat is alg.star_mat
+            assert np.array_equal(one.unit, alg.unit) and np.array_equal(one.offsets, alg.offsets)
+    # the star of corner (u, v) is the memo's star matrix of (labels[u], labels[v]), for one, two and all labels
+    for f in (s3_modules["full"], s4_over_s3):
+        for labels in ((1,), (0, 2), tuple(range(f.n_base))):
+            pairs = list(product(labels, repeat=2))
+            alg = block_algebra(f, *labels)
+            assert len(alg.star) == len(pairs) == len(alg.offsets) - 1, labels
+            assert all(s is star_matrix(f, x, y) for s, (x, y) in zip(alg.star, pairs)), labels
     with pytest.raises(ReconstructionError):
         block_algebra(s4_over_s3, 0, 2).tensor
+    with pytest.raises(ReconstructionError):
+        block_algebra(s4_over_s3, 0, 2).star_mat
+
+
+@pytest.mark.parametrize("call, label", [(block_algebra, 1), (block_consistency, -1)])
+def test_block_records_refuse_a_bad_base_label(s3_modules, call, label):
+    # S3 over its trivial subgroup has one base label: 1 read past the end, and -1 wrapped around
+    with pytest.raises(ReconstructionError, match=f"base label {label} out of range"):
+        call(s3_modules["trivial"], 0, label)
+
+
+def _cyclic_over_trivial(data):
+    """The pointed category of ``data`` over its trivial subgroup: one base label per group element."""
+    return module_from_pointed(tensorcat.from_pointed(data), Subgroup.generated(data.group, []))
+
+
+def test_linking_records_are_star_algebras(s3_modules, s4_over_s3):
+    # every corner B_xy in one record; S4 > S3 has J = 3, so its triples (x, y, z) of distinct labels are read
+    z8 = _cyclic_over_trivial(tensorcat.PointedFusionData(cyclic_group(8), np.ones((8, 8, 8))))
+    for f, j in ((s3_modules["order2"], 2), (s4_over_s3, 3), (z8, 8)):
+        assert f.n_base == j
+        alg = block_algebra(f, *range(j))
+        assert len(alg.offsets) - 1 == j * j
+        cert = verify_algebra(alg)
+        assert cert.passed, cert.to_text()
+
+
+def test_linking_record_fails_under_a_nontrivial_cocycle():
+    # with [omega] != 0 there is no fibre functor, and the corners of Z4 over 1 cannot form a *-algebra
+    f = _cyclic_over_trivial(tensorcat.standard_cyclic_cocycle(4))
+    cert = verify_algebra(block_algebra(f, *range(f.n_base)))
+    assert {c.name for c in cert.checks if not c.passed} == {"associativity", "involution", "antimultiplicative"}
 
 
 def test_block_star_fault_caught_by_antimultiplicative(s3_modules):

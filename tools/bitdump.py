@@ -26,12 +26,16 @@ saves, one key per array:
   the corner tensor ``structure_tensor(mod, x, y, z)`` of every triple of
   distinct base labels, and the tensor and assembled star of every block
   algebra ``block_algebra(mod, x, y)``, x < y: the record keeps only its
-  nonzero corner blocks, and the dump places them in a dense (n, n, n)
-  array, as dumps made when the record held that array;
+  nonzero corner blocks and the star of each corner, and the dump places
+  them in a dense (n, n, n) array and a dense (n, n) star, as dumps made
+  when the record held those arrays;
 - the exchange blocks ``psi`` of every restriction morphism;
 - the verdict of every named check of ``run_suite``, ``verify_bimodule``,
   ``block_consistency``, ``validate_morphism`` and ``verify_algebra_map``,
   and, under the same name prefixed with ``value/``, the value it measured;
+- the same for ``verify_algebra`` on the linking algebra
+  ``block_algebra(mod, *range(mod.n_base))`` of each project's module and
+  each corners case (``{tag}/linking``);
 - the same for ``classical_roundtrip`` at base 0 of the function algebras
   built here, each corners case's ``trivial`` module and the
   ``s3_morphism`` target (``{tag}/classical``).
@@ -50,14 +54,17 @@ ends the output quietly; the exit status is still compare's own.
 A dump made before block algebras went through ``verify_algebra`` has no
 ``block{x, y}/star`` arrays, and names the block verdicts ``block_left_unit``,
 ``block_right_unit`` and ``block_associativity`` where later dumps have
-``left_unit``, ``right_unit``, ``associativity`` and three star checks: a
-compare of the two lists those keys as present on one side only.
+``left_unit``, ``right_unit``, ``associativity`` and three star checks, and a
+dump made before ``block_algebra`` took any number of labels has no
+``linking`` verdicts: a compare of the two lists those keys as present on one
+side only.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from math import isqrt
 
 import numpy as np
 
@@ -122,13 +129,32 @@ def _classical(out: dict, tag: str, mod) -> None:
     _verdicts(out, f"{tag}/classical", classical_roundtrip(build_algebra(mod, 0)))
 
 
+def _cuts(alg) -> list[slice]:
+    return [slice(lo, hi) for lo, hi in zip(alg.offsets[:-1].tolist(), alg.offsets[1:].tolist())]
+
+
 def _dense_tensor(alg) -> np.ndarray:
     """The structure tensor of a block algebra as one array: its corner blocks, and zero elsewhere."""
-    cut = [slice(lo, hi) for lo, hi in zip(alg.offsets[:-1].tolist(), alg.offsets[1:].tolist())]
+    cut = _cuts(alg)
     t = np.zeros((alg.dim,) * 3, dtype=np.complex128)
     for (i, j, k), blk in alg.blocks.items():
         t[cut[i], cut[j], cut[k]] = blk
     return t
+
+
+def _dense_star(alg) -> np.ndarray:
+    """The star of a block algebra as one matrix: the star of corner (u, v) at rows (v, u), columns (u, v)."""
+    cut, j = _cuts(alg), isqrt(len(alg.star))
+    s = np.zeros((alg.dim,) * 2, dtype=np.complex128)
+    for i, blk in enumerate(alg.star):
+        s[cut[(i % j) * j + i // j], cut[i]] = blk
+    return s
+
+
+def _linking(out: dict, tag: str, mod) -> None:
+    from qhspace.reconstruct import block_algebra, verify_algebra
+
+    _verdicts(out, f"{tag}/linking", verify_algebra(block_algebra(mod, *range(mod.n_base))))
 
 
 def _corners(out: dict, tag: str, mod, seed: int) -> None:
@@ -144,11 +170,12 @@ def _corners(out: dict, tag: str, mod, seed: int) -> None:
             if x < y:
                 alg = block_algebra(mod, x, y)
                 out[f"{tag}/block{x, y}/tensor"] = _dense_tensor(alg)
-                out[f"{tag}/block{x, y}/star"] = alg.star_mat
+                out[f"{tag}/block{x, y}/star"] = _dense_star(alg)
                 _verdicts(out, f"{tag}/block{x, y}", block_consistency(mod, x, y))
             for z in range(mod.n_base):
                 if len({x, y, z}) == 3:
                     out[f"{tag}/corner{x, y, z}"] = structure_tensor(mod, x, y, z)
+    _linking(out, tag, mod)
 
 
 def dump(path: str) -> None:
@@ -169,6 +196,7 @@ def dump(path: str) -> None:
             _subgroup_irreps(out, f"{name}/module_irrep", project.module)
             _module(out, name, project.module)
             _verdicts(out, f"{name}/run_suite", run_suite(project.category, project.module))
+            _linking(out, name, project.module)
         if project.morphism is not None:
             _subgroup_irreps(out, f"{name}/target_irrep", project.morphism.target)
             _module(out, f"{name}/target", project.morphism.target)
