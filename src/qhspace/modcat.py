@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .certificate import Certificate
 from .grouprep import IrrepExtractionError, IrrepTable, Subgroup, decompose, extract_irreps, restrict, tensor_rep
-from .numkit import DEFAULT_TOL, RUN_ENTRIES, above, largest, max_residual, stack_by_shape, successors
+from .numkit import (DEFAULT_TOL, RUN_ENTRIES, NumericalRankError, above, largest, max_residual, stack_by_shape,
+                     successors)
 from .tensorcat import UNIT_LABEL, CategoryPresentation, CocycleError, fusion_table
 
 
@@ -58,7 +60,7 @@ class BigradedFunctor:
     - ``memo`` holds the read-only corner structure tensors, keyed by
       (x, y, z), and star matrices, keyed by (x, y), that ``reconstruct``
       has built from this record.  It starts empty, also in a copy made
-      with ``dataclasses.replace``.
+      with ``dataclasses.replace``; so does the cached ``frobenius``.
     """
 
     cat: CategoryPresentation
@@ -113,13 +115,35 @@ class BigradedFunctor:
         k, p = len(chans.get(c, ())), self.dims[c, r, t]
         return self.coherence[start:start + k * p * cols].reshape(k, p, cols)
 
+    @cached_property
+    def frobenius(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[tuple[int, int, int], np.ndarray]]:
+        """(images, blocks), built once per record: (edges, ``_frobenius_images``) per shape and dual dimension,
+        and each block's read-only ``frobenius_block``, one batched trace per group.  A ``replace`` copy builds anew."""
+        lab, src, dst, _, kind, pos, stacks = _edges(self)
+        dual, ldim, j = np.asarray(self.cat.dual_map), np.asarray(self.cat.obj_dim), self.n_base
+        code = (lab * j + src) * j + dst
+        edge, partner = successors(code, len(ldim) * j * j)((dual[lab] * j + dst) * j + src)
+        group = kind * (ldim.max() + 1) + ldim[dual[lab]]
+        images, traced = [], np.empty(len(edge), dtype=np.complex128)
+        for g in np.flatnonzero(np.bincount(group)).tolist():
+            sel, at = np.flatnonzero(group == g), np.flatnonzero(group[edge] == g)
+            t = stacks[kind[sel[0]]][pos[sel]]
+            imgs = _frobenius_images(self, lab[sel], dst[sel], t.reshape(len(sel), -1, t.shape[3]))
+            images.append((sel, imgs))
+            if len(at):  # every edge against each basis morphism of its dual block
+                tbar = np.conj(stacks[kind[partner[at[0]]]][pos[partner[at]]].reshape(len(at), -1, t.shape[2]))
+                traced[at] = np.trace(tbar.transpose(0, 2, 1) @ imgs[sel.searchsorted(edge[at])], axis1=-2, axis2=-1)
+        traced = (traced / np.asarray(self.base_dims)[dst[edge]])[np.lexsort((edge, partner, code[edge]))]
+        traced.flags.writeable = False  # the blocks are views of it, kept for the life of the record
+        first = np.flatnonzero(np.diff(code, prepend=-1))  # the first edge of each block
+        last = np.append(first[1:], len(lab))[:len(first)]
+        ends = np.cumsum(np.bincount(edge, minlength=len(lab)))[last - 1].tolist()
+        return images, {(lab.item(u), src.item(u), dst.item(u)): traced[lo:hi].reshape(-1, v - u)
+                        for u, v, lo, hi in zip(first.tolist(), last.tolist(), [0] + ends, ends)}
+
     def frobenius_block(self, a: int, r: int, s: int) -> np.ndarray:
         """Matrix B[q, m] expanding each Frobenius image in the dual-label basis (dims[a, r, s] > 0)."""
-        tbars = self.mor_basis(self.cat.dual_map[a], s, r)
-        n = int(self.dims[a, r, s])
-        imgs = _frobenius_images(self, np.full(n, a), np.full(n, s), self.bases[(a, r, s)])
-        traced = np.trace(np.conj(tbars).transpose(0, 2, 1)[:, None] @ imgs[None], axis1=-2, axis2=-1)
-        return traced / self.base_dims[s]
+        return self.frobenius[1][(a, r, s)]
 
 
 def _conjugates(cat: CategoryPresentation, lab: np.ndarray, which: int) -> np.ndarray:
@@ -160,13 +184,17 @@ def _edges(f: BigradedFunctor) -> tuple:
 
     Returns (lab, src, dst, m, kind, pos, stacks): the edges run in (lab,
     src, dst, m) order, m is the place of t in its block, and t, reshaped to
-    (d_lab, d_dst, d_src), is ``stacks[kind[i]][pos[i]]``.
+    (d_lab, d_dst, d_src), is ``stacks[kind[i]][pos[i]]``.  Only the blocks
+    of the shape (dims[a, r, s], d_a d_s, d_r) have edges.
     """
+    ldim, bdim = f.cat.obj_dim, f.base_dims
     keys = np.argwhere(f.dims)
     mult = f.dims[tuple(keys.T)]
+    shaped = [f.mor_basis(a, r, s).shape == (n, ldim[a] * bdim[s], bdim[r])
+              for (a, r, s), n in zip(keys.tolist(), mult.tolist())]
+    keys, mult = keys[shaped], mult[shaped]
     lab, src, dst = np.repeat(keys, mult, axis=0).T
     m = np.arange(len(lab)) - np.repeat(np.cumsum(mult) - mult, mult)
-    ldim, bdim = f.cat.obj_dim, f.base_dims
     kind, pos, stacks = stack_by_shape([f.bases[(a, r, s)].reshape(-1, ldim[a], bdim[s], bdim[r])
                                         for a, r, s in keys.tolist()])
     return lab, src, dst, m, kind, pos, stacks
@@ -328,10 +356,10 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
     with a t_s g = t_r.  A grading-preserving map sends e_j to c_j e_pi(j),
     pi(j) = g j, and it is a module map iff c_jl rho_r(j, l) = c_j rho_s(pi(j), l)
     for all j, l.  The pivot convention fixes c_e = 1, so the entry at
-    (pi(e), e) is exactly 1; then c_l = rho_s(g, l) / rho_r(e, l).  All |K|^2
-    equations are checked at once: a residual above ``tol`` means the space is
-    zero and the block is dropped, and a residual within a factor 10 of
-    ``tol`` raises ``NumericalRankError`` (``numkit.above``).
+    (pi(e), e) is exactly 1; then c_l = rho_s(g, l) / rho_r(e, l).  The |K|^2
+    equations of all blocks are checked together, in runs, and one ``above``
+    call drops each block whose residual exceeds ``tol`` (its space is zero);
+    a residual within a factor 10 of ``tol`` raises ``NumericalRankError``.
     """
     if cat.kind != "pointed" or cat.pointed is None:
         raise ModuleDataError("coset module needs a pointed category")
@@ -361,25 +389,30 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
     prod = kpos[mul[k_el[:, None], k_el[None, :]]]
     e = int(kpos[group.identity])
 
-    bases = {}
-    for a in cat.labels:
-        for s in range(len(cosets)):
-            if a == UNIT_LABEL:
-                bases[(a, s, s)] = np.eye(nk, dtype=np.complex128)[None]
-                continue
-            at = mul[a, reps_t[s]]
-            r = int(coset_of[at])
-            g = mul[group.inverse[at], reps_t[r]]
-            perm = kpos[mul[g, k_el]]
-            rho_s = rho[s] * om[a, grade[s][:, None], k_el[None, :]]
-            c = rho_s[perm[e]] / rho[r, e]
-            c[e] = 1.0
-            res = max_residual(c[prod] * rho[r], c[:, None] * rho_s[perm])
-            if not above(res, tol, f"module-map residual of block {(a, r, s)}"):
-                t = np.zeros((1, nk, nk), dtype=np.complex128)
-                t[0, perm, np.arange(nk)] = c
-                bases[(a, r, s)] = t
-    return _assemble(cat, f"coset[{nk}]", (nk,) * len(cosets), bases,
+    # every block (a, s) of a non-unit label, in (a, s) order, in runs of 8 nk^2 live entries per block
+    j = len(cosets)
+    a, s = np.divmod(np.arange(j, j * len(cat.labels)), j)
+    r = coset_of[at := mul[a, reps_t[s]]]
+    perm = kpos[mul[mul[group.inverse[at], reps_t[r]][:, None], k_el]]
+    c, res = np.empty((len(a), nk), dtype=np.complex128), np.empty(len(a))
+    step = max(1, RUN_ENTRIES // (8 * nk * nk))
+    for b in (slice(lo, lo + step) for lo in range(0, len(a), step)):
+        rho_s = rho[s[b]] * om[a[b, None, None], grade[s[b]][:, :, None], k_el]
+        run = np.arange(len(rho_s))
+        c[b] = rho_s[run, perm[b, e]] / rho[r[b], e]
+        c[b, e] = 1.0
+        res[b] = np.abs(c[b][:, prod] * rho[r[b]] - c[b, :, None] * rho_s[run[:, None], perm[b]]).max(axis=(1, 2))
+    keys = list(zip(a.tolist(), r.tolist(), s.tolist()))
+    try:  # one decision for every block; a refusal is made again block by block, to name the first
+        live = np.flatnonzero(~above(res, tol, "module-map residual"))
+    except NumericalRankError:
+        any(above(v, tol, f"module-map residual of block {key}") for key, v in zip(keys, res.tolist()))
+        raise
+    t = np.zeros((len(live), 1, nk, nk), dtype=np.complex128)
+    t[np.arange(len(live))[:, None], 0, perm[live], np.arange(nk)] = c[live]
+    bases = {(UNIT_LABEL, x, x): np.eye(nk, dtype=np.complex128)[None] for x in range(j)}
+    bases.update(zip([keys[i] for i in live.tolist()], t))
+    return _assemble(cat, f"coset[{nk}]", (nk,) * j, bases,
                      handle=np.arange(group.order), fuse=mul, phase=om[:, :, grade])
 
 
@@ -394,14 +427,13 @@ def _strongly_connected(adj: np.ndarray) -> bool:
 def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL) -> Certificate:
     """Check the structural axioms of the bi-graded presentation."""
     cert = Certificate(subject=f"module[{f.name}]", tolerance=tol)
-    cat = f.cat
-    dims = f.dims
+    cat, dims = f.cat, f.dims
     ldim, bdim = np.asarray(cat.obj_dim), np.asarray(f.base_dims)
 
     cert.add_flag("unit_grading", "unit label acts as the identity grading",
                   np.array_equal(dims[UNIT_LABEL], np.eye(f.n_base, dtype=np.int64)))
-    exact_unit = largest([max_residual(u[0], np.eye(f.base_dims[r])) if len(u := f.mor_basis(UNIT_LABEL, r, r))
-                          else np.inf for r in range(f.n_base)])
+    exact_unit = largest([max_residual(u[0], np.eye(d)) if len(u := f.mor_basis(UNIT_LABEL, r, r)) and
+                          u.shape[1:] == (d, d) else np.inf for r, d in enumerate(f.base_dims)])
     cert.add("unit_basis", "unit morphism basis is the identity matrix", exact_unit)
 
     lab, src, dst, _, kind, pos, stacks = _edges(f)
@@ -409,7 +441,9 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL) -> Certificate
     for stack in stacks:
         t = stack.reshape(len(stack), -1, stack.shape[3])
         iso.append(max_residual(np.conj(t).transpose(0, 2, 1) @ t, np.eye(t.shape[2])))
-    cert.add("morphism_isometry", "module morphism bases are isometries", largest(iso))
+    # a block of another shape has no edges, and fails with inf
+    cert.add("morphism_isometry", "module morphism bases are isometries",
+             largest(iso) if len(lab) == dims.sum() else np.inf)
 
     cert.add_flag(
         "decomposition_count",
@@ -442,14 +476,8 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL) -> Certificate
         np.array_equal(dims, dims[list(cat.dual_map)].transpose(0, 2, 1)),
     )
 
-    frob_rt = []
-    group = kind * (ldim.max() + 1) + ldim[np.asarray(cat.dual_map)[lab]]
-    for g in np.flatnonzero(np.bincount(group)).tolist():
-        sel = np.flatnonzero(group == g)
-        t = stacks[kind[sel[0]]][pos[sel]]
-        t = t.reshape(len(sel), -1, t.shape[3])
-        back = _frobenius_back(f, lab[sel], src[sel], _frobenius_images(f, lab[sel], dst[sel], t))
-        frob_rt.append(max_residual(back, t))
+    frob_rt = [max_residual(_frobenius_back(f, lab[sel], src[sel], imgs).reshape(-1, *stacks[kind[sel[0]]].shape[1:]),
+                            stacks[kind[sel[0]]][pos[sel]]) for sel, imgs in f.frobenius[0]]
     cert.add("frobenius_roundtrip", "dual-label pairing composes to the identity", largest(frob_rt))
 
     cert.add_flag("connectedness", "every base label reaches every other",
@@ -466,46 +494,53 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     t_c) t_b) t_a.  The diagonal phi_i read only the X_t (phi1) or X_w
     coordinate, so each side is sum_t t_c[C, w, t] (t_b t_a)[a, B, t, r] times
     a phase per (w, t); left - right puts the phase defect F[w, t] = phi2[w]
-    phi1[t] - alpha phi3[w] phi4[w] on t_c: two products per chain.  Pairs
-    sorted by shape are cut into runs whose live entries together stay within
-    ``RUN_ENTRIES``, extended to chains and evaluated once per shape.
+    phi1[t] - alpha phi3[w] phi4[w] on t_c.  Pairs sorted by shape are cut
+    into runs whose live entries together stay within ``RUN_ENTRIES``; a run
+    forms t_b t_a once per pair and t_c times it once per chain, batched by shape.
     """
     handle, fuse, alpha_conj = f.handle, f.fuse, np.conj(f.cat.assoc_table())
     nh, _, j, width = f.phase.shape
     rows = np.conj(f.phase).reshape(-1, width)  # row (h1 * nh + h2) * j + x is phase[h1, h2, x]
     lab, src, dst, _, kind, pos, stacked = _edges(f)
-    ldim, bdim, ns = np.asarray(f.cat.obj_dim), np.asarray(f.base_dims), len(stacked)
+    ldim, bdim, ns, hlab = np.asarray(f.cat.obj_dim), np.asarray(f.base_dims), len(stacked), handle[lab]
     by_dst = [stack.transpose(0, 2, 1, 3).copy() for stack in stacked]  # [i, dst, lab, src]
     chains = successors(src, j)  # the edges leaving each node, sorted once for every run
     first, second = chains(dst)
     by_shape = np.argsort(kind[first] * ns + kind[second], kind="stable")
     first, second = first[by_shape], second[by_shape]
-    # a pair keeps the live entries of its chains, one per (c, t, w) leaving t; an int64 or a float counts half
+    # a pair keeps its factors and product, and the live entries of its chains, one per (c, t, w) leaving
+    # t; an int64 or a float counts half
     da, db, dr, ds, dt = ldim[lab[first]], ldim[lab[second]], bdim[src[first]], bdim[src[second]], bdim[dst[second]]
     n3, cw, w3 = (np.bincount(src, x, j)[dst[second]] for x in (None, ldim[lab] * bdim[dst], bdim[dst]))
-    weight = n3 * (ds * da * dr + dt * db * ds + 3 * width + 8) + cw * (dt + db * ds + 1.5 * db * da * dr) + w3 * dt
+    weight = ds * da * dr + dt * db * ds + (n3 + 1) * dt * db * da * dr + n3 * (5 * width + 8) + 4 + w3 * dt
+    weight += cw * (2 * dt + 1.5 * db * da * dr)
     run = (np.cumsum(weight) - weight) // RUN_ENTRIES
     cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(first)]
     worst = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        e1, e3 = chains(dst[second[lo:hi]])  # e1 holds each chain's pair until the next line
-        e1, e2 = first[lo:hi][e1], second[lo:hi][e1]
-        chain_kind = (kind[e1] * ns + kind[e2]) * ns + kind[e3]
+        e1, e2 = first[lo:hi], second[lo:hi]
+        seg = [0, *(np.flatnonzero(np.diff(kind[e1] * ns + kind[e2])) + 1).tolist(), hi - lo]
+        prods = []  # [pair, t, (b, a, r)], per pair shape
+        for u, v in zip(seg[:-1], seg[1:]):
+            ta, tb = by_dst[kind[e1[u]]][pos[e1[u:v]]], by_dst[kind[e2[u]]][pos[e2[u:v]]]
+            (n, ds, _, _), dt = ta.shape, tb.shape[1]
+            prods.append((tb.reshape(n, -1, ds) @ ta.reshape(n, ds, -1)).reshape(n, dt, -1))
+        ha, hb, ab = hlab[e1], hlab[e2], lab[e1] * len(ldim) + lab[e2]
+        pair, e3 = chains(dst[e2])
+        chain_kind = np.repeat(np.arange(len(prods)), np.diff(seg))[pair] * ns + kind[e3]
         order = np.argsort(chain_kind, kind="stable")
-        e1, e2, e3, chain_kind = e1[order], e2[order], e3[order], chain_kind[order]
-        ha, hb, hc, w = handle[lab[e1]], handle[lab[e2]], handle[lab[e3]], dst[e3]
-        phi1 = rows.take((ha * nh + hb) * j + dst[e2], axis=0)
-        phi2 = rows.take((fuse[ha, hb] * nh + hc) * j + w, axis=0)
-        phi34 = rows.take((hb * nh + hc) * j + w, axis=0) * rows.take((ha * nh + fuse[hb, hc]) * j + w, axis=0)
-        phi34 *= alpha_conj[lab[e1], lab[e2], lab[e3], None]
+        pair, e3, chain_kind = pair[order], e3[order], chain_kind[order]
+        hc, w = hlab[e3], dst[e3]
+        phi1 = rows.take(((ha * nh + hb) * j + dst[e2])[pair], axis=0)
+        phi2 = rows.take((fuse[ha, hb][pair] * nh + hc) * j + w, axis=0)
+        phi34 = rows.take((hb[pair] * nh + hc) * j + w, axis=0)
+        phi34 *= rows.take((ha[pair] * nh + fuse[hb[pair], hc]) * j + w, axis=0)
+        phi34 *= alpha_conj.reshape(-1, len(ldim))[ab[pair], lab[e3], None]
         ends = [0, *(np.flatnonzero(np.diff(chain_kind)) + 1).tolist(), len(chain_kind)]
         for g, h in zip(ends[:-1], ends[1:]):
-            code = int(chain_kind[g])
-            ta, tb = by_dst[code // ns**2][pos[e1[g:h]]], by_dst[code // ns % ns][pos[e2[g:h]]]
-            tc = stacked[code % ns][pos[e3[g:h]]]
-            (n, ds, da, dr), (dt, db, _), (dc, dw, _) = ta.shape, tb.shape[1:], tc.shape[1:]
+            at, k3 = divmod(int(chain_kind[g]), ns)
+            tc = stacked[k3][pos[e3[g:h]]]
+            (n, dc, dw, dt), p = tc.shape, prods[at][pair[g:h] - seg[at]]
             defect = phi2[g:h, :dw, None] * phi1[g:h, None, :dt] - phi34[g:h, :dw, None]
-            head = (tc * defect[:, None]).reshape(n, dc * dw, dt) @ tb.reshape(n, dt, db * ds)
-            worst.append(np.max(np.abs(head.reshape(n, -1, ds) @ ta.reshape(n, ds, da * dr))))
+            worst.append(np.max(np.abs((tc * defect[:, None]).reshape(n, dc * dw, dt) @ p)))
     return largest(worst)
-

@@ -16,8 +16,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-# the module build, the triple coherence check and the intertwiner average work in runs: a run's live
-# entries together stay within this many complex entries (an int64 or a float64 counts half)
+# the module builds, the cocycle and triple coherence checks and the intertwiner average work in runs: a
+# run's live entries together stay within this many complex entries (an int64 or a float64 counts half)
 RUN_ENTRIES = 1 << 15
 
 

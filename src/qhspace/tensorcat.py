@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import Certificate
 from .grouprep import FiniteGroup, IrrepExtractionError, IrrepTable, UnitaryRep, decompose, tensor_rep
-from .numkit import DEFAULT_TOL, dagger, kron, largest, max_residual, stack_by_shape, successors
+from .numkit import DEFAULT_TOL, RUN_ENTRIES, dagger, kron, largest, max_residual, stack_by_shape, successors
 
 UNIT_LABEL = 0
 
@@ -55,11 +55,12 @@ class PointedFusionData:
             raise CocycleError(f"cocycle not normalized at {((e, g, h), (g, e, h), (g, h, e))[i]}")
         mul = self.group.mult_table
         h, k, l = np.ix_(*(np.arange(n),) * 3)
-        for g in range(n):  # n^3 at a time, in row-major order
+        step = max(1, RUN_ENTRIES // (8 * n**3))  # runs of g in row-major order, 8 n^3 live entries per g
+        for g in (np.arange(lo, min(lo + step, n))[:, None, None, None] for lo in range(0, n, step)):
             lhs = om[h, k, l] * om[g, mul[h, k], l] * om[g, h, k]
             rhs = om[mul[g, h], k, l] * om[g, h, mul[k, l]]
-            for x, y, z in np.argwhere(~(np.abs(lhs - rhs) <= 1e-10))[:1].tolist():
-                raise CocycleError(f"cocycle identity fails at quadruple ({g},{x},{y},{z})")
+            for i, x, y, z in np.argwhere(~(np.abs(lhs - rhs) <= 1e-10))[:1].tolist():
+                raise CocycleError(f"cocycle identity fails at quadruple ({g.item(i)},{x},{y},{z})")
 
 
 def standard_cyclic_cocycle(n: int) -> PointedFusionData:
@@ -158,16 +159,24 @@ class CategoryPresentation:
         return r, rbar
 
     def snake_residuals(self, a: int) -> tuple[float, float]:
-        """Residuals of the two conjugate identities for label a."""
-        abar = self.dual_map[a]
-        da, dbar = self.obj_dim[a], self.obj_dim[abar]
-        r, rbar = self.conj_solutions[a]
-        eye_a = np.eye(da, dtype=np.complex128)
-        eye_bar = np.eye(dbar, dtype=np.complex128)
-        assoc = self.assoc_table()
-        s1 = kron(dagger(rbar), eye_a) @ (np.conj(assoc[a, abar, a]) * kron(eye_a, r))
-        s2 = kron(dagger(r), eye_bar) @ (np.conj(assoc[abar, a, abar]) * kron(eye_bar, rbar))
-        return max_residual(s1, eye_a), max_residual(s2, eye_bar)
+        """Residuals of the two conjugate identities for label a: ``_snakes`` on a alone."""
+        return tuple(self._snakes([a])[0].tolist())
+
+    def _snakes(self, labels) -> np.ndarray:
+        """Both conjugate identities' residuals per label, one kernel per (d_a, d_abar), from the stored pairs."""
+        lab = np.asarray(labels, dtype=np.int64)
+        dims, dual, alpha_conj = np.asarray(self.obj_dim), np.asarray(self.dual_map)[lab], np.conj(self.assoc_table())
+        out = np.empty((len(lab), 2))
+        shape = dims[lab] * (dims.max() + 1) + dims[dual]
+        for g in np.flatnonzero(np.bincount(shape)).tolist():
+            sel = np.flatnonzero(shape == g)
+            r, rbar = (np.stack(v).astype(np.complex128) for v in zip(*map(self.conj_solutions.get, lab[sel].tolist())))
+            # (Rbar^* x id_a) alpha(a, abar, a)^-1 (id_a x R) = id_a, and the same with a and abar exchanged
+            for k, (x, y, a, b) in enumerate(((rbar, r, lab[sel], dual[sel]), (r, rbar, dual[sel], lab[sel]))):
+                eye = np.eye(dims[a[0]], dtype=np.complex128)
+                snake = np.kron(np.conj(x).transpose(0, 2, 1), eye) @ (alpha_conj[a, b, a, None, None] * kron(eye, y))
+                out[sel, k] = np.abs(snake - eye).max(axis=(1, 2))
+        return out
 
 
 def from_group(table: IrrepTable, tol: float = DEFAULT_TOL) -> CategoryPresentation:
@@ -238,7 +247,7 @@ def fusion_table(cat: CategoryPresentation) -> tuple[np.ndarray, np.ndarray, np.
     return np.vstack([rows.T, k]), kind, pos, stacks
 
 
-def _recoupling_residual(cat: CategoryPresentation) -> float:
+def _recoupling_residual(cat: CategoryPresentation, table: tuple) -> float:
     """Worst unitarity defect of the change of basis between the two fusion paths.
 
     For labels (a, b, c) and a total channel e, the compositions
@@ -251,9 +260,8 @@ def _recoupling_residual(cat: CategoryPresentation) -> float:
     one einsum per pair of isometry shapes, and their matrices are one einsum
     and one batched product, so no array outgrows one group.
     """
-    (fa, fb, fc, _), kind, pos, stacks = fusion_table(cat)
-    n = len(cat.obj_dim)
-    dims = np.asarray(cat.obj_dim)
+    (fa, fb, fc, _), kind, pos, stacks = table
+    n, dims = len(cat.obj_dim), np.asarray(cat.obj_dim)
     # each path is an isometry into d followed by one out of (d, c), resp. (a, d);
     # sorted by case, then by the two isometries: the order (d, k, l) of each side
     l1, l2 = successors(fa, n)(fc)
@@ -300,39 +308,35 @@ def _recoupling_residual(cat: CategoryPresentation) -> float:
 def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> Certificate:
     """Check every structural invariant of the presentation."""
     cert = Certificate(subject=f"category[{cat.kind}]", tolerance=tol)
-    dims = cat.obj_dim
-    n = len(dims)
+    dims, n = cat.obj_dim, len(cat.obj_dim)
 
     cert.add_flag("unit_dim", "tensor unit is one-dimensional", dims[UNIT_LABEL] == 1)
-    unit_res = []
-    unit_ok = True
-    for b in cat.labels:
-        for key, want in (((UNIT_LABEL, b), b), ((b, UNIT_LABEL), b)):
-            chans = cat.channels(*key)
-            if chans != (want,):
-                unit_ok = False
-                continue
-            unit_res.append(max_residual(cat.isometries(*key, want)[0], np.eye(dims[b])))
-    cert.add_flag("unit_channels", "tensoring with the unit is the identity channel", unit_ok)
+    # every flag reads the rows (a, b, c, k) of the fusion table; pair (a, b) is a * n + b
+    table = fusion_table(cat)
+    (fa, fb, fc, fk), kind, pos, stacks = table
+    ldim, pair = np.asarray(dims), fa * n + fb
+    # the channels of (unit, b) and of (b, unit) must be b alone; the first isometry of each is compared
+    # with the identity of d_b, one stack per isometry shape and d_b
+    unit_ok, unit_res, w = [], [], ldim.max() + 1
+    for side, other in ((fa == UNIT_LABEL, fb), (fb == UNIT_LABEL, fa)):
+        rows, off = np.bincount(other[side], minlength=n), np.bincount(other[side & (fc != other)], minlength=n)
+        unit_ok.append((rows > 0) & (off == 0))
+        at = np.flatnonzero(side & (fk == 0) & unit_ok[-1][other])
+        code = kind[at] * w + ldim[fc[at]]
+        unit_res += [max_residual(stacks[g // w][pos[at[code == g]]], np.eye(g % w))
+                     for g in np.flatnonzero(np.bincount(code)).tolist()]
+    cert.add_flag("unit_channels", "tensoring with the unit is the identity channel", np.all(unit_ok))
     cert.add("unit_isometries", "unit fusion isometries equal identity matrices", largest(unit_res))
 
-    dual_ok = all(
-        cat.mult(a, b, UNIT_LABEL) == (1 if b == cat.dual_map[a] else 0)
-        for a in cat.labels
-        for b in cat.labels
-    )
-    cert.add_flag("dual_channels", "trivial channel multiplicity is delta(b, dual(a))", dual_ok)
-
-    count_ok = all(
-        sum(cat.mult(a, b, c) * dims[c] for c in cat.channels(a, b)) == dims[a] * dims[b]
-        for a in cat.labels
-        for b in cat.labels
-    )
-    cert.add_flag("fusion_dim_count", "channel dimensions sum to the product dimension", count_ok)
+    trivial = np.zeros(n * n, dtype=np.int64)
+    trivial[np.arange(n) * n + np.asarray(cat.dual_map)] = 1
+    cert.add_flag("dual_channels", "trivial channel multiplicity is delta(b, dual(a))",
+                  np.array_equal(np.bincount(pair[fc == UNIT_LABEL], minlength=n * n), trivial))
+    cert.add_flag("fusion_dim_count", "channel dimensions sum to the product dimension",
+                  np.array_equal(np.bincount(pair, weights=ldim[fc], minlength=n * n), np.outer(ldim, ldim).ravel()))
 
     # the isometries of each (a, b) side by side, one batched product per matrix shape
-    ortho = []
-    complete = []
+    ortho, complete = [], []
     sides = [np.hstack([iota for c in cat.channels(a, b) for iota in cat.isometries(a, b, c)])[None]
              for a in cat.labels for b in cat.labels]
     for m in stack_by_shape(sides)[2]:
@@ -352,18 +356,11 @@ def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> 
                         equi.append(max_residual(big @ iota, iota @ cat.reps[c].mats))
         cert.add("fusion_equivariance", "fusion isometries intertwine the group action", largest(equi))
     if cat.kind == "pointed" and cat.pointed is not None:
-        law_ok = all(
-            cat.channels(g, h) == (cat.pointed.group.mul(g, h),)
-            for g in cat.labels
-            for h in cat.labels
-        )
+        law_ok = np.all(np.bincount(pair, minlength=n * n) > 0) and np.all(fc == cat.pointed.group.mult_table[fa, fb])
         cert.add_flag("pointed_group_law", "fusion channels follow the group law", law_ok)
 
-    snake = []
-    norm_res = []
-    member = []
+    norm_res, member = [], []
     for a in cat.labels:
-        snake.extend(cat.snake_residuals(a))
         r, rbar = cat.conj_solutions[a]
         norm_res.append(abs(float(np.linalg.norm(r)) * float(np.linalg.norm(rbar)) - cat.qdim[a]))
         abar = cat.dual_map[a]
@@ -371,12 +368,11 @@ def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> 
         w = cat.isometries(a, abar, UNIT_LABEL)[0].reshape(-1, 1)
         member.append(max_residual(r, v @ (dagger(v) @ r)) / max(1.0, float(np.linalg.norm(r))))
         member.append(max_residual(rbar, w @ (dagger(w) @ rbar)) / max(1.0, float(np.linalg.norm(rbar))))
-    cert.add("conjugate_snakes", "both conjugate identities hold for every label", largest(snake))
+    cert.add("conjugate_snakes", "both conjugate identities hold for every label", largest(cat._snakes(cat.labels)))
     cert.add("conjugate_normalization", "norm(R)*norm(Rbar) equals the quantum dimension", largest(norm_res))
     cert.add("conjugate_membership", "conjugate vectors lie in the trivial fusion channel", largest(member))
 
-    qdim_ok = all(q >= 1.0 - tol for q in cat.qdim)
-    cert.add_flag("qdim_bound", "quantum dimensions are at least one", qdim_ok)
+    cert.add_flag("qdim_bound", "quantum dimensions are at least one", all(q >= 1.0 - tol for q in cat.qdim))
     if cat.kind == "group":
         cert.add_flag(
             "qdim_integer",
@@ -385,5 +381,5 @@ def verify_presentation(cat: CategoryPresentation, tol: float = DEFAULT_TOL) -> 
         )
 
     cert.add("recoupling_unitarity", "the two iterated-fusion bases are unitarily related",
-             _recoupling_residual(cat))
+             _recoupling_residual(cat, table))
     return cert

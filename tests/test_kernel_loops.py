@@ -11,6 +11,7 @@ tuple-of-matrices forms, which loop over the group elements (and, for the
 averaging projector, over the matrix units).
 """
 
+import re
 from dataclasses import replace
 from itertools import permutations, product
 
@@ -31,7 +32,7 @@ from qhspace.grouprep import (
     tensor_rep,
 )
 from qhspace.modcat import _assemble, module_from_pointed, validate_module
-from qhspace.numkit import DEFAULT_TOL, NumericalRankError, kron, max_residual, solution_basis
+from qhspace.numkit import DEFAULT_TOL, NumericalRankError, above, dagger, kron, max_residual, solution_basis
 from qhspace import reconstruct
 from qhspace.reconstruct import (
     _hexagon_residual,
@@ -52,7 +53,9 @@ from qhspace.reconstruct import (
 )
 from qhspace.tensorcat import UNIT_LABEL
 
-from support import corner_blocks, dense_tensor, regular_rep
+from qhspace.verify import run_suite
+
+from support import corner_blocks, dense_tensor, regular_rep, with_rescaled_conjugates
 
 
 def _columns(f, a, b, r, t):
@@ -510,11 +513,11 @@ def test_recoupling_matches_loop(s3_cat, z4_pointed_cat, a4_modules):
     isos = a4.fusion[(three, three)]
     short = replace(a4, fusion={**a4.fusion, (three, three): {**isos, three: isos[three][:1]}})
     for cat in [s3_cat, z4_pointed_cat, a4, z8, *noisy, short]:
-        got = tensorcat._recoupling_residual(cat)
+        got = tensorcat._recoupling_residual(cat, tensorcat.fusion_table(cat))
         ref = max(_recoupling_loop(cat, a, b, c) for a, b, c in product(cat.labels, repeat=3))
         assert abs(got - ref) < 1e-14, (cat.kind, len(cat.labels))
         assert (got <= DEFAULT_TOL) == (ref <= DEFAULT_TOL)
-    assert all(tensorcat._recoupling_residual(cat) > DEFAULT_TOL for cat in [*noisy, short])
+    assert all(tensorcat._recoupling_residual(cat, tensorcat.fusion_table(cat)) > DEFAULT_TOL for cat in [*noisy, short])
 
 
 def _coset_bases_svd(cat, subgroup, mu=None, tol=DEFAULT_TOL):
@@ -620,6 +623,124 @@ def test_tampered_cocycle_near_threshold_refuses():
     cat, sub = _tampered_z8(np.exp(1e-9j))
     with pytest.raises(NumericalRankError):
         module_from_pointed(cat, sub)
+
+
+def _coset_loop(cat, subgroup, mu=None, tol=DEFAULT_TOL):
+    """Block-by-block form of ``module_from_pointed``'s bases, one ``above`` call per block: the reference."""
+    group = cat.pointed.group
+    om, mul = cat.pointed.cocycle, group.mult_table
+    k_el = np.array(subgroup.elements, dtype=np.int64)
+    nk = len(k_el)
+    mu = np.ones((nk, nk), dtype=np.complex128) if mu is None else np.asarray(mu, dtype=np.complex128)
+    kpos = np.full(group.order, -1, dtype=np.int64)
+    kpos[k_el] = np.arange(nk)
+    cosets = subgroup.left_cosets()
+    reps_t = np.array([c[0] for c in cosets], dtype=np.int64)
+    coset_of = np.empty(group.order, dtype=np.int64)
+    for r, coset in enumerate(cosets):
+        coset_of[list(coset)] = r
+    grade = mul[reps_t[:, None], k_el[None, :]]
+    rho = om[reps_t[:, None, None], k_el[None, :, None], k_el[None, None, :]] * mu
+    prod = kpos[mul[k_el[:, None], k_el[None, :]]]
+    e = int(kpos[group.identity])
+    bases = {}
+    for a in cat.labels:
+        for s in range(len(cosets)):
+            if a == UNIT_LABEL:
+                bases[(a, s, s)] = np.eye(nk, dtype=np.complex128)[None]
+                continue
+            at = mul[a, reps_t[s]]
+            r = int(coset_of[at])
+            g = mul[group.inverse[at], reps_t[r]]
+            perm = kpos[mul[g, k_el]]
+            rho_s = rho[s] * om[a, grade[s][:, None], k_el[None, :]]
+            c = rho_s[perm[e]] / rho[r, e]
+            c[e] = 1.0
+            res = max_residual(c[prod] * rho[r], c[:, None] * rho_s[perm])
+            if not above(res, tol, f"module-map residual of block {(a, r, s)}"):
+                t = np.zeros((1, nk, nk), dtype=np.complex128)
+                t[0, perm, np.arange(nk)] = c
+                bases[(a, r, s)] = t
+    return bases
+
+
+def _pointed_ladder():
+    """The four twisted-coset cases of the ``pointed_ladder`` benchmark."""
+    z8, z10, z12 = cyclic_group(8), cyclic_group(10), cyclic_group(12)
+    cases = [(tensorcat.standard_cyclic_cocycle(8), (0,)), (tensorcat.standard_cyclic_cocycle(12), (0,)),
+             (tensorcat.PointedFusionData(z10, np.ones((10, 10, 10))), tuple(range(10))),
+             (tensorcat.PointedFusionData(z8, np.ones((8, 8, 8))), (0, 4))]
+    return [(tensorcat.from_pointed(data), Subgroup(data.group, k), None) for data, k in cases]
+
+
+def test_coset_build_matches_block_loop(z4_pointed_cat, z4_trivial_pointed_cat, z4):
+    # every block solved in one pass and decided by one above call, against one solve and one call per
+    # block: the same bits and the same key order
+    for cat, sub, mu in _coset_cases(z4_pointed_cat, z4_trivial_pointed_cat, z4) + _pointed_ladder():
+        got, ref = module_from_pointed(cat, sub, mu=mu).bases, _coset_loop(cat, sub, mu)
+        assert list(got) == list(ref), (cat.pointed.group.order, sub.elements)
+        assert all(got[key].shape == ref[key].shape and got[key].tobytes() == ref[key].tobytes() for key in ref)
+
+
+def test_coset_build_names_the_refused_block():
+    cat, sub = _tampered_z8(np.exp(1e-9j))
+    with pytest.raises(NumericalRankError) as err:
+        _coset_loop(cat, sub)
+    with pytest.raises(NumericalRankError, match=re.escape(str(err.value).split(" [")[0])):
+        module_from_pointed(cat, sub)
+
+
+def _snake_loop(cat, a):
+    """One label's two snake identities, matrix by matrix: the reference."""
+    abar = cat.dual_map[a]
+    eye_a, eye_bar = np.eye(cat.dim(a), dtype=np.complex128), np.eye(cat.dim(abar), dtype=np.complex128)
+    r, rbar = cat.conj_solutions[a]
+    assoc = cat.assoc_table()
+    s1 = kron(dagger(rbar), eye_a) @ (np.conj(assoc[a, abar, a]) * kron(eye_a, r))
+    s2 = kron(dagger(r), eye_bar) @ (np.conj(assoc[abar, a, abar]) * kron(eye_bar, rbar))
+    return max_residual(s1, eye_a), max_residual(s2, eye_bar)
+
+
+def test_snakes_match_label_loop(s3_cat, a4_modules, s4_over_s3):
+    # the kernel over all labels, grouped by (d_a, d_abar), and snake_residuals on one label, against
+    # the per-label products; rescaled stored pairs count, and so does a NaN in one of them
+    z4, z12 = (tensorcat.from_pointed(tensorcat.standard_cyclic_cocycle(n)) for n in (4, 12))
+    cats = [s3_cat, a4_modules[0].cat, s4_over_s3.cat, z4, z12, with_rescaled_conjugates(s4_over_s3.cat, 2.0 - 1j)]
+    nan = replace(s3_cat, conj_solutions=dict(s3_cat.conj_solutions))
+    nan.conj_solutions[2] = (nan.conj_solutions[2][0].copy(), nan.conj_solutions[2][1])
+    nan.conj_solutions[2][0][1, 0] = np.nan
+    for cat in [*cats, nan]:
+        ref = np.array([_snake_loop(cat, a) for a in cat.labels])
+        got = cat._snakes(cat.labels)
+        assert got.shape == ref.shape and np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-14, equal_nan=True), (cat.kind, len(cat.labels))
+        assert np.array_equal(got <= DEFAULT_TOL, ref <= DEFAULT_TOL)
+        for a in cat.labels:
+            assert np.array_equal(cat.snake_residuals(a), got[a], equal_nan=True)
+
+
+def _flags_loop(cat, mod):
+    """The ``fixedpoint_dims`` and ``component_roundtrip`` verdicts as counts of ``basis_triples``: the reference."""
+    fixed, roundtrip = True, True
+    for x, y in product(range(mod.n_base), repeat=2):
+        triples = basis_triples(mod, x, y)
+        fixed &= sum(1 for (a, m, i) in triples if a == UNIT_LABEL) == (1 if x == y else 0)
+        roundtrip &= all(sum(1 for (aa, m, i) in triples if aa == a) == int(mod.dims[a, x, y]) * cat.dim(a)
+                         for a in cat.labels)
+    return {"fixedpoint_dims": fixed, "component_roundtrip": roundtrip}
+
+
+def test_suite_flags_match_triple_counts(s3_modules, s4_over_s3, z4_pointed_module, z4_coset_module):
+    mods = [*s3_modules.values(), s4_over_s3, z4_pointed_module, z4_coset_module]
+    # a second unit morphism on X_0: the invariant part of corner (0, 0) is two-dimensional
+    f = s3_modules["order2"]
+    doubled = replace(f, dims=f.dims.copy())
+    doubled.dims[UNIT_LABEL, 0, 0] = 2
+    for mod in [*mods, doubled]:
+        cert = run_suite(mod.cat, mod, suites=("fixedpoint", "roundtrip"))
+        assert {c.name: c.passed for c in cert.checks} == _flags_loop(mod.cat, mod), mod.name
+    assert [c.name for c in run_suite(f.cat, doubled, suites=("fixedpoint",)).checks if not c.passed] == \
+        ["fixedpoint_dims"]
 
 
 # ---------------------------------------------------------------- group layer

@@ -694,6 +694,19 @@ def test_missing_unit_block_fails_unit_basis(z4_pointed_module):
         run_suite(f.cat, dropped)
 
 
+@pytest.mark.parametrize("shape", [(1, 2, 1), (1, 2, 2)])
+def test_misshapen_basis_block_fails_named_checks(s3_modules, shape):
+    # S3 over its trivial subgroup with its unit block (0, 0, 0) replaced by a stack of another shape than
+    # (dims, d_a d_s, d_r) = (1, 1, 1): the block has no edges, and the two checks that read it fail with
+    # inf instead of raising
+    f = s3_modules["trivial"]
+    bad = np.zeros(shape, dtype=np.complex128)
+    bad[0, 0, 0] = 1.0
+    cert = validate_module(replace(f, bases={**f.bases, (0, 0, 0): bad}))
+    failed = {c.name: c.value for c in cert.checks if not c.passed}
+    assert failed == {"unit_basis": np.inf, "morphism_isometry": np.inf}, cert.to_text()
+
+
 def test_nan_entry_fails_module_checks(s3_modules):
     # a max(worst, x) fold keeps worst when x is NaN; the NaN must reach the check value
     f = s3_modules["full"]

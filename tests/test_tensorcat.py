@@ -1,3 +1,4 @@
+import copy
 import re
 from dataclasses import replace
 from itertools import permutations, product
@@ -13,6 +14,7 @@ from qhspace.tensorcat import (
     CocycleError,
     PointedFusionData,
     PresentationError,
+    from_pointed,
     standard_cyclic_cocycle,
     verify_presentation,
 )
@@ -265,3 +267,36 @@ def test_from_group_refuses_characters_off_a_count(s3_table):
         message = re.escape(f"in {sign} (x) {two}: multiplicity of irreducible {two} is ")
         with pytest.raises(PresentationError, match=message + ".*not a nonnegative integer"):
             tensorcat.from_group(IrrepTable(s3_table.group, tuple(irreps), s3_table.dual_map))
+
+
+def _fault_rows(s3_cat):
+    """One smallest fault per presentation check that no other test names, with its exact failing set."""
+    one = np.ones((1, 1), dtype=np.complex128)
+    z1, z2, z3 = (from_pointed(PointedFusionData(cyclic_group(n), np.ones((n, n, n)))) for n in (1, 2, 3))
+    unit2 = copy.copy(z1)  # the unit label of Vec_1 said to be two-dimensional
+    unit2.obj_dim = (2,)
+    std = s3_cat.fusion[(1, 2)][2][0]
+    s3_short = {c: isos for c, isos in s3_cat.fusion[(2, 2)].items() if c != 1}
+    return {
+        "unit_dim": (unit2, {"unit_dim", "unit_isometries", "fusion_dim_count", "recoupling_unitarity"}),
+        # unit (x) 1 fuses into 2, and 1 (x) 1 into the unit: the group law fails with each
+        "unit_channels": (replace(z3, fusion={**z3.fusion, (0, 1): {2: (one,)}}),
+                          {"unit_channels", "pointed_group_law", "recoupling_unitarity"}),
+        "unit_isometries": (replace(z2, fusion={**z2.fusion, (0, 1): {1: (-one,)}}), {"unit_isometries"}),
+        "dual_channels": (replace(z3, fusion={**z3.fusion, (1, 1): {0: (one,)}}),
+                          {"dual_channels", "pointed_group_law", "recoupling_unitarity"}),
+        # S3's 2 (x) 2 without its sign channel
+        "fusion_dim_count": (replace(s3_cat, fusion={**s3_cat.fusion, (2, 2): s3_short}),
+                             {"fusion_dim_count", "isometry_completeness", "recoupling_unitarity"}),
+        # sign (x) std into std with the columns of its isometry swapped: still an isometry, not an intertwiner
+        "fusion_equivariance": (replace(s3_cat, fusion={**s3_cat.fusion, (1, 2): {2: (std[:, ::-1].copy(),)}}),
+                                {"fusion_equivariance", "recoupling_unitarity"}),
+        "qdim_bound": (replace(z2, qdim=(1.0, 1.0 - 1e-8)), {"qdim_bound", "conjugate_normalization"}),
+    }
+
+
+@pytest.mark.parametrize("check", ["unit_dim", "unit_channels", "unit_isometries", "dual_channels",
+                                   "fusion_dim_count", "fusion_equivariance", "qdim_bound"])
+def test_presentation_fault_rows(s3_cat, check):
+    cat, failing = _fault_rows(s3_cat)[check]
+    assert {c.name for c in verify_presentation(cat).checks if not c.passed} == failing

@@ -15,7 +15,8 @@ saves, one key per array:
 - the irreducibles of each project's subgroups, as the loader reads them
   from the file: the module's (``{tag}/module_irrep{a}``) and the morphism
   target's (``{tag}/target_irrep{a}``);
-- every module basis, and every channel of every coherence block with a
+- every module basis, the Frobenius block ``frobenius_block(a, r, s)`` of
+  every nonzero block (``{tag}/frobenius(a, r, s)``), and every channel of every coherence block with a
   column (the blocks ``BigradedFunctor.coherence_blocks`` walks, in the
   index's (a, b, r, t) order), read through ``coherence_channel`` under the key
   ``{tag}/coherence(a, b, r, t)/{c}``; the keys and shapes are those of
@@ -56,8 +57,9 @@ A dump made before block algebras went through ``verify_algebra`` has no
 ``block_right_unit`` and ``block_associativity`` where later dumps have
 ``left_unit``, ``right_unit``, ``associativity`` and three star checks, and a
 dump made before ``block_algebra`` took any number of labels has no
-``linking`` verdicts: a compare of the two lists those keys as present on one
-side only.
+``linking`` verdicts, and a dump made before the Frobenius blocks were dumped
+has no ``frobenius`` arrays: a compare of the two lists those keys as present
+on one side only.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ def _module(out: dict, tag: str, mod) -> None:
 
     for key, basis in mod.bases.items():
         out[f"{tag}/basis{key}"] = basis
+        out[f"{tag}/frobenius{key}"] = mod.frobenius_block(*key)
     for key in mod.coherence_blocks():
         for c in mod.cat.channels(*key[:2]):
             out[f"{tag}/coherence{key}/{c}"] = mod.coherence_channel(*key, c)
