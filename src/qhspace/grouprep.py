@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -38,11 +39,15 @@ class FiniteGroup:
         n = self.order
         if table.shape != (n, n):
             raise GroupAxiomError("multiplication table is not square")
-        for i in range(n):
-            if sorted(table[i, :]) != list(range(n)) or sorted(table[:, i]) != list(range(n)):
-                raise GroupAxiomError(f"table is not a Latin square at row/col {i}")
-            if table[self.identity, i] != i or table[i, self.identity] != i:
-                raise GroupAxiomError(f"identity law fails at element {i}")
+        if n == 0:
+            raise GroupAxiomError("multiplication table is empty")
+        # seen[0][i, v] (seen[1][i, v]): v occurs in row (column) i; the first i to fail a law is named
+        seen, (i, j) = np.zeros((2, n, n), dtype=bool), np.nonzero((table >= 0) & (table < n))
+        seen[0, i, table[i, j]] = seen[1, j, table[i, j]] = True
+        unit = (table[self.identity] == np.arange(n)) & (table[:, self.identity] == np.arange(n))
+        for i in np.flatnonzero(~(seen.all(axis=(0, 2)) & unit))[:1].tolist():
+            raise GroupAxiomError(f"identity law fails at element {i}" if seen[:, i].all() else
+                                  f"table is not a Latin square at row/col {i}")
         # associativity, exhaustively, one row g at a time: (gh)k against g(hk)
         for g in range(n):
             if not np.array_equal(table[table[g]], table[g, table]):
@@ -57,10 +62,7 @@ class FiniteGroup:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        inv = np.empty(self.order, dtype=np.int64)
-        for g in range(self.order):
-            inv[g] = int(np.where(self.mult_table[g, :] == self.identity)[0][0])
-        return inv
+        return np.nonzero(self.mult_table == self.identity)[1]  # one identity per row, rows in order
 
     def inv(self, g: int) -> int:
         return int(self.inverse[g])
@@ -68,76 +70,54 @@ class FiniteGroup:
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes sorted by their smallest element index."""
-        seen = set()
-        classes = []
-        for g in range(self.order):
-            if g in seen:
-                continue
-            orbit = {self.mul(self.mul(h, g), self.inv(h)) for h in range(self.order)}
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: c[0])
-        return tuple(classes)
+        t = self.mult_table
+        return _grouped(t[t.T, self.inverse].min(axis=1))  # the least h g h^-1 over h, per g
 
     def check_elements(self, elements) -> None:
         """Refuse, by name, an element index outside 0..order-1 (numpy would wrap a negative one)."""
-        for g in elements:
-            if not 0 <= g < self.order:
-                raise GroupAxiomError(f"element {g} is not in 0..{self.order - 1}")
+        for g in [g for g in elements if not 0 <= g < self.order][:1]:
+            raise GroupAxiomError(f"element {g} is not in 0..{self.order - 1}")
 
     def close_subset(self, generators) -> tuple[int, ...]:
-        """Subgroup generated by the given element indices."""
-        elems = {self.identity}
-        frontier = list(set(generators) | {self.identity})
-        self.check_elements(frontier)
-        while frontier:
-            g = frontier.pop()
-            for h in list(elems):
-                for prod in (self.mul(g, h), self.mul(h, g)):
-                    if prod not in elems:
-                        elems.add(prod)
-                        frontier.append(prod)
-            elems.add(g)
-        return tuple(sorted(elems))
+        """Subgroup generated by the given element indices: every product of members joins, until none is new."""
+        given = list(set(generators) | {self.identity})
+        self.check_elements(given)
+        member, size = np.zeros(self.order, dtype=bool), 0
+        member[given] = True
+        while size < (size := np.count_nonzero(member)):
+            el = np.flatnonzero(member)
+            member[self.mult_table[np.ix_(el, el)]] = True
+        return tuple(np.flatnonzero(member).tolist())
+
+
+def _grouped(least: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The blocks {g : least[g] = m}, each ascending, ordered by m, for ``least[g]`` the least element of g's block."""
+    return tuple(tuple(np.flatnonzero(least == m).tolist()) for m in np.flatnonzero(least == np.arange(len(least))))
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n)
+    return FiniteGroup(np.add.outer(np.arange(n), np.arange(n)) % n)
 
 
 def group_from_permutations(perms: list[tuple[int, ...]]) -> FiniteGroup:
     """Group of the given permutation list (closed, the identity first); element order as given."""
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            comp = tuple(p[q[k]] for k in range(len(p)))
-            if comp not in index:
-                raise GroupAxiomError("permutation list is not closed under composition")
-            table[i, j] = index[comp]
+    index, p = {q: i for i, q in enumerate(perms)}, np.array(perms, dtype=np.int64)
+    table = np.empty((len(perms),) * 2, dtype=np.int64)
+    for i in range(len(perms)):  # row i: p[i] after each permutation
+        table[i] = row = [index.get(q, -1) for q in map(tuple, p[i][p].tolist())]
+        if -1 in row:
+            raise GroupAxiomError("permutation list is not closed under composition")
     return FiniteGroup(table)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    from itertools import permutations
-
-    perms = sorted(permutations(range(n)))
-    return group_from_permutations(list(perms))
+    return group_from_permutations(sorted(permutations(range(n))))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: elements (rotation r, flip f) as r + n*f."""
-    size = 2 * n
-    table = np.empty((size, size), dtype=np.int64)
-    for a in range(size):
-        r1, f1 = a % n, a // n
-        for b in range(size):
-            r2, f2 = b % n, b // n
-            r = (r1 - r2) % n if f1 else (r1 + r2) % n
-            table[a, b] = r + n * ((f1 + f2) % 2)
-    return FiniteGroup(table)
+    f, r = np.divmod(np.arange(2 * n), n)
+    return FiniteGroup((r[:, None] + (1 - 2 * f[:, None]) * r) % n + n * ((f[:, None] + f) % 2))
 
 
 @dataclass(frozen=True)
@@ -381,13 +361,12 @@ class Subgroup:
         elems = tuple(sorted(set(self.elements)))
         self.parent.check_elements(elems)
         object.__setattr__(self, "elements", elems)
-        index = set(elems)
-        if self.parent.identity not in index:
+        if self.parent.identity not in elems:
             raise GroupAxiomError("subgroup must contain the identity")
-        for g in elems:
-            for h in elems:
-                if self.parent.mul(g, h) not in index:
-                    raise GroupAxiomError(f"subset not closed: {g}*{h} escapes")
+        member = np.zeros(self.parent.order, dtype=bool)
+        member[list(elems)] = True
+        for i, j in np.argwhere(~member[self.parent.mult_table[np.ix_(elems, elems)]])[:1].tolist():
+            raise GroupAxiomError(f"subset not closed: {elems[i]}*{elems[j]} escapes")
 
     @classmethod
     def generated(cls, parent: FiniteGroup, generators) -> "Subgroup":
@@ -395,30 +374,21 @@ class Subgroup:
 
     @cached_property
     def as_group(self) -> FiniteGroup:
-        pos = {g: i for i, g in enumerate(self.elements)}
-        n = len(self.elements)
-        table = np.empty((n, n), dtype=np.int64)
-        for i, g in enumerate(self.elements):
-            for j, h in enumerate(self.elements):
-                table[i, j] = pos[self.parent.mul(g, h)]
-        return FiniteGroup(table)
+        el = self.elements  # ascending, so bisection finds the position of each product
+        return FiniteGroup(np.searchsorted(el, self.parent.mult_table[np.ix_(el, el)]))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def coset_least(self) -> np.ndarray:
+        """The least element of the left coset g*H, per g."""
+        return self.parent.mult_table[:, list(self.elements)].min(axis=1)
+
     def left_cosets(self) -> tuple[tuple[int, ...], ...]:
         """Left cosets g*H, each sorted, ordered by smallest element."""
-        seen = set()
-        cosets = []
-        for g in range(self.parent.order):
-            if g in seen:
-                continue
-            coset = tuple(sorted(self.parent.mul(g, h) for h in self.elements))
-            seen |= set(coset)
-            cosets.append(coset)
-        cosets.sort(key=lambda c: c[0])
-        return tuple(cosets)
+        return _grouped(self.coset_least)
 
 
 def restrict(u: UnitaryRep, sub: Subgroup) -> UnitaryRep:

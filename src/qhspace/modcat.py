@@ -60,7 +60,7 @@ class BigradedFunctor:
     - ``memo`` holds the read-only corner structure tensors, keyed by
       (x, y, z), and star matrices, keyed by (x, y), that ``reconstruct``
       has built from this record.  It starts empty, also in a copy made
-      with ``dataclasses.replace``; so does the cached ``frobenius``.
+      with ``dataclasses.replace``; so do the cached ``edges`` and ``frobenius``.
     """
 
     cat: CategoryPresentation
@@ -116,10 +116,31 @@ class BigradedFunctor:
         return self.coherence[start:start + k * p * cols].reshape(k, p, cols)
 
     @cached_property
+    def edges(self) -> tuple:
+        """One edge per basis morphism t in Mor(X_src, u_lab (x) X_dst), regrouped by shape; built once per record.
+
+        (lab, src, dst, m, kind, pos, stacks): the edges run in (lab, src, dst,
+        m) order, m is the place of t in its block, and t, reshaped to (d_lab,
+        d_dst, d_src), is ``stacks[kind[i]][pos[i]]``.  Only the blocks of the
+        shape (dims[a, r, s], d_a d_s, d_r) have edges.  A ``replace`` copy builds anew.
+        """
+        ldim, bdim = self.cat.obj_dim, self.base_dims
+        keys = np.argwhere(self.dims)
+        mult = self.dims[tuple(keys.T)]
+        shaped = [self.mor_basis(a, r, s).shape == (n, ldim[a] * bdim[s], bdim[r])
+                  for (a, r, s), n in zip(keys.tolist(), mult.tolist())]
+        keys, mult = keys[shaped], mult[shaped]
+        lab, src, dst = np.repeat(keys, mult, axis=0).T
+        m = np.arange(len(lab)) - np.repeat(np.cumsum(mult) - mult, mult)
+        kind, pos, stacks = stack_by_shape([self.bases[(a, r, s)].reshape(-1, ldim[a], bdim[s], bdim[r])
+                                            for a, r, s in keys.tolist()])
+        return lab, src, dst, m, kind, pos, stacks
+
+    @cached_property
     def frobenius(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[tuple[int, int, int], np.ndarray]]:
         """(images, blocks), built once per record: (edges, ``_frobenius_images``) per shape and dual dimension,
         and each block's read-only ``frobenius_block``, one batched trace per group.  A ``replace`` copy builds anew."""
-        lab, src, dst, _, kind, pos, stacks = _edges(self)
+        lab, src, dst, _, kind, pos, stacks = self.edges
         dual, ldim, j = np.asarray(self.cat.dual_map), np.asarray(self.cat.obj_dim), self.n_base
         code = (lab * j + src) * j + dst
         edge, partner = successors(code, len(ldim) * j * j)((dual[lab] * j + dst) * j + src)
@@ -179,27 +200,6 @@ def _frobenius_back(f: BigradedFunctor, lab: np.ndarray, src: np.ndarray, g: np.
     return np.conj(fdag).transpose(0, 2, 1)
 
 
-def _edges(f: BigradedFunctor) -> tuple:
-    """One edge per basis morphism t in Mor(X_src, u_lab (x) X_dst), regrouped by shape.
-
-    Returns (lab, src, dst, m, kind, pos, stacks): the edges run in (lab,
-    src, dst, m) order, m is the place of t in its block, and t, reshaped to
-    (d_lab, d_dst, d_src), is ``stacks[kind[i]][pos[i]]``.  Only the blocks
-    of the shape (dims[a, r, s], d_a d_s, d_r) have edges.
-    """
-    ldim, bdim = f.cat.obj_dim, f.base_dims
-    keys = np.argwhere(f.dims)
-    mult = f.dims[tuple(keys.T)]
-    shaped = [f.mor_basis(a, r, s).shape == (n, ldim[a] * bdim[s], bdim[r])
-              for (a, r, s), n in zip(keys.tolist(), mult.tolist())]
-    keys, mult = keys[shaped], mult[shaped]
-    lab, src, dst = np.repeat(keys, mult, axis=0).T
-    m = np.arange(len(lab)) - np.repeat(np.cumsum(mult) - mult, mult)
-    kind, pos, stacks = stack_by_shape([f.bases[(a, r, s)].reshape(-1, ldim[a], bdim[s], bdim[r])
-                                        for a, r, s in keys.tolist()])
-    return lab, src, dst, m, kind, pos, stacks
-
-
 def _coherence_blocks(f: BigradedFunctor) -> BigradedFunctor:
     """``f`` with ``coherence`` and ``index``: the iterated action against the fusion channels, as one buffer.
 
@@ -218,7 +218,7 @@ def _coherence_blocks(f: BigradedFunctor) -> BigradedFunctor:
     same memory layout, as a single product would, so no bit depends on the runs.
     """
     cat = f.cat
-    lab, src, dst, m, kind, pos, stacks = _edges(f)
+    lab, src, dst, m, kind, pos, stacks = f.edges
     (fa, fb, fc, _), fkind, fpos, fstacks = fusion_table(cat)
     nl, j = len(cat.obj_dim), f.n_base
     # columns, sorted by block and then by (s, m, n)
@@ -378,11 +378,9 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
     kpos[k_el] = np.arange(nk)
     _check_coboundary(om, mul, k_el, kpos, mu)
 
-    cosets = subgroup.left_cosets()
-    reps_t = np.array([c[0] for c in cosets], dtype=np.int64)
-    coset_of = np.empty(group.order, dtype=np.int64)
-    for r, coset in enumerate(cosets):
-        coset_of[list(coset)] = r
+    least = subgroup.coset_least  # the cosets are numbered by their least elements, ascending
+    reps_t = np.flatnonzero(least == np.arange(group.order))
+    coset_of = np.searchsorted(reps_t, least)
     grade = mul[reps_t[:, None], k_el[None, :]]
     # rho[r, j, l] = rho_r(j, l); prod[j, l] is the position of jl in K
     rho = om[reps_t[:, None, None], k_el[None, :, None], k_el[None, None, :]] * mu
@@ -390,7 +388,7 @@ def module_from_pointed(cat: CategoryPresentation, subgroup: Subgroup,
     e = int(kpos[group.identity])
 
     # every block (a, s) of a non-unit label, in (a, s) order, in runs of 8 nk^2 live entries per block
-    j = len(cosets)
+    j = len(reps_t)
     a, s = np.divmod(np.arange(j, j * len(cat.labels)), j)
     r = coset_of[at := mul[a, reps_t[s]]]
     perm = kpos[mul[mul[group.inverse[at], reps_t[r]][:, None], k_el]]
@@ -436,7 +434,7 @@ def validate_module(f: BigradedFunctor, tol: float = DEFAULT_TOL) -> Certificate
                           u.shape[1:] == (d, d) else np.inf for r, d in enumerate(f.base_dims)])
     cert.add("unit_basis", "unit morphism basis is the identity matrix", exact_unit)
 
-    lab, src, dst, _, kind, pos, stacks = _edges(f)
+    lab, src, dst, _, kind, pos, stacks = f.edges
     iso = []
     for stack in stacks:
         t = stack.reshape(len(stack), -1, stack.shape[3])
@@ -501,7 +499,7 @@ def _triple_coherence_residual(f: BigradedFunctor) -> float:
     handle, fuse, alpha_conj = f.handle, f.fuse, np.conj(f.cat.assoc_table())
     nh, _, j, width = f.phase.shape
     rows = np.conj(f.phase).reshape(-1, width)  # row (h1 * nh + h2) * j + x is phase[h1, h2, x]
-    lab, src, dst, _, kind, pos, stacked = _edges(f)
+    lab, src, dst, _, kind, pos, stacked = f.edges
     ldim, bdim, ns, hlab = np.asarray(f.cat.obj_dim), np.asarray(f.base_dims), len(stacked), handle[lab]
     by_dst = [stack.transpose(0, 2, 1, 3).copy() for stack in stacked]  # [i, dst, lab, src]
     chains = successors(src, j)  # the edges leaving each node, sorted once for every run

@@ -145,7 +145,14 @@ def load_project(path: str, tol: float = DEFAULT_TOL) -> LoadedProject:
 
     if "group" not in sections:
         raise ProjectError(f"{path}: missing group section")
-    group = FiniteGroup(np.asarray(field("group", "mult_table"), dtype=np.int64))
+
+    def leaves(node) -> list:
+        return [v for sub in node for v in leaves(sub)] if isinstance(node, list) else [node]
+
+    rows = field("group", "mult_table")
+    for v in [v for v in leaves(rows) if type(v) is not int][:1]:  # int64 would truncate 1.9, "1" and true to 1
+        raise ProjectError(f"{path}: group.mult_table holds {v!r}, which is not an element index")
+    group = FiniteGroup(np.asarray(rows, dtype=np.int64))
 
     if "cocycle" in sections:
         values = decode_array(field("cocycle", "values"))

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, product
+from itertools import accumulate, groupby, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -241,11 +242,14 @@ def _assoc_residual(ab: Blocks, bc: Blocks, left: Blocks, right: Blocks) -> floa
     O(n^3) memory, and no n^4 array is built.
     """
     terms: dict[tuple[int, int, int, int], tuple[list, list]] = {}
-    for (p, q, u), (u2, r, s) in product(sorted(ab), sorted(bc)):
-        if u == u2:
+    # the keys of bc by their first corner and of right by their middle one, each group in sorted order
+    after = {u: list(keys) for u, keys in groupby(sorted(bc), itemgetter(0))}
+    through = {v: list(keys) for v, keys in groupby(sorted(right, key=itemgetter(1, 0, 2)), itemgetter(1))}
+    for p, q, u in sorted(ab):
+        for _, r, s in after.get(u, ()):
             terms.setdefault((p, q, r, s), ([], []))[0].append(u)
-    for (q, r, v), (p, v2, s) in product(sorted(left), sorted(right)):
-        if v == v2:
+    for q, r, v in sorted(left):
+        for p, _, s in through.get(v, ()):
             terms.setdefault((p, q, r, s), ([], []))[1].append(v)
     # the factor blocks as matrices: bc[U, R, S] as (u, (r, s)), left[Q, R, V] as ((q, r), v)
     bc_mat = {key: blk.reshape(len(blk), -1) for key, blk in bc.items()}

@@ -221,11 +221,10 @@ def from_pointed(data: PointedFusionData) -> CategoryPresentation:
     n = group.order
     one = np.ones((1, 1), dtype=np.complex128)
     fusion = {(g, h): {group.mul(g, h): (one.copy(),)} for g in range(n) for h in range(n)}
-    dual = tuple(int(group.inv(g)) for g in range(n))
     return CategoryPresentation(
         kind="pointed",
         obj_dim=(1,) * n,
-        dual_map=dual,
+        dual_map=tuple(group.inverse.tolist()),
         qdim=(1.0,) * n,
         fusion=fusion,
         pointed=data,

@@ -361,6 +361,11 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
     target_outside_source = example_projects()["s3_morphism"]  # source {0, 1}, target {0, 2}
     target_outside_source["morphism"].update(target_elements=[0, 2],
                                              target_irreps=target_outside_source["module"]["irreps"])
+    bad_tables = []
+    for entry in (1.9, "1", True):  # each was read as element 1
+        sections = example_projects()["z4_pointed"]
+        sections["group"]["mult_table"][0][1] = entry
+        bad_tables.append(("validate", sections, f"group.mult_table holds {entry!r}, which is not an element index"))
     bad_elements = []
     for name, section, key, elements in (("s3_subgroup", "module", "elements", [0, 9]),
                                          ("s3_morphism", "morphism", "target_elements", 3),
@@ -393,6 +398,7 @@ def test_cli_malformed_input_exits_2(tmp_path, capsys):
         ("validate", cochain_of_wrong_shape, "ModuleDataError: 2-cochain shape does not match the subgroup order"),
         ("validate", target_outside_source,
          "ReconstructionError: target subgroup must be contained in the source subgroup"),
+        *bad_tables,
         *bad_elements,
     ]
     for i, (command, body, message) in enumerate(cases):

@@ -8,12 +8,13 @@ pair-by-pair loop forms.  The closed-form coset-module bases are compared
 with the kernel of the full constraint matrix, found by an SVD.  The
 stacked-array kernels of ``grouprep`` are compared with their
 tuple-of-matrices forms, which loop over the group elements (and, for the
-averaging projector, over the matrix units).
+averaging projector, over the matrix units), and its Cayley-table routines
+with their element-by-element forms, refusals and messages included.
 """
 
 import re
 from dataclasses import replace
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qhspace import tensorcat
 from qhspace import grouprep
 from qhspace.grouprep import (
     FiniteGroup,
+    GroupAxiomError,
     Subgroup,
     _regular_average,
     cyclic_group,
@@ -56,6 +58,7 @@ from qhspace.tensorcat import UNIT_LABEL
 from qhspace.verify import run_suite
 
 from support import corner_blocks, dense_tensor, regular_rep, with_rescaled_conjugates
+from test_grouprep import _quaternion_group
 
 
 def _columns(f, a, b, r, t):
@@ -864,3 +867,182 @@ def test_regular_average_matches_loop(group_tables):
             ref = (c + np.conj(c).T) / (2.0 * n)
             assert np.array_equal(_regular_average(group, h), ref), (n, seed)
         assert np.array_equal(regular_rep(group).mats, np.stack(reg))
+
+
+# ---------------------------------------------------------------- Cayley tables
+# the integer layer of ``grouprep`` as it was first written, one element pair at a time
+
+
+def _axioms_loop(table):
+    """The message of the first group axiom that ``table`` fails, or None."""
+    n = table.shape[0]
+    if table.shape != (n, n):
+        return "multiplication table is not square"
+    for i in range(n):
+        if sorted(table[i, :]) != list(range(n)) or sorted(table[:, i]) != list(range(n)):
+            return f"table is not a Latin square at row/col {i}"
+        if table[0, i] != i or table[i, 0] != i:
+            return f"identity law fails at element {i}"
+    for g in range(n):
+        if not np.array_equal(table[table[g]], table[g, table]):
+            return f"associativity fails involving element {g}"
+    return None
+
+
+def _permutations_loop(perms):
+    """The table of a permutation list, one composition at a time; a message if the list is not closed."""
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            comp = tuple(p[q[k]] for k in range(len(p)))
+            if comp not in index:
+                return "permutation list is not closed under composition"
+            table[i, j] = index[comp]
+    return table
+
+
+def _dihedral_loop(n):
+    table = np.empty((2 * n, 2 * n), dtype=np.int64)
+    for a in range(2 * n):
+        r1, f1 = a % n, a // n
+        for b in range(2 * n):
+            r2, f2 = b % n, b // n
+            table[a, b] = ((r1 - r2) % n if f1 else (r1 + r2) % n) + n * ((f1 + f2) % 2)
+    return table
+
+
+def _inverse_loop(table):
+    return [int(np.where(table[g, :] == 0)[0][0]) for g in range(len(table))]
+
+
+def _classes_loop(table):
+    inv, seen, classes = _inverse_loop(table), set(), []
+    for g in range(len(table)):
+        if g not in seen:
+            orbit = {int(table[table[h, g], inv[h]]) for h in range(len(table))}
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
+    return tuple(sorted(classes, key=lambda c: c[0]))
+
+
+def _close_loop(table, generators):
+    elems, frontier = {0}, list(set(generators) | {0})
+    while frontier:
+        g = frontier.pop()
+        for h in list(elems):
+            for prod in (int(table[g, h]), int(table[h, g])):
+                if prod not in elems:
+                    elems.add(prod)
+                    frontier.append(prod)
+        elems.add(g)
+    return tuple(sorted(elems))
+
+
+def _subgroup_loop(table, elements):
+    """The message of the first reason ``elements`` is not a subgroup, or None."""
+    elems = tuple(sorted(set(elements)))
+    for g in elems:
+        if not 0 <= g < len(table):
+            return f"element {g} is not in 0..{len(table) - 1}"
+    if 0 not in elems:
+        return "subgroup must contain the identity"
+    for g in elems:
+        for h in elems:
+            if int(table[g, h]) not in elems:
+                return f"subset not closed: {g}*{h} escapes"
+    return None
+
+
+def _as_group_loop(table, elements):
+    pos = {g: i for i, g in enumerate(elements)}
+    return np.array([[pos[int(table[g, h])] for h in elements] for g in elements], dtype=np.int64)
+
+
+def _cosets_loop(table, elements):
+    seen, cosets = set(), []
+    for g in range(len(table)):
+        if g not in seen:
+            coset = tuple(sorted(int(table[g, h]) for h in elements))
+            seen |= set(coset)
+            cosets.append(coset)
+    return tuple(sorted(cosets, key=lambda c: c[0]))
+
+
+def _refusal(build, *args):
+    """(class name, message) of what ``build(*args)`` raises, or None."""
+    try:
+        build(*args)
+    except Exception as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+def _expected(message):
+    return None if message is None else ("GroupAxiomError", message)
+
+
+def _cayley_cases():
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
+    perms = {n: sorted(permutations(range(n))) for n in (3, 4, 5)}
+    return [(f"S{n}", symmetric_group(n), _permutations_loop(perms[n])) for n in (3, 4, 5)] + [
+        ("D5", dihedral_group(5), _dihedral_loop(5)),
+        ("D12", dihedral_group(12), _dihedral_loop(12)),
+        ("Z1", cyclic_group(1), np.zeros((1, 1), dtype=np.int64)),
+        ("Z7", cyclic_group(7), np.array([[(i + j) % 7 for j in range(7)] for i in range(7)])),
+        ("Q8", _quaternion_group(), None),
+        ("A4", group_from_permutations(even), _permutations_loop(even)),
+    ]
+
+
+def test_cayley_tables_match_loops():
+    for name, group, ref in _cayley_cases():
+        t = group.mult_table
+        if ref is not None:
+            assert t.dtype == np.int64 and np.array_equal(t, ref), name
+        assert _axioms_loop(t) is None, name
+        assert group.inverse.dtype == np.int64 and group.inverse.tolist() == _inverse_loop(t), name
+        assert group.conjugacy_classes == _classes_loop(t), name
+        if name == "S5":  # its subgroups would take the loops too long
+            continue
+        subgroups = set()
+        for gens in [[], *combinations_with_replacement(range(group.order), 2)]:
+            h = group.close_subset(gens)
+            assert h == _close_loop(t, gens) and all(type(g) is int for g in h), (name, gens)
+            subgroups.add(h)
+        for h in sorted(subgroups):
+            sub = Subgroup(group, h)
+            assert sub.left_cosets() == _cosets_loop(t, h), (name, h)
+            assert np.array_equal(sub.as_group.mult_table, _as_group_loop(t, h)), (name, h)
+    for n in range(1, 7):
+        assert np.array_equal(dihedral_group(n).mult_table, _dihedral_loop(n)), n
+
+
+def test_cayley_refusals_match_loops():
+    s3 = symmetric_group(3)
+    tables = []
+    for i, j, v in product(range(6), range(6), (-1, 0, 3, 6)):
+        table = s3.mult_table.copy()
+        table[i, j] = v
+        tables.append(table)
+    # a Latin square with an identity that is not associative (1 * 1 = 0, so it is not Z5)
+    tables.append(np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]))
+    tables.append(np.zeros((2, 3), dtype=np.int64))
+    refused = 0
+    for table in tables:
+        want = _expected(_axioms_loop(table))
+        assert _refusal(FiniteGroup, table) == want, (table, want)
+        refused += want is not None
+    assert refused == 4 * 36 - 12 + 2  # the 12 entries that hold 0 or 3 stay a group under that value
+    for subset in [*combinations(range(6), 3), (0, -1), (0, 6)]:
+        assert _refusal(Subgroup, s3, subset) == _expected(_subgroup_loop(s3.mult_table, subset)), subset
+    perms = sorted(permutations(range(3)))[:-1]
+    assert _refusal(group_from_permutations, perms) == _expected(_permutations_loop(perms))
+    assert _refusal(group_from_permutations, perms) is not None
+
+
+def test_empty_cayley_table_is_refused():
+    # a group has an identity, so an order of 0 is no group
+    with pytest.raises(GroupAxiomError, match="^multiplication table is empty$"):
+        FiniteGroup(np.zeros((0, 0), dtype=np.int64))

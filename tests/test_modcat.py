@@ -707,6 +707,18 @@ def test_misshapen_basis_block_fails_named_checks(s3_modules, shape):
     assert failed == {"unit_basis": np.inf, "morphism_isometry": np.inf}, cert.to_text()
 
 
+def test_validate_module_builds_the_edges_once(s3_modules, monkeypatch):
+    # the edges are a cached property of the record, outside its memo: the certificate, the triple check
+    # and the Frobenius blocks read one copy, and a replace copy builds its own
+    calls = []
+    stack = modcat.stack_by_shape
+    monkeypatch.setattr(modcat, "stack_by_shape", lambda blocks: calls.append(len(blocks)) or stack(blocks))
+    f = replace(s3_modules["full"])
+    assert validate_module(f).passed and validate_module(f).passed
+    assert len(calls) == 1 and "edges" in vars(f) and f.memo == {}
+    assert validate_module(replace(f)).passed and len(calls) == 2
+
+
 def test_nan_entry_fails_module_checks(s3_modules):
     # a max(worst, x) fold keeps worst when x is NaN; the NaN must reach the check value
     f = s3_modules["full"]

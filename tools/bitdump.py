@@ -12,6 +12,11 @@ saves, one key per array:
 - the matrices of every irreducible representation of a group category
   (``{tag}/irrep{a}``) and the stacked fusion isometries of every channel
   (``{tag}/fusion(a, b)/{c}``), for the projects and the group cases;
+- the integer data of each group (``{tag}/group/inverse`` and the class
+  label of each element, ``{tag}/group/classes``) and of each module's
+  subgroup (its left cosets, one row each, ``{tag}/group/cosets``, and its
+  own table, ``{tag}/group/subgroup_table``), also of each restriction
+  target's (``{tag}/target/group/...``);
 - the irreducibles of each project's subgroups, as the loader reads them
   from the file: the module's (``{tag}/module_irrep{a}``) and the morphism
   target's (``{tag}/target_irrep{a}``);
@@ -58,8 +63,9 @@ A dump made before block algebras went through ``verify_algebra`` has no
 ``left_unit``, ``right_unit``, ``associativity`` and three star checks, and a
 dump made before ``block_algebra`` took any number of labels has no
 ``linking`` verdicts, and a dump made before the Frobenius blocks were dumped
-has no ``frobenius`` arrays: a compare of the two lists those keys as present
-on one side only.
+has no ``frobenius`` arrays, and a dump made before the group data were dumped
+has no ``group`` arrays: a compare of the two lists those keys as present on
+one side only.
 """
 
 from __future__ import annotations
@@ -95,6 +101,19 @@ def _category(out: dict, tag: str, cat) -> None:
     for (a, b), channels in cat.fusion.items():
         for c, isometries in channels.items():
             out[f"{tag}/fusion{a, b}/{c}"] = np.stack(isometries)
+
+
+def _group(out: dict, tag: str, group, elements=None) -> None:
+    from qhspace.grouprep import Subgroup
+
+    label = np.empty(group.order, dtype=np.int64)
+    for c, members in enumerate(group.conjugacy_classes):
+        label[list(members)] = c
+    out[f"{tag}/group/inverse"], out[f"{tag}/group/classes"] = group.inverse, label
+    if elements is not None:
+        sub = Subgroup(group, tuple(elements))
+        out[f"{tag}/group/cosets"] = np.array(sub.left_cosets(), dtype=np.int64)
+        out[f"{tag}/group/subgroup_table"] = sub.as_group.mult_table
 
 
 def _subgroup_irreps(out: dict, tag: str, mod) -> None:
@@ -195,6 +214,7 @@ def dump(path: str) -> None:
     for name in PROJECTS:
         project = load_project(os.path.join(ROOT, "projects", f"{name}.qhs.json"))
         _category(out, name, project.category)
+        _group(out, name, project.group, project.sections.get("module", {}).get("elements"))
         if project.module is not None:
             _subgroup_irreps(out, f"{name}/module_irrep", project.module)
             _module(out, name, project.module)
@@ -202,12 +222,14 @@ def dump(path: str) -> None:
             _linking(out, name, project.module)
         if project.morphism is not None:
             _subgroup_irreps(out, f"{name}/target_irrep", project.morphism.target)
+            _group(out, f"{name}/target", project.group, project.sections["morphism"]["target_elements"])
             _module(out, f"{name}/target", project.morphism.target)
             _classical(out, f"{name}/target", project.morphism.target)
             _morphism(out, name, project.morphism, 0)
     for case in make_inputs("pointed_ladder", 0, ROOT):
         cat = from_pointed(PointedFusionData(case.group, case.cocycle))
         mod = coset_module(cat, case.group, case.subgroup)
+        _group(out, case.id, case.group, case.subgroup)
         _module(out, case.id, mod)
         _verdicts(out, f"{case.id}/run_suite", run_suite(cat, mod))
     group_cases = [(case, case.id, 0) for case in make_inputs("group_ladder", 0, ROOT)]
@@ -217,11 +239,13 @@ def dump(path: str) -> None:
         cat = from_group(extract_irreps(case.group))
         _category(out, tag, cat)
         mod = subgroup_module(cat, case.group, case.subgroup)
+        _group(out, tag, case.group, case.subgroup)
         _module(out, tag, mod)
         _verdicts(out, f"{tag}/run_suite", run_suite(cat, mod, seed=seed))
         if case.corners:
             _corners(out, tag, mod, seed)
             triv = subgroup_module(cat, case.group, (case.group.identity,))
+            _group(out, f"{tag}/trivial", case.group, (case.group.identity,))
             _module(out, f"{tag}/trivial", triv)
             _classical(out, f"{tag}/trivial", triv)
             _morphism(out, tag, restriction_morphism(mod, triv), seed)
